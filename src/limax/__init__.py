@@ -19,7 +19,7 @@ from .graph import (DirectedGraph, TriggeringParams, assign_weighted_cascade,
                     sample_triggering_set, uniform_ic)
 from .immprr import (GreedyState, ImmParams, compute_gamma, compute_m, immprr,
                      lambda_star, lgreedy, lgreedy_delta, make_imm_params,
-                     marginal_gain, run_immprr, sampling)
+                     run_immprr, sampling)
 from .immvsn import (AugmentedGraph, HybridRRSet, VirtualNodeId,
                      build_augmented, generate_hybrid_rr_set, immvsn,
                      node_selection_virtual, run_immvsn, sample_virtual_arm)
@@ -29,7 +29,6 @@ from .rng import stream
 from .rrset import (RRCollection, RRSet, g_hat, generate_collection,
                     generate_rr_set, load_collection, save_collection)
 from .strategy import (BlackBoxActivation, IndependentActivation,
-                       LatticeConfig, StrategyMix, h_value, q_value,
-                       validate_model)
+                       LatticeConfig, StrategyMix, validate_model)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

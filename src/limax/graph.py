@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -131,21 +132,24 @@ class TriggeringParams:
         return params
 
     def _finalize(self, graph: DirectedGraph) -> None:
-        self._in_py = [list(map(float, a)) for a in self.in_values]
-        # out-aligned view for forward simulation; parallel edges are matched
-        # copy-by-copy via a moving search cursor per (target, source) pair
-        out_vals: list[list[float]] = [[] for _ in range(graph.n)]
-        per_target_pos: list[dict[int, int]] = [dict() for _ in range(graph.n)]
-        for u in range(graph.n):
-            for v in graph._out_py[u]:
-                row = graph._in_py[v]
-                start = per_target_pos[v].get(u, 0)
-                t = row.index(u, start)
-                per_target_pos[v][u] = t + 1
-                out_vals[u].append(self._in_py[v][t])
-        self._out_py = out_vals
+        self._in_py = [a.tolist() for a in self.in_values]
+        # out-aligned view for forward simulation: sorting both edge views by
+        # (source, target), stably, lines the k-th parallel copy of an edge
+        # in one view up with the k-th copy in the other
+        ids = np.arange(graph.n)
+        in_src = np.concatenate((np.empty(0, np.int64), *graph.in_neighbors))
+        in_dst = np.repeat(ids, graph.in_degrees())
+        out_deg = graph.out_degrees()
+        out_src = np.repeat(ids, out_deg)
+        out_dst = np.concatenate((np.empty(0, np.int64), *graph.out_neighbors))
+        vals = np.concatenate((np.empty(0), *self.in_values))
+        out_vals = np.empty(len(vals))
+        out_vals[np.lexsort((out_dst, out_src))] = vals[np.lexsort((in_dst, in_src))]
+        flat = out_vals.tolist()
+        ends = np.cumsum(out_deg).tolist()
+        self._out_py = [flat[e - d:e] for e, d in zip(ends, out_deg.tolist())]
         if self.kind == LT:
-            self._lt_cum = [list(np.cumsum(a)) for a in self.in_values]
+            self._lt_cum = [np.cumsum(a).tolist() for a in self.in_values]
 
 
 def _compact(edges: list[tuple[int, int]], values: list[float] | None,
@@ -228,6 +232,8 @@ def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
                 with open(source, "r", encoding="utf-8") as fh:
                     lines = fh.read().splitlines()
             except OSError:
+                if len(source.split()) not in (2, 3):
+                    raise
                 lines = [source]
     elif isinstance(source, io.IOBase) or hasattr(source, "read"):
         data = source.read()
@@ -365,18 +371,8 @@ def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,
     if params.kind == IC:
         probs = params._in_py[v]
         return {srcs[t] for t in range(len(srcs)) if u() < probs[t]}
-    cum = params._lt_cum[v]
-    x = u()
-    if x >= cum[-1]:
-        return set()
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return {srcs[lo]}
+    t = bisect_right(params._lt_cum[v], u())
+    return {srcs[t]} if t < len(srcs) else set()
 
 
 def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:

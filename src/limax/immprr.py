@@ -6,7 +6,9 @@ lower bounds y = n/2, n/4, ... for the optimum, runs the lattice greedy on
 the sets generated so far, and accepts the first guess whose greedy
 estimate clears (1 + eps') * y.  The final collection size is
 lambda_star(ell) / LB.  The selection phase then runs the lattice greedy
-once more on the full collection.
+once more on the full collection.  The stage loop (``_imm_stages``) serves
+both solvers: ``limax.immvsn`` runs it on hybrid RR sets with its virtual
+max-coverage greedy as the stage estimate.
 
 The greedy adds one delta-step per round to the coordinate with the largest
 estimated spread gain.  Under independent strategy activation the gain of
@@ -41,7 +43,6 @@ __all__ = [
     "make_imm_params",
     "lgreedy",
     "GreedyState",
-    "marginal_gain",
     "lgreedy_delta",
     "SamplingStats",
     "sampling",
@@ -229,15 +230,11 @@ class GreedyState:
                 ([0], np.flatnonzero(rr[1:] != rr[:-1]) + 1)).astype(np.int64)
             seg_rr = rr[seg_starts]
             self._per_strategy.append((rows, seg_starts, seg_rr, qtab))
-        self.s = self._fresh_s()
-
-    def _fresh_s(self) -> np.ndarray:
-        cov = self.collection.coverage_weights(self.model.h_all(self.x))
-        return 1.0 - cov
+        self.s = self.recompute_s()
 
     def recompute_s(self) -> np.ndarray:
-        """From-scratch s_i values (consistency checks)."""
-        return self._fresh_s()
+        """From-scratch s_i values at the current step vector."""
+        return 1.0 - self.collection.coverage_weights(self.model.h_all(self.x))
 
     def _segment_ratios(self, j: int):
         slot = self._per_strategy[j]
@@ -265,10 +262,6 @@ class GreedyState:
             seg_rr, prod = self._segment_ratios(j)
             self.s[seg_rr] *= prod
         self.x[j] += 1
-
-
-def marginal_gain(state: GreedyState, j: int) -> float:
-    return state.marginal(j)
 
 
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
@@ -310,16 +303,16 @@ def _stage_greedy(collection: RRCollection, model, lattice, constraint) -> Strat
     return lgreedy(lambda steps: g_hat(collection, model, steps), lattice, constraint)
 
 
-def sampling(graph: DirectedGraph, params: TriggeringParams, model,
-             lattice: LatticeConfig, constraint, imm: ImmParams,
-             rng) -> tuple[RRCollection, SamplingStats]:
-    """Generate enough RR sets for the approximation guarantee.
+def _imm_stages(collection, stage_estimate, imm: ImmParams, rng) -> SamplingStats:
+    """The IMM sampling phase shared by both solvers.
 
-    Stage i targets theta_i = lambda' * 2^i / n sets and stops as soon as
-    the stage greedy certifies a lower bound on the optimum; RR sets from
-    failed stages stay in the collection.
+    Stage i grows ``collection`` to theta_i = lambda' * 2^i / n sets and
+    stops as soon as ``stage_estimate(collection)``, the spread estimate of
+    the stage greedy, certifies the lower bound y = n / 2^i; RR sets from
+    failed stages stay in the collection.  The collection then grows to
+    lambda_star / LB sets.
     """
-    n = graph.n
+    n = collection.n
     if n < 2:
         raise ValueError("need at least two nodes")
     ell_eff = effective_ell(n, imm.ell, imm.gamma)
@@ -330,7 +323,6 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
                  * (imm.m_bound + ell_eff * ln_n + math.log(math.log2(n)))
                  * n / (eps_p * eps_p))
     buf = RandomBuffer(rng)
-    collection = RRCollection(graph, params, model)
     lb = 1.0
     hit = None
     stage = 0
@@ -339,17 +331,28 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
         y = n / 2.0 ** i
         target = math.floor(lam_prime / y) + 1
         collection.extend(target - collection.theta, buf)
-        x = _stage_greedy(collection, model, lattice, constraint)
-        est = g_hat(collection, model, x)
+        est = stage_estimate(collection)
         if est >= (1.0 + eps_p) * y:
             lb = est / (1.0 + eps_p)
             hit = i
             break
     theta_star = lambda_star(n, imm.epsilon, ell_eff, imm.m_bound) / lb
     collection.extend(math.floor(theta_star) + 1 - collection.theta, buf)
-    return collection, SamplingStats(
-        theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
-        ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
+    return SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
+                         ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
+
+
+def sampling(graph: DirectedGraph, params: TriggeringParams, model,
+             lattice: LatticeConfig, constraint, imm: ImmParams,
+             rng) -> tuple[RRCollection, SamplingStats]:
+    """Generate enough RR sets for the approximation guarantee, certifying
+    each stage with the lattice greedy's partial-coverage estimate."""
+    collection = RRCollection(graph, params, model)
+    stats = _imm_stages(
+        collection,
+        lambda c: g_hat(c, model, _stage_greedy(c, model, lattice, constraint)),
+        imm, rng)
+    return collection, stats
 
 
 @dataclass

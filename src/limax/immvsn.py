@@ -19,19 +19,18 @@ but still count in the estimator's denominator.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budgets import PartitionedBudget, total_steps
-from .graph import IC, DirectedGraph, TriggeringParams
-from .immprr import (ImmParams, InvalidModelError, _validate_domain,
-                     effective_ell, lambda_star)
+from .graph import DirectedGraph, TriggeringParams
+from .immprr import (ImmParams, InvalidModelError, SamplingStats,
+                     _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _estimate, _forward_count
 from .rng import RandomBuffer
-from .rrset import EmptyCollectionError
+from .rrset import EmptyCollectionError, _reverse_reach
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -87,23 +86,17 @@ class AugmentedGraph:
             [row.tolist() for row in model.tables[v]] for v in range(graph.n)]
         self._strat_py: list[list[int]] = [s.tolist() for s in model.strategies]
 
-    @property
-    def num_virtual(self) -> int:
-        return self.lattice.d * self.steps
-
     def flat(self, node: VirtualNodeId) -> int:
         return node.j * self.steps + (node.i - 1)
 
     def unflat(self, flat: int) -> VirtualNodeId:
         return VirtualNodeId(j=flat // self.steps, i=flat % self.steps + 1)
 
-    def cumulative(self, v: int, j: int, i: int) -> float:
-        """C[v,j](i) = q[v,j](i*delta); prefix sum of the first i edge weights."""
-        return self.model.q_steps(v, j, i)
-
     def weight(self, v: int, j: int, i: int) -> float:
-        """LT weight of the virtual edge (u[j,i], v)."""
-        return self.cumulative(v, j, i) - self.cumulative(v, j, i - 1)
+        """LT weight q[v,j](i*delta) - q[v,j]((i-1)*delta) of the virtual
+        edge (u[j,i], v)."""
+        q = self.model.q_steps
+        return q(v, j, i) - q(v, j, i - 1)
 
 
 def build_augmented(graph: DirectedGraph, params: TriggeringParams,
@@ -136,60 +129,10 @@ class HybridRRSet:
     virtual_members: tuple[VirtualNodeId, ...]
 
 
-def _hybrid_reach(aug: AugmentedGraph, root: int, u) -> tuple[set[int], set[int]]:
-    """Reverse BFS over real edges; each visited node also draws one arm per
-    applicable strategy.  Virtual nodes are sinks in the reverse direction."""
-    graph = aug.graph
-    params = aug.params
-    in_py = graph._in_py
-    strat_py = aug._strat_py
-    cum_py = aug._cum_py
-    seen = {root}
-    stack = [root]
-    virtual: set[int] = set()
-    ic = params.kind == IC
-    in_probs = params._in_py
-    lt_cum = params._lt_cum
-    steps = aug.steps
-    while stack:
-        v = stack.pop()
-        for t, cum in enumerate(cum_py[v]):
-            x = u()
-            if x < cum[-1]:
-                virtual.add(strat_py[v][t] * steps + bisect_right(cum, x) - 1)
-        srcs = in_py[v]
-        deg = len(srcs)
-        if not deg:
-            continue
-        if ic:
-            probs = in_probs[v]
-            for t in range(deg):
-                if u() < probs[t]:
-                    w = srcs[t]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        else:
-            cum = lt_cum[v]
-            x = u()
-            if x < cum[-1]:
-                lo, hi = 0, deg - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cum[mid] > x:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                w = srcs[lo]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen, virtual
-
-
 def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
     u = rng.u if isinstance(rng, RandomBuffer) else rng.random
-    seen, virtual = _hybrid_reach(aug, root, u)
+    seen, _, virtual = _reverse_reach(aug.graph, aug.params, root, u,
+                                      (aug._strat_py, aug._cum_py, aug.steps))
     return HybridRRSet(
         root=root,
         real_members=np.array(sorted(seen), dtype=np.int64),
@@ -220,8 +163,10 @@ class HybridCollection:
         u = buf.u
         roots = base.integers(0, self.n, size=count)
         aug = self.aug
+        graph, params = aug.graph, aug.params
+        arms = (aug._strat_py, aug._cum_py, aug.steps)
         for r in roots:
-            _, virtual = _hybrid_reach(aug, int(r), u)
+            _, _, virtual = _reverse_reach(graph, params, int(r), u, arms)
             self.theta += 1
             if virtual:
                 si = len(self.virtual_sets)
@@ -331,55 +276,19 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
 # --- sampling phase and driver ------------------------------------------------
 
 @dataclass
-class VsnStats:
-    theta: int
-    lower_bound: float
-    gamma: float
-    ell_eff: float
-    stages_run: int
-    hit_stage: int | None
-
-
-@dataclass
 class VsnResult:
     mix: StrategyMix
     collection: HybridCollection | None
-    stats: VsnStats | None
+    stats: SamplingStats | None
 
 
 def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams,
-                      rng) -> tuple[HybridCollection, VsnStats]:
-    n = aug.graph.n
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    ell_eff = effective_ell(n, imm.ell, imm.gamma)
-    eps_p = math.sqrt(2.0) * imm.epsilon
-    ln_n = math.log(n)
-    stages = int(math.floor(math.log2(n)))
-    lam_prime = ((2.0 + 2.0 / 3.0 * eps_p)
-                 * (imm.m_bound + ell_eff * ln_n + math.log(math.log2(n)))
-                 * n / (eps_p * eps_p))
-    buf = RandomBuffer(rng)
+                      rng) -> tuple[HybridCollection, SamplingStats]:
     collection = HybridCollection(aug)
-    lb = 1.0
-    hit = None
-    stage = 0
-    for i in range(1, stages + 1):
-        stage = i
-        y = n / 2.0 ** i
-        target = math.floor(lam_prime / y) + 1
-        collection.extend(target - collection.theta, buf)
-        _, covered = _greedy_virtual(collection, constraint)
-        est = n * covered / collection.theta
-        if est >= (1.0 + eps_p) * y:
-            lb = est / (1.0 + eps_p)
-            hit = i
-            break
-    theta_star = lambda_star(n, imm.epsilon, ell_eff, imm.m_bound) / lb
-    collection.extend(math.floor(theta_star) + 1 - collection.theta, buf)
-    return collection, VsnStats(theta=collection.theta, lower_bound=lb,
-                                gamma=imm.gamma, ell_eff=ell_eff,
-                                stages_run=stage, hit_stage=hit)
+    stats = _imm_stages(
+        collection, lambda c: c.n * _greedy_virtual(c, constraint)[1] / c.theta,
+        imm, rng)
+    return collection, stats
 
 
 def run_immvsn(graph: DirectedGraph, params: TriggeringParams,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -95,20 +96,9 @@ def _forward_count(graph: DirectedGraph, params: TriggeringParams,
                     continue
                 picked = choice.get(w, -2)
                 if picked == -2:
-                    cum = lt_cum[w]
-                    x = u()
-                    if x >= cum[-1]:
-                        picked = -1
-                    else:
-                        lo, hi = 0, len(cum) - 1
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if cum[mid] > x:
-                                hi = mid
-                            else:
-                                lo = mid + 1
-                        picked = in_py[w][lo]
-                    choice[w] = picked
+                    t = bisect_right(lt_cum[w], u())
+                    srcs = in_py[w]
+                    picked = choice[w] = srcs[t] if t < len(srcs) else -1
                 if picked == v:
                     active[w] = 1
                     nxt.append(w)

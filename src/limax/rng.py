@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "spawn", "RandomBuffer"]
+__all__ = ["stream", "RandomBuffer"]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -21,16 +21,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split `count` child streams off an existing generator.
-
-    Used wherever work is batched (RR-set generation, simulation runs) so
-    that batches are independent and a merge order does not matter.
-    """
-    root = np.random.SeedSequence(rng.integers(0, 2**63 - 1, dtype=np.int64))
-    return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(count)]
 
 
 class RandomBuffer:

@@ -9,11 +9,14 @@ expected spread.
 
 Each node's triggering draw happens at most once per RR set: the reverse
 BFS expands every member exactly once, which keeps the sample consistent
-with a single live-edge graph.
+with a single live-edge graph.  The same BFS kernel also samples the hybrid
+RR sets of the virtual-node reduction (``limax.immvsn``), where each member
+additionally draws one virtual arm per strategy that applies to it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +51,29 @@ class RRSet:
 
 
 def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
-                   root: int, u) -> tuple[set[int], int]:
-    """One reverse BFS; `u` is a nullary callable yielding uniforms."""
+                   root: int, u, arms=None) -> tuple[set[int], int, set[int]]:
+    """One reverse BFS; `u` is a nullary callable yielding uniforms.
+
+    With ``arms = (strategies, cum_tables, steps)`` the set is a hybrid RR
+    set: every popped node first draws one virtual arm per applicable
+    strategy, then its in-edges.  Returns (members, width, virtual flat ids).
+    """
     in_py = graph._in_py
     seen = {root}
     stack = [root]
     width = 0
+    virtual: set[int] = set()
     ic = params.kind == IC
     in_probs = params._in_py
     lt_cum = params._lt_cum
+    strat_py, cum_py, steps = arms if arms is not None else (None, None, 0)
     while stack:
         v = stack.pop()
+        if cum_py is not None:
+            for t, cum in enumerate(cum_py[v]):
+                x = u()
+                if x < cum[-1]:
+                    virtual.add(strat_py[v][t] * steps + bisect_right(cum, x) - 1)
         srcs = in_py[v]
         deg = len(srcs)
         width += deg
@@ -73,28 +88,20 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
                         seen.add(w)
                         stack.append(w)
         else:
-            cum = lt_cum[v]
-            x = u()
-            if x < cum[-1]:
-                lo, hi = 0, deg - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cum[mid] > x:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                w = srcs[lo]
+            t = bisect_right(lt_cum[v], u())
+            if t < deg:
+                w = srcs[t]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-    return seen, width
+    return seen, width, virtual
 
 
 def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
                     root: int, rng) -> RRSet:
     """Sample the RR set rooted at ``root``."""
     u = rng.u if isinstance(rng, RandomBuffer) else rng.random
-    seen, width = _reverse_reach(graph, params, root, u)
+    seen, width, _ = _reverse_reach(graph, params, root, u)
     return RRSet(root=root, members=np.array(sorted(seen), dtype=np.int64), width=width)
 
 

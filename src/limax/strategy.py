@@ -34,8 +34,6 @@ __all__ = [
     "quadratic_table",
     "multi_event_table",
     "clamped_table",
-    "h_value",
-    "q_value",
     "validate_model",
     "make_personalized",
     "make_segmented_event",
@@ -249,16 +247,6 @@ class BlackBoxActivation:
 
     def h_all(self, x) -> np.ndarray:
         return np.array([self.h(v, x) for v in range(self.n)])
-
-
-def h_value(model, v: int, x) -> float:
-    """Seed-activation probability of node v under mix x."""
-    return model.h(v, x)
-
-
-def q_value(model: IndependentActivation, v: int, j: int, steps: int) -> float:
-    """Single-strategy activation probability q[v,j] at ``steps`` lattice steps."""
-    return model.q_steps(v, j, steps)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from limax.graph import (LT, EdgeListError, TriggeringParams,
-                         assign_weighted_cascade, from_edges, gen_erdos_renyi,
+from limax.graph import (IC, LT, DirectedGraph, EdgeListError,
+                         TriggeringParams, assign_weighted_cascade, from_edges, gen_erdos_renyi,
                          load_edge_list, sample_triggering_set, uniform_ic,
                          write_edge_list)
 from limax.rng import stream
@@ -61,6 +61,15 @@ def test_header_edge_count_mismatch():
         load_edge_list("3 5\n0 1\n1 2\n", header=True)
 
 
+def test_missing_path_raises_file_not_found(tmp_path):
+    missing = str(tmp_path / "no-such-graph.txt")
+    with pytest.raises(FileNotFoundError, match="no-such-graph.txt"):
+        load_edge_list(missing)
+    # a single line that splits into 2-3 fields is still inline data
+    g = load_edge_list("0 1")
+    assert g.n == 2 and g.m == 1
+
+
 def test_stream_source():
     g = load_edge_list(io.StringIO("# comment\n0 1\n1 2\n"), header=False)
     assert g.n == 3 and g.m == 2
@@ -76,6 +85,32 @@ def test_parallel_edges_kept():
     g = from_edges(2, [(0, 1), (0, 1)])
     assert g.m == 2
     assert list(g.in_neighbors[1]) == [0, 0]
+
+
+def test_out_values_match_parallel_copies_in_order():
+    # parallel edges with distinct values, out rows in an order unrelated to
+    # the in rows: the k-th copy of (u, v) in out_neighbors[u] must carry the
+    # value of the k-th copy of u in in_neighbors[v]
+    gen = np.random.default_rng(7)
+    n = 6
+    pairs = [(int(u), int(v)) for u, v in gen.integers(0, n, size=(200, 2)) if u != v]
+    in_rows = [[u for u, w in pairs if w == v] for v in range(n)]
+    out_rows = [[v for w, v in pairs if w == u] for u in range(n)]
+    for row in out_rows:
+        gen.shuffle(row)
+    graph = DirectedGraph(n, [np.array(r, dtype=np.int64) for r in in_rows],
+                          [np.array(r, dtype=np.int64) for r in out_rows])
+    params = TriggeringParams.build(
+        graph, IC, [gen.uniform(size=len(r)) for r in in_rows])
+    for u in range(n):
+        taken: dict[int, int] = {}
+        expect = []
+        for v in out_rows[u]:
+            k = taken.get(v, 0)
+            taken[v] = k + 1
+            slots = [t for t, w in enumerate(in_rows[v]) if w == u]
+            expect.append(float(params.in_values[v][slots[k]]))
+        assert params._out_py[u] == expect
 
 
 def test_weighted_cascade_values():

@@ -11,8 +11,7 @@ from limax.graph import from_edges, uniform_ic
 from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
                           UnsupportedModelError, compute_gamma, compute_m,
                           effective_ell, immprr, lambda_star, lgreedy,
-                          lgreedy_delta, make_imm_params, marginal_gain,
-                          sampling)
+                          lgreedy_delta, make_imm_params, sampling)
 from limax.rng import stream
 from limax.rrset import RRCollection, RRSet, g_hat, generate_collection
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
@@ -113,14 +112,14 @@ def _single_set_instance(q_step):
 def test_marginal_gain_empty_list_is_zero():
     g, lat, model, coll = _single_set_instance(0.5)
     state = GreedyState(coll, model, lat, TotalBudget(2))
-    assert marginal_gain(state, 1) == 0.0
+    assert state.marginal(1) == 0.0
 
 
 def test_marginal_gain_single_set_value():
     # q goes 0 -> 0.5 on the only member: gain (n/theta) * 0.5 = 1.0
     g, lat, model, coll = _single_set_instance(0.5)
     state = GreedyState(coll, model, lat, TotalBudget(2))
-    assert marginal_gain(state, 0) == pytest.approx(2 * 0.5)
+    assert state.marginal(0) == pytest.approx(2 * 0.5)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -6,9 +6,9 @@ from conftest import random_concave_table, sweep_monotone_dr
 from limax.strategy import (BlackBoxActivation, CurveDomainError,
                             IndependentActivation, LatticeConfig,
                             StrategyMix, StrategyNotApplicableError,
-                            clamped_table, h_value, make_personalized,
+                            clamped_table, make_personalized,
                             make_segmented_event, multi_event_table,
-                            q_value, validate_model)
+                            validate_model)
 
 
 def _two_strategy_model(lat, q1, q2):
@@ -21,45 +21,45 @@ def _two_strategy_model(lat, q1, q2):
 def test_h_zero_mix_is_zero():
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     model = _two_strategy_model(lat, 0.5, 0.5)
-    assert h_value(model, 0, StrategyMix.zeros(2)) == 0.0
+    assert model.h(0, StrategyMix.zeros(2)) == 0.0
 
 
 def test_h_independent_combination():
     # q = 0.5 from both strategies -> 1 - 0.5*0.5 = 0.75
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     model = _two_strategy_model(lat, 0.5, 0.5)
-    assert h_value(model, 0, StrategyMix([1, 1])) == pytest.approx(0.75)
+    assert model.h(0, StrategyMix([1, 1])) == pytest.approx(0.75)
 
 
 def test_quadratic_discount_value():
     # 2x - x^2 at x = 0.5 -> 0.75
     lat = LatticeConfig(d=1, delta=0.5, budget_steps=2)
     model = make_personalized(1, lat)
-    assert h_value(model, 0, StrategyMix([1])) == pytest.approx(0.75)
+    assert model.h(0, StrategyMix([1])) == pytest.approx(0.75)
 
 
 def test_quadratic_clamps_at_one():
     # beyond x=1 the curve freezes at its boundary value 1
     lat = LatticeConfig(d=1, delta=0.5, budget_steps=4)
     model = make_personalized(1, lat)
-    assert h_value(model, 0, StrategyMix([2])) == pytest.approx(1.0)
-    assert h_value(model, 0, StrategyMix([4])) == pytest.approx(1.0)
+    assert model.h(0, StrategyMix([2])) == pytest.approx(1.0)
+    assert model.h(0, StrategyMix([4])) == pytest.approx(1.0)
 
 
 def test_q_value_examples():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
     table = multi_event_table(0.3, lat)
     model = IndependentActivation(1, lat, [np.array([0])], [table[None, :]])
-    assert q_value(model, 0, 0, 0) == 0.0
+    assert model.q_steps(0, 0, 0) == 0.0
     # 1 - 0.7^2 = 0.51
-    assert q_value(model, 0, 0, 2) == pytest.approx(0.51)
+    assert model.q_steps(0, 0, 2) == pytest.approx(0.51)
 
 
 def test_q_value_tabulated_lookup():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=3)
     tab = np.array([0.0, 0.4, 0.6, 0.7])
     model = IndependentActivation(1, lat, [np.array([0])], [tab[None, :]])
-    assert q_value(model, 0, 0, 3) == 0.7
+    assert model.q_steps(0, 0, 3) == 0.7
 
 
 def test_q_value_not_applicable():
@@ -67,7 +67,7 @@ def test_q_value_not_applicable():
     model = IndependentActivation(1, lat, [np.array([0])],
                                   [np.array([[0.0, 0.2]])])
     with pytest.raises(StrategyNotApplicableError):
-        q_value(model, 0, 1, 1)
+        model.q_steps(0, 1, 1)
 
 
 def test_domain_error_beyond_table():
@@ -75,7 +75,7 @@ def test_domain_error_beyond_table():
     model = IndependentActivation(1, lat, [np.array([0])],
                                   [np.array([[0.0, 0.2, 0.3]])])
     with pytest.raises(CurveDomainError):
-        q_value(model, 0, 0, 3)
+        model.q_steps(0, 0, 3)
     with pytest.raises(CurveDomainError):
         model.h(0, StrategyMix([3]))
 
