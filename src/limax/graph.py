@@ -24,6 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .rng import draws
+
 __all__ = [
     "DirectedGraph",
     "TriggeringParams",
@@ -121,12 +123,23 @@ class TriggeringParams:
             a = np.asarray(in_values[v], dtype=np.float64)
             if a.shape != graph.in_neighbors[v].shape:
                 raise ValueError(f"parameter row {v} does not match in-degree")
-            if np.any(a < 0.0) or np.any(a > 1.0):
-                raise ValueError(f"edge parameter out of [0, 1] at node {v}")
-            if kind == LT and a.sum() > 1.0 + 1e-12:
-                raise ValueError(f"LT weights into node {v} sum to {a.sum():.6f} > 1")
             a.flags.writeable = False
             vals.append(a)
+        # one pass over all edges; a failing check names its first node
+        deg = graph.in_degrees()
+        ends = np.cumsum(deg)
+        flat = np.concatenate((np.empty(0), *vals))
+        bad = np.flatnonzero((flat < 0.0) | (flat > 1.0))
+        if len(bad):
+            v = int(np.searchsorted(ends, bad[0], side="right"))
+            raise ValueError(f"edge parameter out of [0, 1] at node {v}")
+        if kind == LT:
+            rows = np.flatnonzero(deg)
+            sums = np.add.reduceat(flat, ends[rows] - deg[rows])
+            over = np.flatnonzero(sums > 1.0 + 1e-12)
+            if len(over):
+                v = int(rows[over[0]])
+                raise ValueError(f"LT weights into node {v} sum to {sums[over[0]]:.6f} > 1")
         params = cls(kind=kind, in_values=vals)
         params._finalize(graph)
         return params
@@ -363,14 +376,14 @@ def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,
     """Draw the triggering set of node v.
 
     ``rng`` is a numpy Generator or a :class:`limax.rng.RandomBuffer`.
+    Under IC the in-edge coins are one slice of the stream, in in-edge order.
     """
-    u = rng.u if hasattr(rng, "u") else rng.random
+    u, take = draws(rng)
     srcs = graph._in_py[v]
     if not srcs:
         return set()
     if params.kind == IC:
-        probs = params._in_py[v]
-        return {srcs[t] for t in range(len(srcs)) if u() < probs[t]}
+        return {w for w, x, p in zip(srcs, take(len(srcs)), params._in_py[v]) if x < p}
     t = bisect_right(params._lt_cum[v], u())
     return {srcs[t]} if t < len(srcs) else set()
 

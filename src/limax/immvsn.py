@@ -29,7 +29,7 @@ from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _estimate, _forward_count
-from .rng import RandomBuffer
+from .rng import RandomBuffer, draws
 from .rrset import EmptyCollectionError, _reverse_reach
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
@@ -116,10 +116,11 @@ def sample_virtual_arm(aug: AugmentedGraph, v: int, j: int, rng):
     if t >= len(strats) or strats[t] != j:
         raise KeyError(f"strategy {j} does not apply to node {v}")
     cum = aug._cum_py[v][t]
-    u = (rng.u if isinstance(rng, RandomBuffer) else rng.random)()
-    if u >= cum[-1]:
+    u, _ = draws(rng)
+    x = u()
+    if x >= cum[-1]:
         return None
-    return VirtualNodeId(j=j, i=bisect_right(cum, u))
+    return VirtualNodeId(j=j, i=bisect_right(cum, x))
 
 
 @dataclass
@@ -130,8 +131,7 @@ class HybridRRSet:
 
 
 def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
-    u = rng.u if isinstance(rng, RandomBuffer) else rng.random
-    seen, _, virtual = _reverse_reach(aug.graph, aug.params, root, u,
+    seen, _, virtual = _reverse_reach(aug.graph, aug.params, root, *draws(rng),
                                       (aug._strat_py, aug._cum_py, aug.steps))
     return HybridRRSet(
         root=root,
@@ -160,13 +160,12 @@ class HybridCollection:
             return
         buf = rng if isinstance(rng, RandomBuffer) else RandomBuffer(rng)
         base = buf._rng
-        u = buf.u
         roots = base.integers(0, self.n, size=count)
         aug = self.aug
         graph, params = aug.graph, aug.params
         arms = (aug._strat_py, aug._cum_py, aug.steps)
         for r in roots:
-            _, _, virtual = _reverse_reach(graph, params, int(r), u, arms)
+            _, _, virtual = _reverse_reach(graph, params, int(r), buf.u, buf.take, arms)
             self.theta += 1
             if virtual:
                 si = len(self.virtual_sets)

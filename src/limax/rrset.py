@@ -9,9 +9,11 @@ expected spread.
 
 Each node's triggering draw happens at most once per RR set: the reverse
 BFS expands every member exactly once, which keeps the sample consistent
-with a single live-edge graph.  The same BFS kernel also samples the hybrid
-RR sets of the virtual-node reduction (``limax.immvsn``), where each member
-additionally draws one virtual arm per strategy that applies to it.
+with a single live-edge graph.  Under IC a member's in-edge coins are one
+slice of the uniform stream, in in-edge order, so the draw order is the
+same as one scalar draw per edge.  The same BFS kernel also samples the
+hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
+member additionally draws one virtual arm per strategy that applies to it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rng import RandomBuffer
+from .rng import RandomBuffer, draws
 from .strategy import as_steps
 
 __all__ = [
@@ -51,9 +53,11 @@ class RRSet:
 
 
 def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
-                   root: int, u, arms=None) -> tuple[set[int], int, set[int]]:
-    """One reverse BFS; `u` is a nullary callable yielding uniforms.
+                   root: int, u, take, arms=None) -> tuple[set[int], int, set[int]]:
+    """One reverse BFS over the stream read by ``u`` and ``take``.
 
+    ``u()`` yields one uniform (LT pick, arm draws) and ``take(k)`` a list
+    of the next k (a member's IC in-edge coins); see :func:`limax.rng.draws`.
     With ``arms = (strategies, cum_tables, steps)`` the set is a hybrid RR
     set: every popped node first draws one virtual arm per applicable
     strategy, then its in-edges.  Returns (members, width, virtual flat ids).
@@ -80,13 +84,10 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
         if not deg:
             continue
         if ic:
-            probs = in_probs[v]
-            for t in range(deg):
-                if u() < probs[t]:
-                    w = srcs[t]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            for w, x, p in zip(srcs, take(deg), in_probs[v]):
+                if x < p and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         else:
             t = bisect_right(lt_cum[v], u())
             if t < deg:
@@ -100,8 +101,7 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
 def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
                     root: int, rng) -> RRSet:
     """Sample the RR set rooted at ``root``."""
-    u = rng.u if isinstance(rng, RandomBuffer) else rng.random
-    seen, width, _ = _reverse_reach(graph, params, root, u)
+    seen, width, _ = _reverse_reach(graph, params, root, *draws(rng))
     return RRSet(root=root, members=np.array(sorted(seen), dtype=np.int64), width=width)
 
 

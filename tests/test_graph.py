@@ -134,6 +134,41 @@ def test_lt_weight_sum_validation():
         TriggeringParams.build(g, LT, [np.empty(0), np.array([0.7, 0.7])])
 
 
+def _two_in_edges_each():
+    return from_edges(5, [(u, v) for v in range(5) for u in ((v + 1) % 5, (v + 2) % 5)])
+
+
+def test_param_row_shape_error_names_first_bad_node():
+    g = _two_in_edges_each()
+    rows = [np.full(2, 0.1) for _ in range(5)]
+    rows[1] = np.full(3, 0.1)
+    rows[3] = np.full(1, 0.1)
+    with pytest.raises(ValueError, match=r"^parameter row 1 does not match in-degree$"):
+        TriggeringParams.build(g, IC, rows)
+
+
+def test_param_range_error_names_first_bad_node():
+    g = _two_in_edges_each()
+    rows = [np.full(2, 0.1) for _ in range(5)]
+    rows[2] = np.array([0.1, 1.5])
+    rows[4] = np.array([-0.2, 0.1])
+    for kind in (IC, LT):
+        with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 2$"):
+            TriggeringParams.build(g, kind, rows)
+
+
+def test_lt_sum_error_names_first_bad_node():
+    # node 0 has no in-edges: an empty row ahead of the bad ones
+    rows = [np.full(2, 0.5) for _ in range(5)]
+    rows[0] = np.empty(0)
+    rows[3] = np.array([0.6, 0.5])
+    rows[4] = np.array([0.9, 0.9])
+    g = from_edges(5, [(u, v) for v in range(1, 5) for u in ((v + 1) % 5, (v + 2) % 5)])
+    with pytest.raises(ValueError, match=r"^LT weights into node 3 sum to 1\.100000 > 1$"):
+        TriggeringParams.build(g, LT, rows)
+    assert TriggeringParams.build(g, IC, rows).kind == IC
+
+
 def test_triggering_set_no_in_neighbors():
     g = from_edges(2, [(0, 1)])
     assert sample_triggering_set(g, uniform_ic(g, 0.5), 0, stream(0, 0)) == set()
