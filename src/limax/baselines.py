@@ -72,7 +72,9 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
     _require_personalized(model, lattice, graph.n)
     budget_steps = int(round(k / lattice.delta))
     theta = collection.theta
-    idx_of = [np.array(ids, dtype=np.int64) for ids in collection.node_index]
+    # one strategy per node: strategy v's entries are the RR sets holding v
+    rr, _, bounds = collection.strategy_entries()
+    idx_of = [rr[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     best_mix = StrategyMix.zeros(lattice.d)
     best_val = -1.0
     for tenth in range(1, 11):
@@ -123,8 +125,8 @@ def cd(graph: DirectedGraph, params: TriggeringParams, model,
     x = as_steps(start, lattice.d).copy()
     current = g_hat(collection, model, x)
     d = lattice.d
-    has_entries = [collection.strategy_lists[b] is not None for b in range(d)] \
-        if collection.strategy_lists else [False] * d
+    independent = getattr(collection.model, "kind", None) == "independent"
+    has_entries = np.diff(collection.strategy_entries()[2]) > 0 if independent else [False] * d
     for _ in range(max_sweeps):
         improved = False
         for a in range(d):

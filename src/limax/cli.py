@@ -65,6 +65,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _require(spec: dict, key: str, where: str):
+    if key not in spec:
+        raise ConfigError(f"{where} needs {key!r}")
+    return spec[key]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Declarative scenario description from the config file."""
@@ -124,13 +130,14 @@ def _build_graph(cfg: dict, seed: int) -> DirectedGraph:
     if isinstance(spec, dict) and "path" in spec:
         return load_edge_list(spec["path"], header=spec.get("header", "auto"))
     if isinstance(spec, dict) and "edges" in spec:
-        return from_edges(int(spec["nodes"]), [tuple(e) for e in spec["edges"]])
+        return from_edges(int(_require(spec, "nodes", "graph")),
+                          [tuple(e) for e in spec["edges"]])
     if isinstance(spec, dict) and "generate" in spec:
         gen = spec["generate"]
         if gen.get("model", "er") != "er":
             raise ConfigError(f"unknown graph generator {gen.get('model')!r}")
-        rng = stream(seed, _KEY_GRAPH)
-        return gen_erdos_renyi(int(gen["nodes"]), int(gen["edges"]), rng)
+        nodes, edges = (int(_require(gen, key, "graph.generate")) for key in ("nodes", "edges"))
+        return gen_erdos_renyi(nodes, edges, stream(seed, _KEY_GRAPH))
     raise ConfigError("config needs a 'graph' entry (path, edges, or generate)")
 
 
@@ -141,7 +148,7 @@ def _build_params(cfg: dict, graph: DirectedGraph):
     if spec == "from_file":
         return params_from_edge_values(graph)
     if isinstance(spec, dict) and spec.get("kind") == "uniform_ic":
-        return uniform_ic(graph, float(spec["p"]))
+        return uniform_ic(graph, float(_require(spec, "p", "params")))
     raise ConfigError(f"unknown params spec {spec!r}")
 
 
@@ -156,13 +163,28 @@ def _budget_grid(cfg: dict, delta: float):
             steps = int(round(float(k) / delta))
             cells.append((float(k), TotalBudget(steps)))
         return cells
-    if isinstance(constraint_spec, dict):
-        groups = constraint_spec["groups"]
-        caps = [int(c) for c in constraint_spec["caps"]]
-        constraint = PartitionedBudget(groups, caps)
-        k = sum(caps) * delta
-        return [(k, constraint)]
-    raise ConfigError(f"unknown constraint spec {constraint_spec!r}")
+    constraint = _partitioned(constraint_spec)
+    return [(sum(constraint.caps) * delta, constraint)]
+
+
+def _partitioned(spec) -> PartitionedBudget:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"unknown constraint spec {spec!r}")
+    return PartitionedBudget(_require(spec, "groups", "constraint"),
+                             _require(spec, "caps", "constraint"))
+
+
+def _scenario(cfg: dict, graph: DirectedGraph, cells,
+              seed: int) -> tuple[IndependentActivation, LatticeConfig]:
+    """The configured scenario, tabulated up to the grid's largest step count."""
+    opts = cfg.get("scenario_options", {}) or {}
+    spec = ScenarioSpec(
+        name=str(cfg.get("scenario", "personalized")),
+        delta=float(cfg.get("delta", 1.0)),
+        max_budget_steps=max((total_steps(c) for _, c in cells), default=0),
+        d=int(opts.get("d", 200)), top=int(opts.get("top", 2000)),
+        r_max=float(opts.get("r_max", 0.3)))
+    return build_scenario(graph, spec, stream(seed, _KEY_SCENARIO))
 
 
 @dataclass
@@ -236,13 +258,7 @@ def run_experiment(config: dict) -> Report:
     graph = _build_graph(config, seed)
     params = _build_params(config, graph)
     cells = _budget_grid(config, delta)
-    max_steps = max(total_steps(c) for _, c in cells) if cells else 0
-    opts = config.get("scenario_options", {}) or {}
-    spec = ScenarioSpec(
-        name=scenario_name, delta=delta, max_budget_steps=max_steps,
-        d=int(opts.get("d", 200)), top=int(opts.get("top", 2000)),
-        r_max=float(opts.get("r_max", 0.3)))
-    model, lattice = build_scenario(graph, spec, stream(seed, _KEY_SCENARIO))
+    model, lattice = _scenario(config, graph, cells, seed)
 
     epsilon = float(config.get("epsilon", 0.5))
     report = Report(comments=[
@@ -319,17 +335,14 @@ def _cmd_oracle(args) -> int:
     delta = float(cfg.get("delta", 1.0))
     steps = int(cfg.get("budget_steps", 0))
     cspec = cfg.get("constraint", "total")
-    if cspec == "total":
-        constraint = TotalBudget(steps)
-    else:
-        constraint = PartitionedBudget(cspec["groups"], [int(c) for c in cspec["caps"]])
+    constraint = TotalBudget(steps) if cspec == "total" else _partitioned(cspec)
     d = int(cfg.get("d", graph.n))
     lattice = LatticeConfig(d=d, delta=delta, budget_steps=steps)
     model = _model_from_instance(cfg, graph, lattice, seed)
     lattice = model.lattice
     mode = cfg.get("mode", "g")
     if mode == "g":
-        x = StrategyMix(np.array(cfg["x"], dtype=np.int64))
+        x = StrategyMix(np.array(_require(cfg, "x", "oracle mode 'g'"), dtype=np.int64))
         print(json.dumps({"g": exact_g(graph, params, model, x)}))
     elif mode == "opt":
         mix, opt = exact_opt(graph, params, model, lattice, constraint)
@@ -378,14 +391,7 @@ def _cmd_validate(args) -> int:
     seed = int(cfg.get("seed", 0))
     graph = _build_graph(cfg, seed)
     cells = _budget_grid(cfg, float(cfg.get("delta", 1.0)))
-    max_steps = max(total_steps(c) for _, c in cells)
-    opts = cfg.get("scenario_options", {}) or {}
-    spec = ScenarioSpec(name=str(cfg.get("scenario", "personalized")),
-                        delta=float(cfg.get("delta", 1.0)),
-                        max_budget_steps=max_steps,
-                        d=int(opts.get("d", 200)), top=int(opts.get("top", 2000)),
-                        r_max=float(opts.get("r_max", 0.3)))
-    model, lattice = build_scenario(graph, spec, stream(seed, _KEY_SCENARIO))
+    model, lattice = _scenario(cfg, graph, cells, seed)
     violations = validate_model(model, lattice)
     for v in violations:
         print(f"node {v.node} strategy {v.strategy}: {v.kind} ({v.detail})")

@@ -118,6 +118,8 @@ class TriggeringParams:
     def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence[np.ndarray]) -> "TriggeringParams":
         if kind not in (IC, LT):
             raise ValueError(f"unknown triggering kind {kind!r}")
+        if len(in_values) != graph.n:
+            raise ValueError(f"{len(in_values)} parameter rows for {graph.n} nodes")
         vals = []
         for v in range(graph.n):
             a = np.asarray(in_values[v], dtype=np.float64)

@@ -13,8 +13,9 @@ max-coverage greedy as the stage estimate.
 The greedy adds one delta-step per round to the coordinate with the largest
 estimated spread gain.  Under independent strategy activation the gain of
 coordinate j only touches RR sets containing a node influenced by j, so
-each round walks d per-strategy lists of (rr_id, node) pairs, reusing a
-shared per-set product s_i = prod_{v in R_i} prod_{j in S_v} (1 - q[v,j](x_j))
+each round walks only j's entries, the (rr_id, table row of q[v,j]) pairs
+that the collection derives from its member arrays, and reuses a shared
+per-set product s_i = prod_{v in R_i} prod_{j in S_v} (1 - q[v,j](x_j))
 instead of re-evaluating the estimate from scratch.
 """
 
@@ -191,9 +192,9 @@ class GreedyState:
     """Incremental state of the delta-based greedy over one collection.
 
     Holds the current step vector, the shared per-set products s_i, and for
-    every strategy a frozen view of its (rr_id, node) list: entry rows into
-    a per-strategy q-table block, plus segment boundaries grouping entries
-    of the same RR set.
+    every strategy its slice of the collection's strategy entries: the rows
+    of ``model._flat_tables`` to read, plus segment boundaries grouping
+    entries of the same RR set.
     """
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
@@ -208,28 +209,12 @@ class GreedyState:
         self.x = np.zeros(lattice.d, dtype=np.int64) if x is None else \
             np.array(x.steps if isinstance(x, StrategyMix) else x, dtype=np.int64)
         self._scale = collection.n / collection.theta if collection.theta else 0.0
+        rr, rows, bounds = collection.strategy_entries()
         self._per_strategy: list[tuple | None] = []
-        for j, slot in enumerate(collection.strategy_lists):
-            if slot is None:
-                self._per_strategy.append(None)
-                continue
-            ilist, vlist = slot
-            rr = np.array(ilist, dtype=np.int64)
-            rows = np.empty(len(vlist), dtype=np.int64)
-            row_of: dict[int, int] = {}
-            tabs: list[np.ndarray] = []
-            for t, v in enumerate(vlist):
-                r = row_of.get(v)
-                if r is None:
-                    ti = int(np.searchsorted(model.strategies[v], j))
-                    r = row_of[v] = len(tabs)
-                    tabs.append(model.tables[v][ti])
-                rows[t] = r
-            qtab = np.vstack(tabs)
-            seg_starts = np.concatenate(
-                ([0], np.flatnonzero(rr[1:] != rr[:-1]) + 1)).astype(np.int64)
-            seg_rr = rr[seg_starts]
-            self._per_strategy.append((rows, seg_starts, seg_rr, qtab))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rr_j = rr[lo:hi]
+            starts = np.flatnonzero(np.diff(rr_j, prepend=-1))  # each RR set's first entry
+            self._per_strategy.append((rows[lo:hi], starts, rr_j[starts]) if hi > lo else None)
         self.s = self.recompute_s()
 
     def recompute_s(self) -> np.ndarray:
@@ -237,11 +222,11 @@ class GreedyState:
         return 1.0 - self.collection.coverage_weights(self.model.h_all(self.x))
 
     def _segment_ratios(self, j: int):
-        slot = self._per_strategy[j]
-        rows, seg_starts, seg_rr, qtab = slot
+        rows, seg_starts, seg_rr = self._per_strategy[j]
         xj = int(self.x[j])
-        col_old = qtab[:, xj][rows]
-        col_new = qtab[:, xj + 1][rows]
+        tables = self.model._flat_tables
+        col_old = tables[:, xj][rows]
+        col_new = tables[:, xj + 1][rows]
         den = 1.0 - col_old
         ratio = np.divide(1.0 - col_new, den,
                           out=np.ones_like(den), where=den > 0.0)
@@ -267,7 +252,7 @@ class GreedyState:
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                   constraint) -> StrategyMix:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
-    exactly (same tie rule), in time linear in the per-strategy lists."""
+    exactly (same tie rule), in time linear in the per-strategy entries."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
     for _ in range(total_steps(constraint)):

@@ -14,6 +14,9 @@ slice of the uniform stream, in in-edge order, so the draw order is the
 same as one scalar draw per edge.  The same BFS kernel also samples the
 hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
 member additionally draws one virtual arm per strategy that applies to it.
+
+A collection stores only its RR sets; the coverage weights and the greedy's
+per-strategy entries are whole-array reductions over the frozen members.
 """
 
 from __future__ import annotations
@@ -106,13 +109,12 @@ def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
 
 
 class RRCollection:
-    """A growing sequence of RR sets with inverted indexes.
+    """A growing sequence of RR sets.
 
-    ``node_index[v]`` lists the RR-set ids containing v.  For independent
-    activation models, ``strategy_lists[j]`` holds the (rr_id, node) pairs
-    with ``v in R_i and j in S_v``, ordered by rr_id then node: the greedy
-    update pass walks these lists instead of all RR sets.  Both indexes are
-    filled while sets are generated.
+    The member arrays, frozen into ``concat``/``offsets`` on demand, are the
+    collection's only index: :meth:`coverage_weights` reduces over them and
+    :meth:`strategy_entries` derives the greedy's per-strategy view from
+    them.  Both are cached until theta changes.
     """
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams, model):
@@ -121,75 +123,72 @@ class RRCollection:
         self.model = model
         self.n = graph.n
         self.sets: list[RRSet] = []
-        self.node_index: list[list[int]] = [[] for _ in range(graph.n)]
-        self._independent = getattr(model, "kind", None) == "independent"
-        if self._independent:
-            self.strategy_lists: list[tuple[list[int], list[int]] | None] = [None] * model.lattice.d
-            self._strat_py = [s.tolist() for s in model.strategies]
-        else:
-            self.strategy_lists = []
-            self._strat_py = None
         self._concat: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
-        self._frozen_count = 0
+        self._frozen_count = -1
+        self._entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._entries_count = -1
 
     @property
     def theta(self) -> int:
         return len(self.sets)
 
     def add(self, rr: RRSet) -> None:
-        i = len(self.sets)
         self.sets.append(rr)
-        node_index = self.node_index
-        if self._independent:
-            strategies = self._strat_py
-            lists = self.strategy_lists
-            for v in rr.members.tolist():
-                node_index[v].append(i)
-                for j in strategies[v]:
-                    slot = lists[j]
-                    if slot is None:
-                        slot = lists[j] = ([], [])
-                    slot[0].append(i)
-                    slot[1].append(v)
-        else:
-            for v in rr.members.tolist():
-                node_index[v].append(i)
 
     def extend(self, count: int, rng) -> None:
         """Generate ``count`` more RR sets rooted at uniform random nodes."""
         if count <= 0:
             return
         buf = rng if isinstance(rng, RandomBuffer) else RandomBuffer(rng)
-        base = buf._rng
-        roots = base.integers(0, self.n, size=count)
+        roots = buf._rng.integers(0, self.n, size=count)
         for r in roots:
             self.add(generate_rr_set(self.graph, self.params, int(r), buf))
 
     def _frozen(self) -> tuple[np.ndarray, np.ndarray]:
         if self._frozen_count != len(self.sets):
-            if self.sets:
-                self._concat = np.concatenate([s.members for s in self.sets])
-                sizes = np.fromiter((len(s.members) for s in self.sets),
-                                    dtype=np.int64, count=len(self.sets))
-                self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            else:
-                self._concat = np.empty(0, dtype=np.int64)
-                self._offsets = np.empty(0, dtype=np.int64)
+            self._concat = np.concatenate([np.empty(0, np.int64)] + [s.members for s in self.sets])
+            sizes = np.fromiter((len(s.members) for s in self.sets),
+                                dtype=np.int64, count=len(self.sets))
+            self._offsets = np.cumsum(sizes) - sizes
             self._frozen_count = len(self.sets)
         return self._concat, self._offsets
+
+    def strategy_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every strategy's (RR set, table row) pairs, read off the members.
+
+        There is one entry per (i, v, j) with v in R_i and j in S_v: ``rr``
+        holds i and ``rows`` the row of ``model._flat_tables`` that tabulates
+        q[v, j].  Strategy j owns ``bounds[j]:bounds[j + 1]``, ordered by i
+        then v.  Needs an independent activation model.
+        """
+        if self._entries_count != len(self.sets):
+            model = self.model
+            concat, offsets = self._frozen()
+            counts = np.bincount(model._flat_nodes, minlength=self.n)  # rows per node
+            per = counts[concat]
+            # a member's k-th entry is its node's first row plus k
+            first_row = (np.cumsum(counts) - counts)[concat]
+            rows = np.repeat(first_row - (np.cumsum(per) - per), per) + np.arange(per.sum())
+            sizes = np.diff(offsets, append=len(concat))
+            rr = np.repeat(np.repeat(np.arange(len(offsets)), sizes), per)
+            strat = model._flat_strats[rows]
+            order = np.argsort(strat, kind="stable")
+            bounds = np.concatenate(
+                ([0], np.cumsum(np.bincount(strat, minlength=model.lattice.d))))
+            self._entries = (rr[order], rows[order], bounds)
+            self._entries_count = len(self.sets)
+        return self._entries
 
     def coverage_weights(self, h_all: np.ndarray) -> np.ndarray:
         """Per-RR-set partial coverage 1 - prod_{v in R} (1 - h_v)."""
         concat, offsets = self._frozen()
-        if not len(self.sets):
-            return np.empty(0)
         return 1.0 - np.multiply.reduceat(1.0 - h_all[concat], offsets)
 
 
 def generate_collection(graph: DirectedGraph, params: TriggeringParams,
                         model, count: int, rng) -> RRCollection:
-    """Fresh collection of ``count`` RR sets with indexes built on the fly."""
+    """Fresh collection of ``count`` RR sets rooted at uniform random nodes."""
     if count < 0:
         raise ValueError("count must be >= 0")
     coll = RRCollection(graph, params, model)
@@ -207,7 +206,7 @@ def g_hat(collection: RRCollection, model, x) -> float:
 
 
 def save_collection(collection: RRCollection, path) -> None:
-    """Binary dump for reproducible debugging (indexes are rebuilt on load)."""
+    """Binary dump of roots, widths and the frozen member arrays."""
     concat, offsets = collection._frozen()
     np.savez_compressed(
         path,
@@ -232,10 +231,14 @@ def load_collection(path, graph: DirectedGraph, params: TriggeringParams,
         widths = data["widths"]
         members = data["members"]
         offsets = data["offsets"]
-    coll = RRCollection(graph, params, model)
+    if not len(roots) == len(widths) == len(offsets):
+        raise ValueError(f"{len(roots)} roots, {len(widths)} widths and {len(offsets)} offsets")
+    if len(members) and (members.min() < 0 or members.max() >= graph.n):
+        raise ValueError(f"collection has a member id outside [0, {graph.n})")
     bounds = np.concatenate((offsets, [len(members)])).astype(np.int64)
-    for t in range(len(roots)):
-        coll.add(RRSet(root=int(roots[t]),
-                       members=members[bounds[t]:bounds[t + 1]].copy(),
-                       width=int(widths[t])))
+    if bounds[0] != 0 or np.any(np.diff(bounds) < 0):
+        raise ValueError(f"offsets must rise from 0 to at most {len(members)} members")
+    coll = RRCollection(graph, params, model)
+    for root, part, width in zip(roots.tolist(), np.split(members, bounds[1:-1]), widths.tolist()):
+        coll.add(RRSet(root=root, members=part, width=width))
     return coll

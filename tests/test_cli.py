@@ -190,6 +190,36 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     assert main(["run", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command, over, key", [
+    ("run", {"graph": {"generate": {"nodes": 50}}}, "'edges'"),
+    ("validate", {"graph": {"generate": {"edges": 50}}}, "'nodes'"),
+    ("run", {"graph": {"edges": [[0, 1]]}}, "'nodes'"),
+    ("validate", {"constraint": {"groups": [[0, 1]]}}, "'caps'"),
+    ("run", {"constraint": {"caps": [1]}}, "'groups'"),
+    ("run", {"params": {"kind": "uniform_ic"}}, "'p'"),
+])
+def test_missing_config_key_is_reported(small_graph_file, tmp_path, capsys,
+                                        command, over, key):
+    path, _ = small_graph_file
+    cfg = _base_config(path, tmp_path / "o.csv", **over)
+    if "constraint" in over:
+        del cfg["budgets"]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_oracle_without_x_is_reported(tmp_path, capsys):
+    inst = {"graph": {"nodes": 2, "edges": [[0, 1]]}, "budget_steps": 1,
+            "d": 1, "model": {"tables": {0: {0: [0.0, 0.5]}}}, "mode": "g"}
+    ipath = tmp_path / "inst.yaml"
+    ipath.write_text(yaml.safe_dump(inst))
+    assert main(["oracle", str(ipath)]) == 1
+    assert capsys.readouterr().err == "error: oracle mode 'g' needs 'x'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "limax.cli", "--help"],
                           capture_output=True, text=True)

@@ -147,6 +147,15 @@ def test_param_row_shape_error_names_first_bad_node():
         TriggeringParams.build(g, IC, rows)
 
 
+@pytest.mark.parametrize("count", [4, 6])
+def test_param_row_count_must_match_nodes(count):
+    g = _two_in_edges_each()
+    rows = [np.full(2, 0.1) for _ in range(count)]
+    for kind in (IC, LT):
+        with pytest.raises(ValueError, match=rf"^{count} parameter rows for 5 nodes$"):
+            TriggeringParams.build(g, kind, rows)
+
+
 def test_param_range_error_names_first_bad_node():
     g = _two_in_edges_each()
     rows = [np.full(2, 0.1) for _ in range(5)]

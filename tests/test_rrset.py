@@ -6,7 +6,7 @@ from conftest import random_instance, sweep_monotone_dr
 from limax.graph import from_edges, uniform_ic
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
-from limax.rrset import (EmptyCollectionError, RRCollection, g_hat,
+from limax.rrset import (EmptyCollectionError, RRCollection, RRSet, g_hat,
                          generate_collection, generate_rr_set,
                          load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
@@ -62,18 +62,46 @@ def test_collection_roots_and_membership():
     assert all(s.root in s.members for s in coll.sets)
 
 
-def test_strategy_list_lengths_match_rescan(rng):
+def _check_strategy_entries(coll, model):
+    """The derived view against a brute-force rescan of the RR sets."""
+    rr, rows, bounds = coll.strategy_entries()
+    assert len(bounds) == model.lattice.d + 1
+    assert bounds[0] == 0 and bounds[-1] == len(rr) == len(rows)
+    for j in range(model.lattice.d):
+        lo, hi = bounds[j], bounds[j + 1]
+        pairs = [(i, v) for i, s in enumerate(coll.sets) for v in s.members.tolist()
+                 if j in model.strategies[v]]
+        assert hi - lo == len(pairs)
+        nodes = model._flat_nodes[rows[lo:hi]].tolist()
+        assert list(zip(rr[lo:hi].tolist(), nodes)) == pairs  # by rr id, then node
+        for row, (_, v) in zip(rows[lo:hi], pairs):
+            t = int(np.searchsorted(model.strategies[v], j))
+            assert np.array_equal(model._flat_tables[row], model.tables[v][t])
+    return len(rr)
+
+
+def test_strategy_entries_match_rescan(rng):
+    shared = 0  # entries of nodes that several strategies can seed
+    for c in range(6):
+        inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3)
+        coll = generate_collection(inst.graph, inst.params, inst.model, 60, stream(2, c))
+        _check_strategy_entries(coll, inst.model)
+        shared += sum(len(inst.model.strategies[v]) > 1
+                      for s in coll.sets for v in s.members)
+    assert shared > 0
+
+
+def test_strategy_entries_empty_then_extended(rng):
     inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3)
-    coll = generate_collection(inst.graph, inst.params, inst.model, 60, stream(2, 4))
-    for j in range(inst.lattice.d):
-        slot = coll.strategy_lists[j]
-        got = 0 if slot is None else len(slot[0])
-        expect = sum(1 for s in coll.sets for v in s.members
-                     if j in inst.model.strategies[v])
-        assert got == expect
-        if slot is not None:
-            pairs = list(zip(slot[0], slot[1]))
-            assert pairs == sorted(pairs)  # ordered by rr id then node
+    coll = generate_collection(inst.graph, inst.params, inst.model, 0, stream(2, 9))
+    rr, rows, bounds = coll.strategy_entries()
+    assert len(rr) == len(rows) == 0
+    assert bounds.tolist() == [0] * (inst.lattice.d + 1)
+    sizes = [0]
+    for c in range(2):
+        coll.extend(40, stream(2, 10 + c))
+        sizes.append(_check_strategy_entries(coll, inst.model))
+    assert sizes[0] < sizes[1] < sizes[2]
 
 
 def test_g_hat_zero_mix_zero():
@@ -93,7 +121,6 @@ def test_g_hat_single_set_value():
         2, lat, [np.array([0]), np.empty(0, dtype=np.int64)],
         [tab, np.empty((0, 2))])
     coll = RRCollection(g, uniform_ic(g, 0.0), model)
-    from limax.rrset import RRSet
     coll.add(RRSet(root=0, members=np.array([0]), width=1))
     assert g_hat(coll, model, StrategyMix([1])) == pytest.approx(1.5)
 
@@ -163,4 +190,50 @@ def test_extend_accumulates():
     coll = generate_collection(g, uniform_ic(g, 0.5), model, 10, stream(9, 0))
     coll.extend(15, stream(9, 1))
     assert coll.theta == 25
-    assert max(i for ids in coll.node_index for i in ids) <= 24
+    concat, offsets = coll._frozen()
+    assert len(offsets) == 25 and offsets[0] == 0
+    assert np.all(np.diff(offsets) > 0) and offsets[-1] < len(concat)
+    assert np.array_equal(concat, np.concatenate([s.members for s in coll.sets]))
+
+
+def _dump(path, **over):
+    """Write a collection file with some of its arrays replaced."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays.update(over)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"members": np.array([0, 1, 7, 2])}, "member id outside"),
+    ({"members": np.array([0, -1, 1, 2])}, "member id outside"),
+    ({"offsets": np.array([2, 0])}, "offsets must rise"),
+    ({"offsets": np.array([1, 3])}, "offsets must rise"),
+    ({"offsets": np.array([0, 5])}, "offsets must rise"),
+    ({"widths": np.array([1])}, "2 roots, 1 widths and 2 offsets"),
+    ({"roots": np.array([0, 1, 2])}, "3 roots, 2 widths and 2 offsets"),
+])
+def test_load_rejects_inconsistent_files(tmp_path, over, message):
+    g = from_edges(3, [(0, 1), (1, 2)])
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
+    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
+    params = uniform_ic(g, 0.5)
+    coll = RRCollection(g, params, model)
+    coll.add(RRSet(root=1, members=np.array([0, 1]), width=1))
+    coll.add(RRSet(root=2, members=np.array([1, 2]), width=1))
+    path = tmp_path / "coll.npz"
+    save_collection(coll, path)
+    assert load_collection(path, g, params, model).theta == 2
+    _dump(path, **over)
+    with pytest.raises(ValueError, match=message):
+        load_collection(path, g, params, model)
+
+
+def test_save_load_empty_collection(tmp_path):
+    g = from_edges(3, [(0, 1)])
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
+    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
+    params = uniform_ic(g, 0.5)
+    path = tmp_path / "empty.npz"
+    save_collection(RRCollection(g, params, model), path)
+    assert load_collection(path, g, params, model).theta == 0
