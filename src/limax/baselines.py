@@ -125,8 +125,9 @@ def cd(graph: DirectedGraph, params: TriggeringParams, model,
     x = as_steps(start, lattice.d).copy()
     current = g_hat(collection, model, x)
     d = lattice.d
+    # an opaque model gives no entries to rule a target out, so every b is one
     independent = getattr(collection.model, "kind", None) == "independent"
-    has_entries = np.diff(collection.strategy_entries()[2]) > 0 if independent else [False] * d
+    has_entries = np.diff(collection.strategy_entries()[2]) > 0 if independent else [True] * d
     for _ in range(max_sweeps):
         improved = False
         for a in range(d):

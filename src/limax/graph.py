@@ -105,7 +105,10 @@ class TriggeringParams:
 
     For IC, ``in_values[v][t]`` is the firing probability of the t-th
     in-edge of v; for LT it is the edge weight, with per-node weight sums
-    at most 1.
+    at most 1.  ``_csr = (indptr, src, values)`` holds the in-edges as
+    whole arrays for the batched reverse search: node v's in-edges are
+    ``indptr[v]:indptr[v + 1]``, and ``values`` are the IC probabilities,
+    or under LT each node's running weight sums (``_lt_cum``, flattened).
     """
 
     kind: str
@@ -113,6 +116,7 @@ class TriggeringParams:
     _in_py: list[list[float]] = field(default_factory=list, repr=False)
     _out_py: list[list[float]] = field(default_factory=list, repr=False)
     _lt_cum: list[list[float]] = field(default_factory=list, repr=False)
+    _csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
 
     @classmethod
     def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence[np.ndarray]) -> "TriggeringParams":
@@ -152,8 +156,9 @@ class TriggeringParams:
         # (source, target), stably, lines the k-th parallel copy of an edge
         # in one view up with the k-th copy in the other
         ids = np.arange(graph.n)
+        in_deg = graph.in_degrees()
         in_src = np.concatenate((np.empty(0, np.int64), *graph.in_neighbors))
-        in_dst = np.repeat(ids, graph.in_degrees())
+        in_dst = np.repeat(ids, in_deg)
         out_deg = graph.out_degrees()
         out_src = np.repeat(ids, out_deg)
         out_dst = np.concatenate((np.empty(0, np.int64), *graph.out_neighbors))
@@ -164,7 +169,11 @@ class TriggeringParams:
         ends = np.cumsum(out_deg).tolist()
         self._out_py = [flat[e - d:e] for e, d in zip(ends, out_deg.tolist())]
         if self.kind == LT:
-            self._lt_cum = [np.cumsum(a).tolist() for a in self.in_values]
+            cums = [np.cumsum(a) for a in self.in_values]
+            self._lt_cum = [c.tolist() for c in cums]
+            vals = np.concatenate((np.empty(0), *cums))
+        indptr = np.concatenate(([0], np.cumsum(in_deg)))
+        self._csr = (indptr, in_src, vals)
 
 
 def _compact(edges: list[tuple[int, int]], values: list[float] | None,

@@ -28,7 +28,6 @@ import numpy as np
 
 from .budgets import PartitionedBudget, TotalBudget, feasible_increments, total_steps
 from .graph import DirectedGraph, TriggeringParams
-from .rng import RandomBuffer
 from .rrset import RRCollection, g_hat
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
@@ -307,7 +306,6 @@ def _imm_stages(collection, stage_estimate, imm: ImmParams, rng) -> SamplingStat
     lam_prime = ((2.0 + 2.0 / 3.0 * eps_p)
                  * (imm.m_bound + ell_eff * ln_n + math.log(math.log2(n)))
                  * n / (eps_p * eps_p))
-    buf = RandomBuffer(rng)
     lb = 1.0
     hit = None
     stage = 0
@@ -315,14 +313,14 @@ def _imm_stages(collection, stage_estimate, imm: ImmParams, rng) -> SamplingStat
         stage = i
         y = n / 2.0 ** i
         target = math.floor(lam_prime / y) + 1
-        collection.extend(target - collection.theta, buf)
+        collection.extend(target - collection.theta, rng)
         est = stage_estimate(collection)
         if est >= (1.0 + eps_p) * y:
             lb = est / (1.0 + eps_p)
             hit = i
             break
     theta_star = lambda_star(n, imm.epsilon, ell_eff, imm.m_bound) / lb
-    collection.extend(math.floor(theta_star) + 1 - collection.theta, buf)
+    collection.extend(math.floor(theta_star) + 1 - collection.theta, rng)
     return SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
                          ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
 

@@ -14,7 +14,12 @@ converted back to a mix at no loss.
 
 Seed selection is then classical max-coverage greedy over the virtual nodes
 in hybrid RR sets; sets that contain no virtual node can never be covered
-but still count in the estimator's denominator.
+but still count in the estimator's denominator.  A hybrid RR set is an RR
+set whose every member v also draws, for each strategy j in S_v, the
+virtual in-neighbor u[j,i] with probability equal to its edge weight
+(inverse CDF over q[v,j], so at most one per strategy).  The batched
+reverse-reach kernel of ``limax.rrset`` samples them many at a time, and a
+collection keeps only their distinct virtual flat ids.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _estimate, _forward_count
 from .rng import RandomBuffer, draws
-from .rrset import EmptyCollectionError, _reverse_reach
+from .rrset import EmptyCollectionError, _generator, _reverse_reach
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -131,13 +136,10 @@ class HybridRRSet:
 
 
 def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
-    seen, _, virtual = _reverse_reach(aug.graph, aug.params, root, *draws(rng),
-                                      (aug._strat_py, aug._cum_py, aug.steps))
-    return HybridRRSet(
-        root=root,
-        real_members=np.array(sorted(seen), dtype=np.int64),
-        virtual_members=tuple(aug.unflat(f) for f in sorted(virtual)),
-    )
+    _, nodes, _, flats = next(_reverse_reach(aug.graph, aug.params, np.array([root]),
+                                             _generator(rng), aug.model))
+    return HybridRRSet(root=root, real_members=nodes,
+                       virtual_members=tuple(aug.unflat(f) for f in flats.tolist()))
 
 
 class HybridCollection:
@@ -156,23 +158,32 @@ class HybridCollection:
         self.index: dict[int, list[int]] = {}
 
     def extend(self, count: int, rng) -> None:
+        """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
         if count <= 0:
             return
-        buf = rng if isinstance(rng, RandomBuffer) else RandomBuffer(rng)
-        base = buf._rng
-        roots = base.integers(0, self.n, size=count)
+        gen = _generator(rng)
+        roots = gen.integers(0, self.n, size=count)
         aug = self.aug
-        graph, params = aug.graph, aug.params
-        arms = (aug._strat_py, aug._cum_py, aug.steps)
-        for r in roots:
-            _, _, virtual = _reverse_reach(graph, params, int(r), buf.u, buf.take, arms)
-            self.theta += 1
-            if virtual:
-                si = len(self.virtual_sets)
-                flats = sorted(virtual)
-                self.virtual_sets.append(flats)
-                for f in flats:
-                    self.index.setdefault(f, []).append(si)
+        for _, _, vsets, flats in _reverse_reach(aug.graph, aug.params, roots, gen, aug.model):
+            self._add(vsets, flats)
+        self.theta += count
+
+    def _add(self, vsets: np.ndarray, flats: np.ndarray) -> None:
+        """Append the sets of sorted (set, flat id) pairs that hold a virtual node."""
+        first = np.diff(vsets, prepend=-1) > 0
+        flat_py = flats.tolist()
+        bounds = np.flatnonzero(first).tolist() + [len(flat_py)]
+        base = len(self.virtual_sets)
+        self.virtual_sets.extend(flat_py[a:b] for a, b in zip(bounds, bounds[1:]))
+        # each flat id lists its sets in increasing order; an object array
+        # hands out one shared int per set id, not one per entry
+        ids = np.array(range(base, len(self.virtual_sets)), dtype=object)
+        order = np.argsort(flats, kind="stable")
+        by_flat = flats[order]
+        id_py = ids[(np.cumsum(first) - 1)[order]].tolist()
+        bounds = np.flatnonzero(np.diff(by_flat, prepend=-1)).tolist() + [len(id_py)]
+        for f, a, b in zip(by_flat[bounds[:-1]].tolist(), bounds, bounds[1:]):
+            self.index.setdefault(f, []).extend(id_py[a:b])
 
 
 def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCollection:

@@ -8,12 +8,19 @@ independent RR sets (scaled by n) gives the unbiased estimate of the
 expected spread.
 
 Each node's triggering draw happens at most once per RR set: the reverse
-BFS expands every member exactly once, which keeps the sample consistent
-with a single live-edge graph.  Under IC a member's in-edge coins are one
-slice of the uniform stream, in in-edge order, so the draw order is the
-same as one scalar draw per edge.  The same BFS kernel also samples the
+search expands every member exactly once, which keeps the sample consistent
+with a single live-edge graph.  One batched kernel (``_reverse_reach``)
+draws many RR sets at once: it expands the newly reached (node, set) pairs
+of every set in a batch together, one BFS level per step, over whole-array
+in-edge views of the graph (``TriggeringParams._csr``).  Under IC each
+expanded pair draws one uniform per in-edge, under LT one per pair whose
+node has in-edges; the draws come straight from the generator, level by
+level, so a set's draws are interleaved with those of the other sets in its
+batch.  A visited bitmap per batch and a cap on the pairs and in-edges
+expanded per step bound its memory.  The same kernel also samples the
 hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
-member additionally draws one virtual arm per strategy that applies to it.
+reached pair additionally draws one virtual arm per strategy that applies
+to its node.
 
 A collection stores only its RR sets; the coverage weights and the greedy's
 per-strategy entries are whole-array reductions over the frozen members.
@@ -21,13 +28,12 @@ per-strategy entries are whole-array reductions over the frozen members.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rng import RandomBuffer, draws
+from .rng import RandomBuffer
 from .strategy import as_steps
 
 __all__ = [
@@ -55,57 +61,161 @@ class RRSet:
     width: int           # total in-degree over members (generation-cost proxy)
 
 
-def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
-                   root: int, u, take, arms=None) -> tuple[set[int], int, set[int]]:
-    """One reverse BFS over the stream read by ``u`` and ``take``.
+# fixed memory caps of the batched kernel (internal, not options)
+_MARK_BYTES = 1 << 21  # visited bitmap per batch: one bit per (node, set)
+_EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
 
-    ``u()`` yields one uniform (LT pick, arm draws) and ``take(k)`` a list
-    of the next k (a member's IC in-edge coins); see :func:`limax.rng.draws`.
-    With ``arms = (strategies, cum_tables, steps)`` the set is a hybrid RR
-    set: every popped node first draws one virtual arm per applicable
-    strategy, then its in-edges.  Returns (members, width, virtual flat ids).
+
+def _generator(rng) -> np.random.Generator:
+    """The numpy Generator behind ``rng`` (a Generator or a RandomBuffer)."""
+    return rng._rng if isinstance(rng, RandomBuffer) else rng
+
+
+def _bisect_right(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """``lo + bisect_right(a[lo:hi], x)`` for every row at once."""
+    top = len(a) - 1
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) >> 1
+        right = a[np.minimum(mid, top)] <= x
+        lo = np.where(open_ & right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+
+
+def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
+    """Set the bits of ``keys`` in the bitmap ``marks``."""
+    np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+
+
+def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarray,
+                   sets: int, rng: np.random.Generator):
+    """Keys ``source * sets + set`` of the live in-edges of the pairs
+    (``nodes``, ``local``), one array per step of at most ``_EDGE_CHUNK``
+    in-edges.  IC draws one uniform per in-edge; LT draws one per pair whose
+    node has in-edges and takes its slot among the node's running weight
+    sums, as ``bisect_right`` does, or no in-edge past the last one."""
+    indptr, src, vals = params._csr
+    lo = indptr[nodes]
+    hi = indptr[nodes + 1]
+    if params.kind != IC:
+        has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
+        pos = _bisect_right(vals, lo[has], hi[has], rng.random(len(has)))
+        hit = pos < hi[has]
+        yield src[pos[hit]] * sets + local[has[hit]]
+        return
+    ends = np.cumsum(hi - lo)
+    begins = ends - (hi - lo)
+    total = int(ends[-1])
+    for c0 in range(0, total, _EDGE_CHUNK):
+        c1 = min(c0 + _EDGE_CHUNK, total)
+        a = np.searchsorted(ends, c0, side="right")
+        z = np.searchsorted(begins, c1)
+        take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
+        pos = np.repeat(lo[a:z] - begins[a:z], take) + np.arange(c0, c1)
+        live = rng.random(c1 - c0) < vals[pos]
+        yield src[pos[live]] * sets + np.repeat(local[a:z], take)[live]
+
+
+def _arm_sampler(model, n: int):
+    """``(draw, span)``: ``draw(nodes, local, rng)`` draws one uniform per
+    strategy j that applies to each pair's node; the arm is the smallest i
+    with q[v, j](i) above it, or none at or above q[v, j](K).  It returns
+    the keys ``set * span + flat`` of the arms that fire."""
+    count = np.bincount(model._flat_nodes, minlength=n)
+    first = np.cumsum(count) - count
+    width = model._flat_tables.shape[1]
+    table = model._flat_tables.ravel()
+    steps = width - 1
+    span = model.lattice.d * steps
+
+    def draw(nodes, local, rng):
+        c = count[nodes]
+        rows = np.repeat(first[nodes] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        x = rng.random(len(rows))
+        fire = x < table[rows * width + steps]
+        start = rows[fire] * width
+        slot = _bisect_right(table, start, start + width, x[fire]) - start
+        flats = model._flat_strats[rows[fire]] * steps + slot - 1
+        return np.repeat(local, c)[fire] * span + flats
+
+    return draw, span
+
+
+def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
+                   roots: np.ndarray, rng: np.random.Generator, arms=None):
+    """Reverse BFS from many roots at once, one level per vectorized step.
+
+    Set i is rooted at ``roots[i]``.  Roots go in batches whose visited
+    bitmap fits ``_MARK_BYTES``, so a node is expanded at most once per
+    set.  Level by level, a batch expands the (node, set) pairs reached in
+    the level before, ``_EDGE_CHUNK`` pairs and in-edges at a time (see
+    :func:`_live_in_edges`).  Pairs are keyed ``node * sets + set`` within
+    a batch of ``sets`` roots, so a sorted level lists each node's pairs
+    together and the in-edge gathers stay local.  With ``arms``, an
+    independent activation model, each pair first draws its virtual arms
+    (see :func:`_arm_sampler`).
+
+    Yields ``(sets, nodes, vsets, flats)`` per batch: the members sorted by
+    set, then node, and the distinct virtual flat ids sorted the same way
+    (empty without ``arms``).
     """
-    in_py = graph._in_py
-    seen = {root}
-    stack = [root]
-    width = 0
-    virtual: set[int] = set()
-    ic = params.kind == IC
-    in_probs = params._in_py
-    lt_cum = params._lt_cum
-    strat_py, cum_py, steps = arms if arms is not None else (None, None, 0)
-    while stack:
-        v = stack.pop()
-        if cum_py is not None:
-            for t, cum in enumerate(cum_py[v]):
-                x = u()
-                if x < cum[-1]:
-                    virtual.add(strat_py[v][t] * steps + bisect_right(cum, x) - 1)
-        srcs = in_py[v]
-        deg = len(srcs)
-        width += deg
-        if not deg:
-            continue
-        if ic:
-            for w, x, p in zip(srcs, take(deg), in_probs[v]):
-                if x < p and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        else:
-            t = bisect_right(lt_cum[v], u())
-            if t < deg:
-                w = srcs[t]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen, width, virtual
+    n = graph.n
+    count = len(roots)
+    per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
+    marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
+    none = np.empty(0, np.int64)
+    if arms is not None:
+        draw_arms, span = _arm_sampler(arms, n)
+    for b0 in range(0, count, per_batch):
+        size = min(per_batch, count - b0)
+        frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
+        _mark(marks, frontier)
+        found, virtual = [frontier], [none]
+        while len(frontier):
+            fresh = [none]
+            for s0 in range(0, len(frontier), _EDGE_CHUNK):
+                nodes, local = np.divmod(frontier[s0:s0 + _EDGE_CHUNK], size)
+                if arms is not None:
+                    virtual.append(draw_arms(nodes, local, rng))
+                for cand in _live_in_edges(params, nodes, local, size, rng):
+                    cand = np.sort(cand[(marks[cand >> 3] >> (cand & 7)) & 1 == 0])
+                    first = np.ones(len(cand), dtype=bool)  # reached twice in one level
+                    np.not_equal(cand[1:], cand[:-1], out=first[1:])
+                    cand = cand[first]
+                    _mark(marks, cand)
+                    fresh.append(cand)
+            frontier = np.concatenate(fresh)
+            found.append(frontier)
+        keys = np.concatenate(found)
+        marks[keys >> 3] = 0
+        nodes, local = np.divmod(keys, size)
+        sets, nodes = np.divmod(np.sort(local * n + nodes), n)
+        vsets, flats = np.divmod(np.unique(np.concatenate(virtual)), span) \
+            if arms is not None else (none, none)
+        yield sets + b0, nodes, vsets + b0, flats
+
+
+def _rr_sets(graph: DirectedGraph, params: TriggeringParams, roots: np.ndarray,
+             rng) -> list[RRSet]:
+    """The RR sets rooted at ``roots``, in order."""
+    indptr = params._csr[0]
+    out = []
+    for sets, nodes, _, _ in _reverse_reach(graph, params, roots, _generator(rng)):
+        starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
+        widths = np.add.reduceat(indptr[nodes + 1] - indptr[nodes], starts)
+        bounds = starts.tolist() + [len(nodes)]
+        out.extend(RRSet(r, nodes[a:b], w) for r, a, b, w in
+                   zip(roots[sets[starts]].tolist(), bounds, bounds[1:], widths.tolist()))
+    return out
 
 
 def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
                     root: int, rng) -> RRSet:
     """Sample the RR set rooted at ``root``."""
-    seen, width, _ = _reverse_reach(graph, params, root, *draws(rng))
-    return RRSet(root=root, members=np.array(sorted(seen), dtype=np.int64), width=width)
+    return _rr_sets(graph, params, np.array([root], dtype=np.int64), rng)[0]
 
 
 class RRCollection:
@@ -140,10 +250,9 @@ class RRCollection:
         """Generate ``count`` more RR sets rooted at uniform random nodes."""
         if count <= 0:
             return
-        buf = rng if isinstance(rng, RandomBuffer) else RandomBuffer(rng)
-        roots = buf._rng.integers(0, self.n, size=count)
-        for r in roots:
-            self.add(generate_rr_set(self.graph, self.params, int(r), buf))
+        gen = _generator(rng)
+        roots = gen.integers(0, self.n, size=count)
+        self.sets.extend(_rr_sets(self.graph, self.params, roots, gen))
 
     def _frozen(self) -> tuple[np.ndarray, np.ndarray]:
         if self._frozen_count != len(self.sets):

@@ -50,6 +50,11 @@ def random_graph(rng, n: int, m: int, kind: str = IC) -> tuple[DirectedGraph, Tr
     return graph, params
 
 
+# random_instance seeds giving n >= 6, m >= 8, d >= 2, six or more q tables
+# and two or more nodes with several in-edges, under both IC and LT
+RICH_SEEDS = [501, 511, 525, 542]
+
+
 def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
                     kind: str | None = None, extra_steps: int = 0) -> Instance:
     """Random small instance with concave independent activation everywhere.

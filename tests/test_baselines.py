@@ -8,8 +8,8 @@ from limax.immprr import lgreedy_delta
 from limax.oracles import exact_g, exact_opt
 from limax.rng import stream
 from limax.rrset import g_hat, generate_collection
-from limax.strategy import (IndependentActivation, LatticeConfig, StrategyMix,
-                            make_personalized)
+from limax.strategy import (BlackBoxActivation, IndependentActivation,
+                            LatticeConfig, StrategyMix, make_personalized)
 
 
 def _personal_instance(n=8, m=14, seed=0, steps=10, delta=0.1):
@@ -133,6 +133,18 @@ def test_cd_keeps_local_optimum_unchanged():
     improved = g_hat(coll, model, out) > g_hat(coll, model, best) + 1e-12
     if not improved:
         assert out == best
+
+
+def test_cd_moves_on_black_box_model():
+    # the same h as an opaque model: cd has no strategy entries to prune with
+    g, params, model, lat = _personal_instance()
+    box = BlackBoxActivation(8, lat, lambda v, xv: model.h(v, np.round(xv / lat.delta)))
+    coll = generate_collection(g, params, box, 400, stream(58, 0))
+    start = StrategyMix([5, 0, 0, 0, 0, 0, 0, 0])
+    out = cd(g, params, box, lat, 5 * lat.delta, start, coll)
+    assert out != start
+    assert g_hat(coll, box, out) > g_hat(coll, box, start)
+    assert out.total_steps == start.total_steps
 
 
 def test_hd_uniform_when_degrees_equal():

@@ -2,11 +2,13 @@
 
 A small fixed instance is solved and sampled at fixed streams, under IC and
 under LT, and the outputs are compared with literal values.  Any change to
-the order in which the reverse BFS, the hybrid arm draws, the LT pick or the
-forward cascade consume uniforms shows up here as a changed RR set, mix or
-spread, even when the distributions stay correct.  A hub instance, sampled
-through a buffer much shorter than the hub's in-edge list, pins the
-per-node coin slices across buffer refills.
+the order in which the batched reverse search, the hybrid arm draws, the LT
+pick or the forward cascade consume uniforms shows up here as a changed RR
+set, mix or spread, even when the distributions stay correct.  Each sampler
+reads its own stream, and the spreads are taken at fixed mixes, so a change
+to one sampler moves only its own literals.  A hub instance pins the
+sampling of a node whose in-edges outnumber a buffer block, given either a
+buffer or a bare generator.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def _observed(kind):
     prr = run_immprr(graph, params, model, lat, constraint, imm, stream(SEED, 13, key))
     vsn = run_immvsn(graph, params, model, lat, constraint, imm, stream(SEED, 14, key))
     # 40 runs take the scalar cascade, 64 the vectorized small-instance path
-    spreads = [simulate_spread_mix(graph, params, model, prr.mix, runs,
+    spreads = [simulate_spread_mix(graph, params, model, SPREAD_MIX[kind], runs,
                                    stream(SEED, 15, key, runs)).mean
                for runs in (40, 64)]
     return {
@@ -78,35 +80,35 @@ def _observed(kind):
     }
 
 
+SPREAD_MIX = {IC: [2, 1, 0], LT: [0, 1, 2]}
+
 GOLDEN = {
     IC: {
-        "members": [[0, 1, 2, 3, 4, 6, 7, 9, 10, 11], [3, 9],
-                    [0, 1, 3, 4, 6, 7, 8, 9, 10, 11], [0, 3, 4, 7, 9, 10, 11], [10],
-                    [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11], [5, 6], [2, 9],
-                    [1, 2, 3, 4, 5, 6, 7, 10, 11], [0, 1, 2, 3, 4, 6, 7, 9, 10, 11],
-                    [9], [1, 6, 7, 11]],
-        "widths": [31, 3, 30, 22, 1, 34, 5, 5, 24, 31, 1, 14],
+        "members": [[1, 8], [3], [2, 3], [2, 3, 4], [0, 1, 2, 3, 4, 7, 9, 10, 11],
+                    [2, 3, 4, 9], [0, 1, 2, 3, 4, 6, 7, 9, 10, 11], [3, 9],
+                    [0, 1, 2, 3, 5, 6, 7, 10, 11], [3, 9], [1, 3, 6, 7, 8, 11],
+                    [2, 3, 9, 10, 11]],
+        "widths": [5, 2, 6, 7, 28, 8, 31, 3, 31, 3, 19, 12],
         "hybrid_theta": 12,
-        "virtual_sets": [[0, 3, 5, 6, 7], [1, 2, 3, 4, 6, 7, 8], [0], [0, 3, 5, 7, 8],
-                         [0, 2, 3, 6, 7], [0, 1, 3, 4, 6], [0, 1, 4, 7], [0, 5, 6, 7],
-                         [1, 5, 6, 7], [1], [0, 2, 3, 6]],
+        "virtual_sets": [[3, 4, 6], [0, 2, 3, 4, 7], [0, 2, 4, 5, 6, 7], [0, 2, 6],
+                         [1, 6], [0, 1, 3, 4, 8], [3, 6], [2, 6], [0, 3, 5, 8],
+                         [1, 3, 6], [0, 3, 6], [1, 3, 4, 6, 7]],
         "triggering": [[3, 4, 7, 9, 10], [], [], [], [], [6], [4], [], [4], [3], [11], [7]],
-        "immprr": ([2, 1, 0], 478),
-        "immvsn": ([1, 1, 1], 459),
+        "immprr": ([1, 1, 1], 465),
+        "immvsn": ([2, 0, 1], 435),
         "spreads": [9.65, 9.765625],
     },
     LT: {
-        "members": [[1, 7, 10, 11], [5, 6, 7, 10, 11], [0, 2, 4, 5, 6], [3, 11], [4, 8],
-                    [2, 4, 6, 8], [0, 1, 3, 6, 7, 9, 10, 11], [0, 2, 3, 4, 6, 10, 11],
-                    [3, 6, 10, 11], [0, 2, 3, 4, 6, 7, 9, 11], [0, 2, 3, 10, 11],
-                    [3, 6, 10, 11]],
-        "widths": [12, 15, 18, 6, 4, 11, 26, 23, 10, 28, 19, 10],
+        "members": [[11], [3, 6, 10, 11], [1, 6, 7, 10, 11], [0, 7, 10, 11],
+                    [2, 3, 6, 9, 10, 11], [2, 3, 10, 11], [2, 3, 4, 10, 11], [6],
+                    [0, 2, 3, 4, 6, 11], [7], [1, 6, 7, 10, 11], [0, 7]],
+        "widths": [4, 10, 15, 18, 15, 11, 12, 3, 22, 5, 15, 13],
         "hybrid_theta": 12,
-        "virtual_sets": [[0, 3], [3], [1, 3, 6, 8], [0, 6], [0, 5, 7], [0, 5],
-                         [0, 3, 4, 6, 7], [1, 4, 6], [3, 4, 6], [0], [0, 6], [1, 3, 7]],
+        "virtual_sets": [[3], [1, 4, 6, 7], [3, 4, 6], [0, 1, 3, 6, 8], [1, 3, 4, 6],
+                         [0, 3, 6, 8], [5], [0, 6], [0, 1, 6, 7], [2], [0], [2, 5, 6]],
         "triggering": [[], [8], [5], [10], [2], [6], [], [1], [1], [3], [11], [0]],
-        "immprr": ([0, 1, 2], 438),
-        "immvsn": ([1, 0, 2], 428),
+        "immprr": ([1, 0, 2], 436),
+        "immvsn": ([0, 1, 2], 438),
         "spreads": [9.25, 9.9375],
     },
 }
@@ -148,14 +150,14 @@ def _hub_instance():
 
 def _hub_observed():
     graph, params, model, lat = _hub_instance()
-    # block 7 < in-degree 30: every hub expansion crosses buffer refills, and
-    # the second extend draws its roots from the generator mid-block
+    # a buffer is read through its generator, whatever is left in its block
     buf = RandomBuffer(stream(SEED, 22), block=7)
     coll = generate_collection(graph, params, model, 8, buf)
     coll.extend(8, buf)
     gen = stream(SEED, 23)
     hub_sets = [generate_rr_set(graph, params, 0, gen).members.tolist()
                 for _ in range(4)]
+    gen = stream(SEED, 25)
     hub_triggering = [sorted(sample_triggering_set(graph, params, 0, gen))
                       for _ in range(4)]
     aug = build_augmented(graph, params, model, lat)
@@ -170,26 +172,26 @@ def _hub_observed():
 
 
 HUB_GOLDEN = {
-    "members": [[0, 2, 3, 4, 7, 8, 9, 10, 11, 14, 16, 17, 18, 21, 22, 23, 25, 26, 27, 30],
-                [0, 2, 4, 6, 9, 15, 16, 19, 23, 25, 26, 27, 29, 30, 37], [31], [31], [24],
-                [0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 16, 17, 19, 24, 26, 27, 30],
-                [24, 30], [2],
-                [0, 3, 5, 6, 8, 9, 11, 12, 15, 16, 20, 21, 22, 23, 24, 25, 26, 30, 37], [8],
-                [0, 8, 10, 12, 15, 16, 17, 19, 22, 23, 24, 25, 26, 29, 30], [16],
-                [0, 1, 3, 4, 9, 10, 13, 15, 16, 19, 22, 23, 25, 29, 30], [17],
-                [0, 2, 4, 5, 8, 9, 25, 27, 29, 37], [9]],
-    "widths": [68, 58, 2, 2, 2, 68, 4, 2, 66, 2, 58, 2, 58, 2, 48, 2],
-    "hub_sets": [[0, 1, 2, 4, 5, 7, 12, 14, 17, 18, 19, 20, 22, 23, 24, 25, 26, 29, 30, 37],
-                 [0, 4, 5, 6, 8, 9, 11, 12, 15, 16, 22, 23, 27, 29],
-                 [0, 6, 9, 16, 19, 24, 27, 30],
-                 [0, 2, 5, 6, 7, 8, 9, 10, 11, 12, 14, 17, 19, 23, 25, 29, 37]],
-    "hub_triggering": [[2, 4, 6, 7, 8, 9, 16, 21, 22, 26, 27, 28],
-                       [3, 4, 6, 7, 12, 14, 15, 19, 24, 26],
-                       [2, 4, 5, 6, 7, 8, 9, 12, 14, 19, 22, 23, 26, 27, 30],
-                       [3, 5, 7, 8, 9, 10, 12, 13, 14, 16, 19, 23, 24, 26, 29, 30]],
-    "virtual_sets": [[7], [1, 2, 3, 5, 6], [0, 6], [0, 2, 3, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6],
-                     [0, 1, 2, 3, 5, 6, 7, 8], [0, 1, 2, 3, 4, 6, 7, 8], [0, 1, 2, 4, 6, 8],
-                     [1, 6]],
+    "members": [[25], [0, 1, 2, 6, 7, 8, 9, 14, 15, 16, 19, 20, 23, 27, 29, 30, 37],
+                [0, 1, 4, 5, 8, 9, 12, 14, 15, 19, 23, 26, 30, 31],
+                [0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15, 18, 19, 22, 23, 24, 25, 29,
+                 30, 31],
+                [24], [0, 1, 2, 4, 5, 6, 9, 11, 12, 13, 14, 16, 23, 24, 25, 26, 30, 37],
+                [0, 1, 5, 6, 8, 9, 14, 15, 22, 23, 25, 26, 30],
+                [0, 1, 2, 6, 8, 9, 10, 11, 15, 16, 17, 18, 23, 25, 26, 27, 30, 37],
+                [17], [33], [29], [14], [1], [1, 31], [22], [33]],
+    "widths": [2, 62, 56, 72, 2, 64, 54, 64, 2, 2, 2, 2, 2, 4, 2, 2],
+    "hub_sets": [[0, 1, 4, 5, 6, 7, 9, 12, 14, 15, 17, 18, 19, 20, 22, 23, 24, 27, 29,
+                  30],
+                 [0, 4, 5, 6, 8, 9, 11, 12, 15, 16, 18, 22, 23, 27, 29, 30],
+                 [0, 5, 12, 16, 20, 23, 25, 26, 30, 37],
+                 [0, 2, 3, 4, 6, 7, 8, 10, 11, 17, 18, 20, 23, 24, 26, 27, 30, 33]],
+    "hub_triggering": [[2, 5, 8, 9, 12, 14, 16, 20, 23, 24, 27],
+                       [4, 8, 9, 10, 14, 16, 18, 22, 26],
+                       [2, 4, 8, 10, 12, 16, 19, 21, 23, 24, 26, 27, 28, 29, 30],
+                       [8, 12, 14, 16, 20, 22, 23, 25, 26]],
+    "virtual_sets": [[0, 3], [0, 1, 2, 3, 4, 5, 6], [2, 6], [1], [0, 1, 2, 3, 4, 7, 8],
+                     [0], [0, 1, 3, 4, 5, 6, 7], [6]],
 }
 
 

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import random_concave_table, random_instance
+from conftest import RICH_SEEDS, random_concave_table, random_instance
 
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
-from limax.graph import from_edges, uniform_ic
+from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params
 from limax.immvsn import (HybridCollection, VirtualNodeId,
                           _greedy_virtual, build_augmented,
                           generate_hybrid_collection, generate_hybrid_rr_set,
                           immvsn, node_selection_virtual, run_immvsn,
                           sample_virtual_arm, simulate_spread_virtual_seeds)
-from limax.oracles import simulate_spread_mix
+from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
 from limax.rng import stream
-from limax.rrset import EmptyCollectionError
+from limax.rrset import EmptyCollectionError, _reverse_reach
 from limax.strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                             multi_event_table)
 
@@ -169,6 +169,37 @@ def test_hybrid_expected_virtual_count():
     total = sum(len(generate_hybrid_rr_set(aug, 0, gen).virtual_members)
                 for _ in range(100_000))
     assert abs(total / 100_000 - 0.8) < 0.01
+
+
+SETS_PER_ROOT = 20_000
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_virtual_membership_matches_exact_oracle(kind, seed):
+    # given live-edge outcome l, u[j,i] joins the set rooted at v unless every
+    # w in anc[l, v] with j in S_w misses arm i; summed over outcomes
+    gen = np.random.default_rng(seed)
+    inst = random_instance(gen, n_max=8, m_max=10, kind=kind)
+    graph, params, model = inst.graph, inst.params, inst.model
+    aug = build_augmented(graph, params, model, inst.lattice)
+    n, K = graph.n, aug.steps
+    enum = LiveEdgeEnumeration(graph, params)
+    roots = np.repeat(np.arange(n), SETS_PER_ROOT)
+    freq = np.zeros((n, inst.lattice.d * K))
+    for _, _, vsets, flats in _reverse_reach(graph, params, roots, stream(31, seed), model):
+        np.add.at(freq, (roots[vsets], flats), 1.0 / SETS_PER_ROOT)
+    assert freq.any()
+    for f in range(freq.shape[1]):
+        j, i = divmod(f, K)
+        arm = np.array([aug.weight(w, j, i + 1) if j in model.strategies[w] else 0.0
+                        for w in range(n)])
+        miss = np.ones(1)  # miss[mask] = prod over w in mask of (1 - arm[w])
+        for w in range(n):
+            miss = np.concatenate((miss, miss * (1.0 - arm[w])))
+        exact = np.clip(enum.probs @ (1.0 - miss[enum.anc]), 0.0, 1.0)
+        se = np.sqrt(exact * (1.0 - exact) / SETS_PER_ROOT)
+        assert np.all(np.abs(freq[:, f] - exact) <= 4.0 * se + 1e-12), (j, i + 1)
 
 
 def test_hybrid_collection_counts_virtualless_sets():

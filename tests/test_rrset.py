@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_instance, sweep_monotone_dr
+from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
 
-from limax.graph import from_edges, uniform_ic
+from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
+                         from_edges, uniform_ic)
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
-from limax.rrset import (EmptyCollectionError, RRCollection, RRSet, g_hat,
-                         generate_collection, generate_rr_set,
-                         load_collection, save_collection)
+from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
+                         _reverse_reach, _rr_sets, g_hat, generate_collection,
+                         generate_rr_set, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -40,6 +43,130 @@ def test_rr_set_bernoulli_frequency():
     hits = sum(len(generate_rr_set(g, params, 1, rng).members) == 2
                for _ in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.01
+
+
+SETS_PER_ROOT = 20_000
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_membership_matches_exact_oracle(kind, seed):
+    # P(u in R_v) = sum_l probs[l] * [u in anc[l, v]] over every live-edge outcome
+    gen = np.random.default_rng(seed)
+    inst = random_instance(gen, n_max=8, m_max=10, kind=kind)
+    graph, params = inst.graph, inst.params
+    n = graph.n
+    enum = LiveEdgeEnumeration(graph, params)
+    roots = np.repeat(np.arange(n), SETS_PER_ROOT)
+    sets = _rr_sets(graph, params, roots, stream(30, seed))
+    assert [rr.root for rr in sets] == roots.tolist()
+    sizes = np.array([len(rr.members) for rr in sets])
+    members = np.concatenate([rr.members for rr in sets])
+    owner = np.repeat(roots, sizes)  # each member's root
+    starts = np.cumsum(sizes) - sizes
+    inner = np.ones(len(members), dtype=bool)
+    inner[starts] = False
+    assert np.all(np.diff(members)[inner[1:]] > 0)  # sorted, no repeats
+    assert np.all(np.add.reduceat((members == owner).astype(int), starts) == 1)
+    widths = np.add.reduceat(graph.in_degrees()[members], starts)
+    assert widths.tolist() == [rr.width for rr in sets]
+    freq = np.zeros((n, n))
+    np.add.at(freq, (owner, members), 1.0 / SETS_PER_ROOT)
+    bits = (enum.anc[:, :, None] >> np.arange(n)) & 1  # [l, v, u]
+    exact = np.clip(np.einsum("l,lvu->vu", enum.probs, bits), 0.0, 1.0)
+    se = np.sqrt(exact * (1.0 - exact) / SETS_PER_ROOT)
+    assert np.all(np.abs(freq - exact) <= 4.0 * se + 1e-12)
+
+
+# --- pathological graphs: bounded memory, exact counts --------------------------
+
+PATHOLOGICAL_SETS = 2000
+# visited bitmap (2 MiB) plus one step of at most _EDGE_CHUNK in-edges, plus
+# the sets themselves; expanding a 20k in-edge hub for a whole batch at once
+# would take hundreds of MiB
+PEAK_MIB = 16
+
+
+def _star():
+    """Hub 0 with 20,000 in-edges (p = 1/20,000); RR sets rooted at the hub."""
+    g = from_edges(20_001, [(u, 0) for u in range(1, 20_001)])
+    return g, assign_weighted_cascade(g), {0: 2.0}
+
+
+def _isolated():
+    g = from_edges(1000, [(1, 2), (2, 3), (3, 1), (5, 6)])
+    sizes = {v: 1.0 for v in range(1000)}
+    sizes.update({1: 3.0, 2: 3.0, 3: 3.0, 6: 2.0})  # p = 1/indeg = 1 on every edge
+    return g, assign_weighted_cascade(g), sizes
+
+
+def _two_nodes():
+    g = from_edges(2, [(0, 1), (1, 0)])
+    return g, TriggeringParams.build(g, IC, [np.ones(1), np.ones(1)]), {0: 2.0, 1: 2.0}
+
+
+def _lt_sums_to_one():
+    """Every node has 1, 2, 4 or 8 in-edges of weight 1/indeg: sums exactly 1."""
+    gen = np.random.default_rng(3)
+    edges = []
+    for v in range(64):
+        k = 2 ** int(gen.integers(0, 4))
+        edges += [(int(u), v) for u in gen.choice(np.delete(np.arange(64), v), k,
+                                                  replace=False)]
+    g = from_edges(64, edges)
+    rows = [np.full(len(a), 1.0 / len(a)) for a in g.in_neighbors]
+    return g, TriggeringParams.build(g, LT, rows), dict.fromkeys(range(64))
+
+
+def _wide_frontier():
+    """Node 0 <- 300 certain in-edges from a layer whose nodes each have 1,000
+    in-edges (p = 0.001) from a pool of 2,000: a root's level-1 frontier
+    spans several _EDGE_CHUNK steps, and so do the layer roots of a batch."""
+    gen = np.random.default_rng(4)
+    edges = [(i, 0) for i in range(1, 301)]
+    for i in range(1, 301):
+        edges += [(301 + int(s), i) for s in gen.choice(2000, 1000, replace=False)]
+    g = from_edges(2301, edges)
+    rows = [np.full(len(a), 1.0 if v == 0 else 0.001) for v, a in enumerate(g.in_neighbors)]
+    assert 300 * 1000 > 2 * _EDGE_CHUNK
+    sizes = dict.fromkeys(range(1, 301), 2.0)
+    sizes[0] = 301 + float(np.sum(1.0 - 0.999 ** g.out_degrees()[301:]))
+    return g, TriggeringParams.build(g, IC, rows), sizes
+
+
+@pytest.mark.parametrize("build", [_star, _isolated, _two_nodes, _lt_sums_to_one,
+                                   _wide_frontier])
+def test_pathological_graphs_bounded_memory(build):
+    g, params, sizes = build()  # root -> exact mean RR-set size, or None
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=3)
+    tab = multi_event_table(0.3, lat)[None, :]
+    model = IndependentActivation(g.n, lat, [np.array([v % 2]) for v in range(g.n)],
+                                  [tab] * g.n)
+    roots = np.resize(np.array(list(sizes)), PATHOLOGICAL_SETS)
+    tracemalloc.start()
+    try:
+        sets = _rr_sets(g, params, roots, stream(60, 0))
+        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_MIB * 2**20
+    deg = g.in_degrees()
+    for rr, root in zip(sets, roots.tolist()):
+        assert rr.root == root and root in rr.members
+        assert np.all(np.diff(rr.members) > 0)
+        assert rr.width == deg[rr.members].sum()
+        if params.kind == LT and deg[root]:
+            assert len(rr.members) >= 2  # weights sum to 1: the root always picks
+    for expect in {e for e in sizes.values() if e is not None}:
+        # pooled over the roots that share an exact mean size
+        got = np.array([len(rr.members) for rr in sets if sizes[rr.root] == expect])
+        se = got.std(ddof=1) / np.sqrt(len(got))
+        assert abs(got.mean() - expect) <= 4.0 * se + 1e-12, expect
+    vsets = np.concatenate([b[2] for b in hybrid])
+    flats = np.concatenate([b[3] for b in hybrid])
+    assert np.all(np.diff(vsets) >= 0) and np.all((flats >= 0) & (flats < 2 * 3))
+    assert len(vsets) > 0
 
 
 def test_empty_collection():
