@@ -71,17 +71,12 @@ class DirectedGraph:
     out_neighbors: list[np.ndarray]
     edge_values: list[np.ndarray] | None = None
     labels: np.ndarray | None = None
-    _in_py: list[list[int]] = field(default_factory=list, repr=False)
-    _out_py: list[list[int]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         for arr in self.in_neighbors:
             arr.flags.writeable = False
         for arr in self.out_neighbors:
             arr.flags.writeable = False
-        # plain-list mirrors: scalar BFS loops are much faster on lists
-        self._in_py = [list(map(int, a)) for a in self.in_neighbors]
-        self._out_py = [list(map(int, a)) for a in self.out_neighbors]
 
     @property
     def m(self) -> int:
@@ -105,18 +100,19 @@ class TriggeringParams:
 
     For IC, ``in_values[v][t]`` is the firing probability of the t-th
     in-edge of v; for LT it is the edge weight, with per-node weight sums
-    at most 1.  ``_csr = (indptr, src, values)`` holds the in-edges as
-    whole arrays for the batched reverse search: node v's in-edges are
-    ``indptr[v]:indptr[v + 1]``, and ``values`` are the IC probabilities,
-    or under LT each node's running weight sums (``_lt_cum``, flattened).
+    at most 1.  Two CSR views hold the edges as whole arrays for the
+    batched kernels.  ``_csr = (indptr, src, values)`` lists the in-edges:
+    node v's are ``indptr[v]:indptr[v + 1]``, in ``in_values`` order, and
+    ``values`` are the IC probabilities, or under LT each node's running
+    weight sums.  ``_out_csr = (indptr, dst, values)`` lists the out-edges
+    in ``graph.out_neighbors`` order, each with its own probability or
+    weight.
     """
 
     kind: str
     in_values: list[np.ndarray]
-    _in_py: list[list[float]] = field(default_factory=list, repr=False)
-    _out_py: list[list[float]] = field(default_factory=list, repr=False)
-    _lt_cum: list[list[float]] = field(default_factory=list, repr=False)
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
+    _out_csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
 
     @classmethod
     def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence[np.ndarray]) -> "TriggeringParams":
@@ -151,10 +147,9 @@ class TriggeringParams:
         return params
 
     def _finalize(self, graph: DirectedGraph) -> None:
-        self._in_py = [a.tolist() for a in self.in_values]
-        # out-aligned view for forward simulation: sorting both edge views by
-        # (source, target), stably, lines the k-th parallel copy of an edge
-        # in one view up with the k-th copy in the other
+        # sorting both edge views by (source, target), stably, lines the k-th
+        # parallel copy of an edge in one view up with the k-th copy in the
+        # other
         ids = np.arange(graph.n)
         in_deg = graph.in_degrees()
         in_src = np.concatenate((np.empty(0, np.int64), *graph.in_neighbors))
@@ -165,15 +160,10 @@ class TriggeringParams:
         vals = np.concatenate((np.empty(0), *self.in_values))
         out_vals = np.empty(len(vals))
         out_vals[np.lexsort((out_dst, out_src))] = vals[np.lexsort((in_dst, in_src))]
-        flat = out_vals.tolist()
-        ends = np.cumsum(out_deg).tolist()
-        self._out_py = [flat[e - d:e] for e, d in zip(ends, out_deg.tolist())]
+        self._out_csr = (np.concatenate(([0], np.cumsum(out_deg))), out_dst, out_vals)
         if self.kind == LT:
-            cums = [np.cumsum(a) for a in self.in_values]
-            self._lt_cum = [c.tolist() for c in cums]
-            vals = np.concatenate((np.empty(0), *cums))
-        indptr = np.concatenate(([0], np.cumsum(in_deg)))
-        self._csr = (indptr, in_src, vals)
+            vals = np.concatenate((np.empty(0), *(np.cumsum(a) for a in self.in_values)))
+        self._csr = (np.concatenate(([0], np.cumsum(in_deg))), in_src, vals)
 
 
 def _compact(edges: list[tuple[int, int]], values: list[float] | None,
@@ -387,16 +377,20 @@ def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,
     """Draw the triggering set of node v.
 
     ``rng`` is a numpy Generator or a :class:`limax.rng.RandomBuffer`.
-    Under IC the in-edge coins are one slice of the stream, in in-edge order.
+    Under IC the in-edge coins are one slice of the stream, in in-edge order;
+    under LT one uniform picks the in-edge whose running weight sum is the
+    first above it, or none.
     """
     u, take = draws(rng)
-    srcs = graph._in_py[v]
-    if not srcs:
+    indptr, src, vals = params._csr
+    lo, hi = indptr.item(v), indptr.item(v + 1)
+    if lo == hi:
         return set()
     if params.kind == IC:
-        return {w for w, x, p in zip(srcs, take(len(srcs)), params._in_py[v]) if x < p}
-    t = bisect_right(params._lt_cum[v], u())
-    return {srcs[t]} if t < len(srcs) else set()
+        return {w for w, x, p in zip(src[lo:hi].tolist(), take(hi - lo),
+                                     vals[lo:hi].tolist()) if x < p}
+    t = bisect_right(vals, u(), lo, hi)
+    return {src.item(t)} if t < hi else set()
 
 
 def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:

@@ -24,7 +24,6 @@ collection keeps only their distinct virtual flat ids.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,10 @@ from .budgets import PartitionedBudget, total_steps
 from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
-from .oracles import SpreadEstimate, _estimate, _forward_count
-from .rng import RandomBuffer, draws
-from .rrset import EmptyCollectionError, _generator, _reverse_reach
+from .oracles import SpreadEstimate, _cascades, _estimate
+from .rng import draws
+from .rrset import (EmptyCollectionError, _arm_sampler, _generator,
+                    _reverse_reach)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -86,10 +86,6 @@ class AugmentedGraph:
         self.model = model
         self.lattice = lattice
         self.steps = lattice.budget_steps
-        # python-list views of the cumulative tables for fast scalar bisect
-        self._cum_py: list[list[list[float]]] = [
-            [row.tolist() for row in model.tables[v]] for v in range(graph.n)]
-        self._strat_py: list[list[int]] = [s.tolist() for s in model.strategies]
 
     def flat(self, node: VirtualNodeId) -> int:
         return node.j * self.steps + (node.i - 1)
@@ -116,16 +112,16 @@ def sample_virtual_arm(aug: AugmentedGraph, v: int, j: int, rng):
     smallest i with q(i*delta) > u (an O(log K) bisect), or None with the
     residual probability 1 - q(K*delta).
     """
-    t = int(np.searchsorted(aug.model.strategies[v], j))
-    strats = aug._strat_py[v]
+    strats = aug.model.strategies[v]
+    t = int(strats.searchsorted(j))
     if t >= len(strats) or strats[t] != j:
         raise KeyError(f"strategy {j} does not apply to node {v}")
-    cum = aug._cum_py[v][t]
+    cum = aug.model.tables[v][t]
     u, _ = draws(rng)
     x = u()
-    if x >= cum[-1]:
+    if x >= cum.item(-1):
         return None
-    return VirtualNodeId(j=j, i=bisect_right(cum, x))
+    return VirtualNodeId(j=j, i=int(cum.searchsorted(x, side="right")))
 
 
 @dataclass
@@ -255,32 +251,31 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     """Monte-Carlo spread (real nodes only) of a virtual seed set.
 
     Forward counterpart of the reverse sampler: every (node, strategy) pair
-    draws one arm, the node joins the initial actives iff its arm is seeded,
-    then the real cascade runs as usual.
+    draws one arm, the node joins the initial actives iff one of its arms
+    is seeded, then the real cascade runs as usual.  A batch of runs draws
+    its arms as one block, run-major, in the row order of
+    ``model._flat_tables``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    flat_seeds = {aug.flat(s) if isinstance(s, VirtualNodeId) else int(s) for s in seeds}
-    graph = aug.graph
-    steps = aug.steps
-    buf = RandomBuffer(rng)
-    u = buf.u
-    strat_py = aug._strat_py
-    cum_py = aug._cum_py
-    touched = [v for v in range(graph.n) if strat_py[v]]
-    spreads = np.empty(runs)
-    for r in range(runs):
-        initial = []
-        for v in touched:
-            cums = cum_py[v]
-            for t, j in enumerate(strat_py[v]):
-                cum = cums[t]
-                x = u()
-                if x < cum[-1] and (j * steps + bisect_right(cum, x) - 1) in flat_seeds:
-                    initial.append(v)
-                    break
-        spreads[r] = _forward_count(graph, params=aug.params, initial=initial, u=u)
-    return _estimate(spreads)
+    graph, model = aug.graph, aug.model
+    draw_arms, span = _arm_sampler(model, graph.n)
+    flats = np.array([aug.flat(s) if isinstance(s, VirtualNodeId) else int(s)
+                      for s in seeds], dtype=np.int64)
+    if np.any((flats < 0) | (flats >= span)):
+        raise ValueError(f"virtual seed outside flat ids [0, {span})")
+    seeded = np.zeros(span, dtype=bool)
+    seeded[flats] = True
+    touched = np.unique(model._flat_nodes)
+    gen = _generator(rng)
+
+    def seed_keys(size):
+        pair, flats = draw_arms(np.tile(touched, size), gen)
+        pair = pair[seeded[flats]]
+        return np.unique(touched[pair % len(touched)] * size + pair // len(touched))
+
+    return _estimate(_cascades(graph, aug.params, runs, len(model._flat_nodes),
+                               seed_keys, gen))
 
 
 # --- sampling phase and driver ------------------------------------------------

@@ -1,5 +1,19 @@
 """Ground truth: Monte-Carlo spread estimates and exact small-instance oracles.
 
+Forward Monte-Carlo runs many cascades at once in one batched kernel
+(``_cascades``), the forward twin of the reverse search in
+``limax.rrset``.  Within a batch of runs, each (node, run) pair is keyed
+``node * runs + run``; a visited bitmap makes every pair active at most
+once, and a cascade advances one BFS level per vectorized step over the
+out-edge CSR of ``TriggeringParams``.  Under IC every out-edge of a newly
+active pair draws one coin, the same live-edge law as sampling each edge
+up front; under LT every pair commits to one in-neighbour pick per run,
+drawn once before the cascade, so repeated exposures reuse it.  A run's
+spread is the count of its active pairs.  Seeds are drawn per batch as
+one block: a coin per run and support node for a mix, or an arm per run
+and (node, strategy) row for virtual seeds (``limax.immvsn``).  A fixed
+cap on the pairs per batch bounds the memory of any call.
+
 The exact oracle enumerates every live-edge graph of a small instance (all
 2^m edge outcomes under IC, the product of per-node in-neighbor choices
 under LT) with its exact probability.  Conditioned on a live-edge graph, a
@@ -15,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
 from .budgets import TotalBudget, is_feasible
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rng import RandomBuffer
+from .rrset import (_EDGE_CHUNK, _bisect_right, _edge_chunks, _generator,
+                    _live_edges, _reach)
 from .strategy import LatticeConfig, StrategyMix, as_steps
 
 __all__ = [
@@ -42,8 +56,9 @@ MAX_EXACT_NODES = 12
 MAX_EXACT_EDGES = 12
 MAX_OPT_POINTS = 100_000
 
-_SMALL_N = 32
-_SMALL_M = 64
+# fixed memory cap of the forward kernel (internal, not an option): the
+# (node, run) pairs of one batch of runs, and also its seed draws per run
+_RUN_PAIRS = 1 << 20
 
 
 class InstanceTooLargeError(ValueError):
@@ -58,104 +73,66 @@ class SpreadEstimate(NamedTuple):
 
 # --- forward Monte-Carlo -----------------------------------------------------
 
-def _forward_count(graph: DirectedGraph, params: TriggeringParams,
-                   initial: list[int], u) -> int:
-    """One cascade from `initial`; returns the number of active nodes."""
-    active = bytearray(graph.n)
-    frontier: list[int] = []
-    for v in initial:
-        if not active[v]:
-            active[v] = 1
-            frontier.append(v)
-    count = len(frontier)
-    out_py = graph._out_py
-    if params.kind == IC:
-        out_probs = params._out_py
-        while frontier:
-            nxt: list[int] = []
-            for v in frontier:
-                targets = out_py[v]
-                probs = out_probs[v]
-                for t in range(len(targets)):
-                    w = targets[t]
-                    if not active[w] and u() < probs[t]:
-                        active[w] = 1
-                        nxt.append(w)
-            count += len(nxt)
-            frontier = nxt
-        return count
-    # LT: each exposed node commits to at most one in-neighbor, drawn once
-    in_py = graph._in_py
-    choice: dict[int, int] = {}
-    lt_cum = params._lt_cum
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in out_py[v]:
-                if active[w]:
-                    continue
-                picked = choice.get(w, -2)
-                if picked == -2:
-                    t = bisect_right(lt_cum[w], u())
-                    srcs = in_py[w]
-                    picked = choice[w] = srcs[t] if t < len(srcs) else -1
-                if picked == v:
-                    active[w] = 1
-                    nxt.append(w)
-        count += len(nxt)
-        frontier = nxt
-    return count
+def _lt_parents(params: TriggeringParams, n: int, size: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Each (node, run) pair's committed in-neighbour under LT, keyed
+    ``node * size + run``, or -1 for none.  Every node with in-edges draws
+    one uniform per run, node-major, and picks like the reverse kernel,
+    ``_EDGE_CHUNK`` pairs at a time."""
+    indptr, src, cum = params._csr
+    has = np.flatnonzero(np.diff(indptr))
+    parents = np.full(n * size, -1, dtype=np.min_scalar_type(-n))
+    for c0 in range(0, len(has) * size, _EDGE_CHUNK):
+        pair = np.arange(c0, min(c0 + _EDGE_CHUNK, len(has) * size))
+        nodes = has[pair // size]
+        lo, hi = indptr[nodes], indptr[nodes + 1]
+        pos = _bisect_right(cum, lo, hi, rng.random(len(pair)))
+        hit = pos < hi
+        parents[(nodes * size + pair % size)[hit]] = src[pos[hit]]
+    return parents
 
 
-def _edge_list(graph: DirectedGraph, params: TriggeringParams):
-    edges = []
-    for v in range(graph.n):
-        for t, w in enumerate(graph._in_py[v]):
-            edges.append((w, v, params._in_py[v][t]))
-    return edges
+def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
+              width: int, seed_keys, rng: np.random.Generator) -> np.ndarray:
+    """Active-node counts of ``runs`` independent forward cascades.
 
+    Runs go in batches of ``size`` whose (node, run) pairs, and whose
+    ``width`` seed draws per run, fit ``_RUN_PAIRS``.  ``seed_keys(size)``
+    draws one batch's seeds and returns their sorted, distinct keys
+    ``node * size + run``.  The cascade then advances one level per step
+    over the out-edge CSR (see :func:`limax.rrset._reach`), so each
+    active pair is expanded once.  Under IC every out-edge of a newly
+    active pair draws one uniform, level by level.  Under LT every pair
+    commits to its in-neighbour once, drawn per batch before the cascade
+    (see :func:`_lt_parents`), and an out-edge is live when its target
+    picked its source.  A run's count is the number of its keys reached.
+    """
+    n = graph.n
+    per_batch = max(1, min(runs, _RUN_PAIRS // max(n, width, 1)))
+    marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
+    out_csr = params._out_csr
+    counts = np.empty(runs)
+    for b0 in range(0, runs, per_batch):
+        size = min(per_batch, runs - b0)
+        frontier = seed_keys(size)
+        if params.kind == IC:
+            def expand(keys):
+                nodes, local = np.divmod(keys, size)
+                return _live_edges(out_csr, nodes, local, size, rng)
+        else:
+            parents = _lt_parents(params, n, size, rng)
 
-def _mc_small_run(graph: DirectedGraph, params: TriggeringParams,
-                  seed_rows: np.ndarray, rng) -> np.ndarray:
-    """Vectorized cascades over all runs at once (n, m small)."""
-    runs = seed_rows.shape[0]
-    active = seed_rows.copy()
-    if params.kind == IC:
-        edges = _edge_list(graph, params)
-        p = np.array([e[2] for e in edges])
-        live = rng.random((runs, len(edges))) < p
-        changed = True
-        while changed:
-            changed = False
-            for t, (u, v, _) in enumerate(edges):
-                add = active[:, u] & live[:, t] & ~active[:, v]
-                if add.any():
-                    active[:, v] |= add
-                    changed = True
-        return active.sum(axis=1)
-    # LT: per node draw the committed in-neighbor slot (or none) per run
-    choice: list[np.ndarray | None] = [None] * graph.n
-    for v in range(graph.n):
-        deg = len(graph._in_py[v])
-        if deg == 0:
-            continue
-        cum = np.asarray(params._lt_cum[v])
-        r = rng.random(runs)
-        c = np.searchsorted(cum, r, side="right")  # deg means "none"
-        choice[v] = c
-    changed = True
-    while changed:
-        changed = False
-        for v in range(graph.n):
-            c = choice[v]
-            if c is None:
-                continue
-            for t, w in enumerate(graph._in_py[v]):
-                add = active[:, w] & (c == t) & ~active[:, v]
-                if add.any():
-                    active[:, v] |= add
-                    changed = True
-    return active.sum(axis=1)
+            def expand(keys):
+                nodes, local = np.divmod(keys, size)
+                for pos, pair in _edge_chunks(out_csr[0], nodes):
+                    cand = out_csr[1][pos] * size + local[pair]
+                    yield cand[parents[cand] == nodes[pair]]
+        total = np.zeros(size, dtype=np.int64)
+        for keys in _reach(marks, frontier, expand):
+            total += np.bincount(keys % size, minlength=size)
+        marks.fill(0)
+        counts[b0:b0 + size] = total
+    return counts
 
 
 def _estimate(spreads: np.ndarray) -> SpreadEstimate:
@@ -170,39 +147,34 @@ def simulate_spread_seeds(graph: DirectedGraph, params: TriggeringParams,
     """Mean active-node count over independent cascades from a fixed seed set."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seed_list = sorted({int(v) for v in seeds})
-    if graph.n <= _SMALL_N and graph.m <= _SMALL_M and runs >= 64:
-        rows = np.zeros((runs, graph.n), dtype=bool)
-        rows[:, seed_list] = True
-        return _estimate(_mc_small_run(graph, params, rows, rng).astype(np.float64))
-    buf = RandomBuffer(rng)
-    spreads = np.fromiter(
-        (_forward_count(graph, params, seed_list, buf.u) for _ in range(runs)),
-        dtype=np.float64, count=runs)
-    return _estimate(spreads)
+    nodes = np.array(sorted({int(v) for v in seeds}), dtype=np.int64)
+    if len(nodes) and (nodes[0] < 0 or nodes[-1] >= graph.n):
+        raise ValueError(f"seed node outside [0, {graph.n})")
+
+    def seed_keys(size):
+        return (nodes[:, None] * size + np.arange(size)).ravel()
+
+    return _estimate(_cascades(graph, params, runs, 0, seed_keys, _generator(rng)))
 
 
 def simulate_spread_mix(graph: DirectedGraph, params: TriggeringParams,
                         model, x, runs: int, rng) -> SpreadEstimate:
-    """Each run seeds node v independently with probability h_v(x), then cascades."""
+    """Each run seeds node v independently with probability h_v(x), then cascades.
+
+    A batch of runs draws its seed coins as one (runs, support) block, where
+    the support is the nodes with h_v(x) > 0.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    steps = as_steps(x)
-    h = model.h_all(steps)
-    if graph.n <= _SMALL_N and graph.m <= _SMALL_M and runs >= 64:
-        rows = rng.random((runs, graph.n)) < h
-        return _estimate(_mc_small_run(graph, params, rows, rng).astype(np.float64))
+    h = model.h_all(as_steps(x))
     support = np.flatnonzero(h > 0.0)
-    h_sup = h[support]
-    support_list = support.tolist()
-    buf = RandomBuffer(rng)
-    base = buf._rng
-    spreads = np.empty(runs)
-    for r in range(runs):
-        hits = np.flatnonzero(base.random(len(support_list)) < h_sup)
-        initial = [support_list[t] for t in hits.tolist()]
-        spreads[r] = _forward_count(graph, params, initial, buf.u)
-    return _estimate(spreads)
+    gen = _generator(rng)
+
+    def seed_keys(size):
+        run, col = np.nonzero(gen.random((size, len(support))) < h[support])
+        return np.sort(support[col] * size + run)
+
+    return _estimate(_cascades(graph, params, runs, len(support), seed_keys, gen))
 
 
 # --- exact enumeration -------------------------------------------------------
@@ -223,51 +195,43 @@ class LiveEdgeEnumeration:
         self.graph = graph
         self.params = params
         self.n = n
-        edges = _edge_list(graph, params)
+        indptr, src, vals = params._csr
+        deg = np.diff(indptr)
+        dst = np.repeat(np.arange(n), deg)
         if params.kind == IC:
             num = 1 << m
             idx = np.arange(num, dtype=np.int64)
             probs = np.ones(num)
             live = []
-            for t, (_, _, p) in enumerate(edges):
+            for t, p in enumerate(vals.tolist()):
                 bit = ((idx >> t) & 1).astype(bool)
                 probs *= np.where(bit, p, 1.0 - p)
                 live.append(bit)
         else:
-            radices = []
-            node_digits: dict[int, int] = {}
-            for v in range(n):
-                deg = len(graph._in_py[v])
-                if deg:
-                    node_digits[v] = len(radices)
-                    radices.append(deg + 1)
+            # one digit per node with in-edges: its in-edge slot, or deg for none
+            has = np.flatnonzero(deg)
+            radices = (deg[has] + 1).tolist()
             num = int(np.prod(radices, dtype=np.int64)) if radices else 1
             idx = np.arange(num, dtype=np.int64)
-            digits = []
+            digits = {}
             scale = 1
-            for base in radices:
-                digits.append((idx // scale) % base)
+            for v, base in zip(has.tolist(), radices):
+                digits[v] = (idx // scale) % base
                 scale *= base
             probs = np.ones(num)
-            for v, dpos in node_digits.items():
-                cum = params._lt_cum[v]
-                w = np.asarray(params.in_values[v])
-                none_p = 1.0 - cum[-1]
-                c = digits[dpos]
-                pv = np.where(c < len(w), w[np.minimum(c, len(w) - 1)], none_p)
-                probs *= pv
-            live = []
-            edge_pos: dict[int, int] = {v: 0 for v in range(n)}
-            for (u, v, _) in edges:
-                t = edge_pos[v]
-                edge_pos[v] = t + 1
-                live.append(digits[node_digits[v]] == t)
+            for v in has.tolist():
+                w = params.in_values[v]
+                c = digits[v]
+                probs *= np.where(c < len(w), w[np.minimum(c, len(w) - 1)],
+                                  1.0 - vals[indptr[v + 1] - 1])
+            live = [digits[v] == e - indptr[v] for e, v in enumerate(dst.tolist())]
+        edges = list(zip(src.tolist(), dst.tolist()))
         anc = np.empty((num, n), dtype=np.int32)
         for u in range(n):
             anc[:, u] = 1 << u
         for _ in range(n):
             changed = False
-            for t, (u, v, _) in enumerate(edges):
+            for t, (u, v) in enumerate(edges):
                 merged = anc[:, v] | np.where(live[t], anc[:, u], 0)
                 if not np.array_equal(merged, anc[:, v]):
                     anc[:, v] = merged

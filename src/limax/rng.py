@@ -5,12 +5,12 @@ Streams are derived from a master seed with a counter-based bit generator
 (Philox), so any cell of a larger experiment can be reproduced in isolation
 by re-deriving its stream from the master seed and its key path.
 
-Scalar hot loops (forward cascades, triggering sets, arm draws) read their
-uniforms through :class:`RandomBuffer`, which draws them from the generator
-in blocks and hands them out as Python floats, one at a time (``u``) or as
-a slice (``take``).  :func:`draws` gives the same two callables for a
-buffer or a bare generator.  The batched RR-set kernel draws whole arrays
-from the generator itself.
+The batched kernels (RR and hybrid RR sets, forward cascades) draw whole
+arrays from the generator itself.  The scalar samplers (one triggering set,
+one virtual arm) take a generator or a :class:`RandomBuffer`, which draws
+uniforms from the generator in blocks and hands them out as Python floats,
+one at a time (``u``) or as a slice (``take``).  :func:`draws` gives the
+same two callables for a buffer or a bare generator.
 """
 
 from __future__ import annotations
@@ -33,17 +33,17 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 class RandomBuffer:
     """Buffered uniforms over [0, 1), held as a Python list.
 
-    Hot loops (forward cascades) consume one uniform per edge; drawing
-    them in blocks of ``block`` amortizes the per-call generator overhead,
-    and storing the block as a list makes each value a Python float, which
-    compares much faster than a numpy scalar.
+    Scalar loops that consume one uniform at a time amortize the per-call
+    generator overhead by drawing blocks of ``block``, and storing the
+    block as a list makes each value a Python float, which compares much
+    faster than a numpy scalar.
 
     ``take(k)`` returns exactly the values that k calls of ``u()`` would.
     Both refill only in whole blocks, and only when a value past the end of
-    the current block is needed.  That matters because callers also draw
-    from ``_rng`` directly between buffered draws (seed coins): a refill at
-    any other point, or a short draw of just the missing values, would
-    shift those interleaved draws in the stream.
+    the current block is needed.  That matters because the batched kernels,
+    given a buffer, draw from its ``_rng`` directly between buffered draws:
+    a refill at any other point, or a short draw of just the missing
+    values, would shift those interleaved draws in the stream.
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_pos")

@@ -20,7 +20,10 @@ batch.  A visited bitmap per batch and a cap on the pairs and in-edges
 expanded per step bound its memory.  The same kernel also samples the
 hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
 reached pair additionally draws one virtual arm per strategy that applies
-to its node.
+to its node.  Its level loop (``_reach``) and IC edge step
+(``_live_edges``) also run the forward cascades of ``limax.oracles``:
+forward IC reach is reverse reach on the transposed graph, from several
+roots per run.
 
 A collection stores only its RR sets; the coverage weights and the greedy's
 per-strategy entries are whole-array reductions over the frozen members.
@@ -64,6 +67,7 @@ class RRSet:
 # fixed memory caps of the batched kernel (internal, not options)
 _MARK_BYTES = 1 << 21  # visited bitmap per batch: one bit per (node, set)
 _EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
+_NONE = np.empty(0, np.int64)
 
 
 def _generator(rng) -> np.random.Generator:
@@ -90,40 +94,89 @@ def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
     np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
 
 
-def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarray,
-                   sets: int, rng: np.random.Generator):
-    """Keys ``source * sets + set`` of the live in-edges of the pairs
-    (``nodes``, ``local``), one array per step of at most ``_EDGE_CHUNK``
-    in-edges.  IC draws one uniform per in-edge; LT draws one per pair whose
-    node has in-edges and takes its slot among the node's running weight
-    sums, as ``bisect_right`` does, or no in-edge past the last one."""
-    indptr, src, vals = params._csr
+def _edge_chunks(indptr: np.ndarray, nodes: np.ndarray):
+    """The edges of ``nodes`` in the CSR ``indptr``, at most ``_EDGE_CHUNK``
+    per step: ``(pos, pair)`` gives each edge's CSR position and the index
+    of its node in ``nodes``, in node order, then CSR order."""
     lo = indptr[nodes]
-    hi = indptr[nodes + 1]
-    if params.kind != IC:
-        has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
-        pos = _bisect_right(vals, lo[has], hi[has], rng.random(len(has)))
-        hit = pos < hi[has]
-        yield src[pos[hit]] * sets + local[has[hit]]
-        return
-    ends = np.cumsum(hi - lo)
-    begins = ends - (hi - lo)
-    total = int(ends[-1])
+    deg = indptr[nodes + 1] - lo
+    ends = np.cumsum(deg)
+    begins = ends - deg
+    total = int(ends[-1]) if len(ends) else 0
     for c0 in range(0, total, _EDGE_CHUNK):
         c1 = min(c0 + _EDGE_CHUNK, total)
         a = np.searchsorted(ends, c0, side="right")
         z = np.searchsorted(begins, c1)
         take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
-        pos = np.repeat(lo[a:z] - begins[a:z], take) + np.arange(c0, c1)
-        live = rng.random(c1 - c0) < vals[pos]
-        yield src[pos[live]] * sets + np.repeat(local[a:z], take)[live]
+        yield np.repeat(lo[a:z] - begins[a:z], take) + np.arange(c0, c1), \
+            np.repeat(np.arange(a, z), take)
+
+
+def _live_edges(csr, nodes: np.ndarray, local: np.ndarray, sets: int,
+                rng: np.random.Generator):
+    """Keys ``end * sets + set`` of the live edges out of the pairs
+    (``nodes``, ``local``) in the IC graph ``csr = (indptr, ends, probs)``,
+    one array per step of :func:`_edge_chunks`: each edge draws one
+    uniform and is live below its probability."""
+    indptr, ends, probs = csr
+    for pos, pair in _edge_chunks(indptr, nodes):
+        live = rng.random(len(pos)) < probs[pos]
+        yield ends[pos[live]] * sets + local[pair[live]]
+
+
+def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarray,
+                   sets: int, rng: np.random.Generator):
+    """Keys ``source * sets + set`` of the live in-edges of the pairs
+    (``nodes``, ``local``).  IC draws one uniform per in-edge (see
+    :func:`_live_edges`); LT draws one per pair whose node has in-edges and
+    takes its slot among the node's running weight sums, as
+    ``bisect_right`` does, or no in-edge past the last one."""
+    if params.kind == IC:
+        yield from _live_edges(params._csr, nodes, local, sets, rng)
+        return
+    indptr, src, cum = params._csr
+    lo = indptr[nodes]
+    hi = indptr[nodes + 1]
+    has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
+    pos = _bisect_right(cum, lo[has], hi[has], rng.random(len(has)))
+    hit = pos < hi[has]
+    yield src[pos[hit]] * sets + local[has[hit]]
+
+
+def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
+    """Breadth-first search over keys, one level per vectorized step.
+
+    Starts from the sorted, distinct keys ``frontier`` and yields the keys
+    it reaches, each once, in arrays whose concatenation lists them level
+    by level: first ``frontier``, then one sorted array per step.
+    ``expand(keys)`` yields candidate keys for up to ``_EDGE_CHUNK`` keys of
+    a level, one step at a time; a candidate is kept once, if its bit in
+    the bitmap ``marks`` is clear, and its bit is then set.  The caller
+    clears ``marks`` afterwards.
+    """
+    _mark(marks, frontier)
+    yield frontier
+    while len(frontier):
+        fresh = [_NONE]
+        for s0 in range(0, len(frontier), _EDGE_CHUNK):
+            for cand in expand(frontier[s0:s0 + _EDGE_CHUNK]):
+                cand = np.sort(cand[(marks[cand >> 3] >> (cand & 7)) & 1 == 0])
+                first = np.ones(len(cand), dtype=bool)  # reached twice in one level
+                np.not_equal(cand[1:], cand[:-1], out=first[1:])
+                cand = cand[first]
+                _mark(marks, cand)
+                fresh.append(cand)
+                yield cand
+        frontier = np.concatenate(fresh)
 
 
 def _arm_sampler(model, n: int):
-    """``(draw, span)``: ``draw(nodes, local, rng)`` draws one uniform per
-    strategy j that applies to each pair's node; the arm is the smallest i
-    with q[v, j](i) above it, or none at or above q[v, j](K).  It returns
-    the keys ``set * span + flat`` of the arms that fire."""
+    """``(draw, span)``: ``draw(nodes, rng)`` draws one uniform per strategy
+    j that applies to each of ``nodes``, in node order, then row order of
+    ``model._flat_tables``; the arm is the smallest i with q[v, j](i) above
+    it, or none at or above q[v, j](K).  It returns, per arm that fires,
+    the index of its node in ``nodes`` and its virtual flat id, below
+    ``span``."""
     count = np.bincount(model._flat_nodes, minlength=n)
     first = np.cumsum(count) - count
     width = model._flat_tables.shape[1]
@@ -131,7 +184,7 @@ def _arm_sampler(model, n: int):
     steps = width - 1
     span = model.lattice.d * steps
 
-    def draw(nodes, local, rng):
+    def draw(nodes, rng):
         c = count[nodes]
         rows = np.repeat(first[nodes] - (np.cumsum(c) - c), c) + np.arange(c.sum())
         x = rng.random(len(rows))
@@ -139,7 +192,7 @@ def _arm_sampler(model, n: int):
         start = rows[fire] * width
         slot = _bisect_right(table, start, start + width, x[fire]) - start
         flats = model._flat_strats[rows[fire]] * steps + slot - 1
-        return np.repeat(local, c)[fire] * span + flats
+        return np.repeat(np.arange(len(nodes)), c)[fire], flats
 
     return draw, span
 
@@ -150,13 +203,13 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
 
     Set i is rooted at ``roots[i]``.  Roots go in batches whose visited
     bitmap fits ``_MARK_BYTES``, so a node is expanded at most once per
-    set.  Level by level, a batch expands the (node, set) pairs reached in
-    the level before, ``_EDGE_CHUNK`` pairs and in-edges at a time (see
-    :func:`_live_in_edges`).  Pairs are keyed ``node * sets + set`` within
-    a batch of ``sets`` roots, so a sorted level lists each node's pairs
-    together and the in-edge gathers stay local.  With ``arms``, an
-    independent activation model, each pair first draws its virtual arms
-    (see :func:`_arm_sampler`).
+    set.  Level by level (see :func:`_reach`), a batch expands the
+    (node, set) pairs reached in the level before, ``_EDGE_CHUNK`` pairs
+    and in-edges at a time (see :func:`_live_in_edges`).  Pairs are keyed
+    ``node * sets + set`` within a batch of ``sets`` roots, so a sorted
+    level lists each node's pairs together and the in-edge gathers stay
+    local.  With ``arms``, an independent activation model, each pair
+    first draws its virtual arms (see :func:`_arm_sampler`).
 
     Yields ``(sets, nodes, vsets, flats)`` per batch: the members sorted by
     set, then node, and the distinct virtual flat ids sorted the same way
@@ -166,35 +219,26 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     count = len(roots)
     per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
-    none = np.empty(0, np.int64)
     if arms is not None:
         draw_arms, span = _arm_sampler(arms, n)
     for b0 in range(0, count, per_batch):
         size = min(per_batch, count - b0)
+        virtual = [_NONE]
+
+        def expand(keys):
+            nodes, local = np.divmod(keys, size)
+            if arms is not None:
+                pair, flats = draw_arms(nodes, rng)
+                virtual.append(local[pair] * span + flats)
+            yield from _live_in_edges(params, nodes, local, size, rng)
+
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
-        _mark(marks, frontier)
-        found, virtual = [frontier], [none]
-        while len(frontier):
-            fresh = [none]
-            for s0 in range(0, len(frontier), _EDGE_CHUNK):
-                nodes, local = np.divmod(frontier[s0:s0 + _EDGE_CHUNK], size)
-                if arms is not None:
-                    virtual.append(draw_arms(nodes, local, rng))
-                for cand in _live_in_edges(params, nodes, local, size, rng):
-                    cand = np.sort(cand[(marks[cand >> 3] >> (cand & 7)) & 1 == 0])
-                    first = np.ones(len(cand), dtype=bool)  # reached twice in one level
-                    np.not_equal(cand[1:], cand[:-1], out=first[1:])
-                    cand = cand[first]
-                    _mark(marks, cand)
-                    fresh.append(cand)
-            frontier = np.concatenate(fresh)
-            found.append(frontier)
-        keys = np.concatenate(found)
+        keys = np.concatenate(list(_reach(marks, frontier, expand)))
         marks[keys >> 3] = 0
         nodes, local = np.divmod(keys, size)
         sets, nodes = np.divmod(np.sort(local * n + nodes), n)
         vsets, flats = np.divmod(np.unique(np.concatenate(virtual)), span) \
-            if arms is not None else (none, none)
+            if arms is not None else (_NONE, _NONE)
         yield sets + b0, nodes, vsets + b0, flats
 
 

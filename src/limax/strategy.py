@@ -261,28 +261,35 @@ def validate_model(model, lattice: LatticeConfig,
                    tol: float = 1e-12) -> list[CurveViolation]:
     """Check every tabulated curve for q(0)=0, monotonicity, range, and
     discrete concavity up to the budget.  Black-box models are not checkable
-    and yield an empty report."""
+    and yield an empty report.
+
+    All rows of ``model._flat_tables`` are checked at once; the report lists
+    the violations by node, then strategy, then check, in the order above
+    the ``kind`` field gives.
+    """
     if not isinstance(model, IndependentActivation):
         return []
+    tab = model._flat_tables[:, :lattice.budget_steps + 1]
+    diffs = np.diff(tab, axis=1)
+    origin = np.abs(tab[:, 0]) > tol
+    out_of_range = np.any((tab < -tol) | (tab > 1.0 + tol), axis=1)
+    drops = diffs < -tol
+    grows = diffs[:, 1:] > diffs[:, :-1] + tol
     out: list[CurveViolation] = []
-    upto = lattice.budget_steps
-    for v in range(model.n):
-        for t, j in enumerate(model.strategies[v]):
-            tab = model.tables[v][t, :upto + 1]
-            if abs(tab[0]) > tol:
-                out.append(CurveViolation(v, int(j), "origin", f"q(0) = {tab[0]!r}"))
-            if np.any(tab < -tol) or np.any(tab > 1.0 + tol):
-                out.append(CurveViolation(v, int(j), "range", "values outside [0, 1]"))
-            diffs = np.diff(tab)
-            if np.any(diffs < -tol):
-                i = int(np.argmax(diffs < -tol))
-                out.append(CurveViolation(
-                    v, int(j), "decreasing", f"q drops at step {i + 1}"))
-            if len(diffs) > 1 and np.any(diffs[1:] > diffs[:-1] + tol):
-                i = int(np.argmax(diffs[1:] > diffs[:-1] + tol))
-                out.append(CurveViolation(
-                    v, int(j), "non-concave",
-                    f"marginal grows from step {i + 1} to {i + 2}"))
+    for r in np.flatnonzero(origin | out_of_range | drops.any(axis=1)
+                            | grows.any(axis=1)).tolist():
+        v, j = int(model._flat_nodes[r]), int(model._flat_strats[r])
+        if origin[r]:
+            out.append(CurveViolation(v, j, "origin", f"q(0) = {tab[r, 0]!r}"))
+        if out_of_range[r]:
+            out.append(CurveViolation(v, j, "range", "values outside [0, 1]"))
+        if drops[r].any():
+            i = int(np.argmax(drops[r]))
+            out.append(CurveViolation(v, j, "decreasing", f"q drops at step {i + 1}"))
+        if grows[r].any():
+            i = int(np.argmax(grows[r]))
+            out.append(CurveViolation(
+                v, j, "non-concave", f"marginal grows from step {i + 1} to {i + 2}"))
     return out
 
 

@@ -102,6 +102,7 @@ def test_out_values_match_parallel_copies_in_order():
                           [np.array(r, dtype=np.int64) for r in out_rows])
     params = TriggeringParams.build(
         graph, IC, [gen.uniform(size=len(r)) for r in in_rows])
+    indptr, dst, values = params._out_csr
     for u in range(n):
         taken: dict[int, int] = {}
         expect = []
@@ -110,7 +111,8 @@ def test_out_values_match_parallel_copies_in_order():
             taken[v] = k + 1
             slots = [t for t, w in enumerate(in_rows[v]) if w == u]
             expect.append(float(params.in_values[v][slots[k]]))
-        assert params._out_py[u] == expect
+        assert dst[indptr[u]:indptr[u + 1]].tolist() == out_rows[u]
+        assert values[indptr[u]:indptr[u + 1]].tolist() == expect
 
 
 def test_weighted_cascade_values():

@@ -133,6 +133,14 @@ def test_arm_requires_applicable_strategy():
         sample_virtual_arm(aug, 0, 1, stream(40, 4))
 
 
+@pytest.mark.parametrize("seeds", [[-1], [2], [VirtualNodeId(1, 2)]])
+def test_virtual_seed_outside_flat_ids_rejected(seeds):
+    # d = 2 strategies of K = 1 step: flat ids 0 and 1
+    _, _, _, _, aug = _aug_single([(0, np.array([0.0, 0.2]))], steps=1)
+    with pytest.raises(ValueError, match=r"^virtual seed outside flat ids \[0, 2\)$"):
+        simulate_spread_virtual_seeds(aug, seeds, 10, stream(40, 5))
+
+
 # --- hybrid RR sets ---------------------------------------------------------------
 
 def test_hybrid_no_strategies_no_virtual(rng):
@@ -149,11 +157,12 @@ def test_hybrid_no_strategies_no_virtual(rng):
 def test_hybrid_certain_arm():
     row = np.array([0.0, 0.6, 1.0])  # q(K) = 1: an arm always fires
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)
-    gen = stream(41, 5)
-    for _ in range(500):
-        hr = generate_hybrid_rr_set(aug, 0, gen)
-        assert len(hr.virtual_members) == 1
-        assert hr.virtual_members[0].j == 0
+    roots = np.zeros(500, dtype=np.int64)
+    batches = list(_reverse_reach(aug.graph, aug.params, roots, stream(41, 5), aug.model))
+    vsets = np.concatenate([b[2] for b in batches])
+    flats = np.concatenate([b[3] for b in batches])
+    assert vsets.tolist() == list(range(500))
+    assert np.all(flats // aug.steps == 0)
 
 
 def test_hybrid_expected_virtual_count():
@@ -165,9 +174,8 @@ def test_hybrid_expected_virtual_count():
     model = IndependentActivation(1, lat, [np.array([0, 1])],
                                   [np.vstack([r1, r2])])
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
-    gen = stream(41, 6)
-    total = sum(len(generate_hybrid_rr_set(aug, 0, gen).virtual_members)
-                for _ in range(100_000))
+    roots = np.zeros(100_000, dtype=np.int64)
+    total = sum(len(b[3]) for b in _reverse_reach(g, aug.params, roots, stream(41, 6), model))
     assert abs(total / 100_000 - 0.8) < 0.01
 
 

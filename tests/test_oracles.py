@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_instance, sweep_monotone_dr
+from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
 
 from limax.budgets import PartitionedBudget, TotalBudget
-from limax.graph import LT, from_edges, uniform_ic
-from limax.oracles import (InstanceTooLargeError, LiveEdgeEnumeration,
-                           enumerate_feasible_mixes, exact_g, exact_g_subsets,
-                           exact_opt, exact_sigma, simulate_spread_mix,
-                           simulate_spread_seeds)
+from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
+                         from_edges, uniform_ic)
+from limax.immvsn import (VirtualNodeId, build_augmented,
+                          simulate_spread_virtual_seeds)
+from limax.oracles import (_RUN_PAIRS, InstanceTooLargeError,
+                           LiveEdgeEnumeration, enumerate_feasible_mixes,
+                           exact_g, exact_g_subsets, exact_opt, exact_sigma,
+                           simulate_spread_mix, simulate_spread_seeds)
 from limax.rng import stream
 from limax.strategy import (IndependentActivation, LatticeConfig,
                             StrategyMix)
@@ -49,11 +54,17 @@ def test_spread_deterministic_chain():
     assert est.mean == 3.0
 
 
-def test_spread_chain_scalar_path():
-    # force the per-run path (runs < vectorization threshold)
+def test_spread_chain_single_run():
     g = from_edges(3, [(0, 1), (1, 2)])
-    est = simulate_spread_seeds(g, uniform_ic(g, 1.0), {0}, 9, stream(0, 3))
-    assert est.mean == 3.0
+    est = simulate_spread_seeds(g, uniform_ic(g, 1.0), {0}, 1, stream(0, 3))
+    assert est == (3.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("seeds", [[3], [-1], [0, 7]])
+def test_spread_seed_outside_graph_rejected(seeds):
+    g = from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^seed node outside \[0, 3\)$"):
+        simulate_spread_seeds(g, uniform_ic(g, 0.5), seeds, 10, stream(0, 6))
 
 
 def test_mix_zero_is_zero():
@@ -72,6 +83,107 @@ def test_mix_single_node_bernoulli():
     est = simulate_spread_mix(g, uniform_ic(g, 0.5), model,
                               StrategyMix([1]), 100_000, stream(0, 5))
     assert abs(est.mean - 0.75) <= 3 * est.se
+
+
+FORWARD_RUNS = 100_000
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_forward_law_matches_exact_oracle(kind, seed):
+    # every forward simulator against the exact live-edge enumeration: each
+    # single seed, half the nodes at once, and two mixes, the second also
+    # as its prefix virtual seeds
+    gen = np.random.default_rng(seed)
+    inst = random_instance(gen, n_max=8, m_max=10, kind=kind)
+    graph, params, model, lat = inst.graph, inst.params, inst.model, inst.lattice
+    enum = LiveEdgeEnumeration(graph, params)
+    seed_sets = [[v] for v in range(graph.n)] + [list(range(0, graph.n, 2))]
+    for i, seeds in enumerate(seed_sets):
+        est = simulate_spread_seeds(graph, params, seeds, FORWARD_RUNS, stream(32, seed, i))
+        assert abs(est.mean - exact_sigma(graph, params, seeds, enum)) <= 4 * est.se + 1e-9
+    mixes = [StrategyMix(np.ones(lat.d, dtype=np.int64)),
+             StrategyMix(np.full(lat.d, lat.budget_steps))]
+    for i, x in enumerate(mixes):
+        exact = exact_g(graph, params, model, x, enum)
+        est = simulate_spread_mix(graph, params, model, x, FORWARD_RUNS, stream(33, seed, i))
+        assert abs(est.mean - exact) <= 4 * est.se + 1e-9
+    aug = build_augmented(graph, params, model, lat)
+    prefix = [VirtualNodeId(j, t) for j in range(lat.d) for t in range(1, lat.budget_steps + 1)]
+    est = simulate_spread_virtual_seeds(aug, prefix, FORWARD_RUNS, stream(34, seed))
+    assert abs(est.mean - exact) <= 4 * est.se + 1e-9
+
+
+# --- pathological graphs: bounded memory, exact spreads -------------------------
+
+# one batch of at most _RUN_PAIRS (node, run) pairs (its frontier keys, seed
+# coins and LT picks), plus 16 MiB for the counts of 10^6 runs and their
+# standard deviation; with every run in one batch the star, the 10^6 runs
+# and the cycle below each take over 45 MiB
+FORWARD_PEAK_MIB = 40
+
+
+def _out_star():
+    """Hub 0 with 20,000 certain out-edges: every run activates every node."""
+    g = from_edges(20_001, [(0, u) for u in range(1, 20_001)])
+    return g, assign_weighted_cascade(g), [0], 200, 20_001.0
+
+
+def _mostly_isolated():
+    g = from_edges(1000, [(1, 2), (2, 3), (3, 1), (5, 6)])
+    return g, assign_weighted_cascade(g), [1, 5], 500, 5.0
+
+
+def _two_nodes_forward():
+    g = from_edges(2, [(0, 1), (1, 0)])
+    return g, TriggeringParams.build(g, IC, [np.ones(1), np.ones(1)]), [1], 500, 2.0
+
+
+def _lt_weights_sum_to_one():
+    """Node v > 0 has in-edges from 0, v - 1 and v - 2 (those that exist),
+    with weights 1/indeg summing to 1: every node commits to one of them, so
+    every chain of picks leads back to seed 0 and every run activates all."""
+    g = from_edges(64, [(u, v) for v in range(1, 64) for u in {0, v - 1, max(v - 2, 0)}])
+    rows = [np.full(len(a), 1.0 / max(len(a), 1)) for a in g.in_neighbors]
+    return g, TriggeringParams.build(g, LT, rows), [0], 2000, 64.0
+
+
+def _million_runs():
+    """Chain 0 -> 1 -> 2 with p = 0.5: 1.75 expected, over several batches."""
+    g = from_edges(3, [(0, 1), (1, 2)])
+    assert 10**6 > _RUN_PAIRS // 3
+    return g, uniform_ic(g, 0.5), [0], 10**6, 1.75
+
+
+@pytest.mark.parametrize("build", [_out_star, _mostly_isolated, _two_nodes_forward,
+                                   _lt_weights_sum_to_one, _million_runs])
+def test_forward_pathological_graphs_bounded_memory(build):
+    g, params, seeds, runs, expect = build()
+    tracemalloc.start()
+    try:
+        est = simulate_spread_seeds(g, params, seeds, runs, stream(35, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < FORWARD_PEAK_MIB * 2**20
+    assert abs(est.mean - expect) <= 4 * est.se + 1e-9
+
+
+def test_forward_lt_cycle_mix_bounded_memory():
+    # seed coins and LT picks for 10^6 runs on a 3-cycle whose weights sum to 1
+    g = from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    params = TriggeringParams.build(g, LT, [np.ones(1)] * 3)
+    lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
+    model = _model_with_h(3, lat, {0: 0.5, 1: 0.5, 2: 0.5})
+    tracemalloc.start()
+    try:
+        est = simulate_spread_mix(g, params, model, StrategyMix([1]), 10**6, stream(36, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < FORWARD_PEAK_MIB * 2**20
+    # any seed activates the whole cycle
+    assert abs(est.mean - 3 * (1 - 0.5**3)) <= 4 * est.se
 
 
 # --- exact enumeration --------------------------------------------------------

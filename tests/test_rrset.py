@@ -39,9 +39,8 @@ def test_rr_set_certain_chain():
 def test_rr_set_bernoulli_frequency():
     g = from_edges(2, [(0, 1)])
     params = uniform_ic(g, 0.5)
-    rng = stream(5, 2)
-    hits = sum(len(generate_rr_set(g, params, 1, rng).members) == 2
-               for _ in range(100_000))
+    sets = _rr_sets(g, params, np.ones(100_000, dtype=np.int64), stream(5, 2))
+    hits = sum(len(rr.members) == 2 for rr in sets)
     assert abs(hits / 100_000 - 0.5) < 0.01
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_concave_table, sweep_monotone_dr
 
 from limax.strategy import (BlackBoxActivation, CurveDomainError,
-                            IndependentActivation, LatticeConfig,
+                            CurveViolation, IndependentActivation, LatticeConfig,
                             StrategyMix, StrategyNotApplicableError,
                             clamped_table, make_personalized,
                             make_segmented_event, multi_event_table,
@@ -109,6 +109,70 @@ def test_validate_model_flags_decreasing():
                                   [np.array([[0.0, 0.4, 0.3]])])
     kinds = {v.kind for v in validate_model(model, lat)}
     assert "decreasing" in kinds
+
+
+def _validate_per_node(model, lattice, tol=1e-12):
+    """The per-node loop that ``validate_model`` replaced, kept as its reference."""
+    out = []
+    upto = lattice.budget_steps
+    for v in range(model.n):
+        for t, j in enumerate(model.strategies[v]):
+            tab = model.tables[v][t, :upto + 1]
+            if abs(tab[0]) > tol:
+                out.append(CurveViolation(v, int(j), "origin", f"q(0) = {tab[0]!r}"))
+            if np.any(tab < -tol) or np.any(tab > 1.0 + tol):
+                out.append(CurveViolation(v, int(j), "range", "values outside [0, 1]"))
+            diffs = np.diff(tab)
+            if np.any(diffs < -tol):
+                i = int(np.argmax(diffs < -tol))
+                out.append(CurveViolation(
+                    v, int(j), "decreasing", f"q drops at step {i + 1}"))
+            if len(diffs) > 1 and np.any(diffs[1:] > diffs[:-1] + tol):
+                i = int(np.argmax(diffs[1:] > diffs[:-1] + tol))
+                out.append(CurveViolation(
+                    v, int(j), "non-concave",
+                    f"marginal grows from step {i + 1} to {i + 2}"))
+    return out
+
+
+def _faulty_model(gen):
+    """Random model with origin, range, decreasing and non-concave faults
+    injected into some rows, several per row at times."""
+    d = int(gen.integers(1, 5))
+    lat = LatticeConfig(d=d, delta=1.0, budget_steps=int(gen.integers(0, 6)))
+    K = lat.budget_steps
+    n = int(gen.integers(1, 40))
+    strategies, tables = [], []
+    for _ in range(n):
+        js = gen.choice(d, size=int(gen.integers(0, d + 1)), replace=False)
+        rows = []
+        for _ in js:
+            row = random_concave_table(gen, K) if K else np.zeros(1)
+            for fault in np.flatnonzero(gen.random(4) < 0.15):
+                i = int(gen.integers(0, K + 1))
+                if fault == 0:
+                    row[0] = gen.choice([0.05, -0.05])
+                elif fault == 1:
+                    row[i] = gen.choice([1.5, -0.5])
+                elif fault == 2 and K:
+                    row[max(i, 1)] = row[max(i, 1) - 1] - 0.1
+                elif fault == 3 and K >= 2:
+                    row[K] = min(1.0, row[K - 1] + 2 * (row[K - 1] - row[K - 2]) + 0.1)
+            rows.append(row)
+        strategies.append(np.asarray(js, dtype=np.int64))
+        tables.append(np.vstack(rows) if rows else np.empty((0, K + 1)))
+    return IndependentActivation(n, lat, strategies, tables), lat
+
+
+def test_validate_model_matches_per_node_loop():
+    kinds = set()
+    for seed in range(12):
+        model, lat = _faulty_model(np.random.default_rng(900 + seed))
+        got = validate_model(model, lat)
+        assert got == _validate_per_node(model, lat)
+        kinds |= {v.kind for v in got}
+        assert validate_model(BlackBoxActivation(model.n, lat, lambda v, xv: 0.0), lat) == []
+    assert kinds == {"origin", "range", "decreasing", "non-concave"}
 
 
 def test_clamped_table_marginals_vanish():
