@@ -1,18 +1,13 @@
 """Ground truth: Monte-Carlo spread estimates and exact small-instance oracles.
 
-Forward Monte-Carlo runs many cascades at once in one batched kernel
-(``_cascades``), the forward twin of the reverse search in
-``limax.rrset``.  Within a batch of runs, each (node, run) pair is keyed
-``node * runs + run``; a visited bitmap makes every pair active at most
-once, and a cascade advances one BFS level per vectorized step over the
-out-edge CSR of ``TriggeringParams``.  Under IC every out-edge of a newly
-active pair draws one coin, the same live-edge law as sampling each edge
-up front; under LT every pair commits to one in-neighbour pick per run,
-drawn once before the cascade, so repeated exposures reuse it.  A run's
-spread is the count of its active pairs.  Seeds are drawn per batch as
-one block: a coin per run and support node for a mix, or an arm per run
-and (node, strategy) row for virtual seeds (``limax.immvsn``).  A fixed
-cap on the pairs per batch bounds the memory of any call.
+Forward Monte-Carlo runs many cascades at once (``_cascades``), the forward
+twin of the reverse search in ``limax.rrset``: (node, run) pairs of a batch
+of runs are keyed ``node * runs + run``, a visited bitmap activates each at
+most once, and the cascades advance one BFS level per vectorized step over
+the out-edge CSR.  Under IC each out-edge of a newly active pair draws one
+coin; under LT each pair commits to one in-neighbour pick per run, drawn
+once, so repeated exposures reuse it.  A run's spread is its count of
+active pairs, and a fixed cap on the pairs per batch bounds the memory.
 
 The exact oracle enumerates every live-edge graph of a small instance (all
 2^m edge outcomes under IC, the product of per-node in-neighbor choices
@@ -127,11 +122,9 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
                 for pos, pair in _edge_chunks(out_csr[0], nodes):
                     cand = out_csr[1][pos] * size + local[pair]
                     yield cand[parents[cand] == nodes[pair]]
-        total = np.zeros(size, dtype=np.int64)
-        for keys in _reach(marks, frontier, expand):
-            total += np.bincount(keys % size, minlength=size)
+        counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
+                                   for keys in _reach(marks, frontier, expand))
         marks.fill(0)
-        counts[b0:b0 + size] = total
     return counts
 
 
@@ -215,15 +208,12 @@ class LiveEdgeEnumeration:
             idx = np.arange(num, dtype=np.int64)
             digits = {}
             scale = 1
+            probs = np.ones(num)
             for v, base in zip(has.tolist(), radices):
                 digits[v] = (idx // scale) % base
                 scale *= base
-            probs = np.ones(num)
-            for v in has.tolist():
-                w = params.in_values[v]
-                c = digits[v]
-                probs *= np.where(c < len(w), w[np.minimum(c, len(w) - 1)],
-                                  1.0 - vals[indptr[v + 1] - 1])
+                none = 1.0 - vals[indptr[v + 1] - 1]  # one minus the weight sum
+                probs *= np.append(params.in_values[v], none)[digits[v]]
             live = [digits[v] == e - indptr[v] for e, v in enumerate(dst.tolist())]
         edges = list(zip(src.tolist(), dst.tolist()))
         anc = np.empty((num, n), dtype=np.int32)

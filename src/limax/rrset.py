@@ -67,6 +67,7 @@ class RRSet:
 # fixed memory caps of the batched kernel (internal, not options)
 _MARK_BYTES = 1 << 21  # visited bitmap per batch: one bit per (node, set)
 _EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
+
 _NONE = np.empty(0, np.int64)
 
 
@@ -102,7 +103,7 @@ def _edge_chunks(indptr: np.ndarray, nodes: np.ndarray):
     deg = indptr[nodes + 1] - lo
     ends = np.cumsum(deg)
     begins = ends - deg
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(ends[-1])
     for c0 in range(0, total, _EDGE_CHUNK):
         c1 = min(c0 + _EDGE_CHUNK, total)
         a = np.searchsorted(ends, c0, side="right")
