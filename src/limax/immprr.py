@@ -6,17 +6,21 @@ lower bounds y = n/2, n/4, ... for the optimum, runs the lattice greedy on
 the sets generated so far, and accepts the first guess whose greedy
 estimate clears (1 + eps') * y.  The final collection size is
 lambda_star(ell) / LB.  The selection phase then runs the lattice greedy
-once more on the full collection.  The stage loop (``_imm_stages``) serves
-both solvers: ``limax.immvsn`` runs it on hybrid RR sets with its virtual
-max-coverage greedy as the stage estimate.
+once more on the full collection, or reuses the last stage's selection if
+the collection did not grow after it.  The stage loop (``_imm_stages``)
+serves both solvers: ``limax.immvsn`` runs it on hybrid RR sets with its
+virtual max-coverage greedy as the stage estimate.
 
 The greedy adds one delta-step per round to the coordinate with the largest
 estimated spread gain.  Under independent strategy activation the gain of
-coordinate j only touches RR sets containing a node influenced by j, so
-each round walks only j's entries, the (rr_id, table row of q[v,j]) pairs
-that the collection derives from its member arrays, and reuses a shared
-per-set product s_i = prod_{v in R_i} prod_{j in S_v} (1 - q[v,j](x_j))
-instead of re-evaluating the estimate from scratch.
+coordinate j only touches RR sets containing a node influenced by j.  The
+collection's strategy entries, the (rr_id, table row of q[v,j]) pairs
+derived from its member arrays, fall into segments, one per (strategy, RR
+set); each caches the product of its ratios (1 - q(x_j + 1)) / (1 - q(x_j))
+and its gain s_i * (1 - product), where s_i = prod_{v in R_i} prod_{j in
+S_v} (1 - q[v,j](x_j)) is shared per set.  A round scores every coordinate
+with one ``bincount`` over the segment gains; a step on j updates s on j's
+sets, j's products and the gains of the segments on those sets only.
 """
 
 from __future__ import annotations
@@ -190,10 +194,16 @@ def lgreedy(objective, lattice: LatticeConfig, constraint) -> StrategyMix:
 class GreedyState:
     """Incremental state of the delta-based greedy over one collection.
 
-    Holds the current step vector, the shared per-set products s_i, and for
-    every strategy its slice of the collection's strategy entries: the rows
-    of ``model._flat_tables`` to read, plus segment boundaries grouping
-    entries of the same RR set.
+    Holds the current step vector, the shared per-set products s_i and a
+    segment index over the collection's strategy entries.  A segment is the
+    run of one strategy's entries in one RR set: ``seg_rr``, ``seg_strat``
+    and its first entry in ``seg_start``; strategy j owns the segments
+    ``seg_bounds[j]:seg_bounds[j + 1]``, and a CSR over ``seg_rr`` lists
+    every RR set's segments.  Each segment caches its ratio product
+    ``prod`` = prod (1 - q(x_j + 1)) / (1 - q(x_j)) over its entries and its
+    gain ``s[seg_rr] * (1 - prod)``.  :meth:`advance` on j refreshes j's
+    products and re-scores only the segments of the sets j touches, so
+    :meth:`gains` is one ``bincount`` per round.
     """
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
@@ -208,64 +218,86 @@ class GreedyState:
         self.x = np.zeros(lattice.d, dtype=np.int64) if x is None else \
             np.array(x.steps if isinstance(x, StrategyMix) else x, dtype=np.int64)
         self._scale = collection.n / collection.theta if collection.theta else 0.0
-        rr, rows, bounds = collection.strategy_entries()
-        self._per_strategy: list[tuple | None] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rr_j = rr[lo:hi]
-            starts = np.flatnonzero(np.diff(rr_j, prepend=-1))  # each RR set's first entry
-            self._per_strategy.append((rows[lo:hi], starts, rr_j[starts]) if hi > lo else None)
+        rr, self._rows, bounds = collection.strategy_entries()
+        strat = np.repeat(np.arange(lattice.d), np.diff(bounds))
+        first = np.ones(len(rr), dtype=bool)  # each (strategy, RR set) run's first entry
+        first[1:] = (rr[1:] != rr[:-1]) | (strat[1:] != strat[:-1])
+        starts = np.flatnonzero(first)
+        self.seg_rr = rr[starts]
+        self.seg_strat = strat[starts]
+        self.seg_start = np.append(starts, len(rr))
+        self.seg_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.seg_strat, minlength=lattice.d))))
+        self._by_rr = np.argsort(self.seg_rr, kind="stable")
+        self._rr_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.seg_rr, minlength=collection.theta))))
         self.s = self.recompute_s()
+        self.prod = self._products(0, len(starts), self.x[strat])
+        self.seg_gain = self.s[self.seg_rr] * (1.0 - self.prod)
 
     def recompute_s(self) -> np.ndarray:
         """From-scratch s_i values at the current step vector."""
         return 1.0 - self.collection.coverage_weights(self.model.h_all(self.x))
 
-    def _segment_ratios(self, j: int):
-        rows, seg_starts, seg_rr = self._per_strategy[j]
-        xj = int(self.x[j])
+    def _products(self, a: int, b: int, steps) -> np.ndarray:
+        """Ratio products of segments ``a:b`` with their entries at ``steps``;
+        exactly 1 at or past the last tabulated step."""
+        e0, e1 = self.seg_start[a], self.seg_start[b]
+        if e0 == e1:
+            return np.ones(b - a)
+        rows = self._rows[e0:e1]
+        top = self.lattice.budget_steps
         tables = self.model._flat_tables
-        col_old = tables[:, xj][rows]
-        col_new = tables[:, xj + 1][rows]
+        col_old = tables[rows, np.minimum(steps, top)]
+        col_new = tables[rows, np.minimum(steps + 1, top)]
         den = 1.0 - col_old
         ratio = np.divide(1.0 - col_new, den,
                           out=np.ones_like(den), where=den > 0.0)
-        return seg_rr, np.multiply.reduceat(ratio, seg_starts)
+        return np.multiply.reduceat(ratio, self.seg_start[a:b] - e0)
 
     def marginal(self, j: int) -> float:
-        """Estimated spread gain of one more step on coordinate j."""
-        if self.x[j] + 1 > self.lattice.budget_steps:
+        """Estimated spread gain of one more step on coordinate j, computed
+        from j's entries and ``s``, not from the cached gains."""
+        a, b = self.seg_bounds[j], self.seg_bounds[j + 1]
+        if self.x[j] + 1 > self.lattice.budget_steps or a == b:
             return 0.0
-        if self._per_strategy[j] is None:
-            return 0.0
-        seg_rr, prod = self._segment_ratios(j)
-        return self._scale * float(self.s[seg_rr] @ (1.0 - prod))
+        prod = self._products(a, b, self.x[j])
+        return self._scale * float(self.s[self.seg_rr[a:b]] @ (1.0 - prod))
+
+    def gains(self) -> np.ndarray:
+        """Every coordinate's marginal gain, from the cached segment gains."""
+        return self._scale * np.bincount(self.seg_strat, self.seg_gain,
+                                         minlength=self.lattice.d)
 
     def advance(self, j: int) -> None:
         """Spend one step on coordinate j and fold the change into s."""
-        if self._per_strategy[j] is not None and self.x[j] + 1 <= self.lattice.budget_steps:
-            seg_rr, prod = self._segment_ratios(j)
-            self.s[seg_rr] *= prod
+        a, b = self.seg_bounds[j], self.seg_bounds[j + 1]
+        touched = self.seg_rr[a:b]
+        self.s[touched] *= self.prod[a:b]
         self.x[j] += 1
+        self.prod[a:b] = self._products(a, b, self.x[j])
+        # every segment of the touched sets sees the new s
+        lo = self._rr_ptr[touched]
+        count = self._rr_ptr[touched + 1] - lo
+        ends = np.cumsum(count)
+        segs = self._by_rr[np.repeat(lo - (ends - count), count) + np.arange(count.sum())]
+        self.seg_gain[segs] = self.s[self.seg_rr[segs]] * (1.0 - self.prod[segs])
 
 
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                   constraint) -> StrategyMix:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
-    exactly (same tie rule), in time linear in the per-strategy entries."""
+    (same tie rule: the lowest feasible coordinate among the best gains),
+    each round one pass over the cached segment gains."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
     for _ in range(total_steps(constraint)):
         feas = feasible_increments(state.x, constraint)
         if len(feas) == 0:
             break
-        best_j = -1
-        best_val = -math.inf
-        for j in feas:
-            val = state.marginal(int(j))
-            if val > best_val:
-                best_val = val
-                best_j = int(j)
-        state.advance(best_j)
+        masked = np.full(lattice.d, -np.inf)
+        masked[feas] = state.gains()[feas]
+        state.advance(int(np.argmax(masked)))
     return StrategyMix(state.x)
 
 
@@ -287,14 +319,17 @@ def _stage_greedy(collection: RRCollection, model, lattice, constraint) -> Strat
     return lgreedy(lambda steps: g_hat(collection, model, steps), lattice, constraint)
 
 
-def _imm_stages(collection, stage_estimate, imm: ImmParams, rng) -> SamplingStats:
+def _imm_stages(collection, stage_select, imm: ImmParams, rng):
     """The IMM sampling phase shared by both solvers.
 
     Stage i grows ``collection`` to theta_i = lambda' * 2^i / n sets and
-    stops as soon as ``stage_estimate(collection)``, the spread estimate of
-    the stage greedy, certifies the lower bound y = n / 2^i; RR sets from
-    failed stages stay in the collection.  The collection then grows to
-    lambda_star / LB sets.
+    stops as soon as ``stage_select(collection)``, which returns the stage
+    greedy's spread estimate and its selection, certifies the lower bound
+    y = n / 2^i; RR sets from failed stages stay in the collection.  The
+    collection then grows to lambda_star / LB sets.
+
+    Returns the stats and the last stage's selection if the collection did
+    not grow after it (the final greedy would repeat it), else None.
     """
     n = collection.n
     if n < 2:
@@ -314,15 +349,30 @@ def _imm_stages(collection, stage_estimate, imm: ImmParams, rng) -> SamplingStat
         y = n / 2.0 ** i
         target = math.floor(lam_prime / y) + 1
         collection.extend(target - collection.theta, rng)
-        est = stage_estimate(collection)
+        est, pick = stage_select(collection)
         if est >= (1.0 + eps_p) * y:
             lb = est / (1.0 + eps_p)
             hit = i
             break
+    picked_at = collection.theta
     theta_star = lambda_star(n, imm.epsilon, ell_eff, imm.m_bound) / lb
     collection.extend(math.floor(theta_star) + 1 - collection.theta, rng)
-    return SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
-                         ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
+    stats = SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
+                          ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
+    return stats, pick if collection.theta == picked_at else None
+
+
+def _sampling(graph: DirectedGraph, params: TriggeringParams, model,
+              lattice: LatticeConfig, constraint, imm: ImmParams, rng):
+    """:func:`sampling`, plus the reusable last stage mix (or None)."""
+    collection = RRCollection(graph, params, model)
+
+    def stage_select(c):
+        mix = _stage_greedy(c, model, lattice, constraint)
+        return g_hat(c, model, mix), mix
+
+    stats, mix = _imm_stages(collection, stage_select, imm, rng)
+    return collection, stats, mix
 
 
 def sampling(graph: DirectedGraph, params: TriggeringParams, model,
@@ -330,11 +380,7 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
              rng) -> tuple[RRCollection, SamplingStats]:
     """Generate enough RR sets for the approximation guarantee, certifying
     each stage with the lattice greedy's partial-coverage estimate."""
-    collection = RRCollection(graph, params, model)
-    stats = _imm_stages(
-        collection,
-        lambda c: g_hat(c, model, _stage_greedy(c, model, lattice, constraint)),
-        imm, rng)
+    collection, stats, _ = _sampling(graph, params, model, lattice, constraint, imm, rng)
     return collection, stats
 
 
@@ -360,8 +406,9 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
     _check_model(model, lattice, force)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
-    collection, stats = sampling(graph, params, model, lattice, constraint, imm, rng)
-    mix = _stage_greedy(collection, model, lattice, constraint)
+    collection, stats, mix = _sampling(graph, params, model, lattice, constraint, imm, rng)
+    if mix is None:
+        mix = _stage_greedy(collection, model, lattice, constraint)
     return ImmResult(mix, collection, stats)
 
 

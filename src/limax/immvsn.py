@@ -19,7 +19,9 @@ set whose every member v also draws, for each strategy j in S_v, the
 virtual in-neighbor u[j,i] with probability equal to its edge weight
 (inverse CDF over q[v,j], so at most one per strategy).  The batched
 reverse-reach kernel of ``limax.rrset`` samples them many at a time, and a
-collection keeps only their distinct virtual flat ids.
+collection keeps only one (set id, virtual flat id) pair per distinct
+virtual member, in two sorted arrays; the greedy counts the sets of every
+flat id in one array and subtracts each newly covered set's members.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
 from .rng import draws
-from .rrset import (EmptyCollectionError, _arm_sampler, _generator,
+from .rrset import (_NONE, EmptyCollectionError, _arm_sampler, _generator,
                     _reverse_reach)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
@@ -141,17 +143,27 @@ def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
 class HybridCollection:
     """Hybrid RR sets kept only as their virtual-node content.
 
-    Sets without any virtual member can never be covered by a virtual seed;
-    they are folded into a counter but remain in theta, keeping the coverage
-    estimator unbiased.
+    ``vsets`` and ``flats`` list one (set id, virtual flat id) pair per
+    distinct virtual node of a set, sorted by set, then flat id, as the
+    kernel yields them; each ``extend`` appends its batches with global
+    set ids.  Sets without any virtual member can never be covered by a
+    virtual seed: they hold no pair but remain in theta, keeping the
+    coverage estimator unbiased.
     """
 
     def __init__(self, aug: AugmentedGraph):
         self.aug = aug
         self.n = aug.graph.n
         self.theta = 0
-        self.virtual_sets: list[list[int]] = []
-        self.index: dict[int, list[int]] = {}
+        self.vsets = _NONE
+        self.flats = _NONE
+
+    @property
+    def virtual_sets(self) -> list[list[int]]:
+        """The flat ids of every set that holds a virtual node, in set order."""
+        bounds = np.flatnonzero(np.diff(self.vsets, prepend=-1)).tolist() + [len(self.vsets)]
+        flats = self.flats.tolist()
+        return [flats[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def extend(self, count: int, rng) -> None:
         """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
@@ -160,26 +172,13 @@ class HybridCollection:
         gen = _generator(rng)
         roots = gen.integers(0, self.n, size=count)
         aug = self.aug
-        for _, _, vsets, flats in _reverse_reach(aug.graph, aug.params, roots, gen, aug.model):
-            self._add(vsets, flats)
+        vsets, flats = [self.vsets], [self.flats]
+        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, gen, aug.model):
+            vsets.append(v + self.theta)
+            flats.append(f)
+        self.vsets = np.concatenate(vsets)
+        self.flats = np.concatenate(flats)
         self.theta += count
-
-    def _add(self, vsets: np.ndarray, flats: np.ndarray) -> None:
-        """Append the sets of sorted (set, flat id) pairs that hold a virtual node."""
-        first = np.diff(vsets, prepend=-1) > 0
-        flat_py = flats.tolist()
-        bounds = np.flatnonzero(first).tolist() + [len(flat_py)]
-        base = len(self.virtual_sets)
-        self.virtual_sets.extend(flat_py[a:b] for a, b in zip(bounds, bounds[1:]))
-        # each flat id lists its sets in increasing order; an object array
-        # hands out one shared int per set id, not one per entry
-        ids = np.array(range(base, len(self.virtual_sets)), dtype=object)
-        order = np.argsort(flats, kind="stable")
-        by_flat = flats[order]
-        id_py = ids[(np.cumsum(first) - 1)[order]].tolist()
-        bounds = np.flatnonzero(np.diff(by_flat, prepend=-1)).tolist() + [len(id_py)]
-        for f, a, b in zip(by_flat[bounds[:-1]].tolist(), bounds, bounds[1:]):
-            self.index.setdefault(f, []).extend(id_py[a:b])
 
 
 def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCollection:
@@ -193,39 +192,42 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
 
     Returns (seed flat ids, covered set count).  Stops early once no
     candidate has positive marginal coverage; ties go to the lowest flat id
-    (lowest strategy, then lowest increment).
+    (lowest strategy, then lowest increment).  Each pick subtracts the
+    newly covered sets' members from a count array over all d * K flat ids;
+    under a partitioned budget the flat ids of exhausted groups are masked.
     """
-    aug = collection.aug
-    steps = aug.steps
-    budget = total_steps(constraint)
-    counts = {f: len(ids) for f, ids in collection.index.items()}
-    covered = bytearray(len(collection.virtual_sets))
+    steps = collection.aug.steps
+    span = collection.aug.lattice.d * steps
+    vsets, flats = collection.vsets, collection.flats
+    counts = np.bincount(flats, minlength=span)
+    set_ptr = np.concatenate(([0], np.cumsum(np.bincount(vsets, minlength=collection.theta))))
+    by_flat = vsets[np.argsort(flats, kind="stable")]  # each flat id's sets
+    flat_ptr = np.concatenate(([0], np.cumsum(counts)))
+    covered = np.zeros(collection.theta, dtype=bool)
     partitioned = isinstance(constraint, PartitionedBudget)
     if partitioned:
-        used = [0] * len(constraint.caps)
-        group_of = constraint.group_of
+        used = np.zeros(len(constraint.caps), dtype=np.int64)
+        caps = np.asarray(constraint.caps)
+        group_of = np.repeat(constraint.group_of, steps)  # per flat id
     seeds: list[int] = []
     covered_total = 0
-    for _ in range(budget):
-        best_f = -1
-        best_c = 0
-        for f, c in counts.items():
-            if c > best_c or (c == best_c and c > 0 and (best_f == -1 or f < best_f)):
-                if partitioned and used[group_of[f // steps]] >= constraint.caps[group_of[f // steps]]:
-                    continue
-                best_f = f
-                best_c = c
-        if best_f < 0 or best_c == 0:
+    for _ in range(total_steps(constraint)):
+        score = np.where(used[group_of] < caps[group_of], counts, 0) if partitioned else counts
+        best = int(np.argmax(score))
+        if score[best] <= 0:
             break
-        seeds.append(best_f)
+        seeds.append(best)
         if partitioned:
-            used[group_of[best_f // steps]] += 1
-        for si in collection.index[best_f]:
-            if not covered[si]:
-                covered[si] = 1
-                covered_total += 1
-                for w in collection.virtual_sets[si]:
-                    counts[w] -= 1
+            used[group_of[best]] += 1
+        sets = by_flat[flat_ptr[best]:flat_ptr[best + 1]]
+        sets = sets[~covered[sets]]
+        covered[sets] = True
+        covered_total += len(sets)
+        lo = set_ptr[sets]
+        size = set_ptr[sets + 1] - lo
+        ends = np.cumsum(size)
+        np.subtract.at(counts, flats[np.repeat(lo - (ends - size), size)
+                                     + np.arange(size.sum())], 1)
     return seeds, covered_total
 
 
@@ -287,13 +289,17 @@ class VsnResult:
     stats: SamplingStats | None
 
 
-def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams,
-                      rng) -> tuple[HybridCollection, SamplingStats]:
+def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams, rng):
+    """The IMM sampling phase on hybrid RR sets; also returns the last
+    stage's seeds when the final greedy would repeat them, else None."""
     collection = HybridCollection(aug)
-    stats = _imm_stages(
-        collection, lambda c: c.n * _greedy_virtual(c, constraint)[1] / c.theta,
-        imm, rng)
-    return collection, stats
+
+    def stage_select(c):
+        seeds, covered = _greedy_virtual(c, constraint)
+        return c.n * covered / c.theta, seeds
+
+    stats, seeds = _imm_stages(collection, stage_select, imm, rng)
+    return collection, stats, seeds
 
 
 def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
@@ -306,8 +312,9 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     # edges negative weights, so the reduction itself breaks, not just the
     # approximation guarantee
     aug = build_augmented(graph, params, model, lattice)
-    collection, stats = _sampling_virtual(aug, constraint, imm, rng)
-    mix = node_selection_virtual(collection, lattice, constraint)
+    collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
+    mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
+        else _seeds_to_mix(seeds, aug.steps, lattice.d)
     return VsnResult(mix, collection, stats)
 
 

@@ -171,6 +171,27 @@ def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
         frontier = np.concatenate(fresh)
 
 
+def _row_search(tables: np.ndarray):
+    """``lookup(rows, x)``: ``bisect_right(tables[rows[k]], x[k])`` for every
+    k, for a 2-D array of nondecreasing rows.
+
+    Each entry is keyed by its row and the integer rank of its value among
+    all distinct values, so the keys of the whole array are sorted and one
+    ``searchsorted`` over them counts a row's entries at or below x, with
+    no float offset that could round.
+    """
+    rows, width = tables.shape
+    values, rank = np.unique(tables, return_inverse=True)
+    span = len(values) + 1
+    keys = np.repeat(np.arange(rows) * span, width) + rank.ravel()
+
+    def lookup(r, x):
+        return np.searchsorted(keys, r * span + np.searchsorted(values, x, side="right")) \
+            - r * width
+
+    return lookup
+
+
 def _arm_sampler(model, n: int):
     """``(draw, span)``: ``draw(nodes, rng)`` draws one uniform per strategy
     j that applies to each of ``nodes``, in node order, then row order of
@@ -180,19 +201,17 @@ def _arm_sampler(model, n: int):
     ``span``."""
     count = np.bincount(model._flat_nodes, minlength=n)
     first = np.cumsum(count) - count
-    width = model._flat_tables.shape[1]
-    table = model._flat_tables.ravel()
-    steps = width - 1
+    last = model._flat_tables[:, -1]
+    steps = model._flat_tables.shape[1] - 1
     span = model.lattice.d * steps
+    slot_of = _row_search(model._flat_tables)
 
     def draw(nodes, rng):
         c = count[nodes]
         rows = np.repeat(first[nodes] - (np.cumsum(c) - c), c) + np.arange(c.sum())
         x = rng.random(len(rows))
-        fire = x < table[rows * width + steps]
-        start = rows[fire] * width
-        slot = _bisect_right(table, start, start + width, x[fire]) - start
-        flats = model._flat_strats[rows[fire]] * steps + slot - 1
+        fire = x < last[rows]
+        flats = model._flat_strats[rows[fire]] * steps + slot_of(rows[fire], x[fire]) - 1
         return np.repeat(np.arange(len(nodes)), c)[fire], flats
 
     return draw, span

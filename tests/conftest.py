@@ -82,6 +82,26 @@ def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
     return Instance(graph, params, model, lattice)
 
 
+def stage_reuse_instance():
+    """An n = 200 segmented-event instance (d = 40, K = 10, eps = 0.9) whose
+    IMM sampling ends at a stage whose collection already meets the final
+    size for some solver streams, and grows past it for others.
+
+    Returns (graph, params, model, lattice, imm).
+    """
+    from limax.graph import assign_weighted_cascade, gen_erdos_renyi
+    from limax.immprr import make_imm_params
+    from limax.rng import stream
+    from limax.strategy import make_segmented_event
+
+    graph = gen_erdos_renyi(200, 1000, stream(5, 200))
+    lattice = LatticeConfig(d=40, delta=1.0, budget_steps=10)
+    model = make_segmented_event(np.array([len(a) for a in graph.out_neighbors]),
+                                 lattice, 100, 0.3, stream(6, 200))
+    imm = make_imm_params(graph.n, lattice, 10, 0.9, 1.0)
+    return graph, assign_weighted_cascade(graph), model, lattice, imm
+
+
 def sweep_monotone_dr(f, d: int, bound: int, tol: float = 1e-9) -> tuple[int, int]:
     """Count monotonicity / diminishing-return violations of f on {0..bound}^d.
 

@@ -1,17 +1,19 @@
+import importlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, stage_reuse_instance
 
-from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
+from limax.budgets import (PartitionedBudget, TotalBudget, feasible_increments,
+                           is_feasible, total_steps)
 from limax.graph import from_edges, uniform_ic
 from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
                           UnsupportedModelError, compute_gamma, compute_m,
                           effective_ell, immprr, lambda_star, lgreedy,
-                          lgreedy_delta, make_imm_params, sampling)
+                          lgreedy_delta, make_imm_params, run_immprr, sampling)
 from limax.rng import stream
 from limax.rrset import RRCollection, RRSet, g_hat, generate_collection
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
@@ -234,6 +236,95 @@ def test_delta_greedy_runtime_scales_roughly_linearly(rng):
     assert t_big <= 30 * t_small + 0.05
 
 
+# --- cached segment gains -----------------------------------------------------------
+
+def _greedy_rounds(coll, model, lat, constraint):
+    """Run the delta greedy round by round, checking in every round that the
+    cached gain vector equals the from-scratch marginals."""
+    state = GreedyState(coll, model, lat, constraint)
+    for _ in range(total_steps(constraint)):
+        feas = feasible_increments(state.x, constraint)
+        if len(feas) == 0:
+            break
+        gains = state.gains()
+        scratch = np.array([state.marginal(j) for j in range(lat.d)])
+        assert np.max(np.abs(gains - scratch)) <= 1e-12
+        masked = np.full(lat.d, -np.inf)
+        masked[feas] = gains[feas]
+        state.advance(int(np.argmax(masked)))
+    return StrategyMix(state.x)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_gains_match_marginals_total_budget(seed):
+    gen = np.random.default_rng(1300 + seed)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=4)
+    coll = generate_collection(inst.graph, inst.params, inst.model, 120,
+                               stream(32, seed))
+    constraint = TotalBudget(inst.lattice.budget_steps)
+    mix = _greedy_rounds(coll, inst.model, inst.lattice, constraint)
+    assert mix == lgreedy_delta(coll, inst.model, inst.lattice, constraint)
+    assert mix == lgreedy(lambda s: g_hat(coll, inst.model, s), inst.lattice, constraint)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_gains_match_marginals_partitioned_budget(seed):
+    gen = np.random.default_rng(1400 + seed)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=4)
+    K = inst.lattice.budget_steps
+    # strategies past the instance's d reach nobody: their gains stay zero
+    lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
+    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
+                                  inst.model.tables)
+    coll = generate_collection(inst.graph, inst.params, model, 120, stream(33, seed))
+    caps = gen.integers(0, K + 1, size=2).tolist()
+    constraint = PartitionedBudget(groups=[(0, 3), (1, 2, 4)], caps=caps)
+    mix = _greedy_rounds(coll, model, lat, constraint)
+    assert is_feasible(mix, constraint)
+    assert mix == lgreedy_delta(coll, model, lat, constraint)
+    assert mix == lgreedy(lambda s: g_hat(coll, model, s), lat, constraint)
+
+
+def test_zero_gain_rounds_empty_collection():
+    g, lat, model, _ = _single_set_instance(0.5)
+    coll = RRCollection(g, uniform_ic(g, 0.0), model)
+    state = GreedyState(coll, model, lat, TotalBudget(2))
+    assert state.gains().tolist() == [0.0, 0.0]
+    assert _greedy_rounds(coll, model, lat, TotalBudget(2)).steps.tolist() == [2, 0]
+
+
+def test_zero_gain_rounds_all_zero_model():
+    gen = np.random.default_rng(1500)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
+    zero = IndependentActivation(inst.graph.n, inst.lattice, inst.model.strategies,
+                                 [np.zeros_like(t) for t in inst.model.tables])
+    coll = generate_collection(inst.graph, inst.params, zero, 60, stream(34, 0))
+    constraint = TotalBudget(inst.lattice.budget_steps)
+    state = GreedyState(coll, zero, inst.lattice, constraint)
+    # exact zeros, not rounding residue, so the lowest index wins every tie
+    assert np.all(state.gains() == 0.0)
+    mix = _greedy_rounds(coll, zero, inst.lattice, constraint)
+    assert mix.steps[0] == inst.lattice.budget_steps
+    assert mix == lgreedy(lambda s: g_hat(coll, zero, s), inst.lattice, constraint)
+
+
+def test_coordinate_at_last_step_scores_exactly_zero():
+    gen = np.random.default_rng(1600)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
+    coll = generate_collection(inst.graph, inst.params, inst.model, 80, stream(35, 0))
+    K = inst.lattice.budget_steps
+    state = GreedyState(coll, inst.model, inst.lattice, TotalBudget(K))
+    j = int(np.argmax(state.gains()))
+    assert state.gains()[j] > 0.0
+    for _ in range(K):
+        state.advance(j)
+    assert state.x[j] == K
+    assert state.gains()[j] == 0.0 and state.marginal(j) == 0.0
+    scratch = [state.marginal(i) for i in range(inst.lattice.d)]
+    assert np.max(np.abs(state.gains() - scratch)) <= 1e-12
+    assert np.max(np.abs(state.s - state.recompute_s())) <= 1e-12
+
+
 # --- sampling phase --------------------------------------------------------------
 
 def _instance_for_sampling(seed=0):
@@ -287,6 +378,26 @@ def test_sampling_complete_graph_certainty():
     assert stats.lower_bound >= 0.8 * n
     lam = lambda_star(n, imm.epsilon, stats.ell_eff, imm.m_bound)
     assert coll.theta <= math.floor(lam / stats.lower_bound) + 1
+
+
+@pytest.mark.parametrize("seed,grows", [(3, False), (0, True)])
+def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
+    graph, params, model, lat, imm = stage_reuse_instance()
+    calls = []
+    module = importlib.import_module("limax.immprr")
+    greedy = module.lgreedy_delta
+
+    def counted(*args):
+        calls.append(args[0].theta)
+        return greedy(*args)
+
+    monkeypatch.setattr(module, "lgreedy_delta", counted)
+    res = run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(7, seed))
+    # one greedy per stage, plus a final one only if the last stage's
+    # collection grew
+    assert (calls[res.stats.stages_run - 1] < res.stats.theta) == grows
+    assert len(calls) == res.stats.stages_run + grows
+    assert res.mix == greedy(res.collection, model, lat, TotalBudget(10))
 
 
 # --- driver ----------------------------------------------------------------------

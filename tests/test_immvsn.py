@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import RICH_SEEDS, random_concave_table, random_instance
+from conftest import (RICH_SEEDS, random_concave_table, random_instance,
+                      stage_reuse_instance)
 
-from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
+from limax.budgets import PartitionedBudget, TotalBudget, is_feasible, total_steps
 from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params
 from limax.immvsn import (HybridCollection, VirtualNodeId,
@@ -222,13 +224,11 @@ def test_hybrid_collection_counts_virtualless_sets():
 
 def _manual_collection(aug, virtual_sets, extra_empty=0):
     coll = HybridCollection(aug)
-    for flats in virtual_sets:
-        si = len(coll.virtual_sets)
-        coll.virtual_sets.append(sorted(flats))
-        for f in sorted(flats):
-            coll.index.setdefault(f, []).append(si)
-        coll.theta += 1
-    coll.theta += extra_empty
+    coll.vsets = np.repeat(np.arange(len(virtual_sets)),
+                           [len(f) for f in virtual_sets]).astype(np.int64)
+    coll.flats = np.array([f for flats in virtual_sets for f in sorted(flats)],
+                          dtype=np.int64)
+    coll.theta = len(virtual_sets) + extra_empty
     return coll
 
 
@@ -296,6 +296,64 @@ def test_selection_respects_partition_caps():
     assert mix.steps[0] + mix.steps[1] <= 1
 
 
+def _greedy_virtual_reference(collection, constraint):
+    """The dict-and-list max-coverage greedy that the array greedy replaced:
+    a per-step scan of a count dict, lowest flat id on ties."""
+    steps = collection.aug.steps
+    virtual_sets = collection.virtual_sets
+    index = {}
+    for si, flats in enumerate(virtual_sets):
+        for f in flats:
+            index.setdefault(f, []).append(si)
+    counts = {f: len(ids) for f, ids in index.items()}
+    covered = bytearray(len(virtual_sets))
+    partitioned = isinstance(constraint, PartitionedBudget)
+    if partitioned:
+        used = [0] * len(constraint.caps)
+        group_of = constraint.group_of
+    seeds = []
+    covered_total = 0
+    for _ in range(total_steps(constraint)):
+        best_f = -1
+        best_c = 0
+        for f, c in counts.items():
+            if c > best_c or (c == best_c and c > 0 and (best_f == -1 or f < best_f)):
+                if partitioned and used[group_of[f // steps]] >= constraint.caps[group_of[f // steps]]:
+                    continue
+                best_f = f
+                best_c = c
+        if best_f < 0 or best_c == 0:
+            break
+        seeds.append(best_f)
+        if partitioned:
+            used[group_of[best_f // steps]] += 1
+        for si in index[best_f]:
+            if not covered[si]:
+                covered[si] = 1
+                covered_total += 1
+                for w in virtual_sets[si]:
+                    counts[w] -= 1
+    return seeds, covered_total
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_virtual_matches_reference(seed):
+    gen = np.random.default_rng(1700 + seed)
+    inst = random_instance(gen, n_max=8, m_max=12, d_max=3, steps_max=4)
+    K = inst.lattice.budget_steps
+    # strategies past the instance's d reach nobody: their arms never fire
+    lat = LatticeConfig(d=4, delta=1.0, budget_steps=K)
+    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
+                                  inst.model.tables)
+    aug = build_augmented(inst.graph, inst.params, model, lat)
+    coll = generate_hybrid_collection(aug, int(gen.integers(1, 400)), stream(46, seed))
+    caps = gen.integers(0, K + 1, size=2).tolist()
+    for constraint in (TotalBudget(K), TotalBudget(2 * K),
+                       PartitionedBudget(groups=[(0, 2), (1, 3)], caps=caps)):
+        assert _greedy_virtual(coll, constraint) == \
+            _greedy_virtual_reference(coll, constraint)
+
+
 # --- prefix dominance ----------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(5))
@@ -357,6 +415,26 @@ def test_virtual_seed_spread_never_beats_converted_mix(seed):
             x[f // K] += 1
         g_mix = enum.spread_given_h(inst.model.h_all(x))
         assert sigma_aug <= g_mix + 1e-12
+
+
+@pytest.mark.parametrize("seed,grows", [(7, False), (0, True)])
+def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
+    graph, params, model, lat, imm = stage_reuse_instance()
+    calls = []
+    module = importlib.import_module("limax.immvsn")
+    greedy = module._greedy_virtual
+
+    def counted(collection, constraint):
+        calls.append(collection.theta)
+        return greedy(collection, constraint)
+
+    monkeypatch.setattr(module, "_greedy_virtual", counted)
+    res = run_immvsn(graph, params, model, lat, TotalBudget(10), imm, stream(7, seed))
+    # one greedy per stage, plus a final one only if the last stage's
+    # collection grew
+    assert (calls[res.stats.stages_run - 1] < res.stats.theta) == grows
+    assert len(calls) == res.stats.stages_run + grows
+    assert res.mix == node_selection_virtual(res.collection, lat, TotalBudget(10))
 
 
 def test_immvsn_zero_budget(rng):

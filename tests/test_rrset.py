@@ -3,15 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
+from conftest import (RICH_SEEDS, random_concave_table, random_instance,
+                      sweep_monotone_dr)
 
 from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
                          from_edges, uniform_ic)
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _reverse_reach, _rr_sets, g_hat, generate_collection,
-                         generate_rr_set, load_collection, save_collection)
+                         _bisect_right, _reverse_reach, _row_search, _rr_sets,
+                         g_hat, generate_collection, generate_rr_set,
+                         load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -75,6 +77,33 @@ def test_membership_matches_exact_oracle(kind, seed):
     exact = np.clip(np.einsum("l,lvu->vu", enum.probs, bits), 0.0, 1.0)
     se = np.sqrt(exact * (1.0 - exact) / SETS_PER_ROOT)
     assert np.all(np.abs(freq - exact) <= 4.0 * se + 1e-12)
+
+
+# --- virtual-arm slot lookup -------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arm_slot_lookup_matches_per_row_search(seed):
+    gen = np.random.default_rng(1800 + seed)
+    K = int(gen.integers(1, 9))
+    tables = []
+    for _ in range(int(gen.integers(1, 40))):
+        row = random_concave_table(gen, K)
+        plateau = int(gen.integers(0, K + 1))  # flat from this step on
+        row[plateau:] = row[plateau]
+        tables.append(row)
+    tables = np.array(tables)
+    tables[gen.integers(0, len(tables))] = 0.0  # one all-zero row
+    rows = gen.integers(0, len(tables), size=4000)
+    x = gen.random(4000)
+    exact = gen.random(4000) < 0.5  # draws equal to one of the row's entries
+    x[exact] = tables[rows[exact], gen.integers(0, K + 1, size=int(exact.sum()))]
+    slots = _row_search(tables)(rows, x)
+    expect = np.array([np.searchsorted(tables[r], v, side="right")
+                       for r, v in zip(rows.tolist(), x.tolist())])
+    assert np.array_equal(slots, expect)
+    start = rows * (K + 1)
+    assert np.array_equal(
+        slots, _bisect_right(tables.ravel(), start, start + K + 1, x) - start)
 
 
 # --- pathological graphs: bounded memory, exact counts --------------------------
