@@ -44,6 +44,11 @@ __all__ = [
 IC = "IC"
 LT = "LT"
 
+# in-degree from which an IC node whose in-edges share one probability
+# finds its live in-edges by geometric gaps; lower gates were slower on
+# weighted-cascade graphs of small in-degree (internal, not an option)
+_SKIP_DEGREE = 32
+
 
 class EdgeListError(ValueError):
     """Malformed edge-list input (carries the 1-based line number)."""
@@ -106,13 +111,16 @@ class TriggeringParams:
     ``values`` are the IC probabilities, or under LT each node's running
     weight sums.  ``_out_csr = (indptr, dst, values)`` lists the out-edges
     in ``graph.out_neighbors`` order, each with its own probability or
-    weight.
+    weight.  Under IC, ``_skip = (flag, p)`` marks the nodes of in-degree at
+    least ``_SKIP_DEGREE`` whose in-edges all share one probability p with
+    0 < p < 1, and holds each node's p (meaningful where flagged).
     """
 
     kind: str
     in_values: list[np.ndarray]
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
     _out_csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
+    _skip: tuple[np.ndarray, np.ndarray] = field(default=(), repr=False)
 
     @classmethod
     def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence[np.ndarray]) -> "TriggeringParams":
@@ -161,9 +169,17 @@ class TriggeringParams:
         out_vals = np.empty(len(vals))
         out_vals[np.lexsort((out_dst, out_src))] = vals[np.lexsort((in_dst, in_src))]
         self._out_csr = (np.concatenate(([0], np.cumsum(out_deg))), out_dst, out_vals)
-        if self.kind == LT:
+        indptr = np.concatenate(([0], np.cumsum(in_deg)))
+        if self.kind == IC:
+            rows = np.flatnonzero(in_deg)
+            p = np.zeros(graph.n)
+            p[rows] = np.minimum.reduceat(vals, indptr[rows])
+            shared = np.zeros(graph.n, dtype=bool)
+            shared[rows] = p[rows] == np.maximum.reduceat(vals, indptr[rows])
+            self._skip = (shared & (in_deg >= _SKIP_DEGREE) & (p > 0.0) & (p < 1.0), p)
+        else:
             vals = np.concatenate((np.empty(0), *(np.cumsum(a) for a in self.in_values)))
-        self._csr = (np.concatenate(([0], np.cumsum(in_deg))), in_src, vals)
+        self._csr = (indptr, in_src, vals)
 
 
 def _compact(edges: list[tuple[int, int]], values: list[float] | None,

@@ -27,6 +27,7 @@ flat id in one array and subtracts each newly covered set's members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,10 @@ class AugmentedGraph:
 
     Virtual edges are never materialized: the model's cumulative q tables
     double as the per-(v, j) edge-weight prefix sums, so both sampling and
-    weight queries read straight from them.
+    weight queries read straight from them.  The arm sampler over those
+    tables (see :func:`limax.rrset._arm_sampler`) is built on first use
+    and kept for every hybrid RR set and virtual-seed simulation drawn
+    through this graph.
     """
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams,
@@ -88,6 +92,10 @@ class AugmentedGraph:
         self.model = model
         self.lattice = lattice
         self.steps = lattice.budget_steps
+
+    @cached_property
+    def _arms(self):
+        return _arm_sampler(self.model, self.graph.n)
 
     def flat(self, node: VirtualNodeId) -> int:
         return node.j * self.steps + (node.i - 1)
@@ -135,7 +143,7 @@ class HybridRRSet:
 
 def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
     _, nodes, _, flats = next(_reverse_reach(aug.graph, aug.params, np.array([root]),
-                                             _generator(rng), aug.model))
+                                             _generator(rng), aug._arms))
     return HybridRRSet(root=root, real_members=nodes,
                        virtual_members=tuple(aug.unflat(f) for f in flats.tolist()))
 
@@ -173,7 +181,7 @@ class HybridCollection:
         roots = gen.integers(0, self.n, size=count)
         aug = self.aug
         vsets, flats = [self.vsets], [self.flats]
-        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, gen, aug.model):
+        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, gen, aug._arms):
             vsets.append(v + self.theta)
             flats.append(f)
         self.vsets = np.concatenate(vsets)
@@ -261,7 +269,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     graph, model = aug.graph, aug.model
-    draw_arms, span = _arm_sampler(model, graph.n)
+    draw_arms, span = aug._arms
     flats = np.array([aug.flat(s) if isinstance(s, VirtualNodeId) else int(s)
                       for s in seeds], dtype=np.int64)
     if np.any((flats < 0) | (flats >= span)):
@@ -313,6 +321,9 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     # approximation guarantee
     aug = build_augmented(graph, params, model, lattice)
     collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
+    # the result keeps the collection and its graph: drop the arm index
+    # (about 1.5 MiB on a 2,000 x 51 table), which is rebuilt on demand
+    aug.__dict__.pop("_arms", None)
     mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
         else _seeds_to_mix(seeds, aug.steps, lattice.d)
     return VsnResult(mix, collection, stats)

@@ -119,8 +119,9 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
 
             def expand(keys):
                 nodes, local = np.divmod(keys, size)
-                for pos, pair in _edge_chunks(out_csr[0], nodes):
-                    cand = out_csr[1][pos] * size + local[pair]
+                indptr, dst, _ = out_csr
+                for pos, pair in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
+                    cand = dst[pos] * size + local[pair]
                     yield cand[parents[cand] == nodes[pair]]
         counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
                                    for keys in _reach(marks, frontier, expand))

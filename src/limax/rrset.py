@@ -12,18 +12,25 @@ search expands every member exactly once, which keeps the sample consistent
 with a single live-edge graph.  One batched kernel (``_reverse_reach``)
 draws many RR sets at once: it expands the newly reached (node, set) pairs
 of every set in a batch together, one BFS level per step, over whole-array
-in-edge views of the graph (``TriggeringParams._csr``).  Under IC each
-expanded pair draws one uniform per in-edge, under LT one per pair whose
-node has in-edges; the draws come straight from the generator, level by
+in-edge views of the graph (``TriggeringParams._csr``).  Under LT each
+expanded pair draws one uniform if its node has in-edges.  Under IC each
+pair draws one uniform per in-edge, except the pairs of nodes that
+``TriggeringParams._skip`` flags: nodes of in-degree at least
+``graph._SKIP_DEGREE`` whose in-edges share one probability p, 0 < p < 1.
+Those draw geometric gaps between live in-edges, so a weighted-cascade hub
+of in-degree d costs about two uniforms, not d.  Within a step, the coin
+pairs draw first, then the gap rounds, one uniform per pair still inside
+its row per round, and after ``_SKIP_ROUNDS`` rounds one coin per in-edge
+left in those rows.  The draws come straight from the generator, level by
 level, so a set's draws are interleaved with those of the other sets in its
 batch.  A visited bitmap per batch and a cap on the pairs and in-edges
 expanded per step bound its memory.  The same kernel also samples the
 hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
 reached pair additionally draws one virtual arm per strategy that applies
-to its node.  Its level loop (``_reach``) and IC edge step
-(``_live_edges``) also run the forward cascades of ``limax.oracles``:
-forward IC reach is reverse reach on the transposed graph, from several
-roots per run.
+to its node.  Its level loop (``_reach``) and IC coin step
+(``_live_edges``, never gaps) also run the forward cascades of
+``limax.oracles``: forward IC reach is reverse reach on the transposed
+graph, from several roots per run.
 
 A collection stores only its RR sets; the coverage weights and the greedy's
 per-strategy entries are whole-array reductions over the frozen members.
@@ -67,6 +74,7 @@ class RRSet:
 # fixed memory caps of the batched kernel (internal, not options)
 _MARK_BYTES = 1 << 21  # visited bitmap per batch: one bit per (node, set)
 _EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
+_SKIP_ROUNDS = 16      # geometric-gap rounds per step before the coins take over
 
 _NONE = np.empty(0, np.int64)
 
@@ -95,12 +103,11 @@ def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
     np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
 
 
-def _edge_chunks(indptr: np.ndarray, nodes: np.ndarray):
-    """The edges of ``nodes`` in the CSR ``indptr``, at most ``_EDGE_CHUNK``
-    per step: ``(pos, pair)`` gives each edge's CSR position and the index
-    of its node in ``nodes``, in node order, then CSR order."""
-    lo = indptr[nodes]
-    deg = indptr[nodes + 1] - lo
+def _edge_chunks(lo: np.ndarray, hi: np.ndarray):
+    """The CSR positions ``lo[i]:hi[i]`` of every row i, at most
+    ``_EDGE_CHUNK`` per step: ``(pos, pair)`` gives each position and its
+    row i, in row order, then position order."""
+    deg = hi - lo
     ends = np.cumsum(deg)
     begins = ends - deg
     total = int(ends[-1])
@@ -120,20 +127,67 @@ def _live_edges(csr, nodes: np.ndarray, local: np.ndarray, sets: int,
     one array per step of :func:`_edge_chunks`: each edge draws one
     uniform and is live below its probability."""
     indptr, ends, probs = csr
-    for pos, pair in _edge_chunks(indptr, nodes):
+    for pos, pair in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
         live = rng.random(len(pos)) < probs[pos]
         yield ends[pos[live]] * sets + local[pair[live]]
+
+
+def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
+                sets: int, rng: np.random.Generator):
+    """Keys ``source * sets + set`` of the live in-edges of the pairs
+    (``nodes``, ``local``), whose nodes' in-edges all share the probability
+    ``shared[node]``, 0 < p < 1.
+
+    Instead of one coin per in-edge, each round draws one uniform per pair
+    still inside its in-edge row and turns it into a Geometric(p) gap,
+    ``floor(log(1 - u) / log(1 - p)) + 1``, to the pair's next live
+    in-edge; a pair leaves once its gap passes the end of its row.  After
+    ``_SKIP_ROUNDS`` rounds, the pairs still inside draw one coin per
+    in-edge left in their row (see :func:`_edge_chunks`), which bounds the
+    rounds when p * in-degree is large.  Either way each in-edge is live
+    independently with probability p, as under the coins.  Yields one
+    array per round, then per coin step.
+    """
+    indptr, src, _ = csr
+    pos = indptr[nodes] - 1  # the pair's last live in-edge, or one before its row
+    end = indptr[nodes + 1]
+    p = shared[nodes]
+    rate = np.log1p(-p)
+    pair = local
+    for _ in range(_SKIP_ROUNDS):
+        # a gap past the row's end is clipped to it before the integer cast
+        gap = np.minimum(np.log1p(-rng.random(len(pair))) / rate, end - pos)
+        pos = pos + 1 + gap.astype(np.int64)
+        live = pos < end
+        pair, pos, end, p, rate = pair[live], pos[live], end[live], p[live], rate[live]
+        yield src[pos] * sets + pair
+        if not len(pair):
+            return
+    for at, row in _edge_chunks(pos + 1, end):
+        live = rng.random(len(at)) < p[row]
+        yield src[at[live]] * sets + pair[row[live]]
 
 
 def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarray,
                    sets: int, rng: np.random.Generator):
     """Keys ``source * sets + set`` of the live in-edges of the pairs
     (``nodes``, ``local``).  IC draws one uniform per in-edge (see
-    :func:`_live_edges`); LT draws one per pair whose node has in-edges and
-    takes its slot among the node's running weight sums, as
-    ``bisect_right`` does, or no in-edge past the last one."""
+    :func:`_live_edges`), except that the pairs of nodes flagged in
+    ``params._skip`` draw geometric gaps between live in-edges (see
+    :func:`_skip_edges`) after all other pairs have drawn their coins.  LT
+    draws one uniform per pair whose node has in-edges and takes its slot
+    among the node's running weight sums, as ``bisect_right`` does, or no
+    in-edge past the last one."""
     if params.kind == IC:
-        yield from _live_edges(params._csr, nodes, local, sets, rng)
+        flag, shared = params._skip
+        skip = flag[nodes]
+        if not skip.any():
+            yield from _live_edges(params._csr, nodes, local, sets, rng)
+            return
+        coin = ~skip
+        if coin.any():
+            yield from _live_edges(params._csr, nodes[coin], local[coin], sets, rng)
+        yield from _skip_edges(params._csr, shared, nodes[skip], local[skip], sets, rng)
         return
     indptr, src, cum = params._csr
     lo = indptr[nodes]
@@ -228,8 +282,9 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     and in-edges at a time (see :func:`_live_in_edges`).  Pairs are keyed
     ``node * sets + set`` within a batch of ``sets`` roots, so a sorted
     level lists each node's pairs together and the in-edge gathers stay
-    local.  With ``arms``, an independent activation model, each pair
-    first draws its virtual arms (see :func:`_arm_sampler`).
+    local.  With ``arms``, the ``(draw, span)`` arm sampler of an
+    independent activation model (see :func:`_arm_sampler`), each pair
+    first draws its virtual arms.
 
     Yields ``(sets, nodes, vsets, flats)`` per batch: the members sorted by
     set, then node, and the distinct virtual flat ids sorted the same way
@@ -240,7 +295,7 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
     if arms is not None:
-        draw_arms, span = _arm_sampler(arms, n)
+        draw_arms, span = arms
     for b0 in range(0, count, per_batch):
         size = min(per_batch, count - b0)
         virtual = [_NONE]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from limax.graph import (IC, LT, DirectedGraph, TriggeringParams,
-                         from_edges)
+                         assign_weighted_cascade, from_edges, uniform_ic)
 from limax.strategy import IndependentActivation, LatticeConfig
 
 
@@ -55,6 +55,17 @@ def random_graph(rng, n: int, m: int, kind: str = IC) -> tuple[DirectedGraph, Tr
 RICH_SEEDS = [501, 511, 525, 542]
 
 
+SHARED_IC = ["weighted_cascade", "uniform"]
+
+
+def shared_ic(graph: DirectedGraph, shared: str) -> TriggeringParams:
+    """IC parameters whose in-edges share one probability per node: 1 / in-degree
+    (weighted cascade) or 0.45 everywhere."""
+    if shared == "weighted_cascade":
+        return assign_weighted_cascade(graph)
+    return uniform_ic(graph, 0.45)
+
+
 def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
                     kind: str | None = None, extra_steps: int = 0) -> Instance:
     """Random small instance with concave independent activation everywhere.
@@ -89,7 +100,7 @@ def stage_reuse_instance():
 
     Returns (graph, params, model, lattice, imm).
     """
-    from limax.graph import assign_weighted_cascade, gen_erdos_renyi
+    from limax.graph import gen_erdos_renyi
     from limax.immprr import make_imm_params
     from limax.rng import stream
     from limax.strategy import make_segmented_event

@@ -8,7 +8,9 @@ set, mix or spread, even when the distributions stay correct.  Each sampler
 reads its own stream, and the spreads are taken at fixed mixes, so a change
 to one sampler moves only its own literals.  A hub instance pins the
 sampling of a node whose in-edges outnumber a buffer block, given either a
-buffer or a bare generator.
+buffer or a bare generator.  A second hub instance pins the geometric gaps
+of nodes above the skip gate, and the coins that finish a row after the
+last gap round.
 """
 
 import numpy as np
@@ -198,3 +200,69 @@ HUB_GOLDEN = {
 
 def test_hub_block_draws_golden():
     assert _hub_observed() == HUB_GOLDEN
+
+
+# --- hubs above the skip gate: geometric gaps, then coins ---------------------
+
+SKIP_N = 60
+
+
+def _skip_hub_instance():
+    """Hub 0 has 40 in-edges sharing p = 0.1, hub 1 has 40 sharing p = 0.6,
+    so both draw geometric gaps and hub 1's pairs usually finish their rows
+    with coins.  Hub 0 points at every other node, each of which has one
+    more in-edge from a random non-hub node, with its own probability."""
+    gen = stream(SEED, 30)
+    edges = [(u, 0) for u in range(1, 41)] + [(u, 1) for u in range(20, 60)]
+    for v in range(1, SKIP_N):
+        edges.append((0, v))
+        edges.append((int(gen.choice([u for u in range(2, SKIP_N) if u != v])), v))
+    graph = from_edges(SKIP_N, edges)
+    probs = stream(SEED, 31)
+    rows = [np.full(len(a), 0.1 if v == 0 else 0.6) if v < 2 else
+            probs.uniform(0.05, 0.6, size=len(a)) for v, a in enumerate(graph.in_neighbors)]
+    params = TriggeringParams.build(graph, IC, rows)
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
+    strategies = [np.array([v % 3]) for v in range(SKIP_N)]
+    tables = [multi_event_table(0.05 + 0.005 * v, lat)[None, :] for v in range(SKIP_N)]
+    model = IndependentActivation(SKIP_N, lat, strategies, tables)
+    return graph, params, model, lat
+
+
+def _skip_hub_observed():
+    graph, params, model, lat = _skip_hub_instance()
+    assert params._skip[0].nonzero()[0].tolist() == [0, 1]
+    coll = generate_collection(graph, params, model, 12, stream(SEED, 32))
+    gen = stream(SEED, 33)
+    hub_sets = [generate_rr_set(graph, params, hub, gen).members.tolist()
+                for hub in (0, 0, 1, 1)]
+    aug = build_augmented(graph, params, model, lat)
+    hybrid = generate_hybrid_collection(aug, 12, stream(SEED, 34))
+    return {
+        "members": [rr.members.tolist() for rr in coll.sets],
+        "widths": [rr.width for rr in coll.sets],
+        "hub_sets": hub_sets,
+        "virtual_sets": hybrid.virtual_sets,
+    }
+
+
+SKIP_HUB_GOLDEN = {
+    "members": [[0, 5, 13, 15, 19, 20, 23, 24, 31, 35, 38, 40], [5, 29],
+               [0, 4, 5, 9, 15, 18, 19, 29, 31, 38, 39, 43, 49, 58],
+               [0, 1, 8, 11, 16, 22, 24, 25, 26, 27, 28, 29, 30, 34, 35, 36, 37, 38, 39, 42,
+                44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 58, 59],
+               [55], [37], [13, 35], [10], [29], [9, 43], [0, 2, 3, 4, 5, 12, 13, 19, 35],
+               [32, 45]],
+    "widths": [62, 4, 66, 142, 2, 2, 4, 2, 2, 4, 56, 4],
+    "hub_sets": [[0, 4, 5, 9, 18, 21, 25, 28, 29, 33, 34, 40, 49],
+                [0, 4, 6, 13, 17, 18, 24, 30, 31, 38, 39],
+                [0, 1, 5, 6, 7, 16, 19, 20, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 35, 36,
+                 37, 38, 39, 40, 41, 42, 44, 46, 48, 49, 50, 51, 53, 54, 56, 58],
+                [0, 1, 5, 6, 9, 14, 15, 18, 19, 20, 23, 24, 25, 26, 28, 29, 30, 31, 32, 33, 35,
+                 36, 38, 39, 40, 43, 45, 46, 47, 49, 51, 55, 57, 58, 59]],
+    "virtual_sets": [[0, 4, 5], [0, 1, 2, 4, 5, 6, 7], [5], [1, 5, 7], [1], [0, 3], [3, 8], [4, 8]],
+}
+
+
+def test_skip_hub_draws_golden():
+    assert _skip_hub_observed() == SKIP_HUB_GOLDEN

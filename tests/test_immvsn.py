@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import (RICH_SEEDS, random_concave_table, random_instance,
-                      stage_reuse_instance)
+from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
+                      shared_ic, stage_reuse_instance)
 
+import limax.graph as graph_module
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible, total_steps
 from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params
@@ -160,7 +161,7 @@ def test_hybrid_certain_arm():
     row = np.array([0.0, 0.6, 1.0])  # q(K) = 1: an arm always fires
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)
     roots = np.zeros(500, dtype=np.int64)
-    batches = list(_reverse_reach(aug.graph, aug.params, roots, stream(41, 5), aug.model))
+    batches = list(_reverse_reach(aug.graph, aug.params, roots, stream(41, 5), aug._arms))
     vsets = np.concatenate([b[2] for b in batches])
     flats = np.concatenate([b[3] for b in batches])
     assert vsets.tolist() == list(range(500))
@@ -177,27 +178,24 @@ def test_hybrid_expected_virtual_count():
                                   [np.vstack([r1, r2])])
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     roots = np.zeros(100_000, dtype=np.int64)
-    total = sum(len(b[3]) for b in _reverse_reach(g, aug.params, roots, stream(41, 6), model))
+    total = sum(len(b[3]) for b in _reverse_reach(g, aug.params, roots, stream(41, 6), aug._arms))
     assert abs(total / 100_000 - 0.8) < 0.01
 
 
 SETS_PER_ROOT = 20_000
 
 
-@pytest.mark.parametrize("kind", [IC, LT])
-@pytest.mark.parametrize("seed", RICH_SEEDS)
-def test_virtual_membership_matches_exact_oracle(kind, seed):
-    # given live-edge outcome l, u[j,i] joins the set rooted at v unless every
-    # w in anc[l, v] with j in S_w misses arm i; summed over outcomes
-    gen = np.random.default_rng(seed)
-    inst = random_instance(gen, n_max=8, m_max=10, kind=kind)
-    graph, params, model = inst.graph, inst.params, inst.model
+def _check_virtual_membership(inst, params, rng):
+    """Hybrid RR sets of every root against the exact oracle: given live-edge
+    outcome l, u[j,i] joins the set rooted at v unless every w in anc[l, v]
+    with j in S_w misses arm i; summed over outcomes."""
+    graph, model = inst.graph, inst.model
     aug = build_augmented(graph, params, model, inst.lattice)
     n, K = graph.n, aug.steps
     enum = LiveEdgeEnumeration(graph, params)
     roots = np.repeat(np.arange(n), SETS_PER_ROOT)
     freq = np.zeros((n, inst.lattice.d * K))
-    for _, _, vsets, flats in _reverse_reach(graph, params, roots, stream(31, seed), model):
+    for _, _, vsets, flats in _reverse_reach(graph, params, roots, rng, aug._arms):
         np.add.at(freq, (roots[vsets], flats), 1.0 / SETS_PER_ROOT)
     assert freq.any()
     for f in range(freq.shape[1]):
@@ -210,6 +208,25 @@ def test_virtual_membership_matches_exact_oracle(kind, seed):
         exact = np.clip(enum.probs @ (1.0 - miss[enum.anc]), 0.0, 1.0)
         se = np.sqrt(exact * (1.0 - exact) / SETS_PER_ROOT)
         assert np.all(np.abs(freq[:, f] - exact) <= 4.0 * se + 1e-12), (j, i + 1)
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_virtual_membership_matches_exact_oracle(kind, seed):
+    inst = random_instance(np.random.default_rng(seed), n_max=8, m_max=10, kind=kind)
+    _check_virtual_membership(inst, inst.params, stream(31, seed))
+
+
+@pytest.mark.parametrize("shared", SHARED_IC)
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_skipping_virtual_membership_matches_exact_oracle(shared, seed, monkeypatch):
+    # with the gate at in-degree 1, every node whose in-edges share one
+    # p < 1 draws geometric gaps
+    monkeypatch.setattr(graph_module, "_SKIP_DEGREE", 1)
+    inst = random_instance(np.random.default_rng(seed), n_max=8, m_max=10, kind=IC)
+    params = shared_ic(inst.graph, shared)
+    assert params._skip[0].sum() >= 2
+    _check_virtual_membership(inst, params, stream(33, seed))
 
 
 def test_hybrid_collection_counts_virtualless_sets():
@@ -463,3 +480,34 @@ def test_immvsn_output_feasible(rng):
     mix = immvsn(inst.graph, inst.params, inst.model, inst.lattice,
                  TotalBudget(K), imm, stream(45, 0))
     assert is_feasible(mix, TotalBudget(K))
+
+
+def test_arm_slot_index_built_once_per_solve(monkeypatch):
+    rrset = importlib.import_module("limax.rrset")
+    build = rrset._row_search
+    builds = []
+
+    def counted(tables):
+        builds.append(tables.shape)
+        return build(tables)
+
+    monkeypatch.setattr(rrset, "_row_search", counted)
+    graph, params, model, lat, imm = stage_reuse_instance()
+    res = run_immvsn(graph, params, model, lat, TotalBudget(10), imm, stream(7, 0))
+    assert res.stats.stages_run >= 2  # one extend per stage, all on one index
+    assert builds == [model._flat_tables.shape]
+    assert "_arms" not in res.collection.aug.__dict__  # the result does not hold it
+    aug = build_augmented(graph, params, model, lat)
+    simulate_spread_virtual_seeds(aug, [0, 1], 20, stream(7, 1))
+    generate_hybrid_rr_set(aug, 0, stream(7, 2))
+    assert len(builds) == 2  # one more, shared by every draw through the new graph
+    # the kept sampler's slots against a per-row search on the same uniforms
+    draw, _ = aug._arms
+    pair, flats = draw(np.arange(graph.n), np.random.default_rng(5))
+    x = np.random.default_rng(5).random(len(model._flat_tables))  # one per row
+    fire = np.flatnonzero(x < model._flat_tables[:, -1])
+    assert pair.tolist() == model._flat_nodes[fire].tolist()
+    assert flats.tolist() == [
+        model._flat_strats[r] * lat.budget_steps
+        + np.searchsorted(model._flat_tables[r], x[r], side="right") - 1
+        for r in fire.tolist()]

@@ -2,17 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from conftest import (RICH_SEEDS, random_concave_table, random_instance,
-                      sweep_monotone_dr)
+from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
+                      shared_ic, sweep_monotone_dr)
 
-from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
-                         from_edges, uniform_ic)
+import limax.graph as graph_module
+from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
+                         assign_weighted_cascade, from_edges, uniform_ic)
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _bisect_right, _reverse_reach, _row_search, _rr_sets,
-                         g_hat, generate_collection, generate_rr_set,
+                         _arm_sampler, _bisect_right, _reverse_reach, _row_search,
+                         _rr_sets, g_hat, generate_collection, generate_rr_set,
                          load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
@@ -49,17 +51,14 @@ def test_rr_set_bernoulli_frequency():
 SETS_PER_ROOT = 20_000
 
 
-@pytest.mark.parametrize("kind", [IC, LT])
-@pytest.mark.parametrize("seed", RICH_SEEDS)
-def test_membership_matches_exact_oracle(kind, seed):
-    # P(u in R_v) = sum_l probs[l] * [u in anc[l, v]] over every live-edge outcome
-    gen = np.random.default_rng(seed)
-    inst = random_instance(gen, n_max=8, m_max=10, kind=kind)
-    graph, params = inst.graph, inst.params
+def _check_membership(graph, params, rng):
+    """RR sets of every root against the exact oracle's inclusion
+    probabilities: P(u in R_v) = sum_l probs[l] * [u in anc[l, v]] over
+    every live-edge outcome."""
     n = graph.n
     enum = LiveEdgeEnumeration(graph, params)
     roots = np.repeat(np.arange(n), SETS_PER_ROOT)
-    sets = _rr_sets(graph, params, roots, stream(30, seed))
+    sets = _rr_sets(graph, params, roots, rng)
     assert [rr.root for rr in sets] == roots.tolist()
     sizes = np.array([len(rr.members) for rr in sets])
     members = np.concatenate([rr.members for rr in sets])
@@ -77,6 +76,68 @@ def test_membership_matches_exact_oracle(kind, seed):
     exact = np.clip(np.einsum("l,lvu->vu", enum.probs, bits), 0.0, 1.0)
     se = np.sqrt(exact * (1.0 - exact) / SETS_PER_ROOT)
     assert np.all(np.abs(freq - exact) <= 4.0 * se + 1e-12)
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_membership_matches_exact_oracle(kind, seed):
+    inst = random_instance(np.random.default_rng(seed), n_max=8, m_max=10, kind=kind)
+    _check_membership(inst.graph, inst.params, stream(30, seed))
+
+
+@pytest.mark.parametrize("shared", SHARED_IC)
+@pytest.mark.parametrize("seed", RICH_SEEDS)
+def test_skipping_membership_matches_exact_oracle(shared, seed, monkeypatch):
+    # with the gate at in-degree 1, every node whose in-edges share one
+    # p < 1 draws geometric gaps
+    monkeypatch.setattr(graph_module, "_SKIP_DEGREE", 1)
+    inst = random_instance(np.random.default_rng(seed), n_max=8, m_max=10, kind=IC)
+    params = shared_ic(inst.graph, shared)
+    assert params._skip[0].sum() >= 2
+    _check_membership(inst.graph, params, stream(32, seed))
+
+
+# --- geometric in-edge skipping at the real gate -------------------------------------
+
+STAR_SETS = 20_000
+
+
+def _binomial_cells(d, p, sets):
+    """Expected counts of Binomial(d, p) over cells of k = 0..d, neighbours
+    pooled until each cell expects at least 5; returns (cell of k, expected)."""
+    expect = sets * sps.binom.pmf(np.arange(d + 1), d, p)
+    cell, cells, acc = np.zeros(d + 1, dtype=np.int64), [], 0.0
+    for k in range(d + 1):
+        cell[k] = len(cells)
+        acc += expect[k]
+        if acc >= 5.0:
+            cells.append(acc)
+            acc = 0.0
+    cell[cell == len(cells)] = len(cells) - 1  # the tail joins the last full cell
+    cells[-1] += acc
+    return cell, np.array(cells)
+
+
+# None: weighted cascade, p = 1 / d; at p = 0.6 most sets outlast the gap
+# rounds and finish their row with coins
+@pytest.mark.parametrize("d, p", [(_SKIP_DEGREE, None), (_SKIP_DEGREE, 0.3),
+                                  (2 * _SKIP_DEGREE, 0.6)])
+def test_star_at_gate_draws_binomial_live_edges(d, p):
+    below = from_edges(_SKIP_DEGREE, [(u, 0) for u in range(1, _SKIP_DEGREE)])
+    assert not uniform_ic(below, 0.3)._skip[0].any()  # one in-edge short: coins
+    g = from_edges(d + 1, [(u, 0) for u in range(1, d + 1)])
+    params = assign_weighted_cascade(g) if p is None else uniform_ic(g, p)
+    p = 1.0 / d if p is None else p
+    assert params._skip[0].tolist() == [True] + [False] * d
+    sets = _rr_sets(g, params, np.zeros(STAR_SETS, dtype=np.int64), stream(61, d, int(p * 1e6)))
+    live = np.array([len(rr.members) - 1 for rr in sets])
+    cell, expect = _binomial_cells(d, p, STAR_SETS)
+    _, pvalue = sps.chisquare(np.bincount(cell[live], minlength=len(expect)), expect)
+    assert pvalue > 1e-3
+    freq = np.bincount(np.concatenate([rr.members for rr in sets]), minlength=d + 1) / STAR_SETS
+    assert freq[0] == 1.0
+    se = np.sqrt(p * (1.0 - p) / STAR_SETS)
+    assert np.all(np.abs(freq[1:] - p) <= 4.0 * se)
 
 
 # --- virtual-arm slot lookup -------------------------------------------------------
@@ -121,6 +182,18 @@ def _star():
     return g, assign_weighted_cascade(g), {0: 2.0}
 
 
+def _gate_edges():
+    """Three hubs of in-degree 128 from private leaves that take the coin
+    path: hub 0 shares p = 1, hub 1 shares p = 0, hub 2 mixes 0.002 and
+    0.004."""
+    deg = 128
+    edges = [(3 + h * deg + i, h) for h in range(3) for i in range(deg)]
+    g = from_edges(3 + 3 * deg, edges)
+    mixed = np.resize([0.002, 0.004], deg)
+    rows = [np.ones(deg), np.zeros(deg), mixed] + [np.empty(0)] * (3 * deg)
+    return g, TriggeringParams.build(g, IC, rows), {0: 1.0 + deg, 1: 1.0, 2: 1.0 + mixed.sum()}
+
+
 def _isolated():
     g = from_edges(1000, [(1, 2), (2, 3), (3, 1), (5, 6)])
     sizes = {v: 1.0 for v in range(1000)}
@@ -162,8 +235,15 @@ def _wide_frontier():
     return g, TriggeringParams.build(g, IC, rows), sizes
 
 
-@pytest.mark.parametrize("build", [_star, _isolated, _two_nodes, _lt_sums_to_one,
-                                   _wide_frontier])
+def test_skip_gate_of_pathological_hubs():
+    assert _SKIP_DEGREE <= 128
+    assert _star()[1]._skip[0].tolist() == [True] + [False] * 20_000
+    assert not _gate_edges()[1]._skip[0].any()
+    assert _lt_sums_to_one()[1]._skip == ()  # LT never skips
+
+
+@pytest.mark.parametrize("build", [_star, _gate_edges, _isolated, _two_nodes,
+                                   _lt_sums_to_one, _wide_frontier])
 def test_pathological_graphs_bounded_memory(build):
     g, params, sizes = build()  # root -> exact mean RR-set size, or None
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=3)
@@ -174,7 +254,7 @@ def test_pathological_graphs_bounded_memory(build):
     tracemalloc.start()
     try:
         sets = _rr_sets(g, params, roots, stream(60, 0))
-        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), model))
+        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), _arm_sampler(model, g.n)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
