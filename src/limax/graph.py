@@ -1,6 +1,6 @@
 """Directed social graphs and triggering-model parameters.
 
-A graph is stored as immutable per-node adjacency (both directions).  Edge
+A graph is stored as immutable edge arrays, one CSR per direction.  Edge
 parameters live in a separate :class:`TriggeringParams` so one topology can
 carry several parameterizations (learned probabilities, weighted cascade,
 uniform).  Two diffusion families are supported:
@@ -20,6 +20,9 @@ import io
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,185 +63,248 @@ class EdgeListError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+def _rows(indptr: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
+    """Per-node views ``flat[indptr[v]:indptr[v + 1]]``."""
+    bounds = indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _concat_rows(rows: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, flat) of per-node rows, copied into one array."""
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    return _indptr(counts), np.concatenate((np.empty(0, dtype), *rows)).astype(dtype, copy=False)
+
+
 class DirectedGraph:
     """Immutable directed multigraph with dense node ids in [0, n).
 
-    ``in_neighbors[v]`` lists edge sources, ``out_neighbors[u]`` lists edge
-    targets; the two views describe the same edge multiset.  ``edge_values``
-    holds per-edge numbers parsed from the input file (aligned with
-    ``in_neighbors``), or None when the input had bare edges.  ``labels``
-    maps compacted ids back to the original ids for reporting.
+    The edges are stored once per direction as read-only CSR arrays.
+    ``in_csr = (indptr, src, values)``: node v's in-edges are
+    ``indptr[v]:indptr[v + 1]``, ``src`` holds their sources, and ``values``
+    the per-edge numbers parsed from the input file, or None when the input
+    had bare edges.  ``out_csr = (indptr, dst, edge)`` lists the out-edges
+    by source the same way, and ``edge`` holds each out-edge's position in
+    ``in_csr``: the k-th parallel copy of (u, v) in one direction is the
+    k-th copy in the other.  ``in_neighbors``, ``out_neighbors`` and
+    ``edge_values`` are per-node views of those arrays.  ``labels`` maps
+    compacted ids back to the original ids for reporting.
     """
 
-    n: int
-    in_neighbors: list[np.ndarray]
-    out_neighbors: list[np.ndarray]
-    edge_values: list[np.ndarray] | None = None
-    labels: np.ndarray | None = None
+    def __init__(self, n: int, in_neighbors: Sequence, out_neighbors: Sequence,
+                 edge_values: Sequence | None = None, labels: np.ndarray | None = None):
+        """Build from per-node rows: ``in_neighbors[v]`` lists v's edge
+        sources, ``out_neighbors[u]`` u's edge targets, and ``edge_values[v]``
+        (optional) one number per in-edge of v."""
+        in_ptr, src = _concat_rows(in_neighbors, np.int64)
+        out_ptr, dst = _concat_rows(out_neighbors, np.int64)
+        values = None if edge_values is None else _concat_rows(edge_values, np.float64)[1]
+        ids = np.arange(n)
+        edge = np.empty(len(dst), dtype=np.int64)
+        edge[np.lexsort((dst, np.repeat(ids, np.diff(out_ptr))))] = \
+            np.lexsort((np.repeat(ids, np.diff(in_ptr)), src))
+        self._store(n, (in_ptr, src, values), (out_ptr, dst, edge), labels)
 
-    def __post_init__(self):
-        for arr in self.in_neighbors:
-            arr.flags.writeable = False
-        for arr in self.out_neighbors:
-            arr.flags.writeable = False
+    @classmethod
+    def _from_edges(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                    values: np.ndarray | None, labels: np.ndarray | None) -> "DirectedGraph":
+        """Graph of the edges (src[e], dst[e]); each node's rows keep edge order."""
+        in_order = np.argsort(dst, kind="stable")
+        out_order = np.argsort(src, kind="stable")
+        pos = np.empty(len(src), dtype=np.int64)
+        pos[in_order] = np.arange(len(src))
+        graph = cls.__new__(cls)
+        graph._store(n, (_indptr(np.bincount(dst, minlength=n)), src[in_order],
+                         None if values is None else values[in_order]),
+                     (_indptr(np.bincount(src, minlength=n)), dst[out_order], pos[out_order]),
+                     labels)
+        return graph
+
+    def _store(self, n, in_csr, out_csr, labels) -> None:
+        for arr in (*in_csr, *out_csr):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.n = n
+        self.in_csr = in_csr
+        self.out_csr = out_csr
+        self.labels = labels
+
+    @cached_property
+    def in_neighbors(self) -> list[np.ndarray]:
+        return _rows(self.in_csr[0], self.in_csr[1])
+
+    @cached_property
+    def out_neighbors(self) -> list[np.ndarray]:
+        return _rows(self.out_csr[0], self.out_csr[1])
+
+    @cached_property
+    def edge_values(self) -> list[np.ndarray] | None:
+        indptr, _, values = self.in_csr
+        return None if values is None else _rows(indptr, values)
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.in_neighbors)
+        return int(self.in_csr[0][-1])
 
     def in_degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.in_neighbors], dtype=np.int64)
+        return np.diff(self.in_csr[0])
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.out_neighbors], dtype=np.int64)
+        return np.diff(self.out_csr[0])
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for v, srcs in enumerate(self.in_neighbors):
-            for u in srcs:
-                yield int(u), v
+        indptr, src, _ = self.in_csr
+        return zip(src.tolist(), np.repeat(np.arange(self.n), np.diff(indptr)).tolist())
 
 
-@dataclass
+@dataclass(eq=False)
 class TriggeringParams:
-    """Per-edge diffusion parameters aligned with ``graph.in_neighbors``.
+    """Per-edge diffusion parameters aligned with ``graph.in_csr``.
 
-    For IC, ``in_values[v][t]`` is the firing probability of the t-th
-    in-edge of v; for LT it is the edge weight, with per-node weight sums
-    at most 1.  Two CSR views hold the edges as whole arrays for the
-    batched kernels.  ``_csr = (indptr, src, values)`` lists the in-edges:
-    node v's are ``indptr[v]:indptr[v + 1]``, in ``in_values`` order, and
-    ``values`` are the IC probabilities, or under LT each node's running
-    weight sums.  ``_out_csr = (indptr, dst, values)`` lists the out-edges
-    in ``graph.out_neighbors`` order, each with its own probability or
-    weight.  Under IC, ``_skip = (flag, p)`` marks the nodes of in-degree at
-    least ``_SKIP_DEGREE`` whose in-edges all share one probability p with
+    ``values`` holds one read-only number per in-edge, in ``in_csr`` order:
+    under IC the firing probability, under LT the edge weight, with
+    per-node weight sums at most 1; ``in_values[v]`` is node v's slice of
+    it.  Two CSR views hold the edges for the batched kernels.  ``_csr =
+    (indptr, src, values)`` lists the in-edges as ``graph.in_csr`` does,
+    with the IC probabilities, or under LT each node's running weight sums.
+    ``_out_csr = (indptr, dst, values)`` lists the out-edges as
+    ``graph.out_csr`` does, each with its own probability or weight.  Under
+    IC, ``_skip = (flag, p)`` marks the nodes of in-degree at least
+    ``_SKIP_DEGREE`` whose in-edges all share one probability p with
     0 < p < 1, and holds each node's p (meaningful where flagged).
     """
 
     kind: str
-    in_values: list[np.ndarray]
+    values: np.ndarray = field(repr=False)
     _csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
     _out_csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
     _skip: tuple[np.ndarray, np.ndarray] = field(default=(), repr=False)
 
+    @cached_property
+    def in_values(self) -> list[np.ndarray]:
+        return _rows(self._csr[0], self.values)
+
     @classmethod
-    def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence[np.ndarray]) -> "TriggeringParams":
-        if kind not in (IC, LT):
-            raise ValueError(f"unknown triggering kind {kind!r}")
+    def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence) -> "TriggeringParams":
+        """Parameters from one row per node, ``in_values[v]`` aligned with
+        ``graph.in_neighbors[v]``; the rows are copied, not kept."""
         if len(in_values) != graph.n:
             raise ValueError(f"{len(in_values)} parameter rows for {graph.n} nodes")
-        vals = []
-        for v in range(graph.n):
-            a = np.asarray(in_values[v], dtype=np.float64)
-            if a.shape != graph.in_neighbors[v].shape:
-                raise ValueError(f"parameter row {v} does not match in-degree")
-            a.flags.writeable = False
-            vals.append(a)
+        rows = [np.asarray(a, dtype=np.float64) for a in in_values]
+        deg = graph.in_degrees().tolist()
+        bad = [v for v, (a, d) in enumerate(zip(rows, deg)) if a.shape != (d,)]
+        if bad:
+            raise ValueError(f"parameter row {bad[0]} does not match in-degree")
+        return cls._from_flat(graph, kind, np.concatenate((np.empty(0), *rows)))
+
+    @classmethod
+    def _from_flat(cls, graph: DirectedGraph, kind: str, values: np.ndarray) -> "TriggeringParams":
+        """Parameters from one value per edge in ``graph.in_csr`` order."""
+        if kind not in (IC, LT):
+            raise ValueError(f"unknown triggering kind {kind!r}")
+        indptr, src, _ = graph.in_csr
+        out_ptr, dst, edge = graph.out_csr
+        deg = np.diff(indptr)
+        rows = np.flatnonzero(deg)
         # one pass over all edges; a failing check names its first node
-        deg = graph.in_degrees()
-        ends = np.cumsum(deg)
-        flat = np.concatenate((np.empty(0), *vals))
-        bad = np.flatnonzero((flat < 0.0) | (flat > 1.0))
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
         if len(bad):
-            v = int(np.searchsorted(ends, bad[0], side="right"))
+            v = int(np.searchsorted(indptr[1:], bad[0], side="right"))
             raise ValueError(f"edge parameter out of [0, 1] at node {v}")
-        if kind == LT:
-            rows = np.flatnonzero(deg)
-            sums = np.add.reduceat(flat, ends[rows] - deg[rows])
+        values.flags.writeable = False
+        if kind == IC:
+            p = np.zeros(graph.n)
+            p[rows] = np.minimum.reduceat(values, indptr[rows])
+            shared = np.zeros(graph.n, dtype=bool)
+            shared[rows] = p[rows] == np.maximum.reduceat(values, indptr[rows])
+            skip = (shared & (deg >= _SKIP_DEGREE) & (p > 0.0) & (p < 1.0), p)
+            csr_values = values
+        else:
+            sums = np.add.reduceat(values, indptr[rows])
             over = np.flatnonzero(sums > 1.0 + 1e-12)
             if len(over):
                 v = int(rows[over[0]])
                 raise ValueError(f"LT weights into node {v} sum to {sums[over[0]]:.6f} > 1")
-        params = cls(kind=kind, in_values=vals)
-        params._finalize(graph)
-        return params
-
-    def _finalize(self, graph: DirectedGraph) -> None:
-        # sorting both edge views by (source, target), stably, lines the k-th
-        # parallel copy of an edge in one view up with the k-th copy in the
-        # other
-        ids = np.arange(graph.n)
-        in_deg = graph.in_degrees()
-        in_src = np.concatenate((np.empty(0, np.int64), *graph.in_neighbors))
-        in_dst = np.repeat(ids, in_deg)
-        out_deg = graph.out_degrees()
-        out_src = np.repeat(ids, out_deg)
-        out_dst = np.concatenate((np.empty(0, np.int64), *graph.out_neighbors))
-        vals = np.concatenate((np.empty(0), *self.in_values))
-        out_vals = np.empty(len(vals))
-        out_vals[np.lexsort((out_dst, out_src))] = vals[np.lexsort((in_dst, in_src))]
-        self._out_csr = (np.concatenate(([0], np.cumsum(out_deg))), out_dst, out_vals)
-        indptr = np.concatenate(([0], np.cumsum(in_deg)))
-        if self.kind == IC:
-            rows = np.flatnonzero(in_deg)
-            p = np.zeros(graph.n)
-            p[rows] = np.minimum.reduceat(vals, indptr[rows])
-            shared = np.zeros(graph.n, dtype=bool)
-            shared[rows] = p[rows] == np.maximum.reduceat(vals, indptr[rows])
-            self._skip = (shared & (in_deg >= _SKIP_DEGREE) & (p > 0.0) & (p < 1.0), p)
-        else:
-            vals = np.concatenate((np.empty(0), *(np.cumsum(a) for a in self.in_values)))
-        self._csr = (indptr, in_src, vals)
+            skip = ()
+            csr_values = _running_sums(values, indptr)
+        return cls(kind=kind, values=values, _csr=(indptr, src, csr_values),
+                   _out_csr=(out_ptr, dst, values[edge]), _skip=skip)
 
 
-def _compact(edges: list[tuple[int, int]], values: list[float] | None,
+def _running_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each node's running sums of its values, added in row order as
+    ``np.cumsum`` of the row does, for all nodes of one degree at a time."""
+    out = values.copy()
+    deg = np.diff(indptr)
+    for d in np.unique(deg[deg > 1]).tolist():
+        idx = indptr[:-1][deg == d][:, None] + np.arange(d)
+        out[idx] = np.cumsum(values[idx], axis=1)
+    return out
+
+
+def _compact(src: np.ndarray, dst: np.ndarray, values: np.ndarray | None,
              declared_n: int | None) -> DirectedGraph:
     if declared_n is not None:
         n = declared_n
         labels = None
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListError(f"node id {max(u, v)} out of declared range [0, {n})")
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if len(bad):
+            e = bad[0]
+            raise EdgeListError(f"node id {max(src[e], dst[e])} out of declared range [0, {n})")
     else:
-        ids = sorted({x for e in edges for x in e})
-        remap = {orig: i for i, orig in enumerate(ids)}
-        n = len(ids)
-        labels = np.array(ids, dtype=np.int64)
-        edges = [(remap[u], remap[v]) for u, v in edges]
-
-    in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    out_nbrs: list[list[int]] = [[] for _ in range(n)]
-    in_vals: list[list[float]] | None = [[] for _ in range(n)] if values is not None else None
-    dropped = 0
-    for idx, (u, v) in enumerate(edges):
-        if u == v:
-            dropped += 1
-            continue
-        in_nbrs[v].append(u)
-        out_nbrs[u].append(v)
-        if in_vals is not None:
-            in_vals[v].append(values[idx])
+        labels, ids = np.unique(np.concatenate((src, dst)), return_inverse=True)
+        n = len(labels)
+        src, dst = ids[:len(src)], ids[len(src):]
+    keep = src != dst
+    dropped = len(keep) - int(np.count_nonzero(keep))
     if dropped:
         warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=3)
-    return DirectedGraph(
-        n=n,
-        in_neighbors=[np.array(a, dtype=np.int64) for a in in_nbrs],
-        out_neighbors=[np.array(a, dtype=np.int64) for a in out_nbrs],
-        edge_values=[np.array(a, dtype=np.float64) for a in in_vals] if in_vals is not None else None,
-        labels=labels,
-    )
+        src, dst = src[keep], dst[keep]
+        values = None if values is None else values[keep]
+    return DirectedGraph._from_edges(n, src, dst, values, labels)
 
 
 def from_edges(n: int, edges: Iterable[tuple], ) -> DirectedGraph:
     """Build a graph from (u, v) or (u, v, p) tuples over ids in [0, n)."""
-    plain: list[tuple[int, int]] = []
-    values: list[float] = []
-    have_values = None
-    for e in edges:
-        if len(e) == 3:
-            u, v, p = e
-            values.append(float(p))
-            got = True
-        else:
-            u, v = e
-            got = False
-        if have_values is None:
-            have_values = got
-        elif have_values != got:
-            raise ValueError("mix of weighted and bare edges")
-        plain.append((int(u), int(v)))
-    return _compact(plain, values if have_values else None, declared_n=n)
+    edges = list(edges)
+    weighted = {len(e) == 3 for e in edges}
+    if len(weighted) > 1:
+        raise ValueError("mix of weighted and bare edges")
+    columns = list(zip(*edges))
+    if weighted == {True}:
+        us, vs, ps = columns
+        values = np.fromiter(map(float, ps), np.float64, len(ps))
+    else:
+        us, vs = columns or ((), ())
+        values = None
+    src = np.fromiter(map(int, us), np.int64, len(us))
+    dst = np.fromiter(map(int, vs), np.int64, len(vs))
+    return _compact(src, dst, values, declared_n=n)
+
+
+def _read_lines(source) -> list[str]:
+    if isinstance(source, bytes):
+        return source.decode("utf-8").splitlines()
+    if isinstance(source, str):
+        if "\n" in source:
+            return source.splitlines()
+        # a single line is a path unless it parses as inline data
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return fh.read().splitlines()
+        except OSError:
+            if len(source.split()) not in (2, 3):
+                raise
+            return [source]
+    if isinstance(source, io.IOBase) or hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return data.splitlines()
+    raise TypeError("unsupported edge-list source")
 
 
 def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
@@ -250,106 +316,120 @@ def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
     a header when its counts are consistent with the rest of the file.
     Without a header, node ids are compacted to [0, n) in sorted order and
     the original ids are kept in ``graph.labels``.
+
+    The records are converted column by column; a failing check reports
+    the first bad record, with its line number.
     """
-    if isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
-    elif isinstance(source, str):
-        if "\n" in source:
-            lines = source.splitlines()
-        else:
-            # a single line is a path unless it parses as inline data
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
-            except OSError:
-                if len(source.split()) not in (2, 3):
-                    raise
-                lines = [source]
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    else:
-        raise TypeError("unsupported edge-list source")
-
-    records: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        records.append((lineno, s.split()))
-
-    if not records:
+    stripped = list(map(str.strip, _read_lines(source)))
+    kept = [i for i, s in enumerate(stripped, start=1) if s and s[0] != "#"]
+    if not kept:
         raise EdgeListError("empty edge list")
+    fields = [stripped[i - 1].split() for i in kept]
+    width = np.fromiter(map(len, fields), np.int64, len(fields))
 
     declared: tuple[int, int] | None = None
-    start = 0
-    first_line, first = records[0]
+    first = fields[0]
     if header is True:
         if len(first) != 2:
-            raise EdgeListError("expected header line 'n m'", first_line)
-        declared = _parse_header(first, first_line)
-        start = 1
+            raise EdgeListError("expected header line 'n m'", kept[0])
+        declared = _parse_header(first, kept[0])
     elif header == "auto" and len(first) == 2:
         try:
-            cand = _parse_header(first, first_line)
+            cand = _parse_header(first, kept[0])
         except EdgeListError:
             cand = None
-        if cand is not None and cand[0] >= 1:
-            n_h, m_h = cand
-            body = records[1:]
-            # commit to the header on a shape match; id range is then
-            # enforced, not used to fall back to a headerless reading
-            ok = len(body) == m_h
-            for _, fields in body:
-                if not ok:
-                    break
-                if len(fields) < 2 or not (fields[0].lstrip("-").isdigit()
-                                           and fields[1].lstrip("-").isdigit()):
-                    ok = False
-            if ok:
-                declared = cand
-                start = 1
-
-    edges: list[tuple[int, int]] = []
-    values: list[float] = []
-    have_values: bool | None = None
-    for lineno, fields in records[start:]:
-        if len(fields) not in (2, 3):
-            raise EdgeListError(f"expected 'u v [p]', got {len(fields)} fields", lineno)
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-        except ValueError:
-            raise EdgeListError(f"non-integer node id in {fields[:2]}", lineno) from None
-        if u < 0 or v < 0:
-            raise EdgeListError("negative node id", lineno)
-        got = len(fields) == 3
-        if have_values is None:
-            have_values = got
-        elif have_values != got:
-            raise EdgeListError("mix of weighted and bare edge records", lineno)
-        if got:
-            try:
-                p = float(fields[2])
-            except ValueError:
-                raise EdgeListError(f"non-numeric edge value {fields[2]!r}", lineno) from None
-            if not (0.0 <= p <= 1.0):
-                raise EdgeListError(f"edge value {p} outside [0, 1]", lineno)
-            values.append(p)
-        edges.append((u, v))
-
-    if declared is not None and len(edges) != declared[1]:
+        # commit to the header on a shape match; id range is then
+        # enforced, not used to fall back to a headerless reading
+        if (cand is not None and cand[0] >= 1 and len(fields) - 1 == cand[1]
+                and width[1:].min(initial=2) >= 2
+                and _all_ids(map(itemgetter(0), fields[1:]))
+                and _all_ids(map(itemgetter(1), fields[1:]))):
+            declared = cand
+    start = 0 if declared is None else 1
+    src, dst, values = _parse_records(fields[start:], width[start:], kept[start:])
+    if declared is not None and len(src) != declared[1]:
         raise EdgeListError(
-            f"header declares {declared[1]} edges but file has {len(edges)}")
+            f"header declares {declared[1]} edges but file has {len(src)}")
     try:
-        return _compact(edges, values if have_values else None,
-                        declared_n=declared[0] if declared else None)
+        return _compact(src, dst, values, declared_n=declared[0] if declared else None)
     except EdgeListError:
         raise
     except ValueError as exc:
         raise EdgeListError(str(exc)) from None
+
+
+def _all_ids(tokens) -> bool:
+    """Whether every token is digits after its leading minus signs."""
+    return all(map(str.isdigit, map(str.lstrip, tokens, repeat("-"))))
+
+
+def _parse_records(fields: list[list[str]], width: np.ndarray, lines: list[int]):
+    """(src, dst, values or None) of the edge records ``fields``.
+
+    Records up to the first one of another width than the first record's
+    are converted as columns; that record, if any, is the first error
+    unless one comes before it.
+    """
+    if not fields:
+        return np.empty(0, np.int64), np.empty(0, np.int64), None
+    good = (width == 2) | (width == 3)
+    odd = ~good | (width != width[0])
+    stop = int(np.argmax(odd)) if odd.any() else len(fields)
+    src, dst, values, err = _convert(fields[:stop])
+    if err is None and stop < len(fields):
+        row = fields[stop]
+        if not good[stop]:
+            err = stop, f"expected 'u v [p]', got {len(row)} fields"
+        else:
+            # a record of the other width fails its id checks first
+            bad_ids = _convert([row[:2]])[3]
+            err = stop, bad_ids[1] if bad_ids else "mix of weighted and bare edge records"
+    if err is not None:
+        raise EdgeListError(err[1], lines[err[0]])
+    return src, dst, values
+
+
+def _convert(block: list[list[str]]):
+    """(src, dst, values or None) of records of one width (2 or 3), each a
+    column array, plus the first bad record as (row, message), or None."""
+    w = len(block[0]) if block else 2
+    cols = list(zip(*block)) or [()] * w
+    src, bad_src = _column(cols[0], int, np.int64)
+    dst, bad_dst = _column(cols[1], int, np.int64)
+    bad_id = bad_src | bad_dst
+    checks = [(bad_id, lambda r: f"non-integer node id in {list(block[r][:2])}"),
+              ((src < 0) | (dst < 0), lambda r: "negative node id")]
+    values = None
+    if w == 3:
+        values, bad_p = _column(cols[2], float, np.float64)
+        checks += [(bad_p, lambda r: f"non-numeric edge value {block[r][2]!r}"),
+                   (~((values >= 0.0) & (values <= 1.0)),
+                    lambda r: f"edge value {float(values[r])} outside [0, 1]")]
+    # the first bad record, and its first failing check in record order
+    firsts = [(int(np.argmax(mask)), i) for i, (mask, _) in enumerate(checks) if mask.any()]
+    if firsts:
+        row, i = min(firsts)
+        return src, dst, values, (row, checks[i][1](row))
+    return src, dst, values, None
+
+
+def _column(tokens, kind, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``kind(token)`` for every token, plus a mask of the tokens it
+    rejects (their entries are 0, which passes the range checks)."""
+    try:
+        return np.fromiter(map(kind, tokens), dtype, len(tokens)), np.zeros(len(tokens), bool)
+    except ValueError:
+        pass
+
+    def attempt(token):
+        try:
+            return kind(token), False
+        except ValueError:
+            return 0, True
+
+    got = [attempt(t) for t in tokens]
+    return (np.array([x for x, _ in got], dtype=dtype),
+            np.array([b for _, b in got], dtype=bool))
 
 
 def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
@@ -364,24 +444,20 @@ def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
 
 def assign_weighted_cascade(graph: DirectedGraph) -> TriggeringParams:
     """IC parameters with p(u, v) = 1 / in-degree(v) for every edge."""
-    vals = []
-    for v in range(graph.n):
-        deg = len(graph.in_neighbors[v])
-        vals.append(np.full(deg, 1.0 / deg) if deg else np.empty(0))
-    return TriggeringParams.build(graph, IC, vals)
+    deg = graph.in_degrees()
+    return TriggeringParams._from_flat(graph, IC, np.repeat(1.0 / np.maximum(deg, 1), deg))
 
 
 def uniform_ic(graph: DirectedGraph, p: float) -> TriggeringParams:
     """IC parameters with a single shared probability on all edges."""
-    return TriggeringParams.build(
-        graph, IC, [np.full(len(a), float(p)) for a in graph.in_neighbors])
+    return TriggeringParams._from_flat(graph, IC, np.full(graph.m, float(p)))
 
 
 def params_from_edge_values(graph: DirectedGraph, kind: str = IC) -> TriggeringParams:
     """Adopt the per-edge values parsed from the input file."""
-    if graph.edge_values is None:
+    if graph.in_csr[2] is None:
         raise ValueError("edge list had no per-edge values")
-    return TriggeringParams.build(graph, kind, graph.edge_values)
+    return TriggeringParams._from_flat(graph, kind, graph.in_csr[2])
 
 
 def linear_threshold_params(graph: DirectedGraph, in_values: Sequence[np.ndarray]) -> TriggeringParams:
@@ -410,34 +486,33 @@ def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,
 
 
 def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:
-    """Directed G(n, m): m distinct non-loop edges, uniform without replacement."""
+    """Directed G(n, m): m distinct non-loop edges, uniform without replacement.
+
+    Batches of (u, v) pairs are drawn until m edges are found; each batch
+    contributes its non-loop pairs not seen before, first copies in draw
+    order.
+    """
     if m > n * (n - 1):
         raise ValueError("too many edges requested")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    while len(edges) < m:
-        batch = rng.integers(0, n, size=(2 * (m - len(edges)) + 16, 2))
-        for u, v in batch:
-            if u == v:
-                continue
-            e = (int(u), int(v))
-            if e in seen:
-                continue
-            seen.add(e)
-            edges.append(e)
-            if len(edges) == m:
-                break
-    return from_edges(n, edges)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < m:
+        batch = rng.integers(0, n, size=(2 * (m - len(keys)) + 16, 2))
+        new = (batch[:, 0] * n + batch[:, 1])[batch[:, 0] != batch[:, 1]]
+        _, first = np.unique(new, return_index=True)
+        new = new[np.sort(first)]
+        new = new[~np.isin(new, keys)]
+        keys = np.concatenate((keys, new[:m - len(keys)]))
+    return DirectedGraph._from_edges(n, keys // n, keys % n, None, None)
 
 
 def write_edge_list(path: str, graph: DirectedGraph) -> None:
-    """Write ``n m`` header plus one ``u v [p]`` record per edge."""
+    """Write ``n m`` header plus one ``u v [p]`` record per edge, by target,
+    with each value as its shortest round-trip ``repr``."""
+    indptr, src, values = graph.in_csr
+    columns = [src.tolist(), np.repeat(np.arange(graph.n), np.diff(indptr)).tolist()]
+    if values is not None:
+        columns.append(values.tolist())
+    line = "{} {} {!r}\n" if values is not None else "{} {}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n} {graph.m}\n")
-        for v in range(graph.n):
-            vals = graph.edge_values[v] if graph.edge_values is not None else None
-            for t, u in enumerate(graph.in_neighbors[v]):
-                if vals is not None:
-                    fh.write(f"{int(u)} {v} {vals[t]!r}\n")
-                else:
-                    fh.write(f"{int(u)} {v}\n")
+        fh.writelines(map(line.format, *columns))

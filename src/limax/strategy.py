@@ -19,9 +19,12 @@ Activation comes in two flavors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .graph import _indptr, _rows
 
 __all__ = [
     "LatticeConfig",
@@ -129,12 +132,16 @@ def quadratic_table(lattice: LatticeConfig) -> np.ndarray:
     return 2.0 * x - x * x
 
 
-def multi_event_table(r: float, lattice: LatticeConfig) -> np.ndarray:
-    """Repeated-event curve 1 - (1-r)^x at x = 0, delta, ..., K*delta."""
-    if not (0.0 <= r <= 1.0):
+def multi_event_table(r, lattice: LatticeConfig) -> np.ndarray:
+    """Repeated-event curve 1 - (1-r)^x at x = 0, delta, ..., K*delta.
+
+    For an array of rates, one curve per rate (one row each).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if not np.all((0.0 <= r) & (r <= 1.0)):
         raise ValueError("r must lie in [0, 1]")
     x = np.arange(lattice.budget_steps + 1) * lattice.delta
-    return 1.0 - np.power(1.0 - r, x)
+    return 1.0 - np.power((1.0 - r)[..., None], x)
 
 
 def clamped_table(table: np.ndarray, cap_steps: int) -> np.ndarray:
@@ -149,9 +156,12 @@ def clamped_table(table: np.ndarray, cap_steps: int) -> np.ndarray:
 class IndependentActivation:
     """Independent per-strategy activation with tabulated q curves.
 
-    ``strategies[v]`` is the sorted array S_v of strategy indices that can
-    reach node v, and ``tables[v][t]`` is the length-(K+1) lattice table of
-    q[v, strategies[v][t]].
+    The curves are stored as read-only flat rows sorted by node, then
+    strategy: row r tabulates q[_flat_nodes[r], _flat_strats[r]] at the
+    lattice points 0..K in ``_flat_tables[r]``.  ``strategies[v]`` (the
+    sorted array S_v of strategy indices that can reach node v) and
+    ``tables[v]`` (one length-(K+1) table per entry of S_v) are per-node
+    views of those rows.
     """
 
     kind = "independent"
@@ -162,34 +172,40 @@ class IndependentActivation:
             raise ValueError("need one strategy set and table block per node")
         self.n = n
         self.lattice = lattice
-        self.strategies: list[np.ndarray] = []
-        self.tables: list[np.ndarray] = []
         width = lattice.budget_steps + 1
-        for v in range(n):
-            s = np.asarray(strategies[v], dtype=np.int64)
-            t = np.asarray(tables[v], dtype=np.float64).reshape(len(s), width)
-            if len(s) and (s.min() < 0 or s.max() >= lattice.d):
-                raise ValueError(f"strategy index out of range at node {v}")
-            if len(np.unique(s)) != len(s):
-                raise ValueError(f"duplicate strategy at node {v}")
-            order = np.argsort(s)
-            s, t = s[order], t[order]
-            s.flags.writeable = False
-            t.flags.writeable = False
-            self.strategies.append(s)
-            self.tables.append(t)
-        # flat row-major view for vectorized h over all nodes
-        rows = sum(len(s) for s in self.strategies)
-        self._flat_nodes = np.empty(rows, dtype=np.int64)
-        self._flat_strats = np.empty(rows, dtype=np.int64)
-        self._flat_tables = np.empty((rows, width), dtype=np.float64)
-        pos = 0
-        for v in range(n):
-            k = len(self.strategies[v])
-            self._flat_nodes[pos:pos + k] = v
-            self._flat_strats[pos:pos + k] = self.strategies[v]
-            self._flat_tables[pos:pos + k] = self.tables[v]
-            pos += k
+        counts = np.fromiter(map(len, strategies), np.int64, n)
+        nodes = np.repeat(np.arange(n), counts)
+        strats = np.concatenate((np.empty(0, np.int64), *strategies)).astype(np.int64, copy=False)
+        flat = np.concatenate((np.empty(0), *tables), axis=None)
+        if flat.size != len(strats) * width:
+            sizes = np.fromiter(map(np.size, tables), np.int64, n)
+            v = int(np.argmax(sizes != counts * width))
+            raise ValueError(f"table block of node {v} does not match its {counts[v]} strategies")
+        # the first bad node names the error; out of range is checked first
+        order = np.lexsort((strats, nodes))
+        strats, tabs = strats[order], flat.reshape(len(strats), width)[order]
+        out = (strats < 0) | (strats >= lattice.d)
+        dup = np.zeros(len(strats), dtype=bool)
+        dup[1:] = (nodes[1:] == nodes[:-1]) & (strats[1:] == strats[:-1])
+        if out.any() or dup.any():
+            first_out = nodes[out].min(initial=n)
+            v = int(min(first_out, nodes[dup].min(initial=n)))
+            kind = "strategy index out of range" if v == first_out else "duplicate strategy"
+            raise ValueError(f"{kind} at node {v}")
+        for arr in (nodes, strats, tabs):
+            arr.flags.writeable = False
+        self._indptr = _indptr(counts)
+        self._flat_nodes = nodes
+        self._flat_strats = strats
+        self._flat_tables = tabs
+
+    @cached_property
+    def strategies(self) -> list[np.ndarray]:
+        return _rows(self._indptr, self._flat_strats)
+
+    @cached_property
+    def tables(self) -> list[np.ndarray]:
+        return _rows(self._indptr, self._flat_tables)
 
     def _check_steps(self, steps: np.ndarray) -> None:
         if steps.min(initial=0) < 0 or steps.max(initial=0) > self.lattice.budget_steps:
@@ -321,17 +337,14 @@ def make_segmented_event(degrees: np.ndarray, lattice: LatticeConfig,
     n = len(degrees)
     top = min(top, n)
     order = np.lexsort((np.arange(n), -np.asarray(degrees)))
-    chosen = set(order[:top].tolist())
-    strategies, tables = [], []
-    empty_s = np.empty(0, dtype=np.int64)
-    empty_t = np.empty((0, lattice.budget_steps + 1))
-    for v in range(n):
-        if v in chosen:
-            i_v = int(rng.integers(0, lattice.d))
-            r = float(rng.uniform(0.0, r_max))
-            strategies.append(np.array([i_v]))
-            tables.append(multi_event_table(r, lattice)[None, :])
-        else:
-            strategies.append(empty_s)
-            tables.append(empty_t)
+    chosen = np.sort(order[:top]).tolist()
+    # one event type and rate per chosen node, drawn in node order
+    events = [(int(rng.integers(0, lattice.d)), float(rng.uniform(0.0, r_max)))
+              for _ in chosen]
+    curves = multi_event_table([r for _, r in events], lattice)
+    strategies = [np.empty(0, dtype=np.int64)] * n
+    tables = [np.empty((0, lattice.budget_steps + 1))] * n
+    for t, v in enumerate(chosen):
+        strategies[v] = np.array([events[t][0]])
+        tables[v] = curves[t:t + 1]
     return IndependentActivation(n, lattice, strategies, tables)

@@ -168,6 +168,17 @@ def test_param_range_error_names_first_bad_node():
             TriggeringParams.build(g, kind, rows)
 
 
+def test_nan_parameter_is_out_of_range():
+    g = _two_in_edges_each()
+    rows = [np.full(2, 0.1) for _ in range(5)]
+    rows[3] = np.array([0.1, np.nan])
+    for kind in (IC, LT):
+        with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 3$"):
+            TriggeringParams.build(g, kind, rows)
+    with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 0$"):
+        uniform_ic(g, float("nan"))
+
+
 def test_lt_sum_error_names_first_bad_node():
     # node 0 has no in-edges: an empty row ahead of the bad ones
     rows = [np.full(2, 0.5) for _ in range(5)]
@@ -239,6 +250,19 @@ def test_graph_arrays_are_immutable():
     before = [a.copy() for a in g.in_neighbors]
     _ = sample_triggering_set(g, uniform_ic(g, 0.3), 1, stream(0, 5))
     assert all(np.array_equal(a, b) for a, b in zip(before, g.in_neighbors))
+    # values read from a file are as read-only as the neighbour arrays
+    loaded = load_edge_list("3 2\n0 1 0.5\n1 2 0.25\n")
+    for arr in (*loaded.edge_values, *loaded.in_neighbors, *loaded.out_neighbors):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        loaded.edge_values[1][0] = 0.75
+    # building parameters copies the caller's rows and leaves them writable
+    rows = [np.empty(0), np.array([0.5]), np.array([0.25])]
+    params = TriggeringParams.build(loaded, IC, rows)
+    assert all(a.flags.writeable for a in rows)
+    rows[1][0] = 0.9
+    assert params.in_values[1].tolist() == [0.5]
+    assert not params.in_values[1].flags.writeable
 
 
 def test_er_generator_shape():
@@ -254,3 +278,63 @@ def test_in_and_out_views_agree():
     via_out = Counter((u, int(v)) for u in range(g.n) for v in g.out_neighbors[u])
     assert via_in == via_out
     assert g.m == sum(len(a) for a in g.in_neighbors)
+
+
+def _reference_erdos_renyi(n, m, rng):
+    # the per-edge acceptance loop the vectorised generator reproduces
+    seen, edges = set(), []
+    while len(edges) < m:
+        batch = rng.integers(0, n, size=(2 * (m - len(edges)) + 16, 2))
+        for u, v in batch:
+            e = (int(u), int(v))
+            if u == v or e in seen:
+                continue
+            seen.add(e)
+            edges.append(e)
+            if len(edges) == m:
+                break
+    return edges
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (2, 0, 0), (2, 2, 1), (3, 6, 2), (5, 20, 3), (7, 30, 4), (30, 100, 5),
+    (200, 1000, 6), (40, 40 * 39, 7), (1, 0, 8)])
+def test_er_generator_matches_per_edge_loop(n, m, seed):
+    g = gen_erdos_renyi(n, m, np.random.default_rng(seed))
+    expect = _reference_erdos_renyi(n, m, np.random.default_rng(seed))
+    assert g.n == n and g.m == m
+    src = [u for u, _ in expect]
+    dst = [v for _, v in expect]
+    assert [a.tolist() for a in g.in_neighbors] == [
+        [u for u, w in zip(src, dst) if w == v] for v in range(n)]
+    assert [a.tolist() for a in g.out_neighbors] == [
+        [w for x, w in zip(src, dst) if x == u] for u in range(n)]
+
+
+def _reference_write(path, graph):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{graph.n} {graph.m}\n")
+        for v in range(graph.n):
+            vals = graph.edge_values[v] if graph.edge_values is not None else None
+            for t, u in enumerate(graph.in_neighbors[v]):
+                if vals is not None:
+                    fh.write(f"{int(u)} {v} {float(vals[t])!r}\n")
+                else:
+                    fh.write(f"{int(u)} {v}\n")
+
+
+def test_write_edge_list_matches_per_edge_writer(tmp_path):
+    gen = np.random.default_rng(3)
+    pairs = [(int(u), int(v)) for u, v in gen.integers(0, 9, size=(60, 2)) if u != v]
+    values = [0.1, 1 / 3, 1.0, 0.0, 1e-7, 0.30000000000000004, 5e-324]
+    weighted = from_edges(9, [(u, v, values[i % len(values)]) for i, (u, v) in enumerate(pairs)])
+    bare = gen_erdos_renyi(50, 300, stream(4, 0))
+    isolated = load_edge_list("6 1\n4 2\n")
+    for i, graph in enumerate((weighted, bare, isolated)):
+        got, want = tmp_path / f"got{i}.txt", tmp_path / f"want{i}.txt"
+        write_edge_list(str(got), graph)
+        _reference_write(str(want), graph)
+        assert got.read_bytes() == want.read_bytes()
+        back = load_edge_list(str(got))
+        for x, y in zip(back.in_csr, graph.in_csr):
+            assert (x is None and y is None) or np.array_equal(x, y)

@@ -1,0 +1,212 @@
+"""The whole-array edge-list loader against the scalar reference, plus
+pathological inputs."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from edge_list_reference import reference_load
+from limax.graph import (EdgeListError, assign_weighted_cascade, from_edges,
+                         load_edge_list, params_from_edge_values, uniform_ic)
+from limax.strategy import IndependentActivation, LatticeConfig
+
+
+def _load(text, header):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = load_edge_list(text, header=header)
+    return graph, [str(w.message) for w in caught]
+
+
+def _assert_same(text: str, header) -> str:
+    """Load ``text`` both ways; return 'error' or 'graph'."""
+    try:
+        ref = reference_load(text, header)
+    except EdgeListError as exc:
+        with pytest.raises(EdgeListError) as got:
+            load_edge_list(text, header=header)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line), text
+        return "error"
+    graph, caught = _load(text, header)
+    assert caught == ([f"dropped {ref.self_loops} self-loop(s)"] if ref.self_loops else [])
+    assert graph.n == ref.n
+    assert [a.tolist() for a in graph.in_neighbors] == ref.in_neighbors
+    assert [a.tolist() for a in graph.out_neighbors] == ref.out_neighbors
+    if ref.edge_values is None:
+        assert graph.edge_values is None and graph.in_csr[2] is None
+    else:
+        assert [a.tolist() for a in graph.edge_values] == ref.edge_values
+        # each out-edge points at an in-edge with the same endpoints
+        _, dst, edge = graph.out_csr
+        src = graph.in_csr[1]
+        owner = np.repeat(np.arange(graph.n), graph.out_degrees())
+        target = np.repeat(np.arange(graph.n), graph.in_degrees())
+        assert np.array_equal(src[edge], owner) and np.array_equal(target[edge], dst)
+    assert (None if graph.labels is None else graph.labels.tolist()) == ref.labels
+    assert graph.m == sum(map(len, ref.in_neighbors))
+    return "graph"
+
+
+def _random_text(gen) -> tuple[str, object]:
+    """A random edge list, often with a planted fault, and a header mode."""
+    ids = int(gen.integers(2, 9))
+    sparse = gen.random() < 0.4
+    label = (lambda i: 3 * i + 5) if sparse else (lambda i: i)
+    m = int(gen.integers(0, 12))
+    weighted = gen.random() < 0.5
+    records = []
+    for _ in range(m):
+        u, v = (int(x) for x in gen.integers(0, ids, size=2))
+        if gen.random() < 0.15:
+            v = u                                        # self-loop
+        fields = [str(label(u)), str(label(v))]
+        if weighted:
+            p = float(gen.choice([0.0, 1.0, 0.25, gen.random()]))
+            fields.append(gen.choice([repr(p), f"{p:.3g}", f"{p:e}"]))
+        records.append(fields)
+        if gen.random() < 0.2:
+            records.append(list(fields))                 # parallel copy
+    if records and gen.random() < 0.5:
+        r = int(gen.integers(0, len(records)))
+        f = int(gen.integers(0, len(records[r])))
+        records[r][f] = str(gen.choice(["x", "1.5", "-2", "+3", "--1", "1_0", "nan",
+                                        "2.5", "-0.1", "1e9", "7"]))
+        if gen.random() < 0.3:
+            r = int(gen.integers(0, len(records)))
+            if gen.random() < 0.5:
+                records[r] = records[r][:-1]             # drop a field
+            else:
+                records[r] = records[r] + ["0.5"]        # add a field
+    lines = [" ".join(f) for f in records]
+    declared_n = (max((label(i) for i in range(ids))) + 1) if not sparse else ids
+    if gen.random() < 0.6:
+        n_h = declared_n + int(gen.choice([0, 0, 2, -1]))
+        m_h = len(lines) + int(gen.choice([0, 0, 0, 1, -1]))
+        lines.insert(0, f"{n_h} {m_h}")
+    out = []
+    for line in lines:
+        while gen.random() < 0.2:
+            out.append(str(gen.choice(["", "# comment", "   ", "#1 2", "\t# x y z"])))
+        pad = str(gen.choice(["", "  ", "\t"]))
+        out.append(pad + line + str(gen.choice(["", " ", "\t"])))
+    header = [True, False, "auto"][int(gen.integers(0, 3))]
+    return "\n".join(out) + "\n", header
+
+
+def test_loader_matches_scalar_reference_on_random_inputs():
+    gen = np.random.default_rng(20261018)
+    outcomes = {"error": 0, "graph": 0}
+    for _ in range(1500):
+        text, header = _random_text(gen)
+        outcomes[_assert_same(text, header)] += 1
+    assert min(outcomes.values()) > 300
+
+
+@pytest.mark.parametrize("text, header, message", [
+    ("0 1\n1 x\n", False, "line 2: non-integer node id in ['1', 'x']"),
+    ("0 1 0.5\n1 2\n", False, "line 2: mix of weighted and bare edge records"),
+    ("0 1\n1 2 0.5\n", "auto", "line 2: mix of weighted and bare edge records"),
+    ("0 1\n1 2 3 4\n", False, "line 2: expected 'u v [p]', got 4 fields"),
+    ("0 1\n-1 2 0.5\n", False, "line 2: negative node id"),
+    ("0 1\nx 2 0.5\n", False, "line 2: non-integer node id in ['x', '2']"),
+    ("0 1 0.5\n1 2 1.5\n", False, "line 2: edge value 1.5 outside [0, 1]"),
+    ("0 1 0.5\n1 2 nan\n", False, "line 2: edge value nan outside [0, 1]"),
+    ("0 1 0.5\n1 2 p\n", False, "line 2: non-numeric edge value 'p'"),
+    ("# c\n\n0 1 0.5\n-1 2 9\n1 x 0.5\n", False, "line 4: negative node id"),
+    ("3 2\n0 1\n", True, "header declares 2 edges but file has 1"),
+    ("2 1\n0 5\n", "auto", "node id 5 out of declared range [0, 2)"),
+    ("0 1 2\n", True, "line 1: expected header line 'n m'"),
+    ("a 1\n0 1\n", True, "line 1: non-integer header fields"),
+    ("-3 1\n0 1\n", True, "line 1: negative header counts"),
+    ("# only\n\n  # comments\n", "auto", "empty edge list"),
+])
+def test_malformed_input_message_and_line(text, header, message):
+    assert _assert_same(text, header) == "error"
+    with pytest.raises(EdgeListError) as err:
+        load_edge_list(text, header=header)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("header", [True, False, "auto"])
+def test_header_modes_match_reference(header):
+    for text in ("3 2\n0 1\n1 2\n", "3 3\n0 1\n1 2\n", "2 1\n+0 1\n", "1 1\n0 1\n",
+                 "0 0\n", "3 2\n0 1\n1 2 3\n", "4 1\n0 1\n", "5 2\n1_0 1\n2 1\n"):
+        _assert_same(text, header)
+
+
+def test_two_node_file():
+    g = load_edge_list("2 1\n0 1\n")
+    assert (g.n, g.m, g.labels) == (2, 1, None)
+    assert g.in_neighbors[1].tolist() == [0] and g.out_neighbors[0].tolist() == [1]
+    g = load_edge_list("7 9\n9 7\n", header=False)
+    assert g.n == 2 and g.labels.tolist() == [7, 9]
+    assert g.in_neighbors[0].tolist() == [1] and g.in_neighbors[1].tolist() == [0]
+
+
+def test_comment_only_file_is_empty():
+    with pytest.raises(EdgeListError, match="^empty edge list$") as err:
+        load_edge_list("# nothing\n\n   \n# here\n")
+    assert err.value.line is None
+
+
+def test_declared_isolated_nodes():
+    g = load_edge_list("6 2\n0 1\n1 2\n")
+    assert g.n == 6 and g.m == 2
+    assert g.in_degrees().tolist() == [0, 1, 1, 0, 0, 0]
+    assert g.out_degrees().tolist() == [1, 1, 0, 0, 0, 0]
+    assert all(len(g.in_neighbors[v]) == 0 for v in (3, 4, 5))
+    params = assign_weighted_cascade(g)
+    assert params._csr[0].tolist() == [0, 0, 1, 2, 2, 2, 2]
+
+
+def _same_params(a, b):
+    for x, y in zip((*a._csr, *a._out_csr, *a._skip), (*b._csr, *b._out_csr, *b._skip)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_large_star_from_file_equals_from_edges(tmp_path):
+    # 20,000 spokes into node 0, plus a ring among the spokes
+    n = 20_001
+    p = 1.0 / 20_000
+    edges = [(i, 0, p) for i in range(1, n)] + [(i, i % (n - 1) + 1, 0.5) for i in range(1, n)]
+    path = tmp_path / "star.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v} {q!r}\n" for u, v, q in edges))
+    loaded = load_edge_list(str(path))
+    built = from_edges(n, edges)
+    assert loaded.in_degrees()[0] == 20_000
+    for x, y in zip((*loaded.in_csr, *loaded.out_csr), (*built.in_csr, *built.out_csr)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    _same_params(params_from_edge_values(loaded), params_from_edge_values(built))
+    _same_params(assign_weighted_cascade(loaded), assign_weighted_cascade(built))
+    _same_params(uniform_ic(loaded, 0.01), uniform_ic(built, 0.01))
+    flag, shared = params_from_edge_values(loaded)._skip
+    assert flag[0] and shared[0] == p
+
+
+def _model(strategies, d=3):
+    lat = LatticeConfig(d=d, delta=1.0, budget_steps=2)
+    row = np.array([0.0, 0.5, 0.75])
+    return IndependentActivation(len(strategies), lat, [np.array(s, dtype=np.int64) for s in strategies],
+                                 [np.tile(row, (len(s), 1)) for s in strategies])
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ([[0], [1, 1], [5]], "duplicate strategy at node 1"),
+    ([[0], [5], [1, 1]], "strategy index out of range at node 1"),
+    ([[2, 0], [], [2, 2, -1]], "strategy index out of range at node 2"),
+    ([[], [0, 2, 0], [3]], "duplicate strategy at node 1"),
+])
+def test_model_errors_name_first_bad_node(strategies, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _model(strategies)
+
+
+def test_model_rows_are_sorted_views_of_the_flat_arrays():
+    model = _model([[2, 0], [], [1]])
+    assert [s.tolist() for s in model.strategies] == [[0, 2], [], [1]]
+    assert model._flat_nodes.tolist() == [0, 0, 2]
+    assert model._flat_strats.tolist() == [0, 2, 1]
+    assert all(np.shares_memory(t, model._flat_tables) for t in model.tables if len(t))
+    with pytest.raises(ValueError):
+        model.tables[0][0, 1] = 0.0
