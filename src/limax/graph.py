@@ -98,14 +98,46 @@ class DirectedGraph:
                  edge_values: Sequence | None = None, labels: np.ndarray | None = None):
         """Build from per-node rows: ``in_neighbors[v]`` lists v's edge
         sources, ``out_neighbors[u]`` u's edge targets, and ``edge_values[v]``
-        (optional) one number per in-edge of v."""
+        (optional) one number per in-edge of v.  The in-rows and out-rows
+        must list the same edges; a ``ValueError`` names the first
+        inconsistency."""
+        for what, rows in (("in", in_neighbors), ("out", out_neighbors),
+                           ("value", edge_values)):
+            if rows is not None and len(rows) != n:
+                raise ValueError(f"{len(rows)} {what}-rows for {n} nodes")
         in_ptr, src = _concat_rows(in_neighbors, np.int64)
         out_ptr, dst = _concat_rows(out_neighbors, np.int64)
-        values = None if edge_values is None else _concat_rows(edge_values, np.float64)[1]
+        for what, ptr, ends in (("in", in_ptr, src), ("out", out_ptr, dst)):
+            bad = (ends < 0) | (ends >= n)
+            if bad.any():
+                v = int(np.searchsorted(ptr, np.argmax(bad), side="right")) - 1
+                raise ValueError(f"{what}-row {v} has node id {ends[bad][0]} outside [0, {n})")
+        values = None
+        if edge_values is not None:
+            value_ptr, values = _concat_rows(edge_values, np.float64)
+            bad = np.diff(value_ptr) != np.diff(in_ptr)
+            if bad.any():
+                raise ValueError(f"value row {np.argmax(bad)} does not match its in-row")
+        if len(src) != len(dst):
+            raise ValueError(f"in-rows list {len(src)} edges, out-rows {len(dst)}")
         ids = np.arange(n)
+        heads = np.repeat(ids, np.diff(in_ptr))
+        tails = np.repeat(ids, np.diff(out_ptr))
+        out_order = np.lexsort((dst, tails))
+        in_order = np.lexsort((heads, src))
+        # both orders list the edges by (source, target), so equal
+        # multisets of edges match entry by entry
+        out_keys = tails[out_order] * n + dst[out_order]
+        in_keys = src[in_order] * n + heads[in_order]
+        bad = out_keys != in_keys
+        if bad.any():
+            k = int(np.argmax(bad))
+            key, side, other = (out_keys[k], "out", "in") if out_keys[k] < in_keys[k] \
+                else (in_keys[k], "in", "out")
+            raise ValueError(f"{side}-rows list edge {key // n}->{key % n} "
+                             f"that the {other}-rows lack")
         edge = np.empty(len(dst), dtype=np.int64)
-        edge[np.lexsort((dst, np.repeat(ids, np.diff(out_ptr))))] = \
-            np.lexsort((np.repeat(ids, np.diff(in_ptr)), src))
+        edge[out_order] = in_order
         self._store(n, (in_ptr, src, values), (out_ptr, dst, edge), labels)
 
     @classmethod

@@ -20,8 +20,10 @@ virtual in-neighbor u[j,i] with probability equal to its edge weight
 (inverse CDF over q[v,j], so at most one per strategy).  The batched
 reverse-reach kernel of ``limax.rrset`` samples them many at a time, and a
 collection keeps only one (set id, virtual flat id) pair per distinct
-virtual member, in two sorted arrays; the greedy counts the sets of every
-flat id in one array and subtracts each newly covered set's members.
+virtual member, in two sorted arrays; the kernel deduplicates the pairs by
+sorting their packed int64 keys.  The greedy counts the sets of every flat
+id in one array, groups the sets by flat id with one sort of the packed
+keys ``flat * theta + set``, and subtracts each newly covered set's members.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
 from .rng import draws
-from .rrset import (_NONE, EmptyCollectionError, _arm_sampler, _generator,
-                    _reverse_reach)
+from .rrset import (_NONE, EmptyCollectionError, _arm_sampler, _distinct,
+                    _generator, _reverse_reach)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -208,10 +210,13 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
     span = collection.aug.lattice.d * steps
     vsets, flats = collection.vsets, collection.flats
     counts = np.bincount(flats, minlength=span)
-    set_ptr = np.concatenate(([0], np.cumsum(np.bincount(vsets, minlength=collection.theta))))
-    by_flat = vsets[np.argsort(flats, kind="stable")]  # each flat id's sets
+    theta = collection.theta  # at least 1: callers never select on an empty collection
+    set_ptr = np.concatenate(([0], np.cumsum(np.bincount(vsets, minlength=theta))))
+    # each flat id's sets, in rising order: one sort of keys flat * theta +
+    # set, each below d * K * theta, in place of a stable argsort of flats
+    by_flat = np.sort(flats * theta + vsets) % theta
     flat_ptr = np.concatenate(([0], np.cumsum(counts)))
-    covered = np.zeros(collection.theta, dtype=bool)
+    covered = np.zeros(theta, dtype=bool)
     partitioned = isinstance(constraint, PartitionedBudget)
     if partitioned:
         used = np.zeros(len(constraint.caps), dtype=np.int64)
@@ -276,13 +281,13 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
         raise ValueError(f"virtual seed outside flat ids [0, {span})")
     seeded = np.zeros(span, dtype=bool)
     seeded[flats] = True
-    touched = np.unique(model._flat_nodes)
+    touched = _distinct(model._flat_nodes)
     gen = _generator(rng)
 
     def seed_keys(size):
         pair, flats = draw_arms(np.tile(touched, size), gen)
         pair = pair[seeded[flats]]
-        return np.unique(touched[pair % len(touched)] * size + pair // len(touched))
+        return _distinct(touched[pair % len(touched)] * size + pair // len(touched))
 
     return _estimate(_cascades(graph, aug.params, runs, len(model._flat_nodes),
                                seed_keys, gen))

@@ -115,6 +115,34 @@ def test_out_values_match_parallel_copies_in_order():
         assert values[indptr[u]:indptr[u + 1]].tolist() == expect
 
 
+@pytest.mark.parametrize("args, message", [
+    # in-edge 0->1 against out-edge 0->2
+    ((3, [[], [0], []], [[2], [], []]), r"^in-rows list edge 0->1 that the out-rows lack$"),
+    # 0->1 listed twice in the in-rows, once in the out-rows
+    ((2, [[], [0, 0]], [[1], []]), r"^in-rows list 2 edges, out-rows 1$"),
+    ((2, [[], [5]], [[], []]), r"^in-row 1 has node id 5 outside \[0, 2\)$"),
+    ((2, [[1], []], [[], [-1]]), r"^out-row 1 has node id -1 outside \[0, 2\)$"),
+    ((2, [[], [0]], [[1], [], []]), r"^3 out-rows for 2 nodes$"),
+    ((3, [[], [0]], [[1], [], []]), r"^2 in-rows for 3 nodes$"),
+], ids=["other-edge", "edge-count", "in-id", "out-id", "out-row-count", "in-row-count"])
+def test_inconsistent_rows_rejected(args, message):
+    with pytest.raises(ValueError, match=message):
+        DirectedGraph(*args)
+
+
+def test_value_rows_must_match_in_rows():
+    # node 1's one in-edge would take node 0's value 0.3
+    with pytest.raises(ValueError, match=r"^value row 0 does not match its in-row$"):
+        DirectedGraph(2, [[], [0]], [[1], []], edge_values=[[0.3], [0.5, 0.7]])
+    with pytest.raises(ValueError, match=r"^1 value-rows for 2 nodes$"):
+        DirectedGraph(2, [[], [0]], [[1], []], edge_values=[[]])
+
+
+def test_parallel_copies_must_match_in_count():
+    with pytest.raises(ValueError, match=r"^in-rows list edge 0->1 that the out-rows lack$"):
+        DirectedGraph(3, [[], [0, 0], []], [[1, 2], [], []])
+
+
 def test_weighted_cascade_values():
     # in-degree 4 -> each incoming edge 0.25; in-degree 1 -> 1.0
     g = from_edges(6, [(1, 0), (2, 0), (3, 0), (4, 0), (0, 5)])

@@ -10,6 +10,7 @@ from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instan
                       shared_ic, stage_reuse_instance)
 
 import limax.graph as graph_module
+import limax.rrset as rrset_module
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible, total_steps
 from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params
@@ -180,6 +181,31 @@ def test_hybrid_expected_virtual_count():
     roots = np.zeros(100_000, dtype=np.int64)
     total = sum(len(b[3]) for b in _reverse_reach(g, aug.params, roots, stream(41, 6), aug._arms))
     assert abs(total / 100_000 - 0.8) < 0.01
+
+
+def test_hybrid_pairs_are_distinct_and_sorted(monkeypatch):
+    # chain 0 -> 1 -> 2 of certain edges: the set rooted at v holds 0..v, and
+    # every member's arm 1 of strategy 1 always fires, so a set of several
+    # members draws flat id 1 * K several times and must list it once
+    monkeypatch.setattr(rrset_module, "_MARK_BYTES", 16)  # batches of 42 sets
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    g = from_edges(3, [(0, 1), (1, 2)])
+    certain = np.array([0.0, 1.0, 1.0])
+    other = np.array([0.0, 0.3, 0.5])
+    model = IndependentActivation(
+        3, lat, [np.array([0, 1]), np.array([1]), np.array([0, 1])],
+        [np.vstack([other, certain]), certain[None, :], np.vstack([other, certain])])
+    aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
+    roots = np.random.default_rng(5).integers(0, 3, size=500)
+    span = lat.d * aug.steps
+    batches = list(_reverse_reach(g, aug.params, roots, stream(41, 8), aug._arms))
+    assert len(batches) > 1
+    for _, _, vsets, flats in batches:
+        assert np.all(np.diff(vsets * span + flats) > 0)
+    vsets = np.concatenate([b[2] for b in batches])
+    flats = np.concatenate([b[3] for b in batches])
+    assert np.array_equal(np.bincount(vsets[flats == 1 * aug.steps], minlength=500),
+                          np.ones(500, dtype=np.int64))
 
 
 SETS_PER_ROOT = 20_000
@@ -367,6 +393,27 @@ def test_greedy_virtual_matches_reference(seed):
     caps = gen.integers(0, K + 1, size=2).tolist()
     for constraint in (TotalBudget(K), TotalBudget(2 * K),
                        PartitionedBudget(groups=[(0, 2), (1, 3)], caps=caps)):
+        assert _greedy_virtual(coll, constraint) == \
+            _greedy_virtual_reference(coll, constraint)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_virtual_matches_reference_on_wide_collections(seed):
+    # thousands of sets grown over several extends, so the greedy's packed
+    # (flat id, set) keys span many batches and set ids
+    gen = np.random.default_rng(1750 + seed)
+    inst = random_instance(gen, n_max=30, m_max=90, d_max=5, steps_max=4)
+    K = inst.lattice.budget_steps
+    lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
+    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
+                                  inst.model.tables)
+    aug = build_augmented(inst.graph, inst.params, model, lat)
+    coll = HybridCollection(aug)
+    for k in range(3):
+        coll.extend(int(gen.integers(500, 1500)), stream(47, seed, k))
+    caps = gen.integers(0, 2 * K + 1, size=2).tolist()
+    for constraint in (TotalBudget(3 * K),
+                       PartitionedBudget(groups=[(0, 2, 4), (1, 3)], caps=caps)):
         assert _greedy_virtual(coll, constraint) == \
             _greedy_virtual_reference(coll, constraint)
 

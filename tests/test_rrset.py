@@ -13,9 +13,9 @@ from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _arm_sampler, _bisect_right, _reverse_reach, _row_search,
-                         _rr_sets, g_hat, generate_collection, generate_rr_set,
-                         load_collection, save_collection)
+                         _arm_sampler, _bisect_right, _distinct, _reverse_reach,
+                         _row_search, _rr_sets, g_hat, generate_collection,
+                         generate_rr_set, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -165,6 +165,21 @@ def test_arm_slot_lookup_matches_per_row_search(seed):
     start = rows * (K + 1)
     assert np.array_equal(
         slots, _bisect_right(tables.ravel(), start, start + K + 1, x) - start)
+
+
+# --- sorted distinct keys ----------------------------------------------------------
+
+_RANDOM_KEYS = np.random.default_rng(1900)
+
+
+@pytest.mark.parametrize("keys", [
+    [], [7], [3] * 9, [2**62 - 1, 2**62, 2**62 - 1, -(2**62), 0, 2**62],
+    *(_RANDOM_KEYS.integers(-high, high, size=3000) for high in (50, 10**6, 2**62)),
+], ids=["empty", "one", "all-equal", "near-2**62", "random-50", "random-1e6", "random-2**62"])
+def test_distinct_matches_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    assert np.array_equal(_distinct(keys), np.unique(keys))
+    assert _distinct(keys).dtype == np.int64
 
 
 # --- pathological graphs: bounded memory, exact counts --------------------------
