@@ -38,7 +38,6 @@ __all__ = [
     "assign_weighted_cascade",
     "uniform_ic",
     "params_from_edge_values",
-    "linear_threshold_params",
     "sample_triggering_set",
     "gen_erdos_renyi",
     "write_edge_list",
@@ -490,10 +489,6 @@ def params_from_edge_values(graph: DirectedGraph, kind: str = IC) -> TriggeringP
     if graph.in_csr[2] is None:
         raise ValueError("edge list had no per-edge values")
     return TriggeringParams._from_flat(graph, kind, graph.in_csr[2])
-
-
-def linear_threshold_params(graph: DirectedGraph, in_values: Sequence[np.ndarray]) -> TriggeringParams:
-    return TriggeringParams.build(graph, LT, in_values)
 
 
 def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,

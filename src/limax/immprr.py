@@ -16,15 +16,23 @@ estimated spread gain.  Under independent strategy activation the gain of
 coordinate j only touches RR sets containing a node influenced by j.  The
 collection's strategy entries, the (rr_id, table row of q[v,j]) pairs
 derived from its member arrays, fall into segments, one per (strategy, RR
-set); each caches the product of its ratios (1 - q(x_j + 1)) / (1 - q(x_j))
-and its gain s_i * (1 - product), where s_i = prod_{v in R_i} prod_{j in
-S_v} (1 - q[v,j](x_j)) is shared per set.  A round scores every coordinate
-with one ``bincount`` over the segment gains; a step on j updates s on j's
-sets, j's products and the gains of the segments on those sets only.
+set); each caches the product of its ratios (1 - q(x_j + 1)) / (1 - q(x_j)).
+j's gain sums s_i * (1 - product) over j's segments, where s_i = prod_{v in
+R_i} prod_{j in S_v} (1 - q[v,j](x_j)) is shared per set.
+
+The greedy is lazy (Minoux 1978; CELF, Leskovec et al. 2007): a heap keeps
+each coordinate's last computed gain as a bound, and a round recomputes
+gains off its top until a fresh one stays there.  The bounds hold when every
+curve is valid (nondecreasing, concave, in [0, 1]).  Each factor 1 - q(t)
+is then nonnegative, nonincreasing and convex, so their product is convex
+and a coordinate's own gain shrinks as it grows; and s only shrinks, so the
+other coordinates' gains shrink too.  A model that fails validation,
+allowed only with ``force=True``, has every bound recomputed each round.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -198,12 +206,10 @@ class GreedyState:
     segment index over the collection's strategy entries.  A segment is the
     run of one strategy's entries in one RR set: ``seg_rr``, ``seg_strat``
     and its first entry in ``seg_start``; strategy j owns the segments
-    ``seg_bounds[j]:seg_bounds[j + 1]``, and a CSR over ``seg_rr`` lists
-    every RR set's segments.  Each segment caches its ratio product
-    ``prod`` = prod (1 - q(x_j + 1)) / (1 - q(x_j)) over its entries and its
-    gain ``s[seg_rr] * (1 - prod)``.  :meth:`advance` on j refreshes j's
-    products and re-scores only the segments of the sets j touches, so
-    :meth:`gains` is one ``bincount`` per round.
+    ``seg_bounds[j]:seg_bounds[j + 1]``.  Each segment caches its ratio
+    product ``prod`` = prod (1 - q(x_j + 1)) / (1 - q(x_j)) over its
+    entries, which depends on x_j alone: :meth:`advance` on j folds j's
+    products into s on j's sets and recomputes j's products.
     """
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
@@ -228,76 +234,73 @@ class GreedyState:
         self.seg_start = np.append(starts, len(rr))
         self.seg_bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(self.seg_strat, minlength=lattice.d))))
-        self._by_rr = np.argsort(self.seg_rr, kind="stable")
-        self._rr_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.seg_rr, minlength=collection.theta))))
+        # ratio[row, t] = (1 - q(t + 1)) / (1 - q(t)), or 1 at t = top or q(t) = 1
+        top = lattice.budget_steps
+        den = 1.0 - model._flat_tables[:, :top]
+        self._ratio = np.ones((len(den), top + 1))
+        np.divide(1.0 - model._flat_tables[:, 1:top + 1], den,
+                  out=self._ratio[:, :top], where=den > 0.0)
         self.s = self.recompute_s()
         self.prod = self._products(0, len(starts), self.x[strat])
-        self.seg_gain = self.s[self.seg_rr] * (1.0 - self.prod)
 
     def recompute_s(self) -> np.ndarray:
         """From-scratch s_i values at the current step vector."""
         return 1.0 - self.collection.coverage_weights(self.model.h_all(self.x))
 
     def _products(self, a: int, b: int, steps) -> np.ndarray:
-        """Ratio products of segments ``a:b`` with their entries at ``steps``;
-        exactly 1 at or past the last tabulated step."""
+        """Ratio products of segments ``a:b`` with their entries at ``steps``."""
         e0, e1 = self.seg_start[a], self.seg_start[b]
-        if e0 == e1:
-            return np.ones(b - a)
-        rows = self._rows[e0:e1]
-        top = self.lattice.budget_steps
-        tables = self.model._flat_tables
-        col_old = tables[rows, np.minimum(steps, top)]
-        col_new = tables[rows, np.minimum(steps + 1, top)]
-        den = 1.0 - col_old
-        ratio = np.divide(1.0 - col_new, den,
-                          out=np.ones_like(den), where=den > 0.0)
+        ratio = self._ratio[self._rows[e0:e1], steps]
         return np.multiply.reduceat(ratio, self.seg_start[a:b] - e0)
 
     def marginal(self, j: int) -> float:
-        """Estimated spread gain of one more step on coordinate j, computed
-        from j's entries and ``s``, not from the cached gains."""
+        """Estimated spread gain of one more step on coordinate j, summed in
+        segment order as :meth:`gains` sums it, so the two agree bitwise."""
         a, b = self.seg_bounds[j], self.seg_bounds[j + 1]
-        if self.x[j] + 1 > self.lattice.budget_steps or a == b:
-            return 0.0
-        prod = self._products(a, b, self.x[j])
-        return self._scale * float(self.s[self.seg_rr[a:b]] @ (1.0 - prod))
+        seg_gain = self.s[self.seg_rr[a:b]] * (1.0 - self.prod[a:b])
+        return self._scale * float(np.add.accumulate(seg_gain)[-1]) if a < b else 0.0
 
     def gains(self) -> np.ndarray:
-        """Every coordinate's marginal gain, from the cached segment gains."""
-        return self._scale * np.bincount(self.seg_strat, self.seg_gain,
-                                         minlength=self.lattice.d)
+        """Every coordinate's marginal gain: one ``bincount`` over the segments."""
+        return self._scale * np.bincount(
+            self.seg_strat, self.s[self.seg_rr] * (1.0 - self.prod),
+            minlength=self.lattice.d)
 
     def advance(self, j: int) -> None:
         """Spend one step on coordinate j and fold the change into s."""
         a, b = self.seg_bounds[j], self.seg_bounds[j + 1]
-        touched = self.seg_rr[a:b]
-        self.s[touched] *= self.prod[a:b]
+        self.s[self.seg_rr[a:b]] *= self.prod[a:b]
         self.x[j] += 1
         self.prod[a:b] = self._products(a, b, self.x[j])
-        # every segment of the touched sets sees the new s
-        lo = self._rr_ptr[touched]
-        count = self._rr_ptr[touched + 1] - lo
-        ends = np.cumsum(count)
-        segs = self._by_rr[np.repeat(lo - (ends - count), count) + np.arange(count.sum())]
-        self.seg_gain[segs] = self.s[self.seg_rr[segs]] * (1.0 - self.prod[segs])
 
 
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                   constraint) -> StrategyMix:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
-    (same tie rule: the lowest feasible coordinate among the best gains),
-    each round one pass over the cached segment gains."""
+    (same tie rule: the lowest feasible coordinate among the best gains)."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
-    for _ in range(total_steps(constraint)):
+    lazy = not validate_model(model, lattice)
+    fresh = np.zeros(lattice.d, dtype=np.int64)  # round of each bound's last refresh
+    for r in range(total_steps(constraint)):
+        if r == 0 or not lazy:
+            heap = list(zip((-state.gains()).tolist(), range(lattice.d)))
+            heapq.heapify(heap)
+            fresh[:] = r
         feas = feasible_increments(state.x, constraint)
         if len(feas) == 0:
             break
-        masked = np.full(lattice.d, -np.inf)
-        masked[feas] = state.gains()[feas]
-        state.advance(int(np.argmax(masked)))
+        is_open = np.bincount(feas, minlength=lattice.d) > 0
+        while True:
+            j = heap[0][1]
+            if not is_open[j]:  # its group has closed: dropped for good
+                heapq.heappop(heap)
+            elif fresh[j] < r:
+                heapq.heapreplace(heap, (-state.marginal(j), j))
+                fresh[j] = r
+            else:
+                break
+        state.advance(j)
     return StrategyMix(state.x)
 
 

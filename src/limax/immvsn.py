@@ -326,8 +326,8 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     # approximation guarantee
     aug = build_augmented(graph, params, model, lattice)
     collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
-    # the result keeps the collection and its graph: drop the arm index
-    # (about 1.5 MiB on a 2,000 x 51 table), which is rebuilt on demand
+    # the result keeps the collection and its graph: drop the arm sampler
+    # (its padded table and per-node arrays), which is rebuilt on demand
     aug.__dict__.pop("_arms", None)
     mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
         else _seeds_to_mix(seeds, aug.steps, lattice.d)

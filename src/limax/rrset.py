@@ -74,7 +74,7 @@ class RRSet:
 
 
 # fixed memory caps of the batched kernel (internal, not options)
-_MARK_BYTES = 1 << 21  # visited bitmap per batch: one bit per (node, set)
+_MARK_BYTES = 1 << 23  # visited bitmap per batch: one bit per (node, set)
 _EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
 _SKIP_ROUNDS = 16      # geometric-gap rounds per step before the coins take over
 
@@ -237,21 +237,21 @@ def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
 
 def _row_search(tables: np.ndarray):
     """``lookup(rows, x)``: ``bisect_right(tables[rows[k]], x[k])`` for every
-    k, for a 2-D array of nondecreasing rows.
-
-    Each entry is keyed by its row and the integer rank of its value among
-    all distinct values, so the keys of the whole array are sorted and one
-    ``searchsorted`` over them counts a row's entries at or below x, with
-    no float offset that could round.
-    """
-    rows, width = tables.shape
-    values, rank = np.unique(tables, return_inverse=True)
-    span = len(values) + 1
-    keys = np.repeat(np.arange(rows) * span, width) + rank.ravel()
+    k, for a 2-D array of nondecreasing rows: a branch-free binary search
+    over rows padded with +inf to a power-of-two width, every lookup taking
+    the same halving steps, each a few whole-array operations."""
+    width = tables.shape[1]
+    span = 1 << width.bit_length()
+    flat = np.pad(tables, ((0, 0), (0, span - width)), constant_values=np.inf).ravel()
 
     def lookup(r, x):
-        return np.searchsorted(keys, r * span + np.searchsorted(values, x, side="right")) \
-            - r * width
+        start = r * span
+        count = np.zeros(len(r), dtype=np.int64)
+        step = span >> 1
+        while step:
+            count += (flat[start + count + (step - 1)] <= x) * step
+            step >>= 1
+        return count
 
     return lookup
 
@@ -412,7 +412,9 @@ class RRCollection:
             sizes = np.diff(offsets, append=len(concat))
             rr = np.repeat(np.repeat(np.arange(len(offsets)), sizes), per)
             strat = model._flat_strats[rows]
-            order = np.argsort(strat, kind="stable")
+            # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
+            order = np.argsort(strat.astype(np.min_scalar_type(model.lattice.d)),
+                               kind="stable")
             bounds = np.concatenate(
                 ([0], np.cumsum(np.bincount(strat, minlength=model.lattice.d))))
             self._entries = (rr[order], rows[order], bounds)

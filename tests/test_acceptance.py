@@ -6,6 +6,7 @@ as they complete.  Every criterion is deterministic under its frozen seeds.
 
 import itertools
 import math
+import statistics
 import time
 
 import numpy as np
@@ -310,12 +311,17 @@ def test_09_performance_trend(big_instance):
     graph, params, model, lattice = big_instance
     cons = TotalBudget(50)
     imm = make_imm_params(graph.n, lattice, 50, 0.5, 1.0)
-    t0 = time.perf_counter()
-    res_v = run_immvsn(graph, params, model, lattice, cons, imm, stream(90, 2))
-    t_vsn = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    res_p = run_immprr(graph, params, model, lattice, cons, imm, stream(90, 3))
-    t_prr = time.perf_counter() - t0
+    # each solver's time is the median of three alternating solves on the
+    # same streams, so one host stall cannot decide the comparison
+    times_v, times_p = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res_v = run_immvsn(graph, params, model, lattice, cons, imm, stream(90, 2))
+        times_v.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        res_p = run_immprr(graph, params, model, lattice, cons, imm, stream(90, 3))
+        times_p.append(time.perf_counter() - t0)
+    t_vsn, t_prr = statistics.median(times_v), statistics.median(times_p)
     assert res_v.mix.total_steps == 50 and res_p.mix.total_steps == 50
     # the two solvers should also land on mixes of comparable quality
     est_v = simulate_spread_mix(graph, params, model, res_v.mix, 4000, stream(90, 4))
@@ -324,7 +330,7 @@ def test_09_performance_trend(big_instance):
         0.05 * max(est_v.mean, est_p.mean) + 2 * math.hypot(est_v.se, est_p.se)
     _verdict(9, "virtual-node speedup", t_vsn <= t_prr and max(t_vsn, t_prr) < 600
              and gap_ok,
-             f"immvsn {t_vsn:.1f}s vs immprr {t_prr:.1f}s, "
+             f"immvsn {t_vsn:.3f}s vs immprr {t_prr:.3f}s, "
              f"spreads {est_v.mean:.0f}/{est_p.mean:.0f}, "
              f"theta {res_v.stats.theta}/{res_p.stats.theta}")
 

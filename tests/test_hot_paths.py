@@ -5,6 +5,9 @@ table: 73-82 ms for 2.4e5 keys against 2.0 ms for ``np.sort`` of the same
 keys on a 2-core x86 host, 35-40x slower.  The hot-path modules take sorted distinct keys
 from ``limax.rrset._distinct`` instead; ``np.unique`` stays allowed where
 it returns an index, an inverse or counts.
+
+The lattice greedy is lazy: each round recomputes the gains of a few
+coordinates off the top of a heap of bounds, not all d of them.
 """
 
 import ast
@@ -13,6 +16,12 @@ from pathlib import Path
 import pytest
 
 import limax
+from limax.budgets import TotalBudget
+from limax.graph import assign_weighted_cascade, gen_erdos_renyi
+from limax.immprr import GreedyState, lgreedy_delta
+from limax.rng import stream
+from limax.rrset import generate_collection
+from limax.strategy import LatticeConfig, make_personalized
 
 HOT_MODULES = ["rrset.py", "immvsn.py", "immprr.py", "oracles.py"]
 ALLOWED = {"return_index", "return_inverse", "return_counts"}
@@ -44,3 +53,28 @@ def test_no_hash_based_unique_on_hot_paths(module):
         f"{module} calls np.unique on line(s) {lines}: on int64 keys it takes a "
         "hash-table path measured 35-40x slower than a sort; use "
         "limax.rrset._distinct (np.sort plus a neighbour-inequality mask)")
+
+
+def test_lazy_greedy_recomputes_few_gains(monkeypatch):
+    """On a mid-size concave instance the lazy lattice greedy recomputes a
+    small share of the d gains per round that a full rescan would."""
+    graph = gen_erdos_renyi(400, 2000, stream(38, 0))
+    lat = LatticeConfig(d=400, delta=0.1, budget_steps=20)
+    model = make_personalized(400, lat)
+    coll = generate_collection(graph, assign_weighted_cascade(graph), model, 3000,
+                               stream(38, 1))
+    calls = {"marginal": 0, "gains": 0}
+    for name in calls:
+        method = getattr(GreedyState, name)
+
+        def counted(state, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(state, *args)
+
+        monkeypatch.setattr(GreedyState, name, counted)
+    mix = lgreedy_delta(coll, model, lat, TotalBudget(20))
+    assert mix.total_steps == 20
+    evaluated = calls["marginal"] + lat.d * calls["gains"]
+    assert evaluated <= lat.d * 20 // 4, (
+        f"{calls} recompute {evaluated} gains over 20 rounds of d = {lat.d}: "
+        "lgreedy_delta has gone back to rescanning every coordinate")

@@ -17,7 +17,7 @@ from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
 from limax.rng import stream
 from limax.rrset import RRCollection, RRSet, g_hat, generate_collection
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
-                            LatticeConfig, StrategyMix)
+                            LatticeConfig, StrategyMix, validate_model)
 
 
 # --- parameter formulas --------------------------------------------------------
@@ -236,11 +236,11 @@ def test_delta_greedy_runtime_scales_roughly_linearly(rng):
     assert t_big <= 30 * t_small + 0.05
 
 
-# --- cached segment gains -----------------------------------------------------------
+# --- whole-array gains against marginals -------------------------------------------
 
 def _greedy_rounds(coll, model, lat, constraint):
     """Run the delta greedy round by round, checking in every round that the
-    cached gain vector equals the from-scratch marginals."""
+    whole-array gain vector equals the per-coordinate marginals."""
     state = GreedyState(coll, model, lat, constraint)
     for _ in range(total_steps(constraint)):
         feas = feasible_increments(state.x, constraint)
@@ -323,6 +323,86 @@ def test_coordinate_at_last_step_scores_exactly_zero():
     scratch = [state.marginal(i) for i in range(inst.lattice.d)]
     assert np.max(np.abs(state.gains() - scratch)) <= 1e-12
     assert np.max(np.abs(state.s - state.recompute_s())) <= 1e-12
+
+
+# --- lazy greedy --------------------------------------------------------------------
+
+def _check_picks(monkeypatch):
+    """Make every ``GreedyState.advance`` first assert that its coordinate is
+    the masked whole-array argmax of ``gains()``; returns the picks."""
+    advance = GreedyState.advance
+    picks = []
+
+    def checked(state, j):
+        feas = feasible_increments(state.x, state.constraint)
+        masked = np.full(state.lattice.d, -np.inf)
+        masked[feas] = state.gains()[feas]
+        assert j == int(np.argmax(masked))
+        picks.append(j)
+        advance(state, j)
+
+    monkeypatch.setattr(GreedyState, "advance", checked)
+    return picks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_pick_is_whole_array_argmax(monkeypatch, seed):
+    gen = np.random.default_rng(1700 + seed)
+    inst = random_instance(gen, n_max=12, m_max=30, d_max=6, steps_max=5)
+    K = inst.lattice.budget_steps
+    lat = LatticeConfig(d=8, delta=1.0, budget_steps=K)  # 6-7 reach nobody
+    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
+                                  inst.model.tables)
+    coll = generate_collection(inst.graph, inst.params, model, 300, stream(36, seed))
+    caps = gen.integers(0, K + 1, size=2).tolist()
+    for constraint in (TotalBudget(K),
+                       PartitionedBudget(groups=[(0, 3, 6), (1, 2, 4, 5, 7)], caps=caps)):
+        picks = _check_picks(monkeypatch)
+        mix = lgreedy_delta(coll, model, lat, constraint)
+        assert len(picks) == total_steps(constraint)
+        assert mix == lgreedy(lambda s: g_hat(coll, model, s), lat, constraint)
+
+
+def test_lazy_zero_gain_ties_go_to_lowest_index(monkeypatch):
+    gen = np.random.default_rng(1500)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
+    K = inst.lattice.budget_steps
+    lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
+    zero = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
+                                 [np.zeros_like(t) for t in inst.model.tables])
+    coll = generate_collection(inst.graph, inst.params, zero, 60, stream(34, 1))
+    picks = _check_picks(monkeypatch)
+    lgreedy_delta(coll, zero, lat, TotalBudget(K))
+    assert picks == [0] * K
+    picks.clear()
+    lgreedy_delta(coll, zero, lat,
+                  PartitionedBudget(groups=[(0, 3), (1, 2, 4)], caps=[1, K]))
+    assert picks == [0] + [1] * K
+
+
+def _rough_table(gen, rows: int, steps: int) -> np.ndarray:
+    """Random curves with q(0) = 0 that may drop and need not be concave."""
+    tab = gen.uniform(0.0, 1.0, size=(rows, steps + 1))
+    tab[:, 0] = 0.0
+    return tab
+
+
+# on these seeds a greedy that trusts its stale bounds picks differently
+# from lgreedy: curves that drop let s grow back
+@pytest.mark.parametrize("seed", [18, 125, 137, 237, 261])
+def test_forced_invalid_model_refreshes_every_bound(monkeypatch, seed):
+    gen = np.random.default_rng(4000 + seed)
+    inst = random_instance(gen, n_max=8, m_max=12, d_max=4, steps_max=4)
+    K = inst.lattice.budget_steps
+    model = IndependentActivation(
+        inst.graph.n, inst.lattice, inst.model.strategies,
+        [_rough_table(gen, len(t), K) for t in inst.model.tables])
+    assert validate_model(model, inst.lattice)
+    coll = generate_collection(inst.graph, inst.params, model, 120, stream(60, seed))
+    picks = _check_picks(monkeypatch)
+    mix = lgreedy_delta(coll, model, inst.lattice, TotalBudget(K))
+    assert len(picks) == K
+    assert mix == lgreedy(lambda s: g_hat(coll, model, s), inst.lattice, TotalBudget(K))
 
 
 # --- sampling phase --------------------------------------------------------------

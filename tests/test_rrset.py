@@ -185,7 +185,7 @@ def test_distinct_matches_unique(keys):
 # --- pathological graphs: bounded memory, exact counts --------------------------
 
 PATHOLOGICAL_SETS = 2000
-# visited bitmap (2 MiB) plus one step of at most _EDGE_CHUNK in-edges, plus
+# visited bitmap (at most 8 MiB) plus one step of at most _EDGE_CHUNK in-edges, plus
 # the sets themselves; expanding a 20k in-edge hub for a whole batch at once
 # would take hundreds of MiB
 PEAK_MIB = 16
