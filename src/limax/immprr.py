@@ -22,12 +22,13 @@ R_i} prod_{j in S_v} (1 - q[v,j](x_j)) is shared per set.
 
 The greedy is lazy (Minoux 1978; CELF, Leskovec et al. 2007): a heap keeps
 each coordinate's last computed gain as a bound, and a round recomputes
-gains off its top until a fresh one stays there.  The bounds hold when every
-curve is valid (nondecreasing, concave, in [0, 1]).  Each factor 1 - q(t)
-is then nonnegative, nonincreasing and convex, so their product is convex
-and a coordinate's own gain shrinks as it grows; and s only shrinks, so the
-other coordinates' gains shrink too.  A model that fails validation,
-allowed only with ``force=True``, has every bound recomputed each round.
+gains off its top until a fresh one stays there.  The bounds hold whenever
+every curve is nondecreasing and in [0, 1]: each factor 1 - q(t) is then
+nonnegative and nonincreasing, so s only shrinks, and with it the gain of
+every coordinate but the one just advanced.  That one was on top of the
+heap and stays there, so the next round refreshes it first; its own gain
+may grow if its curve is not concave.  A model whose curves drop or leave
+[0, 1], allowed only with ``force=True``, has every bound recomputed.
 """
 
 from __future__ import annotations
@@ -280,7 +281,8 @@ def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
     (same tie rule: the lowest feasible coordinate among the best gains)."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
-    lazy = not validate_model(model, lattice)
+    # curves that only fail concavity keep the bounds (see the module docstring)
+    lazy = {v.kind for v in validate_model(model, lattice)}.isdisjoint({"decreasing", "range"})
     fresh = np.zeros(lattice.d, dtype=np.int64)  # round of each bound's last refresh
     for r in range(total_steps(constraint)):
         if r == 0 or not lazy:

@@ -1,13 +1,15 @@
 """Ground truth: Monte-Carlo spread estimates and exact small-instance oracles.
 
-Forward Monte-Carlo runs many cascades at once (``_cascades``), the forward
-twin of the reverse search in ``limax.rrset``: (node, run) pairs of a batch
-of runs are keyed ``node * runs + run``, a visited bitmap activates each at
-most once, and the cascades advance one BFS level per vectorized step over
-the out-edge CSR.  Under IC each out-edge of a newly active pair draws one
-coin; under LT each pair commits to one in-neighbour pick per run, drawn
-once, so repeated exposures reuse it.  A run's spread is its count of
-active pairs, and a fixed cap on the pairs per batch bounds the memory.
+Forward Monte-Carlo runs many cascades at once (``_cascades``) over the
+(node, run) pairs of a batch of runs, keyed ``node * runs + run``; a fixed
+cap on the pairs per batch bounds the memory.  Under IC, the forward twin
+of the reverse search in ``limax.rrset``, the cascades advance one BFS
+level per vectorized step over the out-edge CSR, each out-edge of a newly
+active pair drawing one coin.  Under LT each pair commits to one
+in-neighbour pick per run, drawn up front; by the live-edge view of LT
+(Kempe, Kleinberg and Tardos 2003) it ends up active exactly when its
+chain of picks reaches a seed, which pointer doubling settles in O(log n)
+whole-array rounds.  A run's spread is its count of active pairs.
 
 The exact oracle enumerates every live-edge graph of a small instance (all
 2^m edge outcomes under IC, the product of per-node in-neighbor choices
@@ -30,8 +32,7 @@ import numpy as np
 
 from .budgets import TotalBudget, is_feasible
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rrset import (_EDGE_CHUNK, _bisect_right, _edge_chunks, _generator,
-                    _live_edges, _reach)
+from .rrset import _EDGE_CHUNK, _generator, _live_edges, _reach, _slots
 from .strategy import LatticeConfig, StrategyMix, as_steps
 
 __all__ = [
@@ -70,21 +71,41 @@ class SpreadEstimate(NamedTuple):
 
 def _lt_parents(params: TriggeringParams, n: int, size: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Each (node, run) pair's committed in-neighbour under LT, keyed
-    ``node * size + run``, or -1 for none.  Every node with in-edges draws
-    one uniform per run, node-major, and picks like the reverse kernel,
-    ``_EDGE_CHUNK`` pairs at a time."""
+    """Each (node, run) pair's committed in-neighbour under LT, as pointers
+    over the keys ``node * size + run``: entry k holds the key of k's pick
+    in the same run, or k for none, and one more entry, key ``n * size``,
+    points at itself.  Every node with in-edges draws one uniform per run,
+    node-major, and takes its slot among its running weight sums (see
+    :func:`limax.rrset._slots`), ``_EDGE_CHUNK`` pairs or one node at a time."""
     indptr, src, cum = params._csr
     has = np.flatnonzero(np.diff(indptr))
-    parents = np.full(n * size, -1, dtype=np.min_scalar_type(-n))
-    for c0 in range(0, len(has) * size, _EDGE_CHUNK):
-        pair = np.arange(c0, min(c0 + _EDGE_CHUNK, len(has) * size))
-        nodes = has[pair // size]
+    par = np.arange(n * size + 1)
+    grid = par[:-1].reshape(n, size)
+    rows = max(1, _EDGE_CHUNK // size)
+    for r0 in range(0, len(has), rows):
+        nodes = has[r0:r0 + rows, None]
         lo, hi = indptr[nodes], indptr[nodes + 1]
-        pos = _bisect_right(cum, lo, hi, rng.random(len(pair)))
-        hit = pos < hi
-        parents[(nodes * size + pair % size)[hit]] = src[pos[hit]]
-    return parents
+        pos = _slots(cum, lo, hi, rng.random((len(nodes), size)))
+        pick = np.where(pos < hi, src.take(pos, mode="clip"), nodes)  # or itself
+        grid[nodes[:, 0]] = pick * size + np.arange(size)
+    return par
+
+
+def _follow(par: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """Pointer doubling over ``par``, whose key ``top`` points at itself:
+    round r squares the pointers, so the keys then pointing at ``top`` are
+    those within 2^r steps of it.  A key s > 2^r steps away has one exactly
+    2^r steps away on its chain, which round r adds, so the first round
+    that adds none is the last.  Returns the mask of keys whose chain
+    reaches ``top``, and the number of rounds; ``par`` is overwritten."""
+    hit = par == top
+    spare = np.empty_like(par)
+    for rounds in itertools.count(1):
+        count = np.count_nonzero(hit)
+        par, spare = np.take(par, par, out=spare, mode="clip"), par
+        hit = par == top
+        if np.count_nonzero(hit) == count:
+            return hit, rounds
 
 
 def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
@@ -94,13 +115,13 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
     Runs go in batches of ``size`` whose (node, run) pairs, and whose
     ``width`` seed draws per run, fit ``_RUN_PAIRS``.  ``seed_keys(size)``
     draws one batch's seeds and returns their sorted, distinct keys
-    ``node * size + run``.  The cascade then advances one level per step
-    over the out-edge CSR (see :func:`limax.rrset._reach`), so each
-    active pair is expanded once.  Under IC every out-edge of a newly
-    active pair draws one uniform, level by level.  Under LT every pair
-    commits to its in-neighbour once, drawn per batch before the cascade
-    (see :func:`_lt_parents`), and an out-edge is live when its target
-    picked its source.  A run's count is the number of its keys reached.
+    ``node * size + run``.  Under IC the cascade then advances one level
+    per step over the out-edge CSR (see :func:`limax.rrset._reach`), so
+    each active pair is expanded once, and every out-edge of a newly active
+    pair draws one uniform.  Under LT every pair commits to its in-neighbour
+    once, drawn per batch after the seeds (see :func:`_lt_parents`), and
+    is active when its chain of picks reaches a seed (see :func:`_follow`).
+    A run's count is the number of its active keys.
     """
     n = graph.n
     per_batch = max(1, min(runs, _RUN_PAIRS // max(n, width, 1)))
@@ -114,18 +135,16 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
             def expand(keys):
                 nodes, local = np.divmod(keys, size)
                 return _live_edges(out_csr, nodes, local, size, rng)
-        else:
-            parents = _lt_parents(params, n, size, rng)
 
-            def expand(keys):
-                nodes, local = np.divmod(keys, size)
-                indptr, dst, _ = out_csr
-                for pos, pair in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
-                    cand = dst[pos] * size + local[pair]
-                    yield cand[parents[cand] == nodes[pair]]
-        counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
-                                   for keys in _reach(marks, frontier, expand))
-        marks.fill(0)
+            counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
+                                       for keys in _reach(marks, frontier, expand))
+            marks.fill(0)
+        else:
+            par = _lt_parents(params, n, size, rng)
+            par[frontier] = n * size  # the seeds point at the last key
+            hit, _ = _follow(par, n * size)
+            counts[b0:b0 + size] = hit[:-1].reshape(n, size).sum(axis=0)
+            del frontier, par, hit  # before the next batch draws
     return counts
 
 

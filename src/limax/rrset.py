@@ -31,8 +31,10 @@ to its node; a batch packs every (set, virtual flat id) pair into one int64
 key and deduplicates the keys with one sort and a neighbour-inequality mask
 (``_distinct``), as each BFS level does with its reached keys.  Its level
 loop (``_reach``) and IC coin step (``_live_edges``, never gaps) also run
-the forward cascades of ``limax.oracles``: forward IC reach is reverse
-reach on the transposed graph, from several roots per run.
+the forward IC cascades of ``limax.oracles``: forward IC reach is reverse
+reach on the transposed graph, from several roots per run.  The LT slot
+search (``_slots``) serves both directions: the reverse kernel's scattered
+pairs and the forward cascades' per-run picks.
 
 A collection stores only its RR sets; the coverage weights and the greedy's
 per-strategy entries are whole-array reductions over the frozen members.
@@ -96,18 +98,19 @@ def _generator(rng) -> np.random.Generator:
     return rng._rng if isinstance(rng, RandomBuffer) else rng
 
 
-def _bisect_right(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """``lo + bisect_right(a[lo:hi], x)`` for every row at once."""
-    top = len(a) - 1
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = (lo + hi) >> 1
-        right = a[np.minimum(mid, top)] <= x
-        lo = np.where(open_ & right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
+def _slots(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           x: np.ndarray) -> np.ndarray:
+    """``lo + bisect_right(a[lo:hi], x)`` for every row at once (the
+    arguments broadcast): a branch-free binary search in which every row
+    takes the power-of-two steps of the widest row, and a probe past its
+    row's end counts as above ``x``."""
+    pos = np.broadcast_to(lo, np.broadcast(lo, hi, x).shape).astype(np.int64)
+    step = 1 << (int((hi - lo).max(initial=1)).bit_length() - 1)
+    while step:
+        probe = pos + (step - 1)
+        pos += ((probe < hi) & (a.take(probe, mode="clip") <= x)) * step
+        step >>= 1
+    return pos
 
 
 def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
@@ -188,7 +191,7 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
     ``params._skip`` draw geometric gaps between live in-edges (see
     :func:`_skip_edges`) after all other pairs have drawn their coins.  LT
     draws one uniform per pair whose node has in-edges and takes its slot
-    among the node's running weight sums, as ``bisect_right`` does, or no
+    among the node's running weight sums (see :func:`_slots`), or no
     in-edge past the last one."""
     if params.kind == IC:
         flag, shared = params._skip
@@ -205,7 +208,7 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
     lo = indptr[nodes]
     hi = indptr[nodes + 1]
     has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
-    pos = _bisect_right(cum, lo[has], hi[has], rng.random(len(has)))
+    pos = _slots(cum, lo[has], hi[has], rng.random(len(has)))
     hit = pos < hi[has]
     yield src[pos[hit]] * sets + local[has[hit]]
 

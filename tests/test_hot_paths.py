@@ -8,16 +8,24 @@ it returns an index, an inverse or counts.
 
 The lattice greedy is lazy: each round recomputes the gains of a few
 coordinates off the top of a heap of bounds, not all d of them.
+
+LT forward cascades follow each run's committed picks by pointer doubling,
+in O(log n) whole-array rounds; one BFS level per step took 0.31-0.40 s
+for 50 runs of a 4,001-node LT chain.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import limax
+from limax import oracles
 from limax.budgets import TotalBudget
-from limax.graph import assign_weighted_cascade, gen_erdos_renyi
+from limax.graph import (LT, TriggeringParams, assign_weighted_cascade, from_edges,
+                         gen_erdos_renyi)
 from limax.immprr import GreedyState, lgreedy_delta
 from limax.rng import stream
 from limax.rrset import generate_collection
@@ -78,3 +86,28 @@ def test_lazy_greedy_recomputes_few_gains(monkeypatch):
     assert evaluated <= lat.d * 20 // 4, (
         f"{calls} recompute {evaluated} gains over 20 rounds of d = {lat.d}: "
         "lgreedy_delta has gone back to rescanning every coordinate")
+
+
+def test_lt_forward_chain_takes_log_rounds(monkeypatch):
+    """An LT chain of 20,001 nodes seeded at its head activates every node
+    of every run in at most ceil(log2(n * runs)) + 1 doubling rounds, and
+    never walks the out-edges one BFS level at a time."""
+    n, runs = 20_001, 50
+    g = from_edges(n, [(u, u + 1) for u in range(n - 1)])
+    params = TriggeringParams.build(g, LT, [np.ones(len(a)) for a in g.in_neighbors])
+
+    def levels(*args):
+        raise AssertionError("LT forward cascades walk BFS levels (oracles._reach)")
+
+    follow, rounds = oracles._follow, []
+
+    def counted(par, top):
+        hit, r = follow(par, top)
+        rounds.append(r)
+        return hit, r
+
+    monkeypatch.setattr(oracles, "_reach", levels)
+    monkeypatch.setattr(oracles, "_follow", counted)
+    est = oracles.simulate_spread_seeds(g, params, [0], runs, stream(39, 0))
+    assert est == (n, 0.0, runs)
+    assert rounds and max(rounds) <= math.ceil(math.log2(n * runs)) + 1, rounds

@@ -405,6 +405,36 @@ def test_forced_invalid_model_refreshes_every_bound(monkeypatch, seed):
     assert mix == lgreedy(lambda s: g_hat(coll, model, s), inst.lattice, TotalBudget(K))
 
 
+def _convex_table(gen, rows: int, steps: int) -> np.ndarray:
+    """Random nondecreasing curves in [0, 1] with q(0) = 0 whose increments
+    grow: convex, so not concave once there are two steps."""
+    inc = np.sort(gen.uniform(0.0, 1.0, size=(rows, steps)), axis=1)
+    tab = np.concatenate((np.zeros((rows, 1)), np.cumsum(inc, axis=1)), axis=1)
+    return tab / tab[:, -1:] * gen.uniform(0.5, 1.0, size=(rows, 1))
+
+
+# nondecreasing curves in [0, 1] only let s shrink, so the stale bounds hold
+@pytest.mark.parametrize("seed", range(6))
+def test_forced_convex_model_keeps_lazy_bounds(monkeypatch, seed):
+    gen = np.random.default_rng(4100 + seed)
+    inst = random_instance(gen, n_max=8, m_max=12, d_max=4, steps_max=3, extra_steps=1)
+    K = inst.lattice.budget_steps
+    model = IndependentActivation(
+        inst.graph.n, inst.lattice, inst.model.strategies,
+        [_convex_table(gen, len(t), K) for t in inst.model.tables])
+    kinds = {v.kind for v in validate_model(model, inst.lattice)}
+    assert kinds == {"non-concave"}
+    coll = generate_collection(inst.graph, inst.params, model, 120, stream(61, seed))
+    picks = _check_picks(monkeypatch)
+    gains = GreedyState.gains
+    calls = []
+    monkeypatch.setattr(GreedyState, "gains", lambda state: calls.append(1) or gains(state))
+    mix = lgreedy_delta(coll, model, inst.lattice, TotalBudget(K))
+    assert len(picks) == K
+    assert len(calls) == 1 + K  # the first bounds, then one per pick check
+    assert mix == lgreedy(lambda s: g_hat(coll, model, s), inst.lattice, TotalBudget(K))
+
+
 # --- sampling phase --------------------------------------------------------------
 
 def _instance_for_sampling(seed=0):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
 
+from limax import oracles
 from limax.budgets import PartitionedBudget, TotalBudget
 from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
                          from_edges, uniform_ic)
@@ -112,6 +113,94 @@ def test_forward_law_matches_exact_oracle(kind, seed):
     prefix = [VirtualNodeId(j, t) for j in range(lat.d) for t in range(1, lat.budget_steps + 1)]
     est = simulate_spread_virtual_seeds(aug, prefix, FORWARD_RUNS, stream(34, seed))
     assert abs(est.mean - exact) <= 4 * est.se + 1e-9
+
+
+# --- LT forward cascades: pointer doubling against level-by-level BFS ----------
+
+def _lt_counts_by_levels(graph, params, runs, width, seed_keys, rng):
+    """Per-run active counts of LT cascades as the out-edge BFS computes
+    them, level by level: an out-edge u -> v carries the cascade in a run
+    when v picked u in that run.  The picks are drawn as
+    ``oracles._cascades`` draws them (after each batch's seeds, one uniform
+    per run for every node with in-edges, node-major) and resolved with
+    ``np.searchsorted`` on each node's running weight sums."""
+    n = graph.n
+    indptr, src, cum = params._csr
+    out_ptr, dst, _ = params._out_csr
+    has = np.flatnonzero(np.diff(indptr))
+    per_batch = max(1, min(runs, oracles._RUN_PAIRS // max(n, width, 1)))
+    counts = np.empty(runs)
+    for b0 in range(0, runs, per_batch):
+        size = min(per_batch, runs - b0)
+        frontier = seed_keys(size)
+        x = rng.random(len(has) * size).reshape(len(has), size)
+        parents = np.full((n, size), -1)
+        for v, row in zip(has.tolist(), x):
+            pos = indptr[v] + np.searchsorted(cum[indptr[v]:indptr[v + 1]], row, side="right")
+            pick = pos < indptr[v + 1]
+            parents[v, pick] = src[pos[pick]]
+        parents = parents.ravel()
+        seen = np.zeros(n * size, dtype=bool)
+        seen[frontier] = True
+        while len(frontier):
+            nodes, local = np.divmod(frontier, size)
+            deg = out_ptr[nodes + 1] - out_ptr[nodes]
+            pair = np.repeat(np.arange(len(nodes)), deg)
+            pos = out_ptr[nodes][pair] + np.arange(len(pair)) - np.repeat(np.cumsum(deg) - deg, deg)
+            cand = dst[pos] * size + local[pair]
+            cand = cand[(parents[cand] == nodes[pair]) & ~seen[cand]]
+            seen[cand] = True
+            frontier = np.sort(cand)
+        counts[b0:b0 + size] = seen.reshape(n, size).sum(axis=0)
+    return counts
+
+
+def _random_lt(gen, n):
+    """Random LT graph on n nodes: a cycle through the first nodes, random
+    and parallel edges, the last node without in-edges (for n > 2), and
+    per node either weights 1/indeg, weights summing to 1, or weights below
+    1 with some of them 0."""
+    ring = n if n == 2 else int(gen.integers(2, n))
+    edges = [(u, (u + 1) % ring) for u in range(ring)]
+    count = int(gen.integers(0, 2 * n)) if gen.random() < 0.7 else 0  # else one long cycle
+    extra = zip(gen.integers(0, n, size=count), gen.integers(0, max(n - 1, 2), size=count))
+    edges += [(int(u), int(v)) for u, v in extra if u != v]
+    edges += edges[:int(gen.integers(1, 4))]  # parallel copies
+    g = from_edges(n, edges)
+    rows = []
+    for a in g.in_neighbors:
+        kind = gen.integers(0, 3)
+        w = gen.random(len(a)) * (gen.random(len(a)) < 0.8)
+        if kind == 0 or not w.sum():
+            w = np.full(len(a), 1.0 / max(len(a), 1))
+        else:
+            w = w / w.sum() * (1.0 if kind == 1 else gen.uniform(0.3, 0.95))
+        rows.append(np.minimum(w, 1.0))
+    return g, TriggeringParams.build(g, LT, rows)
+
+
+@pytest.mark.parametrize("pairs", [oracles._RUN_PAIRS, 40])
+@pytest.mark.parametrize("seed", range(12))
+def test_lt_doubling_matches_level_bfs(monkeypatch, seed, pairs):
+    monkeypatch.setattr(oracles, "_RUN_PAIRS", pairs)  # 40: several batches
+    gen = np.random.default_rng(3700 + seed)
+    n = 2 if seed < 2 else int(gen.integers(3, 40))
+    g, params = _random_lt(gen, n)
+    runs = int(gen.integers(1, 90))
+    h = gen.random(n) * (gen.random(n) < 0.2)  # few seeds: long chains to them
+    h[0] = max(h[0], 0.2)  # node 0 sits on the cycle
+
+    def draw(rng):
+        def seed_keys(size):
+            run, v = np.nonzero(rng.random((size, n)) < h)
+            return np.sort(v * size + run)
+        return seed_keys
+
+    rng, ref = stream(37, seed), stream(37, seed)
+    counts = oracles._cascades(g, params, runs, n, draw(rng), rng)
+    expect = _lt_counts_by_levels(g, params, runs, n, draw(ref), ref)
+    assert np.array_equal(counts, expect)
+    assert rng.random() == ref.random()  # both consumed the same draws
 
 
 # --- pathological graphs: bounded memory, exact spreads -------------------------

@@ -1,3 +1,4 @@
+import bisect
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _arm_sampler, _bisect_right, _distinct, _reverse_reach,
-                         _row_search, _rr_sets, g_hat, generate_collection,
+                         _arm_sampler, _distinct, _reverse_reach, _row_search,
+                         _rr_sets, _slots, g_hat, generate_collection,
                          generate_rr_set, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
@@ -164,7 +165,31 @@ def test_arm_slot_lookup_matches_per_row_search(seed):
     assert np.array_equal(slots, expect)
     start = rows * (K + 1)
     assert np.array_equal(
-        slots, _bisect_right(tables.ravel(), start, start + K + 1, x) - start)
+        slots, _slots(tables.ravel(), start, start + K + 1, x) - start)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lt_slot_search_matches_bisect_right(seed):
+    # ragged nondecreasing rows (some empty, some with ties) in one array,
+    # searched from scattered rows and, broadcast, from one row per column
+    gen = np.random.default_rng(1850 + seed)
+    deg = gen.integers(0, 40, size=60)
+    deg[gen.integers(0, 60, size=5)] = 0
+    deg[0] = int(gen.integers(40, 300))
+    hi = np.cumsum(deg)
+    lo = hi - deg
+    a = np.concatenate([np.sort(np.round(gen.random(d), 1)) for d in deg])
+    rows = gen.integers(0, 60, size=3000)
+    x = gen.random(3000)
+    exact = (deg[rows] > 0) & (gen.random(3000) < 0.5)  # draws equal to an entry
+    x[exact] = a[lo[rows[exact]] + gen.integers(0, deg[rows[exact]])]
+    expect = np.array([lo[r] + bisect.bisect_right(a[lo[r]:hi[r]], v)
+                       for r, v in zip(rows.tolist(), x.tolist())])
+    assert np.array_equal(_slots(a, lo[rows], hi[rows], x), expect)
+    grid = x[:2400].reshape(60, 40)
+    expect = np.array([[lo[r] + bisect.bisect_right(a[lo[r]:hi[r]], v) for v in grid[r]]
+                       for r in range(60)])
+    assert np.array_equal(_slots(a, lo[:, None], hi[:, None], grid), expect)
 
 
 # --- sorted distinct keys ----------------------------------------------------------
