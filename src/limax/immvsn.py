@@ -144,9 +144,9 @@ class HybridRRSet:
 
 
 def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
-    _, nodes, _, flats = next(_reverse_reach(aug.graph, aug.params, np.array([root]),
-                                             _generator(rng), aug._arms))
-    return HybridRRSet(root=root, real_members=nodes,
+    _, keys, _, flats = next(_reverse_reach(aug.graph, aug.params, np.array([root]),
+                                            _generator(rng), aug._arms))
+    return HybridRRSet(root=root, real_members=np.sort(keys),
                        virtual_members=tuple(aug.unflat(f) for f in flats.tolist()))
 
 

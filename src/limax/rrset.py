@@ -36,8 +36,10 @@ reach on the transposed graph, from several roots per run.  The LT slot
 search (``_slots``) serves both directions: the reverse kernel's scattered
 pairs and the forward cascades' per-run picks.
 
-A collection stores only its RR sets; the coverage weights and the greedy's
-per-strategy entries are whole-array reductions over the frozen members.
+A collection holds its RR sets in flat arrays that only grow (members,
+offsets, roots, widths), appended straight from the kernel's batches; the
+coverage weights and the greedy's per-strategy entries are whole-array
+reductions over the members, and the entries extend over new sets only.
 """
 
 from __future__ import annotations
@@ -119,20 +121,22 @@ def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
 
 
 def _edge_chunks(lo: np.ndarray, hi: np.ndarray):
-    """The CSR positions ``lo[i]:hi[i]`` of every row i, at most
-    ``_EDGE_CHUNK`` per step: ``(pos, pair)`` gives each position and its
-    row i, in row order, then position order."""
+    """The CSR positions ``lo[i]:hi[i]`` of every row i, in row order, then
+    position order, at most ``_EDGE_CHUNK`` per step: ``(pos, stop, c0)``,
+    where position k of a step lies in row ``searchsorted(stop, c0 + k,
+    side="right")``."""
     deg = hi - lo
     ends = np.cumsum(deg)
     begins = ends - deg
-    total = int(ends[-1])
+    total = int(ends[-1]) if len(ends) else 0
     for c0 in range(0, total, _EDGE_CHUNK):
         c1 = min(c0 + _EDGE_CHUNK, total)
         a = np.searchsorted(ends, c0, side="right")
         z = np.searchsorted(begins, c1)
         take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
-        yield np.repeat(lo[a:z] - begins[a:z], take) + np.arange(c0, c1), \
-            np.repeat(np.arange(a, z), take)
+        pos = np.repeat(lo[a:z] - begins[a:z], take)
+        pos += np.arange(c0, c1)
+        yield pos, ends, c0
 
 
 def _live_edges(csr, nodes: np.ndarray, local: np.ndarray, sets: int,
@@ -142,9 +146,9 @@ def _live_edges(csr, nodes: np.ndarray, local: np.ndarray, sets: int,
     one array per step of :func:`_edge_chunks`: each edge draws one
     uniform and is live below its probability."""
     indptr, ends, probs = csr
-    for pos, pair in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
-        live = rng.random(len(pos)) < probs[pos]
-        yield ends[pos[live]] * sets + local[pair[live]]
+    for pos, stop, c0 in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
+        live = np.flatnonzero(rng.random(len(pos)) < probs[pos])
+        yield ends[pos[live]] * sets + local[np.searchsorted(stop, live + c0, side="right")]
 
 
 def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
@@ -178,7 +182,8 @@ def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
         yield src[pos] * sets + pair
         if not len(pair):
             return
-    for at, row in _edge_chunks(pos + 1, end):
+    for at, stop, c0 in _edge_chunks(pos + 1, end):
+        row = np.searchsorted(stop, np.arange(c0, c0 + len(at)), side="right")
         live = rng.random(len(at)) < p[row]
         yield src[at[live]] * sets + pair[row[live]]
 
@@ -300,9 +305,10 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     independent activation model (see :func:`_arm_sampler`), each pair
     first draws its virtual arms.
 
-    Yields ``(sets, nodes, vsets, flats)`` per batch: the members sorted by
-    set, then node, and the distinct virtual flat ids sorted the same way
-    (empty without ``arms``).
+    Yields ``(sets, nodes, vsets, flats)`` per batch.  Without ``arms``,
+    the members sorted by set, then node.  With ``arms``, ``sets`` is None,
+    ``nodes`` the keys as reached (a single root's members) and the
+    distinct virtual flat ids sorted by set, then flat id.
     """
     n = graph.n
     count = len(roots)
@@ -324,77 +330,95 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
         keys = np.concatenate(list(_reach(marks, frontier, expand)))
         marks[keys >> 3] = 0
+        if arms is not None:  # b0 * span shifts the set ids by b0
+            yield None, keys, *np.divmod(_distinct(np.concatenate(virtual)) + b0 * span, span)
+            continue
         nodes, local = np.divmod(keys, size)
         sets, nodes = np.divmod(np.sort(local * n + nodes), n)
-        vsets, flats = np.divmod(_distinct(np.concatenate(virtual)), span) \
-            if arms is not None else (_NONE, _NONE)
-        yield sets + b0, nodes, vsets + b0, flats
-
-
-def _rr_sets(graph: DirectedGraph, params: TriggeringParams, roots: np.ndarray,
-             rng) -> list[RRSet]:
-    """The RR sets rooted at ``roots``, in order."""
-    indptr = params._csr[0]
-    out = []
-    for sets, nodes, _, _ in _reverse_reach(graph, params, roots, _generator(rng)):
-        starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
-        widths = np.add.reduceat(indptr[nodes + 1] - indptr[nodes], starts)
-        bounds = starts.tolist() + [len(nodes)]
-        out.extend(RRSet(r, nodes[a:b], w) for r, a, b, w in
-                   zip(roots[sets[starts]].tolist(), bounds, bounds[1:], widths.tolist()))
-    return out
+        yield sets + b0, nodes, _NONE, _NONE
 
 
 def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
                     root: int, rng) -> RRSet:
     """Sample the RR set rooted at ``root``."""
-    return _rr_sets(graph, params, np.array([root], dtype=np.int64), rng)[0]
+    coll = RRCollection(graph, params, None)
+    coll._sample(np.array([root], dtype=np.int64), _generator(rng))
+    return coll.sets[0]
+
+
+def _flushed(name: str) -> property:
+    """A read-only attribute that first takes in the sets buffered by ``add``."""
+    return property(lambda self: (self._flush(), getattr(self, name))[1])
 
 
 class RRCollection:
-    """A growing sequence of RR sets.
-
-    The member arrays, frozen into ``concat``/``offsets`` on demand, are the
-    collection's only index: :meth:`coverage_weights` reduces over them and
-    :meth:`strategy_entries` derives the greedy's per-strategy view from
-    them.  Both are cached until theta changes.
+    """A growing sequence of RR sets in flat, append-only, read-only arrays:
+    set i has root ``roots[i]``, width ``widths[i]`` and sorted members
+    ``members[offsets[i]:offsets[i + 1]]``.  :meth:`extend` appends the
+    kernel's batches; :meth:`add` buffers a set until the next read.
+    ``sets`` views them as :class:`RRSet` objects, built on each read and
+    never by the solvers.
     """
+
+    members = _flushed("_members")
+    offsets = _flushed("_offsets")
+    roots = _flushed("_roots")
+    widths = _flushed("_widths")
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams, model):
         self.graph = graph
         self.params = params
         self.model = model
         self.n = graph.n
-        self.sets: list[RRSet] = []
-        self._concat: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._frozen_count = -1
-        self._entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._entries_count = -1
+        self._members = self._roots = self._widths = _NONE
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._pending: list[RRSet] = []
+        self._entries, self._entries_count = None, 0
 
     @property
     def theta(self) -> int:
-        return len(self.sets)
+        return len(self._offsets) - 1 + len(self._pending)
+
+    @property
+    def sets(self) -> tuple[RRSet, ...]:
+        bounds = self.offsets.tolist()
+        return tuple(RRSet(r, self._members[a:b], w) for r, a, b, w in
+                     zip(self._roots.tolist(), bounds, bounds[1:], self._widths.tolist()))
 
     def add(self, rr: RRSet) -> None:
-        self.sets.append(rr)
+        self._pending.append(rr)
+
+    def _flush(self) -> None:
+        if self._pending:
+            sets, self._pending = self._pending, []
+            self._append([s.members for s in sets], np.array([len(s.members) for s in sets]),
+                         [s.root for s in sets], [s.width for s in sets])
+
+    def _append(self, members: list, sizes: np.ndarray, roots, widths) -> None:
+        """Append sets by member arrays, sizes, roots and widths."""
+        self._members = np.concatenate([self._members, *members])
+        self._offsets = np.concatenate((self._offsets, self._offsets[-1] + np.cumsum(sizes)))
+        self._roots = np.concatenate((self._roots, roots))
+        self._widths = np.concatenate((self._widths, widths))
+        for a in (self._members, self._offsets, self._roots, self._widths):
+            a.flags.writeable = False
+
+    def _sample(self, roots: np.ndarray, gen: np.random.Generator) -> None:
+        """Append the RR sets rooted at ``roots``, in order, after any buffered ones."""
+        self._flush()
+        deg, parts = np.diff(self.params._csr[0]), []
+        for sets, nodes, _, _ in _reverse_reach(self.graph, self.params, roots, gen):
+            starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
+            parts.append((nodes, np.diff(starts, append=len(nodes)),
+                          np.add.reduceat(deg[nodes], starts)))
+        members, sizes, widths = zip(*parts)
+        self._append(members, np.concatenate(sizes), roots, np.concatenate(widths))
 
     def extend(self, count: int, rng) -> None:
         """Generate ``count`` more RR sets rooted at uniform random nodes."""
-        if count <= 0:
-            return
-        gen = _generator(rng)
-        roots = gen.integers(0, self.n, size=count)
-        self.sets.extend(_rr_sets(self.graph, self.params, roots, gen))
-
-    def _frozen(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._frozen_count != len(self.sets):
-            self._concat = np.concatenate([np.empty(0, np.int64)] + [s.members for s in self.sets])
-            sizes = np.fromiter((len(s.members) for s in self.sets),
-                                dtype=np.int64, count=len(self.sets))
-            self._offsets = np.cumsum(sizes) - sizes
-            self._frozen_count = len(self.sets)
-        return self._concat, self._offsets
+        if count > 0:
+            gen = _generator(rng)
+            self._sample(gen.integers(0, self.n, size=count), gen)
 
     def strategy_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every strategy's (RR set, table row) pairs, read off the members.
@@ -402,32 +426,35 @@ class RRCollection:
         There is one entry per (i, v, j) with v in R_i and j in S_v: ``rr``
         holds i and ``rows`` the row of ``model._flat_tables`` that tabulates
         q[v, j].  Strategy j owns ``bounds[j]:bounds[j + 1]``, ordered by i
-        then v.  Needs an independent activation model.
+        then v.  Needs an independent activation model.  A call builds the
+        entries of the sets added since the last one only.
         """
-        if self._entries_count != len(self.sets):
-            model = self.model
-            concat, offsets = self._frozen()
+        offsets, done = self.offsets, self._entries_count
+        if self._entries is None or done < len(offsets) - 1:
+            model, d = self.model, self.model.lattice.d
+            members = self._members[offsets[done]:]
             counts = np.bincount(model._flat_nodes, minlength=self.n)  # rows per node
-            per = counts[concat]
+            per = counts[members]
             # a member's k-th entry is its node's first row plus k
-            first_row = (np.cumsum(counts) - counts)[concat]
+            first_row = (np.cumsum(counts) - counts)[members]
             rows = np.repeat(first_row - (np.cumsum(per) - per), per) + np.arange(per.sum())
-            sizes = np.diff(offsets, append=len(concat))
-            rr = np.repeat(np.repeat(np.arange(len(offsets)), sizes), per)
+            sizes = np.diff(offsets[done:])
+            rr = np.repeat(np.repeat(np.arange(done, done + len(sizes)), sizes), per)
             strat = model._flat_strats[rows]
             # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
-            order = np.argsort(strat.astype(np.min_scalar_type(model.lattice.d)),
-                               kind="stable")
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(strat, minlength=model.lattice.d))))
-            self._entries = (rr[order], rows[order], bounds)
-            self._entries_count = len(self.sets)
+            order = np.argsort(strat.astype(np.min_scalar_type(d)), kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(strat, minlength=d))))
+            old_rr, old_rows, old = self._entries or (_NONE, _NONE, np.zeros(d + 1, np.int64))
+            # strategy j's new entries follow its old ones, shifted by the new ones below j
+            at = np.repeat(old[1:], np.diff(bounds))
+            self._entries = (np.insert(old_rr, at, rr[order]),
+                             np.insert(old_rows, at, rows[order]), old + bounds)
+            self._entries_count = len(offsets) - 1
         return self._entries
 
     def coverage_weights(self, h_all: np.ndarray) -> np.ndarray:
         """Per-RR-set partial coverage 1 - prod_{v in R} (1 - h_v)."""
-        concat, offsets = self._frozen()
-        return 1.0 - np.multiply.reduceat(1.0 - h_all[concat], offsets)
+        return 1.0 - np.multiply.reduceat(1.0 - h_all[self.members], self._offsets[:-1])
 
 
 def generate_collection(graph: DirectedGraph, params: TriggeringParams,
@@ -450,16 +477,15 @@ def g_hat(collection: RRCollection, model, x) -> float:
 
 
 def save_collection(collection: RRCollection, path) -> None:
-    """Binary dump of roots, widths and the frozen member arrays."""
-    concat, offsets = collection._frozen()
+    """Binary dump of the roots, widths, members and set offsets."""
     np.savez_compressed(
         path,
         version=np.int64(FORMAT_VERSION),
         n=np.int64(collection.n),
-        roots=np.array([s.root for s in collection.sets], dtype=np.int64),
-        widths=np.array([s.width for s in collection.sets], dtype=np.int64),
-        members=concat,
-        offsets=offsets,
+        roots=collection.roots,
+        widths=collection.widths,
+        members=collection.members,
+        offsets=collection.offsets[:-1],
     )
 
 
@@ -483,6 +509,5 @@ def load_collection(path, graph: DirectedGraph, params: TriggeringParams,
     if bounds[0] != 0 or np.any(np.diff(bounds) < 0):
         raise ValueError(f"offsets must rise from 0 to at most {len(members)} members")
     coll = RRCollection(graph, params, model)
-    for root, part, width in zip(roots.tolist(), np.split(members, bounds[1:-1]), widths.tolist()):
-        coll.add(RRSet(root=root, members=part, width=width))
+    coll._append([members], np.diff(bounds), roots, widths)
     return coll

@@ -158,6 +158,17 @@ def test_hybrid_no_strategies_no_virtual(rng):
         assert hr.virtual_members == ()
 
 
+def test_hybrid_rr_set_real_members_sorted():
+    # certain chain 0 -> 1 -> 2: the set rooted at 2 reaches 2, 1, 0 in that order
+    lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
+    row = np.array([[0.0, 0.5]])
+    g = from_edges(3, [(0, 1), (1, 2)])
+    model = IndependentActivation(3, lat, [np.array([0])] * 3, [row] * 3)
+    aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
+    hr = generate_hybrid_rr_set(aug, 2, stream(41, 9))
+    assert hr.root == 2 and hr.real_members.tolist() == [0, 1, 2]
+
+
 def test_hybrid_certain_arm():
     row = np.array([0.0, 0.6, 1.0])  # q(K) = 1: an arm always fires
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)

@@ -9,13 +9,14 @@ from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instan
                       shared_ic, sweep_monotone_dr)
 
 import limax.graph as graph_module
+import limax.rrset as rrset_module
 from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
                          assign_weighted_cascade, from_edges, uniform_ic)
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _arm_sampler, _distinct, _reverse_reach, _row_search,
-                         _rr_sets, _slots, g_hat, generate_collection,
+                         _arm_sampler, _distinct, _generator, _reverse_reach,
+                         _row_search, _slots, g_hat, generate_collection,
                          generate_rr_set, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
@@ -24,6 +25,13 @@ from limax.strategy import (BlackBoxActivation, IndependentActivation,
 def _personal_model(n, lat, rates):
     tabs = [multi_event_table(r, lat)[None, :] for r in rates]
     return IndependentActivation(n, lat, [np.array([v]) for v in range(n)], tabs)
+
+
+def _rr_sets(graph, params, roots, rng):
+    """The RR sets rooted at ``roots``, in order."""
+    coll = RRCollection(graph, params, None)
+    coll._sample(roots, _generator(rng))
+    return coll.sets
 
 
 def test_rr_set_isolated_root():
@@ -465,7 +473,7 @@ def test_extend_accumulates():
     coll = generate_collection(g, uniform_ic(g, 0.5), model, 10, stream(9, 0))
     coll.extend(15, stream(9, 1))
     assert coll.theta == 25
-    concat, offsets = coll._frozen()
+    concat, offsets = coll.members, coll.offsets[:-1]  # set starts
     assert len(offsets) == 25 and offsets[0] == 0
     assert np.all(np.diff(offsets) > 0) and offsets[-1] < len(concat)
     assert np.array_equal(concat, np.concatenate([s.members for s in coll.sets]))
@@ -512,3 +520,231 @@ def test_save_load_empty_collection(tmp_path):
     path = tmp_path / "empty.npz"
     save_collection(RRCollection(g, params, model), path)
     assert load_collection(path, g, params, model).theta == 0
+
+
+# --- the flat collection store against the per-set layout it replaced ---------------
+
+def _entries_from_scratch(coll, model):
+    """The from-scratch strategy entries of the per-set layout, kept as the
+    reference: one stable argsort by strategy over every set's entries."""
+    sets = coll.sets
+    sizes = np.array([len(s.members) for s in sets], dtype=np.int64)
+    concat = np.concatenate([np.empty(0, np.int64)] + [s.members for s in sets])
+    offsets = np.cumsum(sizes) - sizes
+    counts = np.bincount(model._flat_nodes, minlength=coll.n)
+    per = counts[concat]
+    first_row = (np.cumsum(counts) - counts)[concat]
+    rows = np.repeat(first_row - (np.cumsum(per) - per), per) + np.arange(per.sum())
+    size = np.diff(offsets, append=len(concat))
+    rr = np.repeat(np.repeat(np.arange(len(offsets)), size), per)
+    strat = model._flat_strats[rows]
+    order = np.argsort(strat.astype(np.min_scalar_type(model.lattice.d)), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(strat, minlength=model.lattice.d))))
+    return (rr[order], rows[order], bounds), (concat, offsets)
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_incremental_entries_match_from_scratch(seed):
+    """Extends of several sizes, an empty one, and buffered adds, read after
+    every step (``eager``) or only at the end (``lazy``): the entries,
+    coverage weights and sets equal the from-scratch build bitwise."""
+    gen = np.random.default_rng(900 + seed)
+    inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
+    g, params, model = inst.graph, inst.params, inst.model
+    eager, lazy = RRCollection(g, params, model), RRCollection(g, params, model)
+    expect = []  # (root, members, width) of every set, in order
+    steps = [("extend", 30), ("add", 3), ("extend", 0), ("extend", 1), ("add", 1),
+             ("extend", 45), ("extend", 7)]
+    for k, (op, count) in enumerate(steps):
+        if op == "extend":
+            for coll in (eager, lazy):
+                coll.extend(count, stream(91, seed, k))
+            expect += [(s.root, s.members, s.width) for s in generate_collection(
+                g, params, model, count, stream(91, seed, k)).sets]
+        else:
+            for _ in range(count):
+                v = int(gen.integers(g.n))
+                rr = RRSet(v, np.unique(np.append(gen.integers(0, g.n, 3), v)),
+                           int(gen.integers(0, 9)))
+                eager.add(rr)
+                lazy.add(rr)
+                expect.append((rr.root, rr.members, rr.width))
+        assert eager.theta == lazy.theta == len(expect)
+        if k % 2 == 0 or op == "add":
+            eager.strategy_entries()
+        x = gen.integers(0, inst.lattice.budget_steps + 1, size=inst.lattice.d)
+        h_all = model.h_all(x)
+        for coll in (eager, lazy) if k == len(steps) - 1 else (eager,):
+            (rr, rows, bounds), (concat, offsets) = _entries_from_scratch(coll, model)
+            assert all(_bitwise(a, b) for a, b in zip(coll.strategy_entries(),
+                                                      (rr, rows, bounds)))
+            weights = 1.0 - np.multiply.reduceat(1.0 - h_all[concat], offsets)
+            assert _bitwise(coll.coverage_weights(h_all), weights)
+            assert [(s.root, s.members.tolist(), s.width) for s in coll.sets] == \
+                [(r, m.tolist(), w) for r, m, w in expect]
+            assert _bitwise(coll.members, concat)
+            assert coll.offsets.tolist() == offsets.tolist() + [len(concat)]
+            assert coll.roots.tolist() == [r for r, _, _ in expect]
+            assert coll.widths.tolist() == [w for _, _, w in expect]
+
+
+def test_sets_are_read_only_views():
+    g = from_edges(3, [(0, 1), (1, 2)])
+    coll = RRCollection(g, uniform_ic(g, 1.0), None)
+    coll.extend(5, stream(92, 0))
+    first = coll.sets[0]
+    assert np.shares_memory(first.members, coll.members)
+    with pytest.raises(ValueError):
+        first.members[0] = 2
+    with pytest.raises(AttributeError):
+        coll.sets = ()
+
+
+def _round_trip(coll, tmp_path, name, monkeypatch):
+    path = tmp_path / f"{name}.npz"
+    save_collection(coll, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(RRCollection, "add", None)  # a load builds the arrays at once
+        loaded = load_collection(path, coll.graph, coll.params, coll.model)
+    for field in ("members", "offsets", "roots", "widths"):
+        assert _bitwise(getattr(loaded, field), getattr(coll, field)), field
+    assert all(_bitwise(a, b) for a, b in zip(loaded.strategy_entries(),
+                                              coll.strategy_entries()))
+    return loaded
+
+
+def test_save_load_round_trip_flat_store(tmp_path, monkeypatch, rng):
+    inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3)
+    g, params, model = inst.graph, inst.params, inst.model
+    coll = RRCollection(g, params, model)
+    assert _round_trip(coll, tmp_path, "empty", monkeypatch).theta == 0
+    coll.add(RRSet(0, np.array([0, 2]), 3))
+    assert _round_trip(coll, tmp_path, "added", monkeypatch).theta == 1
+    for k in range(3):
+        coll.extend(20 + k, stream(93, k))
+        loaded = _round_trip(coll, tmp_path, f"extended{k}", monkeypatch)
+    assert loaded.theta == 1 + 20 + 21 + 22
+    x = np.ones(inst.lattice.d, dtype=np.int64)
+    assert g_hat(loaded, model, x) == g_hat(coll, model, x)
+
+
+def test_load_format_version_1_file(tmp_path):
+    """A file written in the per-set layout's format loads unchanged."""
+    g = from_edges(3, [(0, 1), (1, 2)])
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
+    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
+    path = tmp_path / "v1.npz"
+    np.savez_compressed(path, version=np.int64(1), n=np.int64(3),
+                        roots=np.array([1, 2, 0], dtype=np.int64),
+                        widths=np.array([1, 2, 0], dtype=np.int64),
+                        members=np.array([0, 1, 1, 2, 0], dtype=np.int64),
+                        offsets=np.array([0, 2, 4], dtype=np.int64))
+    coll = load_collection(path, g, uniform_ic(g, 0.5), model)
+    assert [(s.root, s.members.tolist(), s.width) for s in coll.sets] == \
+        [(1, [0, 1], 1), (2, [1, 2], 2), (0, [0], 0)]
+    assert coll.offsets.tolist() == [0, 2, 4, 5]
+
+
+# --- the IC coin step against the one it replaced -----------------------------------
+
+def _edge_chunks_before(lo, hi):
+    """The coin step's chunking before the flat store, which repeated the
+    pair index over every edge."""
+    deg = hi - lo
+    ends = np.cumsum(deg)
+    begins = ends - deg
+    total = int(ends[-1])
+    for c0 in range(0, total, rrset_module._EDGE_CHUNK):
+        c1 = min(c0 + rrset_module._EDGE_CHUNK, total)
+        a = np.searchsorted(ends, c0, side="right")
+        z = np.searchsorted(begins, c1)
+        take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
+        yield np.repeat(lo[a:z] - begins[a:z], take) + np.arange(c0, c1), \
+            np.repeat(np.arange(a, z), take)
+
+
+def _live_edges_before(csr, nodes, local, sets, rng):
+    indptr, ends, probs = csr
+    for pos, pair in _edge_chunks_before(indptr[nodes], indptr[nodes + 1]):
+        live = rng.random(len(pos)) < probs[pos]
+        yield ends[pos[live]] * sets + local[pair[live]]
+
+
+def _skip_coins_before(csr, shared, nodes, local, sets, rng):
+    """The geometric-gap step before the flat store, down to its coins."""
+    indptr, src, _ = csr
+    pos = indptr[nodes] - 1
+    end = indptr[nodes + 1]
+    p = shared[nodes]
+    rate = np.log1p(-p)
+    pair = local
+    for _ in range(rrset_module._SKIP_ROUNDS):
+        gap = np.minimum(np.log1p(-rng.random(len(pair))) / rate, end - pos)
+        pos = pos + 1 + gap.astype(np.int64)
+        live = pos < end
+        pair, pos, end, p, rate = pair[live], pos[live], end[live], p[live], rate[live]
+        yield src[pos] * sets + pair
+        if not len(pair):
+            return
+    for at, row in _edge_chunks_before(pos + 1, end):
+        live = rng.random(len(at)) < p[row]
+        yield src[at[live]] * sets + pair[row[live]]
+
+
+def _coin_instance(seed):
+    """A random IC graph with zero-degree nodes, a wide node and parallel
+    edges, and a sorted batch of (node, set) pairs over it."""
+    gen = np.random.default_rng(seed)
+    n = 40
+    edges = [(int(u), int(v)) for u, v in gen.integers(0, n - 10, size=(150, 2)) if u != v]
+    edges += [(u, 0) for u in range(1, 30)] + [(3, 4)] * 3
+    g = from_edges(n, edges)
+    params = TriggeringParams.build(g, IC, [gen.uniform(0.05, 0.95, size=len(a))
+                                            for a in g.in_neighbors])
+    sets = 7
+    keys = np.unique(gen.integers(0, n * sets, size=120))
+    nodes, local = np.divmod(keys, sets)
+    assert (g.in_degrees()[nodes] == 0).any()
+    return g, params, nodes, local, sets
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_coin_step_matches_repeated_pair_index(chunk, seed, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(rrset_module, "_EDGE_CHUNK", chunk)
+    g, params, nodes, local, sets = _coin_instance(950 + seed)
+    csr = params._csr
+    for lo, hi in ((0, len(nodes)), (5, 9), (len(nodes) - 3, len(nodes))):
+        rng_new, rng_old = stream(94, seed, lo), stream(94, seed, lo)
+        new = list(rrset_module._live_edges(csr, nodes[lo:hi], local[lo:hi], sets, rng_new))
+        old = list(_live_edges_before(csr, nodes[lo:hi], local[lo:hi], sets, rng_old))
+        assert len(new) == len(old)
+        assert all(_bitwise(a, b) for a, b in zip(new, old))
+        assert rng_new.random() == rng_old.random()
+    rng_new, rng_ref = stream(94, seed, 99), stream(94, seed, 99)
+    assert list(rrset_module._live_edges(csr, nodes[:0], local[:0], sets, rng_new)) == []
+    assert rng_new.random() == rng_ref.random()  # no input, no draw
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_skip_coins_match_repeated_pair_index(rounds, seed, monkeypatch):
+    monkeypatch.setattr(graph_module, "_SKIP_DEGREE", 1)
+    monkeypatch.setattr(rrset_module, "_SKIP_ROUNDS", rounds)
+    monkeypatch.setattr(rrset_module, "_EDGE_CHUNK", 16)
+    g, _, nodes, local, sets = _coin_instance(960 + seed)
+    params = uniform_ic(g, 0.7)
+    shared = params._skip[1]
+    keep = params._skip[0][nodes]
+    nodes, local = nodes[keep], local[keep]
+    rng_new, rng_old = stream(95, seed), stream(95, seed)
+    new = list(rrset_module._skip_edges(params._csr, shared, nodes, local, sets, rng_new))
+    old = list(_skip_coins_before(params._csr, shared, nodes, local, sets, rng_old))
+    assert len(new) == len(old) > rounds
+    assert all(_bitwise(a, b) for a, b in zip(new, old))
+    assert rng_new.random() == rng_old.random()
