@@ -21,8 +21,6 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -316,26 +314,129 @@ def from_edges(n: int, edges: Iterable[tuple], ) -> DirectedGraph:
     return _compact(src, dst, values, declared_n=n)
 
 
-def _read_lines(source) -> list[str]:
+# the code points at which str.split() splits (its whitespace) and those at
+# which str.splitlines() breaks lines; tests/test_loader.py checks both
+# against every code point
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+           "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+# per code point: 0 inside a token, 1 whitespace, 2 line break; code
+# points past the table are clamped to its last entry, a token character
+_CLASS = np.zeros(ord(max(_SPACES)) + 2, np.uint8)
+_CLASS[[ord(c) for c in _SPACES]] = 1
+_CLASS[[ord(c) for c in _BREAKS]] = 2
+# node ids of at most this many ASCII digits are converted as arrays
+_FAST_DIGITS = 18
+
+
+def _read_text(source) -> tuple[str, bool]:
+    """The source's text, and whether it is one inline line: a string
+    without "\\n" that names no file is one record, whatever it holds."""
     if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
+        return source.decode("utf-8"), False
     if isinstance(source, str):
         if "\n" in source:
-            return source.splitlines()
+            return source, False
         # a single line is a path unless it parses as inline data
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return fh.read().splitlines()
+            with open(source, "rb") as fh:
+                return fh.read().decode("utf-8"), False
         except OSError:
             if len(source.split()) not in (2, 3):
                 raise
-            return [source]
+            return source, True
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
+        return (data.decode("utf-8") if isinstance(data, bytes) else data), False
     raise TypeError("unsupported edge-list source")
+
+
+class _Records:
+    """The edge-list records of one text, found in whole-array passes.
+
+    Each character is classed as ``str.split()`` and ``str.splitlines()``
+    see it, by one table lookup of its code point.  Tokens are the runs of
+    non-whitespace, and a token opens a line when a line break comes
+    between it and the token before.  A record is the tokens of one line
+    whose first token does not start with ``#``: ``first[r]`` is its first
+    token and ``width[r]`` its token count.
+    """
+
+    def __init__(self, text: str, one_line: bool):
+        self.text = text
+        self.one_line = one_line
+        if text.isascii():
+            codes = np.frombuffer(text.encode("ascii"), np.uint8)
+            cls = np.take(_CLASS, codes)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+            cls = np.take(_CLASS, np.minimum(codes, len(_CLASS) - 1))
+        self.codes = codes
+        word = np.concatenate(([False], cls == 0, [False]))
+        flips = np.flatnonzero(word[1:] != word[:-1])
+        self.starts, self.ends = flips[0::2], flips[1::2]
+        # line breaks and token starts, in text order
+        brk = (cls == 2) & (not one_line)
+        events = np.flatnonzero(brk | (word[1:-1] & ~word[:-2]))
+        is_break = brk[events]
+        opens = np.concatenate(([True], is_break))[:-1][~is_break]
+        first = np.flatnonzero(opens)
+        width = np.diff(first, append=len(opens))
+        kept = codes[self.starts[first]] != ord("#")
+        self.first, self.width = first[kept], width[kept]
+
+    def line(self, r: int) -> int:
+        """The 1-based line of record r, as ``str.splitlines()`` counts."""
+        if self.one_line:
+            return 1
+        return len(self.text[:self.starts[self.first[r]] + 1].splitlines())
+
+    def strings(self, tokens: np.ndarray) -> list[str]:
+        """The text of each token, in the order given."""
+        text = self.text
+        return [text[a:b] for a, b in zip(self.starts[tokens].tolist(),
+                                           self.ends[tokens].tolist())]
+
+    def pair(self, r: int) -> list[str]:
+        """The first two tokens of record r."""
+        return self.strings(self.first[r] + np.arange(2))
+
+    def ints(self, tokens: np.ndarray):
+        """``int(token)`` of each token as int64, with masks of the tokens
+        it rejects, of those beyond int64 (both hold 0), and of those that
+        are digits after their leading minus signs.
+
+        Tokens of an optional ``-`` and 1 to ``_FAST_DIGITS`` ASCII digits
+        are converted by digit accumulation over all of them at once; the
+        rest go through ``int()`` one at a time.
+        """
+        starts, ends = self.starts[tokens], self.ends[tokens]
+        neg = self.codes[starts] == ord("-")
+        lead = starts + neg
+        size = ends - lead
+        plain = (size >= 1) & (size <= _FAST_DIGITS)
+        acc = np.zeros(len(tokens), np.int64)
+        for k in range(int(size[plain].max(initial=0))):
+            live = size > k
+            digit = self.codes[np.minimum(lead + k, ends - 1)] - ord("0")
+            plain &= ~live | (digit < 10)
+            acc = np.where(live, acc * 10 + digit, acc)
+        values = np.where(neg, -acc, acc)
+        bad = np.zeros(len(tokens), bool)
+        over = np.zeros(len(tokens), bool)
+        digits = plain.copy()
+        others = np.flatnonzero(~plain)
+        for i, token in zip(others.tolist(), self.strings(tokens[others])):
+            digits[i] = token.lstrip("-").isdigit()
+            try:
+                x = int(token)
+            except ValueError:
+                values[i], bad[i] = 0, True
+                continue
+            if x >= 2 ** 63:
+                x, over[i] = 0, True
+            values[i] = max(x, -2 ** 63)  # any negative id is rejected
+        return values, bad, over, digits
 
 
 def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
@@ -348,36 +449,44 @@ def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
     Without a header, node ids are compacted to [0, n) in sorted order and
     the original ids are kept in ``graph.labels``.
 
-    The records are converted column by column; a failing check reports
-    the first bad record, with its line number.
+    The whole text is tokenized at once.  Tokens are separated by the
+    characters ``str.split()`` treats as whitespace, lines by those at which
+    ``str.splitlines()`` breaks (``\\n``, ``\\r``, ``\\r\\n``, ``\\x0b``,
+    ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``),
+    so ``\\x1f``, ``\\xa0`` or ``\\u3000`` separate tokens within a line.
+    Node ids of plain ASCII digits are converted as whole arrays, other
+    tokens by ``int()``, and edge values by ``float()``.  A failing check
+    reports the first bad record, with its line number.
     """
-    stripped = list(map(str.strip, _read_lines(source)))
-    kept = [i for i, s in enumerate(stripped, start=1) if s and s[0] != "#"]
-    if not kept:
+    rec = _Records(*_read_text(source))
+    count = len(rec.first)
+    if not count:
         raise EdgeListError("empty edge list")
-    fields = [stripped[i - 1].split() for i in kept]
-    width = np.fromiter(map(len, fields), np.int64, len(fields))
+    first, width = rec.first, rec.width
+    # row 0 of each: every record's first token, row 1 its second (a
+    # 1-token record repeats its first)
+    ids, bad_id, over, digits = (a.reshape(2, count) for a in
+                                 rec.ints(np.concatenate((first, first + (width > 1)))))
 
     declared: tuple[int, int] | None = None
-    first = fields[0]
     if header is True:
-        if len(first) != 2:
-            raise EdgeListError("expected header line 'n m'", kept[0])
-        declared = _parse_header(first, kept[0])
-    elif header == "auto" and len(first) == 2:
+        if width[0] != 2:
+            raise EdgeListError("expected header line 'n m'", rec.line(0))
+        declared = _parse_header(rec.pair(0), rec.line(0))
+    elif header == "auto" and width[0] == 2:
         try:
-            cand = _parse_header(first, kept[0])
+            cand = _parse_header(rec.pair(0), rec.line(0))
         except EdgeListError:
             cand = None
         # commit to the header on a shape match; id range is then
         # enforced, not used to fall back to a headerless reading
-        if (cand is not None and cand[0] >= 1 and len(fields) - 1 == cand[1]
-                and width[1:].min(initial=2) >= 2
-                and _all_ids(map(itemgetter(0), fields[1:]))
-                and _all_ids(map(itemgetter(1), fields[1:]))):
+        if (cand is not None and cand[0] >= 1 and count - 1 == cand[1]
+                and width[1:].min(initial=2) >= 2 and digits[:, 1:].all()):
             declared = cand
     start = 0 if declared is None else 1
-    src, dst, values = _parse_records(fields[start:], width[start:], kept[start:])
+    src, dst = ids[:, start:]
+    values = _check_records(rec, start, (src < 0) | (dst < 0),
+                            bad_id[:, start:].any(axis=0), over[:, start:].any(axis=0))
     if declared is not None and len(src) != declared[1]:
         raise EdgeListError(
             f"header declares {declared[1]} edges but file has {len(src)}")
@@ -389,77 +498,62 @@ def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
         raise EdgeListError(str(exc)) from None
 
 
-def _all_ids(tokens) -> bool:
-    """Whether every token is digits after its leading minus signs."""
-    return all(map(str.isdigit, map(str.lstrip, tokens, repeat("-"))))
-
-
-def _parse_records(fields: list[list[str]], width: np.ndarray, lines: list[int]):
-    """(src, dst, values or None) of the edge records ``fields``.
+def _check_records(rec: _Records, start: int, neg: np.ndarray, bad_id: np.ndarray,
+                   over: np.ndarray) -> np.ndarray | None:
+    """The edge values (or None) of the records from ``start`` on, given
+    the masks of those whose node ids are negative, rejected by ``int()``
+    or beyond int64.
 
     Records up to the first one of another width than the first record's
-    are converted as columns; that record, if any, is the first error
-    unless one comes before it.
+    make the edges; that record, if any, is the first error unless one
+    comes before it.
     """
-    if not fields:
-        return np.empty(0, np.int64), np.empty(0, np.int64), None
+    width = rec.width[start:]
+    if not len(width):
+        return None
     good = (width == 2) | (width == 3)
     odd = ~good | (width != width[0])
-    stop = int(np.argmax(odd)) if odd.any() else len(fields)
-    src, dst, values, err = _convert(fields[:stop])
-    if err is None and stop < len(fields):
-        row = fields[stop]
-        if not good[stop]:
-            err = stop, f"expected 'u v [p]', got {len(row)} fields"
-        else:
-            # a record of the other width fails its id checks first
-            bad_ids = _convert([row[:2]])[3]
-            err = stop, bad_ids[1] if bad_ids else "mix of weighted and bare edge records"
-    if err is not None:
-        raise EdgeListError(err[1], lines[err[0]])
-    return src, dst, values
-
-
-def _convert(block: list[list[str]]):
-    """(src, dst, values or None) of records of one width (2 or 3), each a
-    column array, plus the first bad record as (row, message), or None."""
-    w = len(block[0]) if block else 2
-    cols = list(zip(*block)) or [()] * w
-    src, bad_src = _column(cols[0], int, np.int64)
-    dst, bad_dst = _column(cols[1], int, np.int64)
-    bad_id = bad_src | bad_dst
-    checks = [(bad_id, lambda r: f"non-integer node id in {list(block[r][:2])}"),
-              ((src < 0) | (dst < 0), lambda r: "negative node id")]
+    stop = int(np.argmax(odd)) if odd.any() else len(width)
+    # the odd record's ids are checked before its width mismatch
+    checked = stop + int(stop < len(width) and good[stop])
+    checks = [(bad_id[:checked], lambda r: f"non-integer node id in {rec.pair(start + r)}"),
+              (neg[:checked], lambda r: "negative node id"),
+              (over[:checked], lambda r: f"node id beyond int64 in {rec.pair(start + r)}")]
     values = None
-    if w == 3:
-        values, bad_p = _column(cols[2], float, np.float64)
-        checks += [(bad_p, lambda r: f"non-numeric edge value {block[r][2]!r}"),
+    if width[0] == 3:
+        tokens = rec.strings(rec.first[start:start + stop] + 2)
+        values, bad_p = _floats(tokens)
+        checks += [(bad_p, lambda r: f"non-numeric edge value {tokens[r]!r}"),
                    (~((values >= 0.0) & (values <= 1.0)),
                     lambda r: f"edge value {float(values[r])} outside [0, 1]")]
     # the first bad record, and its first failing check in record order
     firsts = [(int(np.argmax(mask)), i) for i, (mask, _) in enumerate(checks) if mask.any()]
     if firsts:
         row, i = min(firsts)
-        return src, dst, values, (row, checks[i][1](row))
-    return src, dst, values, None
+        raise EdgeListError(checks[i][1](row), rec.line(start + row))
+    if stop < len(width):
+        message = (f"expected 'u v [p]', got {width[stop]} fields" if not good[stop]
+                   else "mix of weighted and bare edge records")
+        raise EdgeListError(message, rec.line(start + stop))
+    return values
 
 
-def _column(tokens, kind, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``kind(token)`` for every token, plus a mask of the tokens it
+def _floats(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float(token)`` for every token, plus a mask of the tokens it
     rejects (their entries are 0, which passes the range checks)."""
     try:
-        return np.fromiter(map(kind, tokens), dtype, len(tokens)), np.zeros(len(tokens), bool)
+        return np.fromiter(map(float, tokens), np.float64, len(tokens)), np.zeros(len(tokens), bool)
     except ValueError:
         pass
 
     def attempt(token):
         try:
-            return kind(token), False
+            return float(token), False
         except ValueError:
-            return 0, True
+            return 0.0, True
 
     got = [attempt(t) for t in tokens]
-    return (np.array([x for x, _ in got], dtype=dtype),
+    return (np.array([x for x, _ in got], dtype=np.float64),
             np.array([b for _, b in got], dtype=bool))
 
 

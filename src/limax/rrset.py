@@ -491,6 +491,9 @@ def save_collection(collection: RRCollection, path) -> None:
 
 def load_collection(path, graph: DirectedGraph, params: TriggeringParams,
                     model) -> RRCollection:
+    """A collection written by ``save_collection`` for ``graph``; a
+    ``ValueError`` names the first inconsistency: a member or root outside
+    [0, n), or an empty or misplaced set."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != FORMAT_VERSION:
@@ -505,9 +508,17 @@ def load_collection(path, graph: DirectedGraph, params: TriggeringParams,
         raise ValueError(f"{len(roots)} roots, {len(widths)} widths and {len(offsets)} offsets")
     if len(members) and (members.min() < 0 or members.max() >= graph.n):
         raise ValueError(f"collection has a member id outside [0, {graph.n})")
+    bad = np.flatnonzero((roots < 0) | (roots >= graph.n))
+    if len(bad):
+        raise ValueError(f"set {bad[0]} has root {roots[bad[0]]} outside [0, {graph.n})")
     bounds = np.concatenate((offsets, [len(members)])).astype(np.int64)
-    if bounds[0] != 0 or np.any(np.diff(bounds) < 0):
-        raise ValueError(f"offsets must rise from 0 to at most {len(members)} members")
+    if bounds[0] != 0:
+        raise ValueError(f"offsets must rise strictly from 0: set 0 starts at {bounds[0]}")
+    # every sampled RR set holds its root, so none is empty
+    bad = np.flatnonzero(np.diff(bounds) <= 0)
+    if len(bad):
+        raise ValueError(f"offsets must rise strictly from 0 to {len(members)} members: "
+                         f"set {bad[0]} spans [{bounds[bad[0]]}, {bounds[bad[0] + 1]})")
     coll = RRCollection(graph, params, model)
     coll._append([members], np.diff(bounds), roots, widths)
     return coll

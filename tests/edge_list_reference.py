@@ -73,6 +73,8 @@ def reference_load(text: str, header: bool | str = "auto") -> ReferenceGraph:
             raise EdgeListError(f"non-integer node id in {fields[:2]}", lineno) from None
         if u < 0 or v < 0:
             raise EdgeListError("negative node id", lineno)
+        if max(u, v) >= 2 ** 63:
+            raise EdgeListError(f"node id beyond int64 in {fields[:2]}", lineno)
         got = len(fields) == 3
         if have_values is None:
             have_values = got

@@ -1,13 +1,15 @@
 """The whole-array edge-list loader against the scalar reference, plus
 pathological inputs."""
 
+import io
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from edge_list_reference import reference_load
-from limax.graph import (EdgeListError, assign_weighted_cascade, from_edges,
+from limax.graph import (_BREAKS, _SPACES, EdgeListError, assign_weighted_cascade, from_edges,
                          load_edge_list, params_from_edge_values, uniform_ic)
 from limax.strategy import IndependentActivation, LatticeConfig
 
@@ -19,16 +21,17 @@ def _load(text, header):
     return graph, [str(w.message) for w in caught]
 
 
-def _assert_same(text: str, header) -> str:
-    """Load ``text`` both ways; return 'error' or 'graph'."""
+def _assert_same(text: str, header, source=str) -> str:
+    """Load ``source(text)`` with the loader and ``text`` with the
+    reference; return 'error' or 'graph'."""
     try:
         ref = reference_load(text, header)
     except EdgeListError as exc:
         with pytest.raises(EdgeListError) as got:
-            load_edge_list(text, header=header)
+            load_edge_list(source(text), header=header)
         assert (str(got.value), got.value.line) == (str(exc), exc.line), text
         return "error"
-    graph, caught = _load(text, header)
+    graph, caught = _load(source(text), header)
     assert caught == ([f"dropped {ref.self_loops} self-loop(s)"] if ref.self_loops else [])
     assert graph.n == ref.n
     assert [a.tolist() for a in graph.in_neighbors] == ref.in_neighbors
@@ -120,6 +123,13 @@ def test_loader_matches_scalar_reference_on_random_inputs():
     ("a 1\n0 1\n", True, "line 1: non-integer header fields"),
     ("-3 1\n0 1\n", True, "line 1: negative header counts"),
     ("# only\n\n  # comments\n", "auto", "empty edge list"),
+    ("0 1\n1 99999999999999999999999\n", False,
+     "line 2: node id beyond int64 in ['1', '99999999999999999999999']"),
+    ("0 1\n-99999999999999999999999 2\n", False, "line 2: negative node id"),
+    ("0 1 0.5\n9223372036854775808 x 0.5\n", False,
+     "line 2: non-integer node id in ['9223372036854775808', 'x']"),
+    ("0 1\n9223372036854775808 1 0.5\n", False,
+     "line 2: node id beyond int64 in ['9223372036854775808', '1']"),
 ])
 def test_malformed_input_message_and_line(text, header, message):
     assert _assert_same(text, header) == "error"
@@ -133,6 +143,43 @@ def test_header_modes_match_reference(header):
     for text in ("3 2\n0 1\n1 2\n", "3 3\n0 1\n1 2\n", "2 1\n+0 1\n", "1 1\n0 1\n",
                  "0 0\n", "3 2\n0 1\n1 2 3\n", "4 1\n0 1\n", "5 2\n1_0 1\n2 1\n"):
         _assert_same(text, header)
+
+
+@pytest.mark.parametrize("source", [str, str.encode, lambda t: io.StringIO(t),
+                                    lambda t: io.BytesIO(t.encode())],
+                         ids=["str", "bytes", "text-stream", "byte-stream"])
+@pytest.mark.parametrize("text", [
+    "3 2\r\n0 1\r\n1 2\r\n",                  # CR LF is one line break
+    "0 1\r1 2\r\r\n2 0\r",                    # lone CR, then CR before CR LF
+    "0 1\x0b1 2\x0c2 0\n",
+    "0 1\x1c1 2\x1d2 0\x1e0 2\n",
+    "0 1\x851 2\u20282 0\u20290 2\n",
+    "0 1 2\x0b1 2\n",                         # a weighted, then a bare record
+    "0\x1f1\n1\xa02\n2\u30000\t0.5\n",        # separators within a line
+    "0 1\n1\x1f2 3\n",                        # unit separator is no line break
+    "٣ 1\n1 ٣\n",                             # Unicode digits are ids
+    "2 2\n٣ 1\n1 ٣\n",
+    "  # leading blanks\n\t#x 1\n0 1\n \x0c# c\n1 2\n",
+    "0 #x 1\n",                               # a '#' token mid-record
+    "0 1 #x\n",
+    "0 1\n  #\n1\u3000#x\n",
+])
+def test_separators_match_reference(text, source):
+    """Token and line separators are those of ``str.split()`` and
+    ``str.splitlines()``, for every kind of source."""
+    for header in (True, False, "auto"):
+        _assert_same(text, header, source)
+
+
+def test_separator_tables_match_str_methods():
+    """The loader's whitespace and line-break code points are exactly those
+    of ``str.split()`` and ``str.splitlines()``; every line break is also
+    whitespace."""
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in chars if len(f"a{c}a".split()) == 2]
+    breaks = [c for c in chars if len(f"a{c}a".splitlines()) == 2]
+    assert sorted(_SPACES) == spaces and sorted(_BREAKS) == breaks
+    assert set(breaks) <= set(spaces)
 
 
 def test_two_node_file():

@@ -649,6 +649,30 @@ def test_load_format_version_1_file(tmp_path):
     assert coll.offsets.tolist() == [0, 2, 4, 5]
 
 
+@pytest.mark.parametrize("roots, members, offsets, message", [
+    # an empty set would weigh 1 - h_0 (reduceat takes the next entry), not 0
+    ([1, 2], [0, 1], [0, 0], r"set 0 spans \[0, 0\)"),
+    # an empty last set made reduceat raise IndexError
+    ([1, 2], [0, 1], [0, 2], r"set 1 spans \[2, 2\)"),
+    ([1, 7], [0, 1, 1, 2], [0, 2], r"^set 1 has root 7 outside \[0, 3\)$"),
+    ([-1, 2], [0, 1, 1, 2], [0, 2], r"^set 0 has root -1 outside \[0, 3\)$"),
+])
+def test_load_rejects_empty_sets_and_bad_roots(tmp_path, roots, members, offsets, message):
+    """Every sampled RR set holds its root, which is a node: a file with
+    an empty set or a root outside [0, n) is rejected, naming the set."""
+    g = from_edges(3, [(0, 1), (1, 2)])
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
+    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
+    path = tmp_path / "bad.npz"
+    np.savez_compressed(path, version=np.int64(1), n=np.int64(3),
+                        roots=np.array(roots, dtype=np.int64),
+                        widths=np.ones(len(roots), dtype=np.int64),
+                        members=np.array(members, dtype=np.int64),
+                        offsets=np.array(offsets, dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        load_collection(path, g, uniform_ic(g, 0.5), model)
+
+
 # --- the IC coin step against the one it replaced -----------------------------------
 
 def _edge_chunks_before(lo, hi):
