@@ -15,14 +15,12 @@ from .baselines import cd, hd, mclg, ud
 from .budgets import (PartitionedBudget, TotalBudget, feasible_increments,
                       is_feasible, total_steps)
 from .graph import (DirectedGraph, TriggeringParams, assign_weighted_cascade,
-                    from_edges, gen_erdos_renyi, load_edge_list,
-                    sample_triggering_set, uniform_ic)
+                    from_edges, gen_erdos_renyi, load_edge_list, uniform_ic)
 from .immprr import (GreedyState, ImmParams, compute_gamma, compute_m, immprr,
                      lambda_star, lgreedy, lgreedy_delta, make_imm_params,
                      run_immprr, sampling)
-from .immvsn import (AugmentedGraph, HybridRRSet, VirtualNodeId,
-                     build_augmented, generate_hybrid_rr_set, immvsn,
-                     node_selection_virtual, run_immvsn, sample_virtual_arm)
+from .immvsn import (AugmentedGraph, VirtualNodeId, build_augmented, immvsn,
+                     node_selection_virtual, run_immvsn)
 from .oracles import (SpreadEstimate, exact_g, exact_opt,
                       simulate_spread_mix, simulate_spread_seeds)
 from .rng import stream

@@ -10,22 +10,20 @@ uniform).  Two diffusion families are supported:
 * ``LT`` (linear threshold): each node picks at most one in-neighbor, ``u``
   with probability ``w(u, v)``, nobody with the residual ``1 - sum(w)``.
 
-Both are instances of the triggering model: ``sample_triggering_set`` draws
-the random in-neighbor subset that can activate a node.
+Both are instances of the triggering model: the random in-neighbor subset
+that can activate a node is drawn, for many (node, RR set) pairs at once,
+by ``limax.rrset._live_in_edges``.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .rng import draws
 
 __all__ = [
     "DirectedGraph",
@@ -36,7 +34,6 @@ __all__ = [
     "assign_weighted_cascade",
     "uniform_ic",
     "params_from_edge_values",
-    "sample_triggering_set",
     "gen_erdos_renyi",
     "write_edge_list",
 ]
@@ -141,8 +138,10 @@ class DirectedGraph:
     def _from_edges(cls, n: int, src: np.ndarray, dst: np.ndarray,
                     values: np.ndarray | None, labels: np.ndarray | None) -> "DirectedGraph":
         """Graph of the edges (src[e], dst[e]); each node's rows keep edge order."""
-        in_order = np.argsort(dst, kind="stable")
-        out_order = np.argsort(src, kind="stable")
+        # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
+        key = np.min_scalar_type(max(n - 1, 0))
+        in_order = np.argsort(dst.astype(key), kind="stable")
+        out_order = np.argsort(src.astype(key), kind="stable")
         pos = np.empty(len(src), dtype=np.int64)
         pos[in_order] = np.arange(len(src))
         graph = cls.__new__(cls)
@@ -583,27 +582,6 @@ def params_from_edge_values(graph: DirectedGraph, kind: str = IC) -> TriggeringP
     if graph.in_csr[2] is None:
         raise ValueError("edge list had no per-edge values")
     return TriggeringParams._from_flat(graph, kind, graph.in_csr[2])
-
-
-def sample_triggering_set(graph: DirectedGraph, params: TriggeringParams,
-                          v: int, rng) -> set[int]:
-    """Draw the triggering set of node v.
-
-    ``rng`` is a numpy Generator or a :class:`limax.rng.RandomBuffer`.
-    Under IC the in-edge coins are one slice of the stream, in in-edge order;
-    under LT one uniform picks the in-edge whose running weight sum is the
-    first above it, or none.
-    """
-    u, take = draws(rng)
-    indptr, src, vals = params._csr
-    lo, hi = indptr.item(v), indptr.item(v + 1)
-    if lo == hi:
-        return set()
-    if params.kind == IC:
-        return {w for w, x, p in zip(src[lo:hi].tolist(), take(hi - lo),
-                                     vals[lo:hi].tolist()) if x < p}
-    t = bisect_right(vals, u(), lo, hi)
-    return {src.item(t)} if t < hi else set()
 
 
 def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:

@@ -38,20 +38,16 @@ from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
-from .rng import draws
 from .rrset import (_NONE, EmptyCollectionError, _arm_sampler, _distinct,
-                    _generator, _reverse_reach)
+                    _reverse_reach)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
 __all__ = [
     "VirtualNodeId",
     "AugmentedGraph",
-    "HybridRRSet",
     "HybridCollection",
     "build_augmented",
-    "sample_virtual_arm",
-    "generate_hybrid_rr_set",
     "generate_hybrid_collection",
     "node_selection_virtual",
     "simulate_spread_virtual_seeds",
@@ -73,10 +69,10 @@ class AugmentedGraph:
     """Original graph plus implicit virtual strategy nodes.
 
     Virtual edges are never materialized: the model's cumulative q tables
-    double as the per-(v, j) edge-weight prefix sums, so both sampling and
-    weight queries read straight from them.  The arm sampler over those
-    tables (see :func:`limax.rrset._arm_sampler`) is built on first use
-    and kept for every hybrid RR set and virtual-seed simulation drawn
+    double as the per-(v, j) edge-weight prefix sums: the weight of
+    u[j,i] -> v is ``np.diff`` of v's row for j.  The arm sampler over
+    those tables (see :func:`limax.rrset._arm_sampler`) is built on first
+    use and kept for every hybrid RR set and virtual-seed simulation drawn
     through this graph.
     """
 
@@ -100,54 +96,20 @@ class AugmentedGraph:
         return _arm_sampler(self.model, self.graph.n)
 
     def flat(self, node: VirtualNodeId) -> int:
+        """The flat id j * K + i - 1 of ``node``.  An i outside [1, K] or a
+        j outside [0, d) would alias another node's id and is a
+        ``ValueError``, with the message of an out-of-range flat seed."""
+        if not (1 <= node.i <= self.steps and 0 <= node.j < self.lattice.d):
+            raise ValueError(f"virtual seed outside flat ids [0, {self.lattice.d * self.steps})")
         return node.j * self.steps + (node.i - 1)
 
     def unflat(self, flat: int) -> VirtualNodeId:
         return VirtualNodeId(j=flat // self.steps, i=flat % self.steps + 1)
 
-    def weight(self, v: int, j: int, i: int) -> float:
-        """LT weight q[v,j](i*delta) - q[v,j]((i-1)*delta) of the virtual
-        edge (u[j,i], v)."""
-        q = self.model.q_steps
-        return q(v, j, i) - q(v, j, i - 1)
-
 
 def build_augmented(graph: DirectedGraph, params: TriggeringParams,
                     model: IndependentActivation, lattice: LatticeConfig) -> AugmentedGraph:
     return AugmentedGraph(graph, params, model, lattice)
-
-
-def sample_virtual_arm(aug: AugmentedGraph, v: int, j: int, rng):
-    """Draw at most one virtual node of strategy j into v's triggering set.
-
-    Inverse-CDF over the cumulative curve: with u uniform, returns the
-    smallest i with q(i*delta) > u (an O(log K) bisect), or None with the
-    residual probability 1 - q(K*delta).
-    """
-    strats = aug.model.strategies[v]
-    t = int(strats.searchsorted(j))
-    if t >= len(strats) or strats[t] != j:
-        raise KeyError(f"strategy {j} does not apply to node {v}")
-    cum = aug.model.tables[v][t]
-    u, _ = draws(rng)
-    x = u()
-    if x >= cum.item(-1):
-        return None
-    return VirtualNodeId(j=j, i=int(cum.searchsorted(x, side="right")))
-
-
-@dataclass
-class HybridRRSet:
-    root: int
-    real_members: np.ndarray
-    virtual_members: tuple[VirtualNodeId, ...]
-
-
-def generate_hybrid_rr_set(aug: AugmentedGraph, root: int, rng) -> HybridRRSet:
-    _, keys, _, flats = next(_reverse_reach(aug.graph, aug.params, np.array([root]),
-                                            _generator(rng), aug._arms))
-    return HybridRRSet(root=root, real_members=np.sort(keys),
-                       virtual_members=tuple(aug.unflat(f) for f in flats.tolist()))
 
 
 class HybridCollection:
@@ -175,15 +137,14 @@ class HybridCollection:
         flats = self.flats.tolist()
         return [flats[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def extend(self, count: int, rng) -> None:
+    def extend(self, count: int, rng: np.random.Generator) -> None:
         """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
         if count <= 0:
             return
-        gen = _generator(rng)
-        roots = gen.integers(0, self.n, size=count)
+        roots = rng.integers(0, self.n, size=count)
         aug = self.aug
         vsets, flats = [self.vsets], [self.flats]
-        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, gen, aug._arms):
+        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, rng, aug._arms):
             vsets.append(v + self.theta)
             flats.append(f)
         self.vsets = np.concatenate(vsets)
@@ -282,15 +243,14 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     seeded = np.zeros(span, dtype=bool)
     seeded[flats] = True
     touched = _distinct(model._flat_nodes)
-    gen = _generator(rng)
 
     def seed_keys(size):
-        pair, flats = draw_arms(np.tile(touched, size), gen)
+        pair, flats = draw_arms(np.tile(touched, size), rng)
         pair = pair[seeded[flats]]
         return _distinct(touched[pair % len(touched)] * size + pair // len(touched))
 
     return _estimate(_cascades(graph, aug.params, runs, len(model._flat_nodes),
-                               seed_keys, gen))
+                               seed_keys, rng))
 
 
 # --- sampling phase and driver ------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .budgets import TotalBudget, is_feasible
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rrset import _EDGE_CHUNK, _generator, _live_edges, _reach, _slots
+from .rrset import _EDGE_CHUNK, _live_edges, _reach, _slots
 from .strategy import LatticeConfig, StrategyMix, as_steps
 
 __all__ = [
@@ -167,7 +167,7 @@ def simulate_spread_seeds(graph: DirectedGraph, params: TriggeringParams,
     def seed_keys(size):
         return (nodes[:, None] * size + np.arange(size)).ravel()
 
-    return _estimate(_cascades(graph, params, runs, 0, seed_keys, _generator(rng)))
+    return _estimate(_cascades(graph, params, runs, 0, seed_keys, rng))
 
 
 def simulate_spread_mix(graph: DirectedGraph, params: TriggeringParams,
@@ -181,13 +181,12 @@ def simulate_spread_mix(graph: DirectedGraph, params: TriggeringParams,
         raise ValueError("runs must be >= 1")
     h = model.h_all(as_steps(x))
     support = np.flatnonzero(h > 0.0)
-    gen = _generator(rng)
 
     def seed_keys(size):
-        run, col = np.nonzero(gen.random((size, len(support))) < h[support])
+        run, col = np.nonzero(rng.random((size, len(support))) < h[support])
         return np.sort(support[col] * size + run)
 
-    return _estimate(_cascades(graph, params, runs, len(support), seed_keys, gen))
+    return _estimate(_cascades(graph, params, runs, len(support), seed_keys, rng))
 
 
 # --- exact enumeration -------------------------------------------------------

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import IC, DirectedGraph, TriggeringParams
-from .rng import RandomBuffer
 from .strategy import as_steps
 
 __all__ = [
@@ -93,11 +92,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
-
-
-def _generator(rng) -> np.random.Generator:
-    """The numpy Generator behind ``rng`` (a Generator or a RandomBuffer)."""
-    return rng._rng if isinstance(rng, RandomBuffer) else rng
 
 
 def _slots(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -340,9 +334,12 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
 
 def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
                     root: int, rng) -> RRSet:
-    """Sample the RR set rooted at ``root``."""
+    """Sample the RR set rooted at ``root``; a ``ValueError`` names a root
+    outside [0, n)."""
+    if not 0 <= root < graph.n:
+        raise ValueError(f"root {root} outside [0, {graph.n})")
     coll = RRCollection(graph, params, None)
-    coll._sample(np.array([root], dtype=np.int64), _generator(rng))
+    coll._sample(np.array([root], dtype=np.int64), rng)
     return coll.sets[0]
 
 
@@ -414,11 +411,10 @@ class RRCollection:
         members, sizes, widths = zip(*parts)
         self._append(members, np.concatenate(sizes), roots, np.concatenate(widths))
 
-    def extend(self, count: int, rng) -> None:
+    def extend(self, count: int, rng: np.random.Generator) -> None:
         """Generate ``count`` more RR sets rooted at uniform random nodes."""
         if count > 0:
-            gen = _generator(rng)
-            self._sample(gen.integers(0, self.n, size=count), gen)
+            self._sample(rng.integers(0, self.n, size=count), rng)
 
     def strategy_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every strategy's (RR set, table row) pairs, read off the members.

@@ -66,6 +66,21 @@ def shared_ic(graph: DirectedGraph, shared: str) -> TriggeringParams:
     return uniform_ic(graph, 0.45)
 
 
+def triggering_sets(params: TriggeringParams, nodes, rng) -> list[list[int]]:
+    """The sorted triggering sets of ``nodes``, drawn by one call of the RR
+    kernel's in-edge step ``limax.rrset._live_in_edges``, with pair k
+    (``nodes[k]``, k) standing for set k."""
+    from limax.rrset import _live_in_edges
+
+    nodes = np.asarray(nodes, dtype=np.int64)
+    keys = np.concatenate([np.empty(0, np.int64), *_live_in_edges(
+        params, nodes, np.arange(len(nodes)), len(nodes), rng)])
+    sets: list[list[int]] = [[] for _ in nodes]
+    for src, k in zip(*(a.tolist() for a in np.divmod(keys, len(nodes)))):
+        sets[k].append(src)
+    return [sorted(s) for s in sets]
+
+
 def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
                     kind: str | None = None, extra_steps: int = 0) -> Instance:
     """Random small instance with concave independent activation everywhere.

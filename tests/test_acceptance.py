@@ -22,7 +22,7 @@ from limax.graph import assign_weighted_cascade, gen_erdos_renyi, write_edge_lis
 from limax.immprr import (GreedyState, lgreedy, lgreedy_delta, make_imm_params,
                           run_immprr)
 from limax.immvsn import (VirtualNodeId, build_augmented, run_immvsn,
-                          sample_virtual_arm, simulate_spread_virtual_seeds)
+                          simulate_spread_virtual_seeds)
 from limax.oracles import (LiveEdgeEnumeration, exact_opt, simulate_spread_mix)
 from limax.rng import stream
 from limax.rrset import g_hat, generate_collection
@@ -185,8 +185,9 @@ def test_05_prefix_dominance():
 # -- 6 ---------------------------------------------------------------------------
 
 def test_06_sampler_distribution():
-    """Binary-search arm sampling follows the analytic categorical law
-    (chi-square p > 0.01 at 1e5 draws, 20 random curves)."""
+    """The hybrid RR kernel's arm sampler follows the analytic categorical
+    law (chi-square p > 0.01 at 1e5 draws, 20 random curves): one call of
+    ``aug._arms`` draws a node's 1e5 arms, as the kernel draws a batch's."""
     from limax.graph import from_edges, uniform_ic
     rejections = 0
     for i in range(20):
@@ -198,11 +199,8 @@ def test_06_sampler_distribution():
         model = IndependentActivation(1, lat, [np.array([0])], [row[None, :]])
         aug = build_augmented(graph, uniform_ic(graph, 0.5), model, lat)
         draws = 100_000
-        counts = np.zeros(K + 1)
-        rng = stream(14_500 + i, 0)
-        for _ in range(draws):
-            arm = sample_virtual_arm(aug, 0, 0, rng)
-            counts[(arm.i - 1) if arm else K] += 1
+        _, flats = aug._arms[0](np.zeros(draws, np.int64), stream(14_500 + i, 0))
+        counts = np.append(np.bincount(flats, minlength=K), draws - len(flats))
         probs = np.concatenate((np.diff(row), [1.0 - row[-1]]))
         _, p = sps.chisquare(counts, probs * draws)
         if p <= 0.01:

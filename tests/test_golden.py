@@ -7,8 +7,8 @@ pick or the forward cascade consume uniforms shows up here as a changed RR
 set, mix or spread, even when the distributions stay correct.  Each sampler
 reads its own stream, and the spreads are taken at fixed mixes, so a change
 to one sampler moves only its own literals.  A hub instance pins the
-sampling of a node whose in-edges outnumber a buffer block, given either a
-buffer or a bare generator.  A second hub instance pins the geometric gaps
+sampling of a node with many in-edges, from a generator part-way through
+its stream.  A second hub instance pins the geometric gaps
 of nodes above the skip gate, and the coins that finish a row after the
 last gap round.
 """
@@ -16,14 +16,15 @@ last gap round.
 import numpy as np
 import pytest
 
+from conftest import triggering_sets
+
 from limax.budgets import TotalBudget
-from limax.graph import (IC, LT, TriggeringParams, from_edges, gen_erdos_renyi,
-                         sample_triggering_set)
+from limax.graph import IC, LT, TriggeringParams, from_edges, gen_erdos_renyi
 from limax.immprr import make_imm_params, run_immprr
 from limax.immvsn import (build_augmented, generate_hybrid_collection,
                           run_immvsn)
 from limax.oracles import simulate_spread_mix
-from limax.rng import RandomBuffer, stream
+from limax.rng import stream
 from limax.rrset import generate_collection, generate_rr_set
 from limax.strategy import (IndependentActivation, LatticeConfig,
                             multi_event_table)
@@ -59,9 +60,8 @@ def _observed(kind):
     coll = generate_collection(graph, params, model, 12, stream(SEED, 10, key))
     aug = build_augmented(graph, params, model, lat)
     hybrid = generate_hybrid_collection(aug, 12, stream(SEED, 11, key))
-    buf = RandomBuffer(stream(SEED, 12, key))
-    triggering = [sorted(sample_triggering_set(graph, params, v, buf))
-                  for v in range(N)]
+    gen = stream(SEED, 12, key)
+    triggering = [triggering_sets(params, [v], gen)[0] for v in range(N)]
     constraint = TotalBudget(3)
     imm = make_imm_params(N, lat, 3, 0.5, 1.0)
     prr = run_immprr(graph, params, model, lat, constraint, imm, stream(SEED, 13, key))
@@ -122,7 +122,7 @@ def test_draw_order_golden(kind):
     assert _observed(kind) == GOLDEN[kind]
 
 
-# --- hub instance: one long in-edge list, drawn across buffer refills --------
+# --- hub instance: one long in-edge list -------------------------------------
 
 HUB_N = 40
 HUB_DEG = 30
@@ -153,18 +153,20 @@ def _hub_instance():
 
 def _hub_observed():
     graph, params, model, lat = _hub_instance()
-    # a buffer is read through its generator, whatever is left in its block
-    buf = RandomBuffer(stream(SEED, 22), block=7)
-    coll = generate_collection(graph, params, model, 8, buf)
-    coll.extend(8, buf)
+    # the samplers start 7 uniforms into their streams
+    gen = stream(SEED, 22)
+    gen.random(7)
+    coll = generate_collection(graph, params, model, 8, gen)
+    coll.extend(8, gen)
     gen = stream(SEED, 23)
     hub_sets = [generate_rr_set(graph, params, 0, gen).members.tolist()
                 for _ in range(4)]
     gen = stream(SEED, 25)
-    hub_triggering = [sorted(sample_triggering_set(graph, params, 0, gen))
-                      for _ in range(4)]
+    hub_triggering = [triggering_sets(params, [0], gen)[0] for _ in range(4)]
     aug = build_augmented(graph, params, model, lat)
-    hybrid = generate_hybrid_collection(aug, 12, RandomBuffer(stream(SEED, 24), block=7))
+    gen = stream(SEED, 24)
+    gen.random(7)
+    hybrid = generate_hybrid_collection(aug, 12, gen)
     return {
         "members": [rr.members.tolist() for rr in coll.sets],
         "widths": [rr.width for rr in coll.sets],

@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from conftest import triggering_sets
+
 from limax.graph import (IC, LT, DirectedGraph, EdgeListError,
                          TriggeringParams, assign_weighted_cascade, from_edges, gen_erdos_renyi,
-                         load_edge_list, sample_triggering_set, uniform_ic,
-                         write_edge_list)
+                         load_edge_list, uniform_ic, write_edge_list)
 from limax.rng import stream
 
 
@@ -221,37 +222,31 @@ def test_lt_sum_error_names_first_bad_node():
 
 def test_triggering_set_no_in_neighbors():
     g = from_edges(2, [(0, 1)])
-    assert sample_triggering_set(g, uniform_ic(g, 0.5), 0, stream(0, 0)) == set()
+    assert triggering_sets(uniform_ic(g, 0.5), [0], stream(0, 0)) == [[]]
 
 
 def test_triggering_set_certain_edge():
     g = from_edges(2, [(0, 1)])
     params = uniform_ic(g, 1.0)
-    rng = stream(0, 1)
-    for _ in range(50):
-        assert sample_triggering_set(g, params, 1, rng) == {0}
+    assert triggering_sets(params, [1] * 50, stream(0, 1)) == [[0]] * 50
 
 
 def test_ic_all_ones_returns_full_in_neighbor_set():
     rng = stream(3, 2)
     g = from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
     params = uniform_ic(g, 1.0)
-    for _ in range(20):
-        assert sample_triggering_set(g, params, 4, rng) == {0, 1, 2, 3}
+    assert triggering_sets(params, [4] * 20, rng) == [[0, 1, 2, 3]] * 20
 
 
 def test_lt_triggering_frequencies():
     # two in-edges w=0.3 each: frequencies 0.3 / 0.3 / 0.4 over 1e5 draws
     g = from_edges(3, [(0, 2), (1, 2)])
     params = TriggeringParams.build(g, LT, [np.empty(0), np.empty(0), np.array([0.3, 0.3])])
-    rng = stream(7, 3)
-    counts = {frozenset(): 0, frozenset({0}): 0, frozenset({1}): 0}
     n_draws = 100_000
-    for _ in range(n_draws):
-        counts[frozenset(sample_triggering_set(g, params, 2, rng))] += 1
-    assert abs(counts[frozenset({0})] / n_draws - 0.3) < 0.01
-    assert abs(counts[frozenset({1})] / n_draws - 0.3) < 0.01
-    assert abs(counts[frozenset()] / n_draws - 0.4) < 0.01
+    sets = triggering_sets(params, [2] * n_draws, stream(7, 3))
+    assert abs(sets.count([0]) / n_draws - 0.3) < 0.01
+    assert abs(sets.count([1]) / n_draws - 0.3) < 0.01
+    assert abs(sets.count([]) / n_draws - 0.4) < 0.01
 
 
 def test_lt_selection_frequency_bound(rng):
@@ -260,13 +255,9 @@ def test_lt_selection_frequency_bound(rng):
     w = np.array([0.15, 0.35, 0.2])
     params = TriggeringParams.build(g, LT, [np.empty(0)] * 3 + [w])
     draws = 40_000
-    hits = np.zeros(3)
-    gen = stream(11, 4)
-    for _ in range(draws):
-        got = sample_triggering_set(g, params, 3, gen)
-        for u in got:
-            hits[u] += 1
-    freq = hits / draws
+    sets = triggering_sets(params, [3] * draws, stream(11, 4))
+    assert all(len(s) <= 1 for s in sets)
+    freq = np.bincount([u for s in sets for u in s], minlength=3) / draws
     bound = 4.0 * np.sqrt(w * (1 - w) / draws)
     assert np.all(np.abs(freq - w) <= bound)
 
@@ -276,7 +267,7 @@ def test_graph_arrays_are_immutable():
     with pytest.raises(ValueError):
         g.in_neighbors[1][0] = 2
     before = [a.copy() for a in g.in_neighbors]
-    _ = sample_triggering_set(g, uniform_ic(g, 0.3), 1, stream(0, 5))
+    triggering_sets(uniform_ic(g, 0.3), [1], stream(0, 5))
     assert all(np.array_equal(a, b) for a, b in zip(before, g.in_neighbors))
     # values read from a file are as read-only as the neighbour arrays
     loaded = load_edge_list("3 2\n0 1 0.5\n1 2 0.25\n")

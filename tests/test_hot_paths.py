@@ -6,6 +6,9 @@ keys on a 2-core x86 host, 35-40x slower.  The hot-path modules take sorted dist
 from ``limax.rrset._distinct`` instead; ``np.unique`` stays allowed where
 it returns an index, an inverse or counts.
 
+Every name that a ``limax`` module lists in ``__all__`` resolves, so
+``from limax.<module> import *`` keeps working when code is deleted.
+
 The lattice greedy is lazy: each round recomputes the gains of a few
 coordinates off the top of a heap of bounds, not all d of them.
 
@@ -25,7 +28,9 @@ one traced run on a 2-core x86 host, the array passes 0.020 s.
 """
 
 import ast
+import importlib
 import math
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -72,6 +77,19 @@ def test_no_hash_based_unique_on_hot_paths(module):
         f"{module} calls np.unique on line(s) {lines}: on int64 keys it takes a "
         "hash-table path measured 35-40x slower than a sort; use "
         "limax.rrset._distinct (np.sort plus a neighbour-inequality mask)")
+
+
+MODULES = ["limax"] + [f"limax.{m.name}" for m in pkgutil.iter_modules(limax.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ lists undefined names {missing}"
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    assert set(mod.__all__) <= namespace.keys()
 
 
 def test_lazy_greedy_recomputes_few_gains(monkeypatch):

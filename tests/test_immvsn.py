@@ -16,9 +16,9 @@ from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params
 from limax.immvsn import (HybridCollection, VirtualNodeId,
                           _greedy_virtual, build_augmented,
-                          generate_hybrid_collection, generate_hybrid_rr_set,
-                          immvsn, node_selection_virtual, run_immvsn,
-                          sample_virtual_arm, simulate_spread_virtual_seeds)
+                          generate_hybrid_collection, immvsn,
+                          node_selection_virtual, run_immvsn,
+                          simulate_spread_virtual_seeds)
 from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
 from limax.rng import stream
 from limax.rrset import EmptyCollectionError, _reverse_reach
@@ -44,29 +44,39 @@ def _aug_single(table_rows, n=1, strategies=None, edges=(), p=0.5, steps=None):
     return graph, params, model, lat, build_augmented(graph, params, model, lat)
 
 
+def _weights(model, v, j):
+    """The weights of the virtual edges u[j, 1..K] -> v: ``np.diff`` of v's
+    q row for j, or zeros where j does not apply to v."""
+    rows = model.tables[v][model.strategies[v] == j]
+    return np.diff(rows[0]) if len(rows) else np.zeros(model.lattice.budget_steps)
+
+
+def _arms(aug, draws, rng):
+    """``draws`` arms of node 0, drawn in one call of the kernel's arm
+    sampler: (index of the draw, virtual flat id) per arm that fires."""
+    return aug._arms[0](np.zeros(draws, np.int64), rng)
+
+
 def test_linear_curve_gives_equal_weights():
     row = np.array([0.0, 0.2, 0.4, 0.6])
-    _, _, _, _, aug = _aug_single([(0, row)])
-    for i in (1, 2, 3):
-        assert aug.weight(0, 0, i) == pytest.approx(0.2)
+    _, _, model, _, _ = _aug_single([(0, row)])
+    assert _weights(model, 0, 0) == pytest.approx([0.2, 0.2, 0.2])
 
 
 def test_multi_event_weights():
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     row = multi_event_table(0.3, lat)
-    _, _, _, _, aug = _aug_single([(0, row)], steps=2)
-    assert aug.weight(0, 0, 1) == pytest.approx(0.3)
-    assert aug.weight(0, 0, 2) == pytest.approx(0.21)
+    _, _, model, _, _ = _aug_single([(0, row)], steps=2)
+    assert _weights(model, 0, 0) == pytest.approx([0.3, 0.21])
 
 
 def test_weights_telescope_to_cumulative(rng):
     row = random_concave_table(rng, 5)
-    _, _, _, _, aug = _aug_single([(0, row)], steps=5)
-    total = sum(aug.weight(0, 0, i) for i in range(1, 6))
-    assert total == pytest.approx(row[-1])
+    _, _, model, _, _ = _aug_single([(0, row)], steps=5)
+    w = _weights(model, 0, 0)
+    assert w.sum() == pytest.approx(row[-1])
     # concavity makes the weights nonincreasing
-    w = [aug.weight(0, 0, i) for i in range(1, 6)]
-    assert all(a >= b - 1e-12 for a, b in zip(w, w[1:]))
+    assert np.all(w[:-1] >= w[1:] - 1e-12)
 
 
 def test_non_concave_curve_rejected():
@@ -89,57 +99,58 @@ def test_flat_roundtrip():
 def test_arm_zero_curve_never_fires():
     row = np.zeros(4)
     _, _, _, _, aug = _aug_single([(0, row)], steps=3)
-    gen = stream(40, 0)
-    assert all(sample_virtual_arm(aug, 0, 0, gen) is None for _ in range(2000))
+    pair, flats = _arms(aug, 2000, stream(40, 0))
+    assert len(pair) == len(flats) == 0
 
 
 def test_arm_single_step_frequency():
     row = np.array([0.0, 0.3])
     _, _, _, _, aug = _aug_single([(0, row)], steps=1)
-    gen = stream(40, 1)
-    hits = sum(sample_virtual_arm(aug, 0, 0, gen) is not None
-               for _ in range(100_000))
-    assert abs(hits / 100_000 - 0.3) < 0.01
+    _, flats = _arms(aug, 100_000, stream(40, 1))
+    assert abs(len(flats) / 100_000 - 0.3) < 0.01
 
 
 def test_arm_multi_event_frequencies():
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     row = multi_event_table(0.3, lat)
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)
-    gen = stream(40, 2)
-    counts = {1: 0, 2: 0, None: 0}
-    for _ in range(100_000):
-        arm = sample_virtual_arm(aug, 0, 0, gen)
-        counts[arm.i if arm else None] += 1
-    assert abs(counts[1] / 100_000 - 0.30) < 0.01
-    assert abs(counts[2] / 100_000 - 0.21) < 0.01
-    assert abs(counts[None] / 100_000 - 0.49) < 0.01
+    pair, flats = _arms(aug, 100_000, stream(40, 2))
+    assert np.all(np.diff(pair) > 0)  # at most one arm per draw
+    counts = np.bincount(flats, minlength=2)  # flat id i - 1 of strategy 0
+    assert len(counts) == 2
+    assert abs(counts[0] / 100_000 - 0.30) < 0.01
+    assert abs(counts[1] / 100_000 - 0.21) < 0.01
+    assert abs(1 - len(flats) / 100_000 - 0.49) < 0.01
 
 
 def test_arm_sampler_chi_square(rng):
     row = random_concave_table(rng, 4, total_cap=0.85)
     _, _, _, _, aug = _aug_single([(0, row)], steps=4)
-    gen = stream(40, 3)
     draws = 100_000
-    counts = np.zeros(5)
-    for _ in range(draws):
-        arm = sample_virtual_arm(aug, 0, 0, gen)
-        counts[(arm.i - 1) if arm else 4] += 1
+    _, flats = _arms(aug, draws, stream(40, 3))
+    counts = np.append(np.bincount(flats, minlength=4), draws - len(flats))
     probs = np.concatenate((np.diff(row), [1.0 - row[-1]]))
     _, p = sps.chisquare(counts, probs * draws)
     assert p > 0.01
 
 
 def test_arm_requires_applicable_strategy():
-    row = np.array([0.0, 0.2])
-    _, _, _, _, aug = _aug_single([(0, row)], steps=1)
-    with pytest.raises(KeyError):
-        sample_virtual_arm(aug, 0, 1, stream(40, 4))
+    # of d = 2 strategies only 0 applies to node 0, and none to node 1: the
+    # kernel draws one uniform per node-0 pair and arms of strategy 0 only
+    row = np.array([0.0, 0.6])
+    _, _, _, _, aug = _aug_single([(0, row)], n=2, steps=1)
+    gen, ref = stream(40, 4), stream(40, 4)
+    pair, flats = aug._arms[0](np.tile([0, 1], 1000), gen)
+    assert len(flats) > 0 and np.all(flats == 0) and np.all(pair % 2 == 0)
+    ref.random(1000)
+    assert gen.random() == ref.random()
 
 
-@pytest.mark.parametrize("seeds", [[-1], [2], [VirtualNodeId(1, 2)]])
+@pytest.mark.parametrize("seeds", [[-1], [2], [VirtualNodeId(1, 2)],
+                                   [VirtualNodeId(0, 2)], [VirtualNodeId(-1, 2)]])
 def test_virtual_seed_outside_flat_ids_rejected(seeds):
-    # d = 2 strategies of K = 1 step: flat ids 0 and 1
+    # d = 2 strategies of K = 1 step: flat ids 0 and 1, which (0, 2) and
+    # (-1, 2) would alias
     _, _, _, _, aug = _aug_single([(0, np.array([0.0, 0.2]))], steps=1)
     with pytest.raises(ValueError, match=r"^virtual seed outside flat ids \[0, 2\)$"):
         simulate_spread_virtual_seeds(aug, seeds, 10, stream(40, 5))
@@ -154,8 +165,9 @@ def test_hybrid_no_strategies_no_virtual(rng):
         3, lat, [np.empty(0, dtype=np.int64)] * 3, [np.empty((0, 3))] * 3)
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     for root in range(3):
-        hr = generate_hybrid_rr_set(aug, root, stream(41, root))
-        assert hr.virtual_members == ()
+        (_, keys, vsets, flats), = _reverse_reach(g, aug.params, np.array([root]),
+                                                  stream(41, root), aug._arms)
+        assert keys[0] == root and len(vsets) == len(flats) == 0
 
 
 def test_hybrid_rr_set_real_members_sorted():
@@ -165,8 +177,8 @@ def test_hybrid_rr_set_real_members_sorted():
     g = from_edges(3, [(0, 1), (1, 2)])
     model = IndependentActivation(3, lat, [np.array([0])] * 3, [row] * 3)
     aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
-    hr = generate_hybrid_rr_set(aug, 2, stream(41, 9))
-    assert hr.root == 2 and hr.real_members.tolist() == [0, 1, 2]
+    (_, keys, _, _), = _reverse_reach(g, aug.params, np.array([2]), stream(41, 9), aug._arms)
+    assert keys.tolist() == [2, 1, 0]
 
 
 def test_hybrid_certain_arm():
@@ -237,8 +249,7 @@ def _check_virtual_membership(inst, params, rng):
     assert freq.any()
     for f in range(freq.shape[1]):
         j, i = divmod(f, K)
-        arm = np.array([aug.weight(w, j, i + 1) if j in model.strategies[w] else 0.0
-                        for w in range(n)])
+        arm = np.array([_weights(model, w, j)[i] for w in range(n)])
         miss = np.ones(1)  # miss[mask] = prod over w in mask of (1 - arm[w])
         for w in range(n):
             miss = np.concatenate((miss, miss * (1.0 - arm[w])))
@@ -437,7 +448,7 @@ def test_prefix_dominates_every_same_size_subset(seed):
     K = int(gen.integers(2, 6))
     row = random_concave_table(gen, K)
     _, _, _, _, aug = _aug_single([(0, row)], steps=K)
-    weights = np.array([aug.weight(0, 0, i) for i in range(1, K + 1)])
+    weights = _weights(aug.model, 0, 0)
     for size in range(1, K + 1):
         prefix = weights[:size].sum()
         for combo in itertools.combinations(range(K), size):
@@ -480,8 +491,8 @@ def test_virtual_seed_spread_never_beats_converted_mix(seed):
         for v in range(inst.graph.n):
             acc = 1.0
             for j in inst.model.strategies[v]:
-                w = sum(aug.weight(v, int(j), f % K + 1)
-                        for f in seeds if f // K == int(j))
+                w = sum(_weights(inst.model, v, j)[f % K]
+                        for f in seeds if f // K == j)
                 acc *= 1.0 - w
             h_direct[v] = 1.0 - acc
         sigma_aug = enum.spread_given_h(h_direct)
@@ -557,7 +568,7 @@ def test_arm_slot_index_built_once_per_solve(monkeypatch):
     assert "_arms" not in res.collection.aug.__dict__  # the result does not hold it
     aug = build_augmented(graph, params, model, lat)
     simulate_spread_virtual_seeds(aug, [0, 1], 20, stream(7, 1))
-    generate_hybrid_rr_set(aug, 0, stream(7, 2))
+    generate_hybrid_collection(aug, 1, stream(7, 2))
     assert len(builds) == 2  # one more, shared by every draw through the new graph
     # the kept sampler's slots against a per-row search on the same uniforms
     draw, _ = aug._arms

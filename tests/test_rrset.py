@@ -15,7 +15,7 @@ from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _arm_sampler, _distinct, _generator, _reverse_reach,
+                         _arm_sampler, _distinct, _reverse_reach,
                          _row_search, _slots, g_hat, generate_collection,
                          generate_rr_set, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
@@ -30,7 +30,7 @@ def _personal_model(n, lat, rates):
 def _rr_sets(graph, params, roots, rng):
     """The RR sets rooted at ``roots``, in order."""
     coll = RRCollection(graph, params, None)
-    coll._sample(roots, _generator(rng))
+    coll._sample(roots, rng)
     return coll.sets
 
 
@@ -39,6 +39,13 @@ def test_rr_set_isolated_root():
     rr = generate_rr_set(g, uniform_ic(g, 0.5), 2, stream(0, 0))
     assert rr.members.tolist() == [2]
     assert rr.width == 0
+
+
+@pytest.mark.parametrize("root", [-1, 3, 7])
+def test_rr_set_root_outside_nodes_rejected(root):
+    g = from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=rf"^root {root} outside \[0, 3\)$"):
+        generate_rr_set(g, uniform_ic(g, 0.5), root, stream(0, 0))
 
 
 def test_rr_set_certain_chain():
