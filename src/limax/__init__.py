@@ -25,7 +25,7 @@ from .oracles import (SpreadEstimate, exact_g, exact_opt,
                       simulate_spread_mix, simulate_spread_seeds)
 from .rng import stream
 from .rrset import (RRCollection, RRSet, g_hat, generate_collection,
-                    generate_rr_set, load_collection, save_collection)
+                    load_collection, save_collection)
 from .strategy import (BlackBoxActivation, IndependentActivation,
                        LatticeConfig, StrategyMix, validate_model)
 

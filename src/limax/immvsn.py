@@ -18,7 +18,8 @@ but still count in the estimator's denominator.  A hybrid RR set is an RR
 set whose every member v also draws, for each strategy j in S_v, the
 virtual in-neighbor u[j,i] with probability equal to its edge weight
 (inverse CDF over q[v,j], so at most one per strategy).  The batched
-reverse-reach kernel of ``limax.rrset`` samples them many at a time, and a
+reverse-reach kernel of ``limax.rrset`` samples them many at a time, drawing
+every reached pair's arms through ``AugmentedGraph.draw_arms``, and a
 collection keeps only one (set id, virtual flat id) pair per distinct
 virtual member, in two sorted arrays; the kernel deduplicates the pairs by
 sorting their packed int64 keys.  The greedy counts the sets of every flat
@@ -29,7 +30,6 @@ keys ``flat * theta + set``, and subtracts each newly covered set's members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
-from .rrset import (_NONE, EmptyCollectionError, _arm_sampler, _distinct,
-                    _reverse_reach)
+from .rrset import (_NONE, EmptyCollectionError, _distinct, _reverse_reach,
+                    _slots)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -70,16 +70,20 @@ class AugmentedGraph:
 
     Virtual edges are never materialized: the model's cumulative q tables
     double as the per-(v, j) edge-weight prefix sums: the weight of
-    u[j,i] -> v is ``np.diff`` of v's row for j.  The arm sampler over
-    those tables (see :func:`limax.rrset._arm_sampler`) is built on first
-    use and kept for every hybrid RR set and virtual-seed simulation drawn
-    through this graph.
+    u[j,i] -> v is ``np.diff`` of v's row for j.  Virtual node u[j,i] has
+    the flat id ``j * steps + i - 1``, below ``span = d * steps``; this
+    class alone encodes and decodes that layout, both when it draws arms
+    (:meth:`draw_arms`, which the hybrid RR kernel and the virtual-seed
+    simulation call) and when it maps a :class:`VirtualNodeId` (:meth:`flat`).
+    ``lattice`` must be the model's own lattice.
     """
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams,
                  model: IndependentActivation, lattice: LatticeConfig):
         if getattr(model, "kind", None) != "independent":
             raise InvalidModelError("virtual-node reduction needs independent activation")
+        if lattice != model.lattice:
+            raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
         violations = validate_model(model, lattice)
         if violations:
             raise InvalidModelError(
@@ -90,21 +94,36 @@ class AugmentedGraph:
         self.model = model
         self.lattice = lattice
         self.steps = lattice.budget_steps
+        self.span = lattice.d * self.steps
+        count = np.bincount(model._flat_nodes, minlength=graph.n)  # table rows per node
+        self._rows = count, np.cumsum(count) - count
 
-    @cached_property
-    def _arms(self):
-        return _arm_sampler(self.model, self.graph.n)
+    def draw_arms(self, nodes: np.ndarray, rng: np.random.Generator):
+        """One uniform per strategy j that applies to each of ``nodes``, in
+        node order, then row order of ``model._flat_tables``; the arm is the
+        smallest i with q[v, j](i) above it, or none at or above q[v, j](K).
+        Returns, per arm that fires, the index of its node in ``nodes`` and
+        its flat id."""
+        count, first = self._rows
+        tables = self.model._flat_tables
+        has = np.flatnonzero(count[nodes])  # the pairs whose node has rows
+        c = count[nodes[has]]
+        rows = np.repeat(first[nodes[has]] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        x = rng.random(len(rows))
+        fire = np.flatnonzero(x < tables[rows, -1])
+        rows, x = rows[fire], x[fire]
+        lo = rows * (self.steps + 1)
+        # q[v, j](0) = 0 <= x < q[v, j](K): the slot in v's row is the arm i, in [1, K]
+        i = _slots(tables.ravel(), lo, lo + self.steps + 1, x) - lo
+        return np.repeat(has, c)[fire], self.model._flat_strats[rows] * self.steps + i - 1
 
     def flat(self, node: VirtualNodeId) -> int:
         """The flat id j * K + i - 1 of ``node``.  An i outside [1, K] or a
         j outside [0, d) would alias another node's id and is a
         ``ValueError``, with the message of an out-of-range flat seed."""
         if not (1 <= node.i <= self.steps and 0 <= node.j < self.lattice.d):
-            raise ValueError(f"virtual seed outside flat ids [0, {self.lattice.d * self.steps})")
+            raise ValueError(f"virtual seed outside flat ids [0, {self.span})")
         return node.j * self.steps + (node.i - 1)
-
-    def unflat(self, flat: int) -> VirtualNodeId:
-        return VirtualNodeId(j=flat // self.steps, i=flat % self.steps + 1)
 
 
 def build_augmented(graph: DirectedGraph, params: TriggeringParams,
@@ -144,7 +163,8 @@ class HybridCollection:
         roots = rng.integers(0, self.n, size=count)
         aug = self.aug
         vsets, flats = [self.vsets], [self.flats]
-        for _, _, v, f in _reverse_reach(aug.graph, aug.params, roots, rng, aug._arms):
+        arms = aug.draw_arms, aug.span
+        for v, f in _reverse_reach(aug.graph, aug.params, roots, rng, arms):
             vsets.append(v + self.theta)
             flats.append(f)
         self.vsets = np.concatenate(vsets)
@@ -167,8 +187,7 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
     newly covered sets' members from a count array over all d * K flat ids;
     under a partitioned budget the flat ids of exhausted groups are masked.
     """
-    steps = collection.aug.steps
-    span = collection.aug.lattice.d * steps
+    steps, span = collection.aug.steps, collection.aug.span
     vsets, flats = collection.vsets, collection.flats
     counts = np.bincount(flats, minlength=span)
     theta = collection.theta  # at least 1: callers never select on an empty collection
@@ -234,8 +253,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    graph, model = aug.graph, aug.model
-    draw_arms, span = aug._arms
+    graph, model, span = aug.graph, aug.model, aug.span
     flats = np.array([aug.flat(s) if isinstance(s, VirtualNodeId) else int(s)
                       for s in seeds], dtype=np.int64)
     if np.any((flats < 0) | (flats >= span)):
@@ -245,7 +263,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     touched = _distinct(model._flat_nodes)
 
     def seed_keys(size):
-        pair, flats = draw_arms(np.tile(touched, size), rng)
+        pair, flats = aug.draw_arms(np.tile(touched, size), rng)
         pair = pair[seeded[flats]]
         return _distinct(touched[pair % len(touched)] * size + pair // len(touched))
 
@@ -286,9 +304,6 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     # approximation guarantee
     aug = build_augmented(graph, params, model, lattice)
     collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
-    # the result keeps the collection and its graph: drop the arm sampler
-    # (its padded table and per-node arrays), which is rebuilt on demand
-    aug.__dict__.pop("_arms", None)
     mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
         else _seeds_to_mix(seeds, aug.steps, lattice.d)
     return VsnResult(mix, collection, stats)

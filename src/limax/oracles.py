@@ -134,7 +134,8 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
         if params.kind == IC:
             def expand(keys):
                 nodes, local = np.divmod(keys, size)
-                return _live_edges(out_csr, nodes, local, size, rng)
+                return _live_edges(out_csr, out_csr[0][nodes], out_csr[0][nodes + 1],
+                                   local, size, rng)
 
             counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
                                        for keys in _reach(marks, frontier, expand))

@@ -25,16 +25,21 @@ left in those rows.  The draws come straight from the generator, level by
 level, so a set's draws are interleaved with those of the other sets in its
 batch.  A visited bitmap per batch and a cap on the pairs and in-edges
 expanded per step bound its memory.  The same kernel also samples the
-hybrid RR sets of the virtual-node reduction (``limax.immvsn``), where each
-reached pair additionally draws one virtual arm per strategy that applies
-to its node; a batch packs every (set, virtual flat id) pair into one int64
-key and deduplicates the keys with one sort and a neighbour-inequality mask
-(``_distinct``), as each BFS level does with its reached keys.  Its level
-loop (``_reach``) and IC coin step (``_live_edges``, never gaps) also run
-the forward IC cascades of ``limax.oracles``: forward IC reach is reverse
-reach on the transposed graph, from several roots per run.  The LT slot
-search (``_slots``) serves both directions: the reverse kernel's scattered
-pairs and the forward cascades' per-run picks.
+hybrid RR sets of the virtual-node reduction (``limax.immvsn``).  There it
+takes an opaque arm sampler and a bound: each reached pair also draws one
+virtual arm per strategy that applies to its node, and the sampler names
+each arm that fires by an id below the bound.  What those ids mean (the
+virtual flat-id layout) lives in ``limax.immvsn.AugmentedGraph`` alone.  A
+batch packs every (set, id) pair into one int64 key and deduplicates the
+keys with one sort and a neighbour-inequality mask (``_distinct``), as
+each BFS level does with its reached keys.  Either way the kernel yields
+one (set ids, ids) pair of arrays per batch, sorted by set, then id: the
+members, or the distinct arm ids.  Its level loop (``_reach``) and IC coin
+step (``_live_edges``, never gaps) also run the forward IC cascades of
+``limax.oracles``: forward IC reach is reverse reach on the transposed
+graph, from several roots per run.  The slot search (``_slots``) serves
+the LT picks in both directions (the reverse kernel's scattered pairs and
+the forward cascades' per-run picks) and the arm draws.
 
 A collection holds its RR sets in flat arrays that only grow (members,
 offsets, roots, widths), appended straight from the kernel's batches; the
@@ -55,7 +60,6 @@ __all__ = [
     "RRSet",
     "RRCollection",
     "EmptyCollectionError",
-    "generate_rr_set",
     "generate_collection",
     "g_hat",
     "save_collection",
@@ -133,14 +137,14 @@ def _edge_chunks(lo: np.ndarray, hi: np.ndarray):
         yield pos, ends, c0
 
 
-def _live_edges(csr, nodes: np.ndarray, local: np.ndarray, sets: int,
-                rng: np.random.Generator):
-    """Keys ``end * sets + set`` of the live edges out of the pairs
-    (``nodes``, ``local``) in the IC graph ``csr = (indptr, ends, probs)``,
-    one array per step of :func:`_edge_chunks`: each edge draws one
-    uniform and is live below its probability."""
-    indptr, ends, probs = csr
-    for pos, stop, c0 in _edge_chunks(indptr[nodes], indptr[nodes + 1]):
+def _live_edges(csr, lo: np.ndarray, hi: np.ndarray, local: np.ndarray,
+                sets: int, rng: np.random.Generator):
+    """Keys ``end * sets + set`` of the live edges at the positions
+    ``lo[k]:hi[k]`` of the IC graph ``csr = (indptr, ends, probs)``, for
+    set ``local[k]``, one array per step of :func:`_edge_chunks`: each
+    edge draws one uniform and is live below its probability."""
+    _, ends, probs = csr
+    for pos, stop, c0 in _edge_chunks(lo, hi):
         live = np.flatnonzero(rng.random(len(pos)) < probs[pos])
         yield ends[pos[live]] * sets + local[np.searchsorted(stop, live + c0, side="right")]
 
@@ -157,8 +161,9 @@ def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
     in-edge; a pair leaves once its gap passes the end of its row.  After
     ``_SKIP_ROUNDS`` rounds, the pairs still inside draw one coin per
     in-edge left in their row (see :func:`_edge_chunks`), which bounds the
-    rounds when p * in-degree is large.  Either way each in-edge is live
-    independently with probability p, as under the coins.  Yields one
+    rounds when p * in-degree is large (see :func:`_live_edges`; each of
+    those in-edges has probability p exactly).  Either way each in-edge is
+    live independently with probability p, as under the coins.  Yields one
     array per round, then per coin step.
     """
     indptr, src, _ = csr
@@ -176,10 +181,7 @@ def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
         yield src[pos] * sets + pair
         if not len(pair):
             return
-    for at, stop, c0 in _edge_chunks(pos + 1, end):
-        row = np.searchsorted(stop, np.arange(c0, c0 + len(at)), side="right")
-        live = rng.random(len(at)) < p[row]
-        yield src[at[live]] * sets + pair[row[live]]
+    yield from _live_edges(csr, pos + 1, end, pair, sets, rng)
 
 
 def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarray,
@@ -192,20 +194,21 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
     draws one uniform per pair whose node has in-edges and takes its slot
     among the node's running weight sums (see :func:`_slots`), or no
     in-edge past the last one."""
+    csr = params._csr
+    lo = csr[0][nodes]
+    hi = csr[0][nodes + 1]
     if params.kind == IC:
         flag, shared = params._skip
         skip = flag[nodes]
         if not skip.any():
-            yield from _live_edges(params._csr, nodes, local, sets, rng)
+            yield from _live_edges(csr, lo, hi, local, sets, rng)
             return
         coin = ~skip
         if coin.any():
-            yield from _live_edges(params._csr, nodes[coin], local[coin], sets, rng)
-        yield from _skip_edges(params._csr, shared, nodes[skip], local[skip], sets, rng)
+            yield from _live_edges(csr, lo[coin], hi[coin], local[coin], sets, rng)
+        yield from _skip_edges(csr, shared, nodes[skip], local[skip], sets, rng)
         return
-    indptr, src, cum = params._csr
-    lo = indptr[nodes]
-    hi = indptr[nodes + 1]
+    _, src, cum = csr
     has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
     pos = _slots(cum, lo[has], hi[has], rng.random(len(has)))
     hit = pos < hi[has]
@@ -237,53 +240,6 @@ def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
         frontier = np.concatenate(fresh)
 
 
-def _row_search(tables: np.ndarray):
-    """``lookup(rows, x)``: ``bisect_right(tables[rows[k]], x[k])`` for every
-    k, for a 2-D array of nondecreasing rows: a branch-free binary search
-    over rows padded with +inf to a power-of-two width, every lookup taking
-    the same halving steps, each a few whole-array operations."""
-    width = tables.shape[1]
-    span = 1 << width.bit_length()
-    flat = np.pad(tables, ((0, 0), (0, span - width)), constant_values=np.inf).ravel()
-
-    def lookup(r, x):
-        start = r * span
-        count = np.zeros(len(r), dtype=np.int64)
-        step = span >> 1
-        while step:
-            count += (flat[start + count + (step - 1)] <= x) * step
-            step >>= 1
-        return count
-
-    return lookup
-
-
-def _arm_sampler(model, n: int):
-    """``(draw, span)``: ``draw(nodes, rng)`` draws one uniform per strategy
-    j that applies to each of ``nodes``, in node order, then row order of
-    ``model._flat_tables``; the arm is the smallest i with q[v, j](i) above
-    it, or none at or above q[v, j](K).  It returns, per arm that fires,
-    the index of its node in ``nodes`` and its virtual flat id, below
-    ``span``."""
-    count = np.bincount(model._flat_nodes, minlength=n)
-    first = np.cumsum(count) - count
-    last = model._flat_tables[:, -1]
-    steps = model._flat_tables.shape[1] - 1
-    span = model.lattice.d * steps
-    slot_of = _row_search(model._flat_tables)
-
-    def draw(nodes, rng):
-        has = np.flatnonzero(count[nodes])  # the pairs whose node has rows
-        c = count[nodes[has]]
-        rows = np.repeat(first[nodes[has]] - (np.cumsum(c) - c), c) + np.arange(c.sum())
-        x = rng.random(len(rows))
-        fire = x < last[rows]
-        flats = model._flat_strats[rows[fire]] * steps + slot_of(rows[fire], x[fire]) - 1
-        return np.repeat(has, c)[fire], flats
-
-    return draw, span
-
-
 def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
                    roots: np.ndarray, rng: np.random.Generator, arms=None):
     """Reverse BFS from many roots at once, one level per vectorized step.
@@ -295,52 +251,39 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     and in-edges at a time (see :func:`_live_in_edges`).  Pairs are keyed
     ``node * sets + set`` within a batch of ``sets`` roots, so a sorted
     level lists each node's pairs together and the in-edge gathers stay
-    local.  With ``arms``, the ``(draw, span)`` arm sampler of an
-    independent activation model (see :func:`_arm_sampler`), each pair
-    first draws its virtual arms.
+    local.  With ``arms = (draw, span)``, each pair first draws its virtual
+    arms: ``draw(nodes, rng)`` returns, per arm that fires, the index of its
+    pair in ``nodes`` and an id below ``span`` (the virtual flat id of
+    ``limax.immvsn.AugmentedGraph``, whose layout this kernel does not read).
 
-    Yields ``(sets, nodes, vsets, flats)`` per batch.  Without ``arms``,
-    the members sorted by set, then node.  With ``arms``, ``sets`` is None,
-    ``nodes`` the keys as reached (a single root's members) and the
-    distinct virtual flat ids sorted by set, then flat id.
+    Yields ``(sets, ids)`` per batch, sorted by set, then id: without
+    ``arms`` the members, with ``arms`` the distinct ids of the arms drawn.
     """
     n = graph.n
     count = len(roots)
     per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
-    if arms is not None:
-        draw_arms, span = arms
+    draw, width = arms or (None, n)  # a batch's ids are keyed set * width + id
     for b0 in range(0, count, per_batch):
         size = min(per_batch, count - b0)
         virtual = [_NONE]
 
         def expand(keys):
             nodes, local = np.divmod(keys, size)
-            if arms is not None:
-                pair, flats = draw_arms(nodes, rng)
-                virtual.append(local[pair] * span + flats)
+            if draw is not None:
+                pair, ids = draw(nodes, rng)
+                virtual.append(local[pair] * width + ids)
             yield from _live_in_edges(params, nodes, local, size, rng)
 
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
         keys = np.concatenate(list(_reach(marks, frontier, expand)))
         marks[keys >> 3] = 0
-        if arms is not None:  # b0 * span shifts the set ids by b0
-            yield None, keys, *np.divmod(_distinct(np.concatenate(virtual)) + b0 * span, span)
-            continue
-        nodes, local = np.divmod(keys, size)
-        sets, nodes = np.divmod(np.sort(local * n + nodes), n)
-        yield sets + b0, nodes, _NONE, _NONE
-
-
-def generate_rr_set(graph: DirectedGraph, params: TriggeringParams,
-                    root: int, rng) -> RRSet:
-    """Sample the RR set rooted at ``root``; a ``ValueError`` names a root
-    outside [0, n)."""
-    if not 0 <= root < graph.n:
-        raise ValueError(f"root {root} outside [0, {graph.n})")
-    coll = RRCollection(graph, params, None)
-    coll._sample(np.array([root], dtype=np.int64), rng)
-    return coll.sets[0]
+        if draw is None:
+            nodes, local = np.divmod(keys, size)
+            keys = np.sort(local * width + nodes)
+        else:
+            keys = _distinct(np.concatenate(virtual))
+        yield np.divmod(keys + b0 * width, width)  # b0 * width shifts the set ids by b0
 
 
 def _flushed(name: str) -> property:
@@ -401,10 +344,14 @@ class RRCollection:
             a.flags.writeable = False
 
     def _sample(self, roots: np.ndarray, gen: np.random.Generator) -> None:
-        """Append the RR sets rooted at ``roots``, in order, after any buffered ones."""
+        """Append the RR sets rooted at ``roots``, in order, after any
+        buffered ones; a ``ValueError`` names the first root outside [0, n)."""
+        bad = np.flatnonzero((roots < 0) | (roots >= self.n))
+        if len(bad):
+            raise ValueError(f"root {roots[bad[0]]} outside [0, {self.n})")
         self._flush()
         deg, parts = np.diff(self.params._csr[0]), []
-        for sets, nodes, _, _ in _reverse_reach(self.graph, self.params, roots, gen):
+        for sets, nodes in _reverse_reach(self.graph, self.params, roots, gen):
             starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
             parts.append((nodes, np.diff(starts, append=len(nodes)),
                           np.add.reduceat(deg[nodes], starts)))

@@ -81,6 +81,16 @@ def triggering_sets(params: TriggeringParams, nodes, rng) -> list[list[int]]:
     return [sorted(s) for s in sets]
 
 
+def rr_set(graph: DirectedGraph, params: TriggeringParams, root: int, rng):
+    """The RR set rooted at ``root``, sampled by one call of
+    ``RRCollection._sample``."""
+    from limax.rrset import RRCollection
+
+    coll = RRCollection(graph, params, None)
+    coll._sample(np.array([root], dtype=np.int64), rng)
+    return coll.sets[0]
+
+
 def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
                     kind: str | None = None, extra_steps: int = 0) -> Instance:
     """Random small instance with concave independent activation everywhere.

@@ -187,7 +187,7 @@ def test_05_prefix_dominance():
 def test_06_sampler_distribution():
     """The hybrid RR kernel's arm sampler follows the analytic categorical
     law (chi-square p > 0.01 at 1e5 draws, 20 random curves): one call of
-    ``aug._arms`` draws a node's 1e5 arms, as the kernel draws a batch's."""
+    ``aug.draw_arms`` draws a node's 1e5 arms, as the kernel draws a batch's."""
     from limax.graph import from_edges, uniform_ic
     rejections = 0
     for i in range(20):
@@ -199,7 +199,7 @@ def test_06_sampler_distribution():
         model = IndependentActivation(1, lat, [np.array([0])], [row[None, :]])
         aug = build_augmented(graph, uniform_ic(graph, 0.5), model, lat)
         draws = 100_000
-        _, flats = aug._arms[0](np.zeros(draws, np.int64), stream(14_500 + i, 0))
+        _, flats = aug.draw_arms(np.zeros(draws, np.int64), stream(14_500 + i, 0))
         counts = np.append(np.bincount(flats, minlength=K), draws - len(flats))
         probs = np.concatenate((np.diff(row), [1.0 - row[-1]]))
         _, p = sps.chisquare(counts, probs * draws)

@@ -16,7 +16,7 @@ last gap round.
 import numpy as np
 import pytest
 
-from conftest import triggering_sets
+from conftest import rr_set, triggering_sets
 
 from limax.budgets import TotalBudget
 from limax.graph import IC, LT, TriggeringParams, from_edges, gen_erdos_renyi
@@ -25,7 +25,7 @@ from limax.immvsn import (build_augmented, generate_hybrid_collection,
                           run_immvsn)
 from limax.oracles import simulate_spread_mix
 from limax.rng import stream
-from limax.rrset import generate_collection, generate_rr_set
+from limax.rrset import generate_collection
 from limax.strategy import (IndependentActivation, LatticeConfig,
                             multi_event_table)
 
@@ -159,7 +159,7 @@ def _hub_observed():
     coll = generate_collection(graph, params, model, 8, gen)
     coll.extend(8, gen)
     gen = stream(SEED, 23)
-    hub_sets = [generate_rr_set(graph, params, 0, gen).members.tolist()
+    hub_sets = [rr_set(graph, params, 0, gen).members.tolist()
                 for _ in range(4)]
     gen = stream(SEED, 25)
     hub_triggering = [triggering_sets(params, [0], gen)[0] for _ in range(4)]
@@ -236,7 +236,7 @@ def _skip_hub_observed():
     assert params._skip[0].nonzero()[0].tolist() == [0, 1]
     coll = generate_collection(graph, params, model, 12, stream(SEED, 32))
     gen = stream(SEED, 33)
-    hub_sets = [generate_rr_set(graph, params, hub, gen).members.tolist()
+    hub_sets = [rr_set(graph, params, hub, gen).members.tolist()
                 for hub in (0, 0, 1, 1)]
     aug = build_augmented(graph, params, model, lat)
     hybrid = generate_hybrid_collection(aug, 12, stream(SEED, 34))

@@ -52,9 +52,15 @@ def _weights(model, v, j):
 
 
 def _arms(aug, draws, rng):
-    """``draws`` arms of node 0, drawn in one call of the kernel's arm
+    """``draws`` arms of node 0, drawn in one call of the graph's arm
     sampler: (index of the draw, virtual flat id) per arm that fires."""
-    return aug._arms[0](np.zeros(draws, np.int64), rng)
+    return aug.draw_arms(np.zeros(draws, np.int64), rng)
+
+
+def _hybrid(aug, roots, rng):
+    """The hybrid kernel's ``(sets, flat ids)`` batches for ``roots``."""
+    return list(_reverse_reach(aug.graph, aug.params, np.asarray(roots), rng,
+                               (aug.draw_arms, aug.span)))
 
 
 def test_linear_curve_gives_equal_weights():
@@ -85,13 +91,30 @@ def test_non_concave_curve_rejected():
         _aug_single([(0, row)], steps=2)
 
 
+def test_lattice_unequal_to_model_lattice_rejected():
+    # a model tabulated for K = 3 under a K = 2 lattice (d = 2, 3-node
+    # chain): its arms would get flat ids up to 5 against d * K = 4
+    g = from_edges(3, [(0, 1), (1, 2)])
+    wide = LatticeConfig(d=2, delta=1.0, budget_steps=3)
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    rows = np.vstack([multi_event_table(0.4, wide), multi_event_table(0.6, wide)])
+    model = IndependentActivation(3, wide, [np.array([0, 1])] * 3, [rows] * 3)
+    params = uniform_ic(g, 1.0)
+    msg = (r"^lattice LatticeConfig\(d=2, delta=1.0, budget_steps=2\) differs from "
+           r"the model's LatticeConfig\(d=2, delta=1.0, budget_steps=3\)$")
+    with pytest.raises(ValueError, match=msg):
+        build_augmented(g, params, model, lat)
+    with pytest.raises(ValueError, match=msg):
+        run_immvsn(g, params, model, lat, TotalBudget(2),
+                   make_imm_params(3, lat, 2, 0.5, 1.0), stream(46, 0))
+
+
 def test_flat_roundtrip():
     row = np.array([0.0, 0.2, 0.3])
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)
     for j in range(2):
         for i in range(1, 3):
-            node = VirtualNodeId(j, i)
-            assert aug.unflat(aug.flat(node)) == node
+            assert aug.flat(VirtualNodeId(j, i)) == j * 2 + i - 1
 
 
 # --- arm sampling ---------------------------------------------------------------
@@ -140,7 +163,7 @@ def test_arm_requires_applicable_strategy():
     row = np.array([0.0, 0.6])
     _, _, _, _, aug = _aug_single([(0, row)], n=2, steps=1)
     gen, ref = stream(40, 4), stream(40, 4)
-    pair, flats = aug._arms[0](np.tile([0, 1], 1000), gen)
+    pair, flats = aug.draw_arms(np.tile([0, 1], 1000), gen)
     assert len(flats) > 0 and np.all(flats == 0) and np.all(pair % 2 == 0)
     ref.random(1000)
     assert gen.random() == ref.random()
@@ -165,29 +188,33 @@ def test_hybrid_no_strategies_no_virtual(rng):
         3, lat, [np.empty(0, dtype=np.int64)] * 3, [np.empty((0, 3))] * 3)
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     for root in range(3):
-        (_, keys, vsets, flats), = _reverse_reach(g, aug.params, np.array([root]),
-                                                  stream(41, root), aug._arms)
-        assert keys[0] == root and len(vsets) == len(flats) == 0
+        (sets, members), = _reverse_reach(g, aug.params, np.array([root]), stream(41, root))
+        assert root in members and np.all(sets == 0)
+        (vsets, flats), = _hybrid(aug, [root], stream(41, root))
+        assert len(vsets) == len(flats) == 0
 
 
 def test_hybrid_rr_set_real_members_sorted():
-    # certain chain 0 -> 1 -> 2: the set rooted at 2 reaches 2, 1, 0 in that order
+    # certain chain 0 -> 1 -> 2: the set rooted at 2 holds 0, 1 and 2, and
+    # its arms (one flat id, 0) are listed once
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
     row = np.array([[0.0, 0.5]])
     g = from_edges(3, [(0, 1), (1, 2)])
     model = IndependentActivation(3, lat, [np.array([0])] * 3, [row] * 3)
     aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
-    (_, keys, _, _), = _reverse_reach(g, aug.params, np.array([2]), stream(41, 9), aug._arms)
-    assert keys.tolist() == [2, 1, 0]
+    (sets, members), = _reverse_reach(g, aug.params, np.array([2]), stream(41, 9))
+    assert sets.tolist() == [0, 0, 0] and members.tolist() == [0, 1, 2]
+    (vsets, flats), = _hybrid(aug, [2], stream(41, 9))
+    assert vsets.tolist() == [0] and flats.tolist() == [0]
 
 
 def test_hybrid_certain_arm():
     row = np.array([0.0, 0.6, 1.0])  # q(K) = 1: an arm always fires
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)
     roots = np.zeros(500, dtype=np.int64)
-    batches = list(_reverse_reach(aug.graph, aug.params, roots, stream(41, 5), aug._arms))
-    vsets = np.concatenate([b[2] for b in batches])
-    flats = np.concatenate([b[3] for b in batches])
+    batches = _hybrid(aug, roots, stream(41, 5))
+    vsets = np.concatenate([b[0] for b in batches])
+    flats = np.concatenate([b[1] for b in batches])
     assert vsets.tolist() == list(range(500))
     assert np.all(flats // aug.steps == 0)
 
@@ -202,7 +229,7 @@ def test_hybrid_expected_virtual_count():
                                   [np.vstack([r1, r2])])
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     roots = np.zeros(100_000, dtype=np.int64)
-    total = sum(len(b[3]) for b in _reverse_reach(g, aug.params, roots, stream(41, 6), aug._arms))
+    total = sum(len(b[1]) for b in _hybrid(aug, roots, stream(41, 6)))
     assert abs(total / 100_000 - 0.8) < 0.01
 
 
@@ -221,12 +248,12 @@ def test_hybrid_pairs_are_distinct_and_sorted(monkeypatch):
     aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
     roots = np.random.default_rng(5).integers(0, 3, size=500)
     span = lat.d * aug.steps
-    batches = list(_reverse_reach(g, aug.params, roots, stream(41, 8), aug._arms))
+    batches = _hybrid(aug, roots, stream(41, 8))
     assert len(batches) > 1
-    for _, _, vsets, flats in batches:
+    for vsets, flats in batches:
         assert np.all(np.diff(vsets * span + flats) > 0)
-    vsets = np.concatenate([b[2] for b in batches])
-    flats = np.concatenate([b[3] for b in batches])
+    vsets = np.concatenate([b[0] for b in batches])
+    flats = np.concatenate([b[1] for b in batches])
     assert np.array_equal(np.bincount(vsets[flats == 1 * aug.steps], minlength=500),
                           np.ones(500, dtype=np.int64))
 
@@ -244,7 +271,7 @@ def _check_virtual_membership(inst, params, rng):
     enum = LiveEdgeEnumeration(graph, params)
     roots = np.repeat(np.arange(n), SETS_PER_ROOT)
     freq = np.zeros((n, inst.lattice.d * K))
-    for _, _, vsets, flats in _reverse_reach(graph, params, roots, rng, aug._arms):
+    for vsets, flats in _hybrid(aug, roots, rng):
         np.add.at(freq, (roots[vsets], flats), 1.0 / SETS_PER_ROOT)
     assert freq.any()
     for f in range(freq.shape[1]):
@@ -551,28 +578,14 @@ def test_immvsn_output_feasible(rng):
     assert is_feasible(mix, TotalBudget(K))
 
 
-def test_arm_slot_index_built_once_per_solve(monkeypatch):
-    rrset = importlib.import_module("limax.rrset")
-    build = rrset._row_search
-    builds = []
-
-    def counted(tables):
-        builds.append(tables.shape)
-        return build(tables)
-
-    monkeypatch.setattr(rrset, "_row_search", counted)
+def test_arm_slot_index_built_once_per_solve():
+    """Every stage of a solve draws its arms through the one graph the solve
+    builds; that graph's sampler matches a per-row search on the same
+    uniforms."""
     graph, params, model, lat, imm = stage_reuse_instance()
     res = run_immvsn(graph, params, model, lat, TotalBudget(10), imm, stream(7, 0))
-    assert res.stats.stages_run >= 2  # one extend per stage, all on one index
-    assert builds == [model._flat_tables.shape]
-    assert "_arms" not in res.collection.aug.__dict__  # the result does not hold it
-    aug = build_augmented(graph, params, model, lat)
-    simulate_spread_virtual_seeds(aug, [0, 1], 20, stream(7, 1))
-    generate_hybrid_collection(aug, 1, stream(7, 2))
-    assert len(builds) == 2  # one more, shared by every draw through the new graph
-    # the kept sampler's slots against a per-row search on the same uniforms
-    draw, _ = aug._arms
-    pair, flats = draw(np.arange(graph.n), np.random.default_rng(5))
+    assert res.stats.stages_run >= 2  # one extend per stage, all through one graph
+    pair, flats = res.collection.aug.draw_arms(np.arange(graph.n), np.random.default_rng(5))
     x = np.random.default_rng(5).random(len(model._flat_tables))  # one per row
     fire = np.flatnonzero(x < model._flat_tables[:, -1])
     assert pair.tolist() == model._flat_nodes[fire].tolist()

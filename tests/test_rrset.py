@@ -6,18 +6,18 @@ import pytest
 from scipy import stats as sps
 
 from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
-                      shared_ic, sweep_monotone_dr)
+                      rr_set, shared_ic, sweep_monotone_dr)
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
 from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
                          assign_weighted_cascade, from_edges, uniform_ic)
+from limax.immvsn import AugmentedGraph
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _arm_sampler, _distinct, _reverse_reach,
-                         _row_search, _slots, g_hat, generate_collection,
-                         generate_rr_set, load_collection, save_collection)
+                         _distinct, _reverse_reach, _slots, g_hat,
+                         generate_collection, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -36,7 +36,7 @@ def _rr_sets(graph, params, roots, rng):
 
 def test_rr_set_isolated_root():
     g = from_edges(3, [(0, 1)])
-    rr = generate_rr_set(g, uniform_ic(g, 0.5), 2, stream(0, 0))
+    rr = rr_set(g, uniform_ic(g, 0.5), 2, stream(0, 0))
     assert rr.members.tolist() == [2]
     assert rr.width == 0
 
@@ -45,13 +45,13 @@ def test_rr_set_isolated_root():
 def test_rr_set_root_outside_nodes_rejected(root):
     g = from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match=rf"^root {root} outside \[0, 3\)$"):
-        generate_rr_set(g, uniform_ic(g, 0.5), root, stream(0, 0))
+        rr_set(g, uniform_ic(g, 0.5), root, stream(0, 0))
 
 
 def test_rr_set_certain_chain():
     g = from_edges(3, [(0, 1), (1, 2)])
     params = uniform_ic(g, 1.0)
-    rr = generate_rr_set(g, params, 2, stream(0, 1))
+    rr = rr_set(g, params, 2, stream(0, 1))
     assert rr.members.tolist() == [0, 1, 2]
     assert rr.width == 2  # one in-edge each for nodes 1 and 2
 
@@ -174,13 +174,10 @@ def test_arm_slot_lookup_matches_per_row_search(seed):
     x = gen.random(4000)
     exact = gen.random(4000) < 0.5  # draws equal to one of the row's entries
     x[exact] = tables[rows[exact], gen.integers(0, K + 1, size=int(exact.sum()))]
-    slots = _row_search(tables)(rows, x)
     expect = np.array([np.searchsorted(tables[r], v, side="right")
                        for r, v in zip(rows.tolist(), x.tolist())])
-    assert np.array_equal(slots, expect)
     start = rows * (K + 1)
-    assert np.array_equal(
-        slots, _slots(tables.ravel(), start, start + K + 1, x) - start)
+    assert np.array_equal(_slots(tables.ravel(), start, start + K + 1, x) - start, expect)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -305,11 +302,12 @@ def test_pathological_graphs_bounded_memory(build):
     tab = multi_event_table(0.3, lat)[None, :]
     model = IndependentActivation(g.n, lat, [np.array([v % 2]) for v in range(g.n)],
                                   [tab] * g.n)
+    aug = AugmentedGraph(g, params, model, lat)
     roots = np.resize(np.array(list(sizes)), PATHOLOGICAL_SETS)
     tracemalloc.start()
     try:
         sets = _rr_sets(g, params, roots, stream(60, 0))
-        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), _arm_sampler(model, g.n)))
+        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), (aug.draw_arms, aug.span)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -326,8 +324,8 @@ def test_pathological_graphs_bounded_memory(build):
         got = np.array([len(rr.members) for rr in sets if sizes[rr.root] == expect])
         se = got.std(ddof=1) / np.sqrt(len(got))
         assert abs(got.mean() - expect) <= 4.0 * se + 1e-12, expect
-    vsets = np.concatenate([b[2] for b in hybrid])
-    flats = np.concatenate([b[3] for b in hybrid])
+    vsets = np.concatenate([b[0] for b in hybrid])
+    flats = np.concatenate([b[1] for b in hybrid])
     assert np.all(np.diff(vsets) >= 0) and np.all((flats >= 0) & (flats < 2 * 3))
     assert len(vsets) > 0
 
@@ -750,15 +748,18 @@ def test_coin_step_matches_repeated_pair_index(chunk, seed, monkeypatch):
         monkeypatch.setattr(rrset_module, "_EDGE_CHUNK", chunk)
     g, params, nodes, local, sets = _coin_instance(950 + seed)
     csr = params._csr
+    rows = csr[0][nodes], csr[0][nodes + 1]
     for lo, hi in ((0, len(nodes)), (5, 9), (len(nodes) - 3, len(nodes))):
         rng_new, rng_old = stream(94, seed, lo), stream(94, seed, lo)
-        new = list(rrset_module._live_edges(csr, nodes[lo:hi], local[lo:hi], sets, rng_new))
+        new = list(rrset_module._live_edges(csr, *(r[lo:hi] for r in rows), local[lo:hi],
+                                            sets, rng_new))
         old = list(_live_edges_before(csr, nodes[lo:hi], local[lo:hi], sets, rng_old))
         assert len(new) == len(old)
         assert all(_bitwise(a, b) for a, b in zip(new, old))
         assert rng_new.random() == rng_old.random()
     rng_new, rng_ref = stream(94, seed, 99), stream(94, seed, 99)
-    assert list(rrset_module._live_edges(csr, nodes[:0], local[:0], sets, rng_new)) == []
+    assert list(rrset_module._live_edges(csr, *(r[:0] for r in rows), local[:0],
+                                         sets, rng_new)) == []
     assert rng_new.random() == rng_ref.random()  # no input, no draw
 
 
