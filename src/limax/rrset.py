@@ -160,24 +160,23 @@ def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
     ``floor(log(1 - u) / log(1 - p)) + 1``, to the pair's next live
     in-edge; a pair leaves once its gap passes the end of its row.  After
     ``_SKIP_ROUNDS`` rounds, the pairs still inside draw one coin per
-    in-edge left in their row (see :func:`_edge_chunks`), which bounds the
-    rounds when p * in-degree is large (see :func:`_live_edges`; each of
-    those in-edges has probability p exactly).  Either way each in-edge is
-    live independently with probability p, as under the coins.  Yields one
-    array per round, then per coin step.
+    in-edge left in their row (see :func:`_live_edges`, whose probability
+    of each such in-edge is p exactly), which bounds the rounds when
+    p * in-degree is large.  Either way each in-edge is live independently
+    with probability p, as under the coins.  Yields one array per round,
+    then per coin step.
     """
     indptr, src, _ = csr
     pos = indptr[nodes] - 1  # the pair's last live in-edge, or one before its row
     end = indptr[nodes + 1]
-    p = shared[nodes]
-    rate = np.log1p(-p)
+    rate = np.log1p(-shared[nodes])
     pair = local
     for _ in range(_SKIP_ROUNDS):
         # a gap past the row's end is clipped to it before the integer cast
         gap = np.minimum(np.log1p(-rng.random(len(pair))) / rate, end - pos)
         pos = pos + 1 + gap.astype(np.int64)
         live = pos < end
-        pair, pos, end, p, rate = pair[live], pos[live], end[live], p[live], rate[live]
+        pair, pos, end, rate = pair[live], pos[live], end[live], rate[live]
         yield src[pos] * sets + pair
         if not len(pair):
             return
