@@ -53,10 +53,13 @@ def mclg(graph: DirectedGraph, params: TriggeringParams, model,
 def _require_personalized(model, lattice: LatticeConfig, n: int) -> None:
     if getattr(model, "kind", None) != "independent" or lattice.d != n:
         raise UnsupportedScenarioError("needs d == n with one strategy per node")
-    for v in range(n):
-        s = model.strategies[v]
-        if len(s) != 1 or int(s[0]) != v:
-            raise UnsupportedScenarioError(f"node {v} is not owned by strategy {v}")
+    # node v owns strategy v iff its one flat row is (v, v)
+    counts = np.bincount(model._flat_nodes, minlength=n)
+    owned = counts == 1
+    owned[owned] = model._flat_strats[np.cumsum(counts)[owned] - 1] == np.flatnonzero(owned)
+    if not owned.all():
+        v = int(np.argmin(owned))
+        raise UnsupportedScenarioError(f"node {v} is not owned by strategy {v}")
 
 
 def ud(graph: DirectedGraph, params: TriggeringParams,
@@ -87,7 +90,7 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
         n_sel = budget_steps // steps_c
         chosen: list[int] = []
         if n_sel and theta:
-            qc = np.array([model.tables[v][0, steps_c] for v in range(graph.n)])
+            qc = model._flat_tables[:, steps_c]
             s = np.ones(theta)
             picked = np.zeros(graph.n, dtype=bool)
             for _ in range(min(n_sel, graph.n)):

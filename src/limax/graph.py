@@ -1,9 +1,12 @@
 """Directed social graphs and triggering-model parameters.
 
-A graph is stored as immutable edge arrays, one CSR per direction.  Edge
-parameters live in a separate :class:`TriggeringParams` so one topology can
-carry several parameterizations (learned probabilities, weighted cascade,
-uniform).  Two diffusion families are supported:
+A graph has one input format and one stored form: it is built from edge
+arrays (sources, targets, optional per-edge values) and read through its
+immutable CSR arrays, one per direction.  Edge parameters live in a
+separate :class:`TriggeringParams`, built from one value per edge in the
+graph's in-edge CSR order, so one topology can carry several
+parameterizations (learned probabilities, weighted cascade, uniform).  Two
+diffusion families are supported:
 
 * ``IC`` (independent cascade): every in-edge ``(u, v)`` fires independently
   with probability ``p(u, v)``.
@@ -20,8 +23,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,20 +59,8 @@ class EdgeListError(ValueError):
         super().__init__(message)
 
 
-def _rows(indptr: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
-    """Per-node views ``flat[indptr[v]:indptr[v + 1]]``."""
-    bounds = indptr.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
-
-
-def _concat_rows(rows: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, flat) of per-node rows, copied into one array."""
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    return _indptr(counts), np.concatenate((np.empty(0, dtype), *rows)).astype(dtype, copy=False)
 
 
 class DirectedGraph:
@@ -83,95 +73,43 @@ class DirectedGraph:
     had bare edges.  ``out_csr = (indptr, dst, edge)`` lists the out-edges
     by source the same way, and ``edge`` holds each out-edge's position in
     ``in_csr``: the k-th parallel copy of (u, v) in one direction is the
-    k-th copy in the other.  ``in_neighbors``, ``out_neighbors`` and
-    ``edge_values`` are per-node views of those arrays.  ``labels`` maps
-    compacted ids back to the original ids for reporting.
+    k-th copy in the other.  ``labels`` maps compacted ids back to the
+    original ids for reporting.
     """
 
-    def __init__(self, n: int, in_neighbors: Sequence, out_neighbors: Sequence,
-                 edge_values: Sequence | None = None, labels: np.ndarray | None = None):
-        """Build from per-node rows: ``in_neighbors[v]`` lists v's edge
-        sources, ``out_neighbors[u]`` u's edge targets, and ``edge_values[v]``
-        (optional) one number per in-edge of v.  The in-rows and out-rows
-        must list the same edges; a ``ValueError`` names the first
-        inconsistency."""
-        for what, rows in (("in", in_neighbors), ("out", out_neighbors),
-                           ("value", edge_values)):
-            if rows is not None and len(rows) != n:
-                raise ValueError(f"{len(rows)} {what}-rows for {n} nodes")
-        in_ptr, src = _concat_rows(in_neighbors, np.int64)
-        out_ptr, dst = _concat_rows(out_neighbors, np.int64)
-        for what, ptr, ends in (("in", in_ptr, src), ("out", out_ptr, dst)):
-            bad = (ends < 0) | (ends >= n)
-            if bad.any():
-                v = int(np.searchsorted(ptr, np.argmax(bad), side="right")) - 1
-                raise ValueError(f"{what}-row {v} has node id {ends[bad][0]} outside [0, {n})")
-        values = None
-        if edge_values is not None:
-            value_ptr, values = _concat_rows(edge_values, np.float64)
-            bad = np.diff(value_ptr) != np.diff(in_ptr)
-            if bad.any():
-                raise ValueError(f"value row {np.argmax(bad)} does not match its in-row")
-        if len(src) != len(dst):
-            raise ValueError(f"in-rows list {len(src)} edges, out-rows {len(dst)}")
-        ids = np.arange(n)
-        heads = np.repeat(ids, np.diff(in_ptr))
-        tails = np.repeat(ids, np.diff(out_ptr))
-        out_order = np.lexsort((dst, tails))
-        in_order = np.lexsort((heads, src))
-        # both orders list the edges by (source, target), so equal
-        # multisets of edges match entry by entry
-        out_keys = tails[out_order] * n + dst[out_order]
-        in_keys = src[in_order] * n + heads[in_order]
-        bad = out_keys != in_keys
-        if bad.any():
-            k = int(np.argmax(bad))
-            key, side, other = (out_keys[k], "out", "in") if out_keys[k] < in_keys[k] \
-                else (in_keys[k], "in", "out")
-            raise ValueError(f"{side}-rows list edge {key // n}->{key % n} "
-                             f"that the {other}-rows lack")
-        edge = np.empty(len(dst), dtype=np.int64)
-        edge[out_order] = in_order
-        self._store(n, (in_ptr, src, values), (out_ptr, dst, edge), labels)
-
-    @classmethod
-    def _from_edges(cls, n: int, src: np.ndarray, dst: np.ndarray,
-                    values: np.ndarray | None, labels: np.ndarray | None) -> "DirectedGraph":
-        """Graph of the edges (src[e], dst[e]); each node's rows keep edge order."""
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
+                 values: np.ndarray | None = None, labels: np.ndarray | None = None):
+        """Build from the edges (src[e], dst[e]), with ``values[e]``
+        (optional) one number per edge; each node's CSR rows keep edge
+        order.  A ``ValueError`` names the first bad edge."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        m = len(src)
+        if len(dst) != m:
+            k, side = (len(dst), "target") if m > len(dst) else (m, "source")
+            raise ValueError(f"{m} edge sources for {len(dst)} targets: edge {k} has no {side}")
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if len(bad):
+            e = int(bad[0])
+            raise ValueError(f"edge {e} ({src[e]}, {dst[e]}) has a node id outside [0, {n})")
+        if values is not None:
+            values = np.asarray(values, dtype=np.float64)
+            if len(values) != m:
+                raise ValueError(f"{len(values)} edge values for {m} edges")
         # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
         key = np.min_scalar_type(max(n - 1, 0))
         in_order = np.argsort(dst.astype(key), kind="stable")
         out_order = np.argsort(src.astype(key), kind="stable")
-        pos = np.empty(len(src), dtype=np.int64)
-        pos[in_order] = np.arange(len(src))
-        graph = cls.__new__(cls)
-        graph._store(n, (_indptr(np.bincount(dst, minlength=n)), src[in_order],
-                         None if values is None else values[in_order]),
-                     (_indptr(np.bincount(src, minlength=n)), dst[out_order], pos[out_order]),
-                     labels)
-        return graph
-
-    def _store(self, n, in_csr, out_csr, labels) -> None:
-        for arr in (*in_csr, *out_csr):
+        pos = np.empty(m, dtype=np.int64)
+        pos[in_order] = np.arange(m)
+        self.n = n
+        self.in_csr = (_indptr(np.bincount(dst, minlength=n)), src[in_order],
+                       None if values is None else values[in_order])
+        self.out_csr = (_indptr(np.bincount(src, minlength=n)), dst[out_order], pos[out_order])
+        for arr in (*self.in_csr, *self.out_csr):
             if arr is not None:
                 arr.flags.writeable = False
-        self.n = n
-        self.in_csr = in_csr
-        self.out_csr = out_csr
         self.labels = labels
-
-    @cached_property
-    def in_neighbors(self) -> list[np.ndarray]:
-        return _rows(self.in_csr[0], self.in_csr[1])
-
-    @cached_property
-    def out_neighbors(self) -> list[np.ndarray]:
-        return _rows(self.out_csr[0], self.out_csr[1])
-
-    @cached_property
-    def edge_values(self) -> list[np.ndarray] | None:
-        indptr, _, values = self.in_csr
-        return None if values is None else _rows(indptr, values)
 
     @property
     def m(self) -> int:
@@ -183,10 +121,6 @@ class DirectedGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_csr[0])
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        indptr, src, _ = self.in_csr
-        return zip(src.tolist(), np.repeat(np.arange(self.n), np.diff(indptr)).tolist())
-
 
 @dataclass(eq=False)
 class TriggeringParams:
@@ -194,15 +128,16 @@ class TriggeringParams:
 
     ``values`` holds one read-only number per in-edge, in ``in_csr`` order:
     under IC the firing probability, under LT the edge weight, with
-    per-node weight sums at most 1; ``in_values[v]`` is node v's slice of
-    it.  Two CSR views hold the edges for the batched kernels.  ``_csr =
-    (indptr, src, values)`` lists the in-edges as ``graph.in_csr`` does,
-    with the IC probabilities, or under LT each node's running weight sums.
-    ``_out_csr = (indptr, dst, values)`` lists the out-edges as
-    ``graph.out_csr`` does, each with its own probability or weight.  Under
-    IC, ``_skip = (flag, p)`` marks the nodes of in-degree at least
-    ``_SKIP_DEGREE`` whose in-edges all share one probability p with
-    0 < p < 1, and holds each node's p (meaningful where flagged).
+    per-node weight sums at most 1; node v's values are
+    ``values[indptr[v]:indptr[v + 1]]``.  Two CSR views hold the edges for
+    the batched kernels.  ``_csr = (indptr, src, values)`` lists the
+    in-edges as ``graph.in_csr`` does, with the IC probabilities, or under
+    LT each node's running weight sums.  ``_out_csr = (indptr, dst,
+    values)`` lists the out-edges as ``graph.out_csr`` does, each with its
+    own probability or weight.  Under IC, ``_skip = (flag, p)`` marks the
+    nodes of in-degree at least ``_SKIP_DEGREE`` whose in-edges all share
+    one probability p with 0 < p < 1, and holds each node's p (meaningful
+    where flagged).
     """
 
     kind: str
@@ -211,28 +146,17 @@ class TriggeringParams:
     _out_csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default=(), repr=False)
     _skip: tuple[np.ndarray, np.ndarray] = field(default=(), repr=False)
 
-    @cached_property
-    def in_values(self) -> list[np.ndarray]:
-        return _rows(self._csr[0], self.values)
-
     @classmethod
-    def build(cls, graph: DirectedGraph, kind: str, in_values: Sequence) -> "TriggeringParams":
-        """Parameters from one row per node, ``in_values[v]`` aligned with
-        ``graph.in_neighbors[v]``; the rows are copied, not kept."""
-        if len(in_values) != graph.n:
-            raise ValueError(f"{len(in_values)} parameter rows for {graph.n} nodes")
-        rows = [np.asarray(a, dtype=np.float64) for a in in_values]
-        deg = graph.in_degrees().tolist()
-        bad = [v for v, (a, d) in enumerate(zip(rows, deg)) if a.shape != (d,)]
-        if bad:
-            raise ValueError(f"parameter row {bad[0]} does not match in-degree")
-        return cls._from_flat(graph, kind, np.concatenate((np.empty(0), *rows)))
-
-    @classmethod
-    def _from_flat(cls, graph: DirectedGraph, kind: str, values: np.ndarray) -> "TriggeringParams":
-        """Parameters from one value per edge in ``graph.in_csr`` order."""
+    def build(cls, graph: DirectedGraph, kind: str, values: np.ndarray) -> "TriggeringParams":
+        """Parameters from one value per edge, in ``graph.in_csr`` order;
+        the values are copied, not kept."""
         if kind not in (IC, LT):
             raise ValueError(f"unknown triggering kind {kind!r}")
+        values = np.array(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError(f"parameter values of shape {values.shape}, not one per edge")
+        if len(values) != graph.m:
+            raise ValueError(f"{len(values)} parameter values for {graph.m} edges")
         indptr, src, _ = graph.in_csr
         out_ptr, dst, edge = graph.out_csr
         deg = np.diff(indptr)
@@ -292,10 +216,10 @@ def _compact(src: np.ndarray, dst: np.ndarray, values: np.ndarray | None,
         warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=3)
         src, dst = src[keep], dst[keep]
         values = None if values is None else values[keep]
-    return DirectedGraph._from_edges(n, src, dst, values, labels)
+    return DirectedGraph(n, src, dst, values, labels)
 
 
-def from_edges(n: int, edges: Iterable[tuple], ) -> DirectedGraph:
+def from_edges(n: int, edges: Iterable[tuple]) -> DirectedGraph:
     """Build a graph from (u, v) or (u, v, p) tuples over ids in [0, n)."""
     edges = list(edges)
     weighted = {len(e) == 3 for e in edges}
@@ -569,19 +493,19 @@ def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
 def assign_weighted_cascade(graph: DirectedGraph) -> TriggeringParams:
     """IC parameters with p(u, v) = 1 / in-degree(v) for every edge."""
     deg = graph.in_degrees()
-    return TriggeringParams._from_flat(graph, IC, np.repeat(1.0 / np.maximum(deg, 1), deg))
+    return TriggeringParams.build(graph, IC, np.repeat(1.0 / np.maximum(deg, 1), deg))
 
 
 def uniform_ic(graph: DirectedGraph, p: float) -> TriggeringParams:
     """IC parameters with a single shared probability on all edges."""
-    return TriggeringParams._from_flat(graph, IC, np.full(graph.m, float(p)))
+    return TriggeringParams.build(graph, IC, np.full(graph.m, float(p)))
 
 
 def params_from_edge_values(graph: DirectedGraph, kind: str = IC) -> TriggeringParams:
     """Adopt the per-edge values parsed from the input file."""
     if graph.in_csr[2] is None:
         raise ValueError("edge list had no per-edge values")
-    return TriggeringParams._from_flat(graph, kind, graph.in_csr[2])
+    return TriggeringParams.build(graph, kind, graph.in_csr[2])
 
 
 def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:
@@ -601,7 +525,7 @@ def gen_erdos_renyi(n: int, m: int, rng) -> DirectedGraph:
         new = new[np.sort(first)]
         new = new[~np.isin(new, keys)]
         keys = np.concatenate((keys, new[:m - len(keys)]))
-    return DirectedGraph._from_edges(n, keys // n, keys % n, None, None)
+    return DirectedGraph(n, keys // n, keys % n)
 
 
 def write_edge_list(path: str, graph: DirectedGraph) -> None:

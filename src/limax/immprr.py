@@ -408,6 +408,8 @@ def _check_model(model, lattice, force: bool) -> None:
 def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
                lattice: LatticeConfig, constraint, imm: ImmParams, rng,
                force: bool = False) -> ImmResult:
+    if lattice != model.lattice:
+        raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
     _check_model(model, lattice, force)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)

@@ -233,7 +233,7 @@ class LiveEdgeEnumeration:
                 digits[v] = (idx // scale) % base
                 scale *= base
                 none = 1.0 - vals[indptr[v + 1] - 1]  # one minus the weight sum
-                probs *= np.append(params.in_values[v], none)[digits[v]]
+                probs *= np.append(params.values[indptr[v]:indptr[v + 1]], none)[digits[v]]
             live = [digits[v] == e - indptr[v] for e, v in enumerate(dst.tolist())]
         edges = list(zip(src.tolist(), dst.tolist()))
         anc = np.empty((num, n), dtype=np.int32)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import _indptr, _rows
+from .graph import _indptr
 
 __all__ = [
     "LatticeConfig",
@@ -152,6 +152,12 @@ def clamped_table(table: np.ndarray, cap_steps: int) -> np.ndarray:
 
 
 # --- models ----------------------------------------------------------------
+
+def _rows(indptr: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
+    """Per-node views ``flat[indptr[v]:indptr[v + 1]]``."""
+    bounds = indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
 
 class IndependentActivation:
     """Independent per-strategy activation with tabulated q curves.

@@ -35,19 +35,23 @@ def random_graph(rng, n: int, m: int, kind: str = IC) -> tuple[DirectedGraph, Tr
     idx = rng.choice(len(pairs), size=take, replace=False)
     graph = from_edges(n, [pairs[i] for i in idx])
     if kind == IC:
-        params = TriggeringParams.build(
-            graph, IC, [rng.uniform(0.2, 0.9, size=len(a)) for a in graph.in_neighbors])
+        params = TriggeringParams.build(graph, IC, rng.uniform(0.2, 0.9, size=graph.m))
     else:
         rows = []
-        for a in graph.in_neighbors:
-            if len(a) == 0:
-                rows.append(np.empty(0))
+        for deg in graph.in_degrees().tolist():
+            if deg == 0:
                 continue
-            w = rng.uniform(0.1, 1.0, size=len(a))
+            w = rng.uniform(0.1, 1.0, size=deg)
             w *= rng.uniform(0.3, 1.0) / w.sum()
             rows.append(w)
-        params = TriggeringParams.build(graph, LT, rows)
+        params = TriggeringParams.build(graph, LT, np.concatenate([np.empty(0), *rows]))
     return graph, params
+
+
+def csr_rows(indptr, flat) -> list[list]:
+    """Per-node lists ``flat[indptr[v]:indptr[v + 1]]`` of one CSR array."""
+    bounds = indptr.tolist()
+    return [flat[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 # random_instance seeds giving n >= 6, m >= 8, d >= 2, six or more q tables
@@ -132,7 +136,7 @@ def stage_reuse_instance():
 
     graph = gen_erdos_renyi(200, 1000, stream(5, 200))
     lattice = LatticeConfig(d=40, delta=1.0, budget_steps=10)
-    model = make_segmented_event(np.array([len(a) for a in graph.out_neighbors]),
+    model = make_segmented_event(graph.out_degrees(),
                                  lattice, 100, 0.3, stream(6, 200))
     imm = make_imm_params(graph.n, lattice, 10, 0.9, 1.0)
     return graph, assign_weighted_cascade(graph), model, lattice, imm

@@ -80,6 +80,24 @@ def test_ud_rejects_non_personalized():
         ud(g, params, model, lat, 1.0, coll, stream(52, 1))
 
 
+@pytest.mark.parametrize("strategies, bad", [
+    ([[0], [2], [], [3]], 1),
+    ([[0], [1], [2, 3], [0]], 2),
+    ([[1], [0], [2], [3]], 0),
+])
+def test_ud_names_first_node_not_owned_by_its_strategy(strategies, bad):
+    # d == n, so the check reaches the flat rows; two nodes are bad
+    g = from_edges(4, [(0, 1), (2, 3)])
+    params = uniform_ic(g, 0.5)
+    lat = LatticeConfig(d=4, delta=1.0, budget_steps=2)
+    row = np.array([0.0, 0.3, 0.4])
+    model = IndependentActivation(4, lat, [np.array(s, dtype=np.int64) for s in strategies],
+                                  [np.tile(row, (len(s), 1)) for s in strategies])
+    coll = generate_collection(g, params, model, 20, stream(52, 0))
+    with pytest.raises(UnsupportedScenarioError, match=rf"^node {bad} is not owned by strategy {bad}$"):
+        ud(g, params, model, lat, 1.0, coll, stream(52, 1))
+
+
 def test_ud_two_valued_structure_and_support_bound():
     g, params, model, lat = _personal_instance(n=10, m=20, seed=1)
     coll = generate_collection(g, params, model, 400, stream(53, 0))

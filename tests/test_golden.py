@@ -37,12 +37,12 @@ def _instance(kind):
     graph = gen_erdos_renyi(N, M, stream(SEED, 0))
     vals = stream(SEED, 1)
     rows = []
-    for a in graph.in_neighbors:
-        w = vals.uniform(0.1, 1.0, size=len(a))
-        if kind == LT and len(a):
+    for deg in graph.in_degrees().tolist():
+        w = vals.uniform(0.1, 1.0, size=deg)
+        if kind == LT and deg:
             w *= 0.9 / w.sum()
         rows.append(w)
-    params = TriggeringParams.build(graph, kind, rows)
+    params = TriggeringParams.build(graph, kind, np.concatenate(rows))
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
     strategies, tables = [], []
     for v in range(N):
@@ -138,8 +138,7 @@ def _hub_instance():
         edges.append((int(gen.choice(np.delete(np.arange(1, HUB_N), v - 1))), v))
     graph = from_edges(HUB_N, edges)
     probs = stream(SEED, 21)
-    params = TriggeringParams.build(
-        graph, IC, [probs.uniform(0.05, 0.6, size=len(a)) for a in graph.in_neighbors])
+    params = TriggeringParams.build(graph, IC, probs.uniform(0.05, 0.6, size=graph.m))
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
     strategies, tables = [], []
     for v in range(HUB_N):
@@ -221,9 +220,10 @@ def _skip_hub_instance():
         edges.append((int(gen.choice([u for u in range(2, SKIP_N) if u != v])), v))
     graph = from_edges(SKIP_N, edges)
     probs = stream(SEED, 31)
-    rows = [np.full(len(a), 0.1 if v == 0 else 0.6) if v < 2 else
-            probs.uniform(0.05, 0.6, size=len(a)) for v, a in enumerate(graph.in_neighbors)]
-    params = TriggeringParams.build(graph, IC, rows)
+    indptr = graph.in_csr[0]
+    values = np.concatenate((np.full(indptr[1], 0.1), np.full(indptr[2] - indptr[1], 0.6),
+                             probs.uniform(0.05, 0.6, size=graph.m - indptr[2])))
+    params = TriggeringParams.build(graph, IC, values)
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
     strategies = [np.array([v % 3]) for v in range(SKIP_N)]
     tables = [multi_event_table(0.05 + 0.005 * v, lat)[None, :] for v in range(SKIP_N)]

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import triggering_sets
+from conftest import csr_rows, triggering_sets
 
 from limax.graph import (IC, LT, DirectedGraph, EdgeListError,
                          TriggeringParams, assign_weighted_cascade, from_edges, gen_erdos_renyi,
@@ -14,8 +14,8 @@ from limax.rng import stream
 def test_single_edge_with_header():
     g = load_edge_list("2 1\n0 1 0.5")
     assert g.n == 2 and g.m == 1
-    assert g.edge_values[1][0] == 0.5
-    assert list(g.in_neighbors[1]) == [0]
+    assert g.in_csr[2].tolist() == [0.5]
+    assert csr_rows(*g.in_csr[:2]) == [[], [0]]
 
 
 def test_collaboration_scale_counts(tmp_path):
@@ -85,106 +85,80 @@ def test_self_loops_dropped_with_warning():
 def test_parallel_edges_kept():
     g = from_edges(2, [(0, 1), (0, 1)])
     assert g.m == 2
-    assert list(g.in_neighbors[1]) == [0, 0]
+    assert csr_rows(*g.in_csr[:2]) == [[], [0, 0]]
 
 
 def test_out_values_match_parallel_copies_in_order():
-    # parallel edges with distinct values, out rows in an order unrelated to
-    # the in rows: the k-th copy of (u, v) in out_neighbors[u] must carry the
-    # value of the k-th copy of u in in_neighbors[v]
+    # a shuffled edge list with parallel copies, one distinct value per
+    # edge: the k-th copy of (u, v) among u's out-edges must carry the value
+    # of the k-th copy of u among v's in-edges, both in edge-list order
     gen = np.random.default_rng(7)
     n = 6
-    pairs = [(int(u), int(v)) for u, v in gen.integers(0, n, size=(200, 2)) if u != v]
-    in_rows = [[u for u, w in pairs if w == v] for v in range(n)]
-    out_rows = [[v for w, v in pairs if w == u] for u in range(n)]
-    for row in out_rows:
-        gen.shuffle(row)
-    graph = DirectedGraph(n, [np.array(r, dtype=np.int64) for r in in_rows],
-                          [np.array(r, dtype=np.int64) for r in out_rows])
-    params = TriggeringParams.build(
-        graph, IC, [gen.uniform(size=len(r)) for r in in_rows])
-    indptr, dst, values = params._out_csr
+    pairs = np.array([(u, v) for u, v in gen.integers(0, n, size=(200, 2)).tolist() if u != v])
+    gen.shuffle(pairs)
+    src, dst = pairs.T
+    values = gen.uniform(size=len(pairs))
+    graph = DirectedGraph(n, src, dst)
+    in_order = np.argsort(dst, kind="stable")
+    params = TriggeringParams.build(graph, IC, values[in_order])
+    indptr, out_dst, out_values = params._out_csr
     for u in range(n):
-        taken: dict[int, int] = {}
-        expect = []
-        for v in out_rows[u]:
-            k = taken.get(v, 0)
-            taken[v] = k + 1
-            slots = [t for t, w in enumerate(in_rows[v]) if w == u]
-            expect.append(float(params.in_values[v][slots[k]]))
-        assert dst[indptr[u]:indptr[u + 1]].tolist() == out_rows[u]
-        assert values[indptr[u]:indptr[u + 1]].tolist() == expect
+        mine = np.flatnonzero(src == u)
+        assert out_dst[indptr[u]:indptr[u + 1]].tolist() == dst[mine].tolist()
+        assert out_values[indptr[u]:indptr[u + 1]].tolist() == values[mine].tolist()
 
 
 @pytest.mark.parametrize("args, message", [
-    # in-edge 0->1 against out-edge 0->2
-    ((3, [[], [0], []], [[2], [], []]), r"^in-rows list edge 0->1 that the out-rows lack$"),
-    # 0->1 listed twice in the in-rows, once in the out-rows
-    ((2, [[], [0, 0]], [[1], []]), r"^in-rows list 2 edges, out-rows 1$"),
-    ((2, [[], [5]], [[], []]), r"^in-row 1 has node id 5 outside \[0, 2\)$"),
-    ((2, [[1], []], [[], [-1]]), r"^out-row 1 has node id -1 outside \[0, 2\)$"),
-    ((2, [[], [0]], [[1], [], []]), r"^3 out-rows for 2 nodes$"),
-    ((3, [[], [0]], [[1], [], []]), r"^2 in-rows for 3 nodes$"),
-], ids=["other-edge", "edge-count", "in-id", "out-id", "out-row-count", "in-row-count"])
-def test_inconsistent_rows_rejected(args, message):
+    ((3, [0, 1], [1]), r"^2 edge sources for 1 targets: edge 1 has no target$"),
+    ((3, [0], [1, 2]), r"^1 edge sources for 2 targets: edge 1 has no source$"),
+    ((3, [0, -1, 1], [1, 2, 5]), r"^edge 1 \(-1, 2\) has a node id outside \[0, 3\)$"),
+    ((3, [0, 1, 2], [1, 2, 3]), r"^edge 2 \(2, 3\) has a node id outside \[0, 3\)$"),
+    ((3, [0, 1], [1, 2], [0.5]), r"^1 edge values for 2 edges$"),
+    ((3, [0, 1], [1, 2], [0.5, 0.5, 0.5]), r"^3 edge values for 2 edges$"),
+], ids=["fewer-targets", "fewer-sources", "id-minus-one", "id-n", "fewer-values", "more-values"])
+def test_bad_edge_arrays_rejected(args, message):
     with pytest.raises(ValueError, match=message):
         DirectedGraph(*args)
-
-
-def test_value_rows_must_match_in_rows():
-    # node 1's one in-edge would take node 0's value 0.3
-    with pytest.raises(ValueError, match=r"^value row 0 does not match its in-row$"):
-        DirectedGraph(2, [[], [0]], [[1], []], edge_values=[[0.3], [0.5, 0.7]])
-    with pytest.raises(ValueError, match=r"^1 value-rows for 2 nodes$"):
-        DirectedGraph(2, [[], [0]], [[1], []], edge_values=[[]])
-
-
-def test_parallel_copies_must_match_in_count():
-    with pytest.raises(ValueError, match=r"^in-rows list edge 0->1 that the out-rows lack$"):
-        DirectedGraph(3, [[], [0, 0], []], [[1, 2], [], []])
 
 
 def test_weighted_cascade_values():
     # in-degree 4 -> each incoming edge 0.25; in-degree 1 -> 1.0
     g = from_edges(6, [(1, 0), (2, 0), (3, 0), (4, 0), (0, 5)])
     params = assign_weighted_cascade(g)
-    assert np.allclose(params.in_values[0], 0.25)
-    assert params.in_values[5][0] == 1.0
+    rows = csr_rows(g.in_csr[0], params.values)
+    assert np.allclose(rows[0], 0.25)
+    assert rows[5] == [1.0]
 
 
 def test_weighted_cascade_star():
     spokes = [(i, 0) for i in range(1, 11)]
     g = from_edges(11, spokes)
     params = assign_weighted_cascade(g)
-    assert np.allclose(params.in_values[0], 0.1)
+    assert np.allclose(params.values, 0.1) and g.in_degrees()[0] == 10
 
 
 def test_lt_weight_sum_validation():
     g = from_edges(2, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="sum"):
-        TriggeringParams.build(g, LT, [np.empty(0), np.array([0.7, 0.7])])
+        TriggeringParams.build(g, LT, np.array([0.7, 0.7]))
 
 
 def _two_in_edges_each():
     return from_edges(5, [(u, v) for v in range(5) for u in ((v + 1) % 5, (v + 2) % 5)])
 
 
-def test_param_row_shape_error_names_first_bad_node():
+@pytest.mark.parametrize("count", [9, 11])
+def test_param_value_count_must_match_edges(count):
     g = _two_in_edges_each()
-    rows = [np.full(2, 0.1) for _ in range(5)]
-    rows[1] = np.full(3, 0.1)
-    rows[3] = np.full(1, 0.1)
-    with pytest.raises(ValueError, match=r"^parameter row 1 does not match in-degree$"):
-        TriggeringParams.build(g, IC, rows)
-
-
-@pytest.mark.parametrize("count", [4, 6])
-def test_param_row_count_must_match_nodes(count):
-    g = _two_in_edges_each()
-    rows = [np.full(2, 0.1) for _ in range(count)]
     for kind in (IC, LT):
-        with pytest.raises(ValueError, match=rf"^{count} parameter rows for 5 nodes$"):
-            TriggeringParams.build(g, kind, rows)
+        with pytest.raises(ValueError, match=rf"^{count} parameter values for 10 edges$"):
+            TriggeringParams.build(g, kind, np.full(count, 0.1))
+
+
+def test_param_values_must_be_one_dimensional():
+    g = _two_in_edges_each()
+    with pytest.raises(ValueError, match=r"^parameter values of shape \(5, 2\), not one per edge$"):
+        TriggeringParams.build(g, IC, np.full((5, 2), 0.1))
 
 
 def test_param_range_error_names_first_bad_node():
@@ -194,7 +168,7 @@ def test_param_range_error_names_first_bad_node():
     rows[4] = np.array([-0.2, 0.1])
     for kind in (IC, LT):
         with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 2$"):
-            TriggeringParams.build(g, kind, rows)
+            TriggeringParams.build(g, kind, np.concatenate(rows))
 
 
 def test_nan_parameter_is_out_of_range():
@@ -203,7 +177,7 @@ def test_nan_parameter_is_out_of_range():
     rows[3] = np.array([0.1, np.nan])
     for kind in (IC, LT):
         with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 3$"):
-            TriggeringParams.build(g, kind, rows)
+            TriggeringParams.build(g, kind, np.concatenate(rows))
     with pytest.raises(ValueError, match=r"^edge parameter out of \[0, 1\] at node 0$"):
         uniform_ic(g, float("nan"))
 
@@ -216,8 +190,8 @@ def test_lt_sum_error_names_first_bad_node():
     rows[4] = np.array([0.9, 0.9])
     g = from_edges(5, [(u, v) for v in range(1, 5) for u in ((v + 1) % 5, (v + 2) % 5)])
     with pytest.raises(ValueError, match=r"^LT weights into node 3 sum to 1\.100000 > 1$"):
-        TriggeringParams.build(g, LT, rows)
-    assert TriggeringParams.build(g, IC, rows).kind == IC
+        TriggeringParams.build(g, LT, np.concatenate(rows))
+    assert TriggeringParams.build(g, IC, np.concatenate(rows)).kind == IC
 
 
 def test_triggering_set_no_in_neighbors():
@@ -241,7 +215,7 @@ def test_ic_all_ones_returns_full_in_neighbor_set():
 def test_lt_triggering_frequencies():
     # two in-edges w=0.3 each: frequencies 0.3 / 0.3 / 0.4 over 1e5 draws
     g = from_edges(3, [(0, 2), (1, 2)])
-    params = TriggeringParams.build(g, LT, [np.empty(0), np.empty(0), np.array([0.3, 0.3])])
+    params = TriggeringParams.build(g, LT, np.array([0.3, 0.3]))
     n_draws = 100_000
     sets = triggering_sets(params, [2] * n_draws, stream(7, 3))
     assert abs(sets.count([0]) / n_draws - 0.3) < 0.01
@@ -253,7 +227,7 @@ def test_lt_selection_frequency_bound(rng):
     # empirical frequency of each in-neighbor within 4*sqrt(w(1-w)/N)
     g = from_edges(4, [(0, 3), (1, 3), (2, 3)])
     w = np.array([0.15, 0.35, 0.2])
-    params = TriggeringParams.build(g, LT, [np.empty(0)] * 3 + [w])
+    params = TriggeringParams.build(g, LT, w)
     draws = 40_000
     sets = triggering_sets(params, [3] * draws, stream(11, 4))
     assert all(len(s) <= 1 for s in sets)
@@ -265,38 +239,48 @@ def test_lt_selection_frequency_bound(rng):
 def test_graph_arrays_are_immutable():
     g = from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        g.in_neighbors[1][0] = 2
-    before = [a.copy() for a in g.in_neighbors]
+        g.in_csr[1][0] = 2
+    before = [a.copy() for a in (*g.in_csr[:2], *g.out_csr)]
     triggering_sets(uniform_ic(g, 0.3), [1], stream(0, 5))
-    assert all(np.array_equal(a, b) for a, b in zip(before, g.in_neighbors))
-    # values read from a file are as read-only as the neighbour arrays
+    assert all(np.array_equal(a, b) for a, b in zip(before, (*g.in_csr[:2], *g.out_csr)))
+    # values read from a file are as read-only as the edge arrays
     loaded = load_edge_list("3 2\n0 1 0.5\n1 2 0.25\n")
-    for arr in (*loaded.edge_values, *loaded.in_neighbors, *loaded.out_neighbors):
+    for arr in (*loaded.in_csr, *loaded.out_csr):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        loaded.edge_values[1][0] = 0.75
-    # building parameters copies the caller's rows and leaves them writable
-    rows = [np.empty(0), np.array([0.5]), np.array([0.25])]
-    params = TriggeringParams.build(loaded, IC, rows)
-    assert all(a.flags.writeable for a in rows)
-    rows[1][0] = 0.9
-    assert params.in_values[1].tolist() == [0.5]
-    assert not params.in_values[1].flags.writeable
+        loaded.in_csr[2][0] = 0.75
+    # the constructor copies the caller's edge arrays and leaves them writable
+    src, dst, values = np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.25])
+    built = DirectedGraph(3, src, dst, values)
+    assert all(a.flags.writeable for a in (src, dst, values))
+    src[0], values[0] = 2, 0.9
+    assert built.in_csr[1].tolist() == [0, 1] and built.in_csr[2].tolist() == [0.5, 0.25]
+    # building parameters copies the caller's values and leaves them writable
+    flat = np.array([0.5, 0.25])
+    params = TriggeringParams.build(loaded, IC, flat)
+    assert flat.flags.writeable
+    flat[0] = 0.9
+    assert params.values.tolist() == [0.5, 0.25]
+    assert not params.values.flags.writeable
 
 
 def test_er_generator_shape():
     g = gen_erdos_renyi(30, 100, stream(2, 0))
     assert g.n == 30 and g.m == 100
-    assert not any((u == v) for u, v in g.edges())
+    indptr, src, _ = g.in_csr
+    assert not (src == np.repeat(np.arange(g.n), np.diff(indptr))).any()
 
 
 def test_in_and_out_views_agree():
-    from collections import Counter
     g = gen_erdos_renyi(20, 60, stream(2, 1))
-    via_in = Counter((int(u), v) for v in range(g.n) for u in g.in_neighbors[v])
-    via_out = Counter((u, int(v)) for u in range(g.n) for v in g.out_neighbors[u])
-    assert via_in == via_out
-    assert g.m == sum(len(a) for a in g.in_neighbors)
+    in_ptr, src, _ = g.in_csr
+    out_ptr, dst, edge = g.out_csr
+    heads = np.repeat(np.arange(g.n), np.diff(in_ptr))
+    tails = np.repeat(np.arange(g.n), np.diff(out_ptr))
+    # out-edge k is in-edge edge[k]: the same (source, target) pair
+    assert src[edge].tolist() == tails.tolist() and heads[edge].tolist() == dst.tolist()
+    assert sorted(edge.tolist()) == list(range(g.m))
+    assert g.m == len(src) == len(dst)
 
 
 def _reference_erdos_renyi(n, m, rng):
@@ -324,22 +308,22 @@ def test_er_generator_matches_per_edge_loop(n, m, seed):
     assert g.n == n and g.m == m
     src = [u for u, _ in expect]
     dst = [v for _, v in expect]
-    assert [a.tolist() for a in g.in_neighbors] == [
+    assert csr_rows(*g.in_csr[:2]) == [
         [u for u, w in zip(src, dst) if w == v] for v in range(n)]
-    assert [a.tolist() for a in g.out_neighbors] == [
+    assert csr_rows(*g.out_csr[:2]) == [
         [w for x, w in zip(src, dst) if x == u] for u in range(n)]
 
 
 def _reference_write(path, graph):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n} {graph.m}\n")
+        indptr, src, values = graph.in_csr
         for v in range(graph.n):
-            vals = graph.edge_values[v] if graph.edge_values is not None else None
-            for t, u in enumerate(graph.in_neighbors[v]):
-                if vals is not None:
-                    fh.write(f"{int(u)} {v} {float(vals[t])!r}\n")
+            for e in range(indptr[v], indptr[v + 1]):
+                if values is not None:
+                    fh.write(f"{int(src[e])} {v} {float(values[e])!r}\n")
                 else:
-                    fh.write(f"{int(u)} {v}\n")
+                    fh.write(f"{int(src[e])} {v}\n")
 
 
 def test_write_edge_list_matches_per_edge_writer(tmp_path):

@@ -123,7 +123,7 @@ def test_lt_forward_chain_takes_log_rounds(monkeypatch):
     never walks the out-edges one BFS level at a time."""
     n, runs = 20_001, 50
     g = from_edges(n, [(u, u + 1) for u in range(n - 1)])
-    params = TriggeringParams.build(g, LT, [np.ones(len(a)) for a in g.in_neighbors])
+    params = TriggeringParams.build(g, LT, np.ones(g.m))
 
     def levels(*args):
         raise AssertionError("LT forward cascades walk BFS levels (oracles._reach)")

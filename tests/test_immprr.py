@@ -546,3 +546,19 @@ def test_immprr_rejects_invalid_model_unless_forced():
         immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0))
     mix = immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0), force=True)
     assert mix.total_steps == 2
+
+
+def test_immprr_rejects_lattice_unequal_to_model_lattice():
+    # a model tabulated for K = 2 under a K = 3 lattice (d = 2, 3-node chain)
+    g = from_edges(3, [(0, 1), (1, 2)])
+    params = uniform_ic(g, 0.5)
+    narrow = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=3)
+    rows = np.array([[0.0, 0.4, 0.6], [0.0, 0.5, 0.7]])
+    model = IndependentActivation(3, narrow, [np.array([0, 1])] * 3, [rows] * 3)
+    imm = make_imm_params(3, lat, 3, 0.5, 1.0)
+    msg = (r"^lattice LatticeConfig\(d=2, delta=1.0, budget_steps=3\) differs from "
+           r"the model's LatticeConfig\(d=2, delta=1.0, budget_steps=2\)$")
+    for force in (False, True):
+        with pytest.raises(ValueError, match=msg):
+            run_immprr(g, params, model, lat, TotalBudget(3), imm, stream(47, 0), force=force)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import csr_rows
 from edge_list_reference import reference_load
 from limax.graph import (_BREAKS, _SPACES, EdgeListError, assign_weighted_cascade, from_edges,
                          load_edge_list, params_from_edge_values, uniform_ic)
@@ -34,12 +35,13 @@ def _assert_same(text: str, header, source=str) -> str:
     graph, caught = _load(source(text), header)
     assert caught == ([f"dropped {ref.self_loops} self-loop(s)"] if ref.self_loops else [])
     assert graph.n == ref.n
-    assert [a.tolist() for a in graph.in_neighbors] == ref.in_neighbors
-    assert [a.tolist() for a in graph.out_neighbors] == ref.out_neighbors
+    in_ptr, _, values = graph.in_csr
+    assert csr_rows(*graph.in_csr[:2]) == ref.in_neighbors
+    assert csr_rows(*graph.out_csr[:2]) == ref.out_neighbors
     if ref.edge_values is None:
-        assert graph.edge_values is None and graph.in_csr[2] is None
+        assert values is None
     else:
-        assert [a.tolist() for a in graph.edge_values] == ref.edge_values
+        assert csr_rows(in_ptr, values) == ref.edge_values
         # each out-edge points at an in-edge with the same endpoints
         _, dst, edge = graph.out_csr
         src = graph.in_csr[1]
@@ -185,10 +187,10 @@ def test_separator_tables_match_str_methods():
 def test_two_node_file():
     g = load_edge_list("2 1\n0 1\n")
     assert (g.n, g.m, g.labels) == (2, 1, None)
-    assert g.in_neighbors[1].tolist() == [0] and g.out_neighbors[0].tolist() == [1]
+    assert csr_rows(*g.in_csr[:2]) == [[], [0]] and csr_rows(*g.out_csr[:2]) == [[1], []]
     g = load_edge_list("7 9\n9 7\n", header=False)
     assert g.n == 2 and g.labels.tolist() == [7, 9]
-    assert g.in_neighbors[0].tolist() == [1] and g.in_neighbors[1].tolist() == [0]
+    assert csr_rows(*g.in_csr[:2]) == [[1], [0]]
 
 
 def test_comment_only_file_is_empty():
@@ -202,7 +204,6 @@ def test_declared_isolated_nodes():
     assert g.n == 6 and g.m == 2
     assert g.in_degrees().tolist() == [0, 1, 1, 0, 0, 0]
     assert g.out_degrees().tolist() == [1, 1, 0, 0, 0, 0]
-    assert all(len(g.in_neighbors[v]) == 0 for v in (3, 4, 5))
     params = assign_weighted_cascade(g)
     assert params._csr[0].tolist() == [0, 0, 1, 2, 2, 2, 2]
 

@@ -168,15 +168,15 @@ def _random_lt(gen, n):
     edges += edges[:int(gen.integers(1, 4))]  # parallel copies
     g = from_edges(n, edges)
     rows = []
-    for a in g.in_neighbors:
+    for deg in g.in_degrees().tolist():
         kind = gen.integers(0, 3)
-        w = gen.random(len(a)) * (gen.random(len(a)) < 0.8)
+        w = gen.random(deg) * (gen.random(deg) < 0.8)
         if kind == 0 or not w.sum():
-            w = np.full(len(a), 1.0 / max(len(a), 1))
+            w = np.full(deg, 1.0 / max(deg, 1))
         else:
             w = w / w.sum() * (1.0 if kind == 1 else gen.uniform(0.3, 0.95))
         rows.append(np.minimum(w, 1.0))
-    return g, TriggeringParams.build(g, LT, rows)
+    return g, TriggeringParams.build(g, LT, np.concatenate(rows))
 
 
 @pytest.mark.parametrize("pairs", [oracles._RUN_PAIRS, 40])
@@ -225,7 +225,7 @@ def _mostly_isolated():
 
 def _two_nodes_forward():
     g = from_edges(2, [(0, 1), (1, 0)])
-    return g, TriggeringParams.build(g, IC, [np.ones(1), np.ones(1)]), [1], 500, 2.0
+    return g, TriggeringParams.build(g, IC, np.ones(2)), [1], 500, 2.0
 
 
 def _lt_weights_sum_to_one():
@@ -233,8 +233,8 @@ def _lt_weights_sum_to_one():
     with weights 1/indeg summing to 1: every node commits to one of them, so
     every chain of picks leads back to seed 0 and every run activates all."""
     g = from_edges(64, [(u, v) for v in range(1, 64) for u in {0, v - 1, max(v - 2, 0)}])
-    rows = [np.full(len(a), 1.0 / max(len(a), 1)) for a in g.in_neighbors]
-    return g, TriggeringParams.build(g, LT, rows), [0], 2000, 64.0
+    deg = g.in_degrees()
+    return g, TriggeringParams.build(g, LT, np.repeat(1.0 / np.maximum(deg, 1), deg)), [0], 2000, 64.0
 
 
 def _million_runs():
@@ -261,7 +261,7 @@ def test_forward_pathological_graphs_bounded_memory(build):
 def test_forward_lt_cycle_mix_bounded_memory():
     # seed coins and LT picks for 10^6 runs on a 3-cycle whose weights sum to 1
     g = from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    params = TriggeringParams.build(g, LT, [np.ones(1)] * 3)
+    params = TriggeringParams.build(g, LT, np.ones(3))
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
     model = _model_with_h(3, lat, {0: 0.5, 1: 0.5, 2: 0.5})
     tracemalloc.start()

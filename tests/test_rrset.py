@@ -242,8 +242,8 @@ def _gate_edges():
     edges = [(3 + h * deg + i, h) for h in range(3) for i in range(deg)]
     g = from_edges(3 + 3 * deg, edges)
     mixed = np.resize([0.002, 0.004], deg)
-    rows = [np.ones(deg), np.zeros(deg), mixed] + [np.empty(0)] * (3 * deg)
-    return g, TriggeringParams.build(g, IC, rows), {0: 1.0 + deg, 1: 1.0, 2: 1.0 + mixed.sum()}
+    values = np.concatenate((np.ones(deg), np.zeros(deg), mixed))
+    return g, TriggeringParams.build(g, IC, values), {0: 1.0 + deg, 1: 1.0, 2: 1.0 + mixed.sum()}
 
 
 def _isolated():
@@ -255,7 +255,7 @@ def _isolated():
 
 def _two_nodes():
     g = from_edges(2, [(0, 1), (1, 0)])
-    return g, TriggeringParams.build(g, IC, [np.ones(1), np.ones(1)]), {0: 2.0, 1: 2.0}
+    return g, TriggeringParams.build(g, IC, np.ones(2)), {0: 2.0, 1: 2.0}
 
 
 def _lt_sums_to_one():
@@ -267,8 +267,8 @@ def _lt_sums_to_one():
         edges += [(int(u), v) for u in gen.choice(np.delete(np.arange(64), v), k,
                                                   replace=False)]
     g = from_edges(64, edges)
-    rows = [np.full(len(a), 1.0 / len(a)) for a in g.in_neighbors]
-    return g, TriggeringParams.build(g, LT, rows), dict.fromkeys(range(64))
+    deg = g.in_degrees()
+    return g, TriggeringParams.build(g, LT, np.repeat(1.0 / deg, deg)), dict.fromkeys(range(64))
 
 
 def _wide_frontier():
@@ -280,11 +280,11 @@ def _wide_frontier():
     for i in range(1, 301):
         edges += [(301 + int(s), i) for s in gen.choice(2000, 1000, replace=False)]
     g = from_edges(2301, edges)
-    rows = [np.full(len(a), 1.0 if v == 0 else 0.001) for v, a in enumerate(g.in_neighbors)]
+    values = np.where(np.repeat(np.arange(g.n), g.in_degrees()) == 0, 1.0, 0.001)
     assert 300 * 1000 > 2 * _EDGE_CHUNK
     sizes = dict.fromkeys(range(1, 301), 2.0)
     sizes[0] = 301 + float(np.sum(1.0 - 0.999 ** g.out_degrees()[301:]))
-    return g, TriggeringParams.build(g, IC, rows), sizes
+    return g, TriggeringParams.build(g, IC, values), sizes
 
 
 def test_skip_gate_of_pathological_hubs():
@@ -732,8 +732,7 @@ def _coin_instance(seed):
     edges = [(int(u), int(v)) for u, v in gen.integers(0, n - 10, size=(150, 2)) if u != v]
     edges += [(u, 0) for u in range(1, 30)] + [(3, 4)] * 3
     g = from_edges(n, edges)
-    params = TriggeringParams.build(g, IC, [gen.uniform(0.05, 0.95, size=len(a))
-                                            for a in g.in_neighbors])
+    params = TriggeringParams.build(g, IC, gen.uniform(0.05, 0.95, size=g.m))
     sets = 7
     keys = np.unique(gen.integers(0, n * sets, size=120))
     nodes, local = np.divmod(keys, sets)
