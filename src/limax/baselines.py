@@ -51,12 +51,11 @@ def mclg(graph: DirectedGraph, params: TriggeringParams, model,
 
 
 def _require_personalized(model, lattice: LatticeConfig, n: int) -> None:
-    if getattr(model, "kind", None) != "independent" or lattice.d != n:
+    if getattr(model, "kind", None) != "independent" or lattice.d != n or model.n != n:
         raise UnsupportedScenarioError("needs d == n with one strategy per node")
     # node v owns strategy v iff its one flat row is (v, v)
-    counts = np.bincount(model._flat_nodes, minlength=n)
-    owned = counts == 1
-    owned[owned] = model._flat_strats[np.cumsum(counts)[owned] - 1] == np.flatnonzero(owned)
+    owned = np.diff(model._indptr) == 1
+    owned[owned] = model._flat_strats[model._indptr[:-1][owned]] == np.flatnonzero(owned)
     if not owned.all():
         v = int(np.argmin(owned))
         raise UnsupportedScenarioError(f"node {v} is not owned by strategy {v}")

@@ -269,20 +269,14 @@ def run_experiment(config: dict) -> Report:
     for a_idx, alg in enumerate(algorithms):
         for c_idx, (k, constraint) in enumerate(cells):
             try:
-                if time_reps > 0:
-                    elapsed = []
-                    for _ in range(time_reps):
-                        t0 = time.perf_counter()
-                        mix, theta_str = _run_cell(alg, k, constraint, graph, params,
-                                                   model, lattice, config, seed,
-                                                   a_idx, c_idx)
-                        elapsed.append(time.perf_counter() - t0)
-                    runtime_str = f"{sum(elapsed) / len(elapsed):.6f}"
-                else:
+                elapsed = []
+                for _ in range(max(time_reps, 1)):
+                    t0 = time.perf_counter()
                     mix, theta_str = _run_cell(alg, k, constraint, graph, params,
                                                model, lattice, config, seed,
                                                a_idx, c_idx)
-                    runtime_str = ""
+                    elapsed.append(time.perf_counter() - t0)
+                runtime_str = f"{sum(elapsed) / len(elapsed):.6f}" if time_reps > 0 else ""
                 est = simulate_spread_mix(graph, params, model, mix, eval_runs,
                                           stream(seed, _KEY_EVAL, a_idx, c_idx))
                 report.rows.append([
@@ -302,20 +296,16 @@ def _model_from_instance(cfg: dict, graph: DirectedGraph, lattice: LatticeConfig
     spec = cfg.get("model")
     if isinstance(spec, dict) and "tables" in spec:
         width = lattice.budget_steps + 1
-        strategies = []
-        tables = []
-        for v in range(graph.n):
-            row = spec["tables"].get(v, spec["tables"].get(str(v), {}))
-            js = sorted(int(j) for j in row)
-            strategies.append(np.array(js, dtype=np.int64))
-            block = np.zeros((len(js), width))
-            for t, j in enumerate(js):
-                vals = row.get(j, row.get(str(j)))
-                block[t, :len(vals)] = vals[:width]
-                if len(vals) < width:
-                    block[t, len(vals):] = vals[-1]
-            tables.append(block)
-        return IndependentActivation(graph.n, lattice, strategies, tables)
+        nodes, strategies, tables = [], [], []
+        for v, row in spec["tables"].items():
+            for j, vals in row.items():
+                nodes.append(int(v))
+                strategies.append(int(j))
+                # a short curve holds its last value
+                vals = np.asarray(vals[:width], dtype=np.float64)
+                tables.append(np.pad(vals, (0, width - len(vals)), mode="edge"))
+        return IndependentActivation(graph.n, lattice, nodes, strategies,
+                                     np.reshape(tables, (-1, width)))
     if isinstance(spec, dict) and "scenario" in spec:
         sc = ScenarioSpec(name=spec["scenario"], delta=lattice.delta,
                           max_budget_steps=lattice.budget_steps,

@@ -63,6 +63,20 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
+def _int_pairs(a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two equal-length id arrays as int64.  A ``ValueError`` names the
+    first pair holding an id that is not an integer, which the cast would
+    truncate; an empty list, float64 to numpy, holds none."""
+    with np.errstate(invalid="ignore"):
+        ia, ib = a.astype(np.int64), b.astype(np.int64)
+    bad = np.flatnonzero((ia != a) | (ib != b))
+    if len(bad):
+        k = int(bad[0])
+        x, y = a[k:k + 1].tolist() + b[k:k + 1].tolist()
+        raise ValueError(f"{what} {k} ({x!r}, {y!r}) has a non-integer id")
+    return ia, ib
+
+
 class DirectedGraph:
     """Immutable directed multigraph with dense node ids in [0, n).
 
@@ -82,12 +96,12 @@ class DirectedGraph:
         """Build from the edges (src[e], dst[e]), with ``values[e]``
         (optional) one number per edge; each node's CSR rows keep edge
         order.  A ``ValueError`` names the first bad edge."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = np.asarray(src), np.asarray(dst)
         m = len(src)
         if len(dst) != m:
             k, side = (len(dst), "target") if m > len(dst) else (m, "source")
             raise ValueError(f"{m} edge sources for {len(dst)} targets: edge {k} has no {side}")
+        src, dst = _int_pairs(src, dst, "edge")
         bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
         if len(bad):
             e = int(bad[0])
@@ -232,8 +246,7 @@ def from_edges(n: int, edges: Iterable[tuple]) -> DirectedGraph:
     else:
         us, vs = columns or ((), ())
         values = None
-    src = np.fromiter(map(int, us), np.int64, len(us))
-    dst = np.fromiter(map(int, vs), np.int64, len(vs))
+    src, dst = _int_pairs(np.array(us), np.array(vs), "edge")
     return _compact(src, dst, values, declared_n=n)
 
 

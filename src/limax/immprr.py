@@ -410,6 +410,8 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
                force: bool = False) -> ImmResult:
     if lattice != model.lattice:
         raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
+    if model.n != graph.n:
+        raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
     _check_model(model, lattice, force)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)

@@ -70,7 +70,7 @@ class AugmentedGraph:
 
     Virtual edges are never materialized: the model's cumulative q tables
     double as the per-(v, j) edge-weight prefix sums: the weight of
-    u[j,i] -> v is ``np.diff`` of v's row for j.  Virtual node u[j,i] has
+    u[j,i] -> v is ``np.diff`` of the (v, j) table row.  Virtual node u[j,i] has
     the flat id ``j * steps + i - 1``, below ``span = d * steps``; this
     class alone encodes and decodes that layout, both when it draws arms
     (:meth:`draw_arms`, which the hybrid RR kernel and the virtual-seed
@@ -84,6 +84,8 @@ class AugmentedGraph:
             raise InvalidModelError("virtual-node reduction needs independent activation")
         if lattice != model.lattice:
             raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
+        if model.n != graph.n:
+            raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
         violations = validate_model(model, lattice)
         if violations:
             raise InvalidModelError(
@@ -95,27 +97,21 @@ class AugmentedGraph:
         self.lattice = lattice
         self.steps = lattice.budget_steps
         self.span = lattice.d * self.steps
-        count = np.bincount(model._flat_nodes, minlength=graph.n)  # table rows per node
-        self._rows = count, np.cumsum(count) - count
 
     def draw_arms(self, nodes: np.ndarray, rng: np.random.Generator):
-        """One uniform per strategy j that applies to each of ``nodes``, in
-        node order, then row order of ``model._flat_tables``; the arm is the
-        smallest i with q[v, j](i) above it, or none at or above q[v, j](K).
-        Returns, per arm that fires, the index of its node in ``nodes`` and
-        its flat id."""
-        count, first = self._rows
+        """One uniform per table row (v, j) of each of ``nodes``, in the
+        order ``model.rows`` lists them; the arm is the smallest i with
+        q[v, j](i) above it, or none at or above q[v, j](K).  Returns, per
+        arm that fires, the index of its node in ``nodes`` and its flat id."""
         tables = self.model._flat_tables
-        has = np.flatnonzero(count[nodes])  # the pairs whose node has rows
-        c = count[nodes[has]]
-        rows = np.repeat(first[nodes[has]] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        pair, rows = self.model.rows(nodes)
         x = rng.random(len(rows))
         fire = np.flatnonzero(x < tables[rows, -1])
         rows, x = rows[fire], x[fire]
         lo = rows * (self.steps + 1)
         # q[v, j](0) = 0 <= x < q[v, j](K): the slot in v's row is the arm i, in [1, K]
         i = _slots(tables.ravel(), lo, lo + self.steps + 1, x) - lo
-        return np.repeat(has, c)[fire], self.model._flat_strats[rows] * self.steps + i - 1
+        return pair[fire], self.model._flat_strats[rows] * self.steps + i - 1
 
     def flat(self, node: VirtualNodeId) -> int:
         """The flat id j * K + i - 1 of ``node``.  An i outside [1, K] or a
@@ -248,7 +244,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     Forward counterpart of the reverse sampler: every (node, strategy) pair
     draws one arm, the node joins the initial actives iff one of its arms
     is seeded, then the real cascade runs as usual.  A batch of runs draws
-    its arms as one block, run-major, in the row order of
+    its arms as one block, run-major, each run in the row order of
     ``model._flat_tables``.
     """
     if runs < 1:
@@ -260,7 +256,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
         raise ValueError(f"virtual seed outside flat ids [0, {span})")
     seeded = np.zeros(span, dtype=bool)
     seeded[flats] = True
-    touched = _distinct(model._flat_nodes)
+    touched = np.flatnonzero(np.diff(model._indptr))  # the nodes with rows
 
     def seed_keys(size):
         pair, flats = aug.draw_arms(np.tile(touched, size), rng)

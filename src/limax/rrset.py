@@ -367,21 +367,17 @@ class RRCollection:
 
         There is one entry per (i, v, j) with v in R_i and j in S_v: ``rr``
         holds i and ``rows`` the row of ``model._flat_tables`` that tabulates
-        q[v, j].  Strategy j owns ``bounds[j]:bounds[j + 1]``, ordered by i
-        then v.  Needs an independent activation model.  A call builds the
-        entries of the sets added since the last one only.
+        q[v, j], as ``model.rows`` expands the members.  Strategy j owns
+        ``bounds[j]:bounds[j + 1]``, ordered by i then v.  Needs an
+        independent activation model.  A call builds the entries of the
+        sets added since the last one only.
         """
         offsets, done = self.offsets, self._entries_count
         if self._entries is None or done < len(offsets) - 1:
             model, d = self.model, self.model.lattice.d
-            members = self._members[offsets[done]:]
-            counts = np.bincount(model._flat_nodes, minlength=self.n)  # rows per node
-            per = counts[members]
-            # a member's k-th entry is its node's first row plus k
-            first_row = (np.cumsum(counts) - counts)[members]
-            rows = np.repeat(first_row - (np.cumsum(per) - per), per) + np.arange(per.sum())
             sizes = np.diff(offsets[done:])
-            rr = np.repeat(np.repeat(np.arange(done, done + len(sizes)), sizes), per)
+            pair, rows = model.rows(self._members[offsets[done]:])
+            rr = np.repeat(np.arange(done, done + len(sizes)), sizes)[pair]
             strat = model._flat_strats[rows]
             # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
             order = np.argsort(strat.astype(np.min_scalar_type(d)), kind="stable")

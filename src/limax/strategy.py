@@ -1,4 +1,4 @@
-"""Lattice strategy mixes and per-node activation models.
+"""Lattice strategy mixes and activation models.
 
 A mix assigns each of d strategies a nonnegative amount on a grid of step
 size delta.  Amounts are stored as integer step counts throughout (never as
@@ -9,8 +9,9 @@ Activation comes in two flavors:
 
 * ``IndependentActivation`` -- every strategy j in a node's set S_v tries to
   seed v independently, succeeding with probability ``q[v,j](x_j)``, hence
-  ``h_v(x) = 1 - prod_{j in S_v} (1 - q[v,j](x_j))``.  Curves are tabulated
-  at the lattice points 0..K.
+  ``h_v(x) = 1 - prod_{j in S_v} (1 - q[v,j](x_j))``.  The model is given
+  and stored as flat rows, one per (node v, strategy j in S_v) curve, each
+  tabulating q[v,j] at the lattice points 0..K.
 * ``BlackBoxActivation`` -- an opaque callable ``h(v, x)``; the caller
   asserts monotonicity and diminishing returns, which are not efficiently
   checkable in general.
@@ -19,12 +20,11 @@ Activation comes in two flavors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .graph import _indptr
+from .graph import _indptr, _int_pairs
 
 __all__ = [
     "LatticeConfig",
@@ -153,43 +153,43 @@ def clamped_table(table: np.ndarray, cap_steps: int) -> np.ndarray:
 
 # --- models ----------------------------------------------------------------
 
-def _rows(indptr: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
-    """Per-node views ``flat[indptr[v]:indptr[v + 1]]``."""
-    bounds = indptr.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 class IndependentActivation:
     """Independent per-strategy activation with tabulated q curves.
 
-    The curves are stored as read-only flat rows sorted by node, then
-    strategy: row r tabulates q[_flat_nodes[r], _flat_strats[r]] at the
-    lattice points 0..K in ``_flat_tables[r]``.  ``strategies[v]`` (the
-    sorted array S_v of strategy indices that can reach node v) and
-    ``tables[v]`` (one length-(K+1) table per entry of S_v) are per-node
-    views of those rows.
+    The model is one row per (node, strategy) curve: row r tabulates
+    q[_flat_nodes[r], _flat_strats[r]] at the lattice points 0..K in
+    ``_flat_tables[r]``.  The stored rows are read-only and sorted by node,
+    then strategy, so node v's rows are ``_indptr[v]:_indptr[v + 1]`` and
+    its strategies S_v are sorted; :meth:`rows` expands nodes into rows.
     """
 
     kind = "independent"
 
     def __init__(self, n: int, lattice: LatticeConfig,
-                 strategies: Sequence[np.ndarray], tables: Sequence[np.ndarray]):
-        if len(strategies) != n or len(tables) != n:
-            raise ValueError("need one strategy set and table block per node")
-        self.n = n
-        self.lattice = lattice
+                 nodes: np.ndarray, strategies: np.ndarray, tables: np.ndarray):
+        """Build from the rows (nodes[r], strategies[r], tables[r]), in any
+        order; ``tables`` has shape (rows, K + 1).  A ``ValueError`` names
+        the first bad row, or the first node with a strategy out of range
+        or repeated."""
         width = lattice.budget_steps + 1
-        counts = np.fromiter(map(len, strategies), np.int64, n)
-        nodes = np.repeat(np.arange(n), counts)
-        strats = np.concatenate((np.empty(0, np.int64), *strategies)).astype(np.int64, copy=False)
-        flat = np.concatenate((np.empty(0), *tables), axis=None)
-        if flat.size != len(strats) * width:
-            sizes = np.fromiter(map(np.size, tables), np.int64, n)
-            v = int(np.argmax(sizes != counts * width))
-            raise ValueError(f"table block of node {v} does not match its {counts[v]} strategies")
+        nodes, strats = np.asarray(nodes), np.asarray(strategies)
+        tabs = np.asarray(tables, dtype=np.float64)
+        if tabs.ndim != 2:
+            raise ValueError(f"tables of shape {tabs.shape} are not one row per curve")
+        sizes = (len(nodes), len(strats), len(tabs))
+        if len(set(sizes)) > 1:
+            raise ValueError("{} nodes, {} strategies and {} table rows: "
+                             "row {} is incomplete".format(*sizes, min(sizes)))
+        if tabs.shape[1] != width:
+            raise ValueError(f"table row 0 has {tabs.shape[1]} values, not K + 1 = {width}")
+        nodes, strats = _int_pairs(nodes, strats, "row")
+        bad = np.flatnonzero((nodes < 0) | (nodes >= n))
+        if len(bad):
+            r = int(bad[0])
+            raise ValueError(f"row {r} ({nodes[r]}, {strats[r]}) has a node id outside [0, {n})")
         # the first bad node names the error; out of range is checked first
         order = np.lexsort((strats, nodes))
-        strats, tabs = strats[order], flat.reshape(len(strats), width)[order]
+        nodes, strats, tabs = nodes[order], strats[order], tabs[order]
         out = (strats < 0) | (strats >= lattice.d)
         dup = np.zeros(len(strats), dtype=bool)
         dup[1:] = (nodes[1:] == nodes[:-1]) & (strats[1:] == strats[:-1])
@@ -200,18 +200,22 @@ class IndependentActivation:
             raise ValueError(f"{kind} at node {v}")
         for arr in (nodes, strats, tabs):
             arr.flags.writeable = False
-        self._indptr = _indptr(counts)
+        self.n = n
+        self.lattice = lattice
+        self._indptr = _indptr(np.bincount(nodes, minlength=n))
         self._flat_nodes = nodes
         self._flat_strats = strats
         self._flat_tables = tabs
 
-    @cached_property
-    def strategies(self) -> list[np.ndarray]:
-        return _rows(self._indptr, self._flat_strats)
-
-    @cached_property
-    def tables(self) -> list[np.ndarray]:
-        return _rows(self._indptr, self._flat_tables)
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The table rows of every entry of ``nodes``, in entry order, then
+        row order; ``pair[k]`` is the index into ``nodes`` of the entry that
+        owns ``rows[k]``.  Entries may repeat or own no rows."""
+        start = self._indptr[nodes]
+        count = self._indptr[nodes + 1] - start
+        pair = np.repeat(np.arange(len(nodes)), count)
+        # an entry's k-th row is its node's first row plus k
+        return pair, np.arange(len(pair)) + (start - (np.cumsum(count) - count))[pair]
 
     def _check_steps(self, steps: np.ndarray) -> None:
         if steps.min(initial=0) < 0 or steps.max(initial=0) > self.lattice.budget_steps:
@@ -220,18 +224,18 @@ class IndependentActivation:
     def q_steps(self, v: int, j: int, steps: int) -> float:
         if steps < 0 or steps > self.lattice.budget_steps:
             raise CurveDomainError(f"step count {steps} outside [0, {self.lattice.budget_steps}]")
-        t = np.searchsorted(self.strategies[v], j)
-        if t >= len(self.strategies[v]) or self.strategies[v][t] != j:
+        lo, hi = self._indptr[v], self._indptr[v + 1]
+        r = lo + np.searchsorted(self._flat_strats[lo:hi], j)
+        if r >= hi or self._flat_strats[r] != j:
             raise StrategyNotApplicableError(f"strategy {j} does not apply to node {v}")
-        return float(self.tables[v][t, steps])
+        return float(self._flat_tables[r, steps])
 
     def h(self, v: int, x) -> float:
         steps = as_steps(x, self.lattice.d)
         self._check_steps(steps)
         acc = 1.0
-        tab = self.tables[v]
-        for t, j in enumerate(self.strategies[v]):
-            acc *= 1.0 - tab[t, steps[j]]
+        for r in range(self._indptr[v], self._indptr[v + 1]):
+            acc *= 1.0 - self._flat_tables[r, steps[self._flat_strats[r]]]
         return 1.0 - acc
 
     def h_all(self, x) -> np.ndarray:
@@ -324,12 +328,8 @@ def make_personalized(n: int, lattice: LatticeConfig) -> IndependentActivation:
     """
     if lattice.d != n:
         raise ValueError("personalized scenario needs d == n")
-    table = quadratic_table(lattice)
-    return IndependentActivation(
-        n, lattice,
-        strategies=[np.array([v]) for v in range(n)],
-        tables=[table[None, :] for _ in range(n)],
-    )
+    return IndependentActivation(n, lattice, np.arange(n), np.arange(n),
+                                 np.tile(quadratic_table(lattice), (n, 1)))
 
 
 def make_segmented_event(degrees: np.ndarray, lattice: LatticeConfig,
@@ -343,14 +343,9 @@ def make_segmented_event(degrees: np.ndarray, lattice: LatticeConfig,
     n = len(degrees)
     top = min(top, n)
     order = np.lexsort((np.arange(n), -np.asarray(degrees)))
-    chosen = np.sort(order[:top]).tolist()
+    chosen = np.sort(order[:top])
     # one event type and rate per chosen node, drawn in node order
-    events = [(int(rng.integers(0, lattice.d)), float(rng.uniform(0.0, r_max)))
-              for _ in chosen]
-    curves = multi_event_table([r for _, r in events], lattice)
-    strategies = [np.empty(0, dtype=np.int64)] * n
-    tables = [np.empty((0, lattice.budget_steps + 1))] * n
-    for t, v in enumerate(chosen):
-        strategies[v] = np.array([events[t][0]])
-        tables[v] = curves[t:t + 1]
-    return IndependentActivation(n, lattice, strategies, tables)
+    types, rates = np.empty(len(chosen), dtype=np.int64), np.empty(len(chosen))
+    for t in range(len(chosen)):
+        types[t], rates[t] = rng.integers(0, lattice.d), rng.uniform(0.0, r_max)
+    return IndependentActivation(n, lattice, chosen, types, multi_event_table(rates, lattice))

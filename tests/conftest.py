@@ -48,6 +48,12 @@ def random_graph(rng, n: int, m: int, kind: str = IC) -> tuple[DirectedGraph, Tr
     return graph, params
 
 
+def node_rows(model: IndependentActivation, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node v's strategies S_v (sorted) and their tables, one row each."""
+    lo, hi = model._indptr[v], model._indptr[v + 1]
+    return model._flat_strats[lo:hi], model._flat_tables[lo:hi]
+
+
 def csr_rows(indptr, flat) -> list[list]:
     """Per-node lists ``flat[indptr[v]:indptr[v + 1]]`` of one CSR array."""
     bounds = indptr.tolist()
@@ -109,16 +115,16 @@ def random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3,
     kind = kind or (IC if rng.random() < 0.7 else LT)
     graph, params = random_graph(rng, n, m, kind)
     lattice = LatticeConfig(d=d, delta=1.0, budget_steps=steps + extra_steps)
-    strategies = []
-    tables = []
+    nodes, strategies, tables = [], [], []
     for v in range(n):
         count = int(rng.integers(0, min(d, 2) + 1)) if rng.random() < 0.85 else 0
-        js = rng.choice(d, size=count, replace=False) if count else np.empty(0, dtype=np.int64)
-        strategies.append(np.asarray(js, dtype=np.int64))
-        tables.append(np.vstack([random_concave_table(rng, lattice.budget_steps)
-                                 for _ in js]) if count else
-                      np.empty((0, lattice.budget_steps + 1)))
-    model = IndependentActivation(n, lattice, strategies, tables)
+        js = rng.choice(d, size=count, replace=False) if count else []
+        for j in js:
+            nodes.append(v)
+            strategies.append(j)
+            tables.append(random_concave_table(rng, lattice.budget_steps))
+    model = IndependentActivation(n, lattice, nodes, strategies,
+                                  np.reshape(tables, (-1, lattice.budget_steps + 1)))
     return Instance(graph, params, model, lattice)
 
 

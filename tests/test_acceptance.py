@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import (random_concave_table, random_graph, random_instance,
+from conftest import (node_rows, random_concave_table, random_graph, random_instance,
                       sweep_monotone_dr)
 
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
@@ -196,7 +196,7 @@ def test_06_sampler_distribution():
         row = random_concave_table(gen, K, total_cap=0.85)
         lat = LatticeConfig(d=2, delta=1.0, budget_steps=K)
         graph = from_edges(1, [])
-        model = IndependentActivation(1, lat, [np.array([0])], [row[None, :]])
+        model = IndependentActivation(1, lat, [0], [0], row[None, :])
         aug = build_augmented(graph, uniform_ic(graph, 0.5), model, lat)
         draws = 100_000
         _, flats = aug.draw_arms(np.zeros(draws, np.int64), stream(14_500 + i, 0))
@@ -223,7 +223,7 @@ def test_07_submodularity_sweeps():
         bound = inst.lattice.budget_steps - 1
         d = inst.lattice.d
         touched = [v for v in range(inst.graph.n)
-                   if len(inst.model.strategies[v])][:2]
+                   if len(node_rows(inst.model, v)[0])][:2]
         for v in touched:
             m, s = sweep_monotone_dr(lambda st: inst.model.h(v, st), d, bound)
             mono += m
@@ -257,15 +257,15 @@ def test_08_partitioned_budgets():
         graph, params = random_graph(gen, n, m)
         caps = (int(gen.integers(1, 3)), int(gen.integers(1, 3)))
         lat = LatticeConfig(d=4, delta=1.0, budget_steps=sum(caps))
-        strategies, tables = [], []
+        nodes, strategies, tables = [], [], []
         for v in range(n):
             cnt = int(gen.integers(0, 3))
-            js = np.sort(gen.choice(4, size=cnt, replace=False)).astype(np.int64)
-            strategies.append(js)
-            tables.append(np.vstack([random_concave_table(gen, lat.budget_steps)
-                                     for _ in js]) if cnt else
-                          np.empty((0, lat.budget_steps + 1)))
-        model = IndependentActivation(n, lat, strategies, tables)
+            for j in np.sort(gen.choice(4, size=cnt, replace=False)):
+                nodes.append(v)
+                strategies.append(j)
+                tables.append(random_concave_table(gen, lat.budget_steps))
+        model = IndependentActivation(n, lat, nodes, strategies,
+                                      np.reshape(tables, (-1, lat.budget_steps + 1)))
         cons = PartitionedBudget(groups=[(0, 1), (2, 3)], caps=caps)
         _, opt = exact_opt(graph, params, model, lat, cons)
         if opt < 0.05:

@@ -31,10 +31,7 @@ def test_mclg_single_strategy_spends_everything():
     params = uniform_ic(g, 0.6)
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
     row = np.array([0.0, 0.4, 0.6])
-    model = IndependentActivation(
-        3, lat, [np.array([0]), np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.int64)],
-        [row[None, :], np.empty((0, 3)), np.empty((0, 3))])
+    model = IndependentActivation(3, lat, [0], [0], row[None, :])
     mix = mclg(g, params, model, lat, TotalBudget(2), sims=200, rng=stream(50, 1))
     assert mix.steps.tolist() == [2]
 
@@ -44,19 +41,8 @@ def test_mclg_near_optimal_on_oracle_instance():
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
     params = uniform_ic(g, 0.5)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
-    rows = {0: (0, np.array([0.0, 0.5, 0.7])),
-            3: (1, np.array([0.0, 0.6, 0.8])),
-            2: (1, np.array([0.0, 0.3, 0.45]))}
-    strategies, tabs = [], []
-    for v in range(6):
-        if v in rows:
-            j, row = rows[v]
-            strategies.append(np.array([j]))
-            tabs.append(row[None, :])
-        else:
-            strategies.append(np.empty(0, dtype=np.int64))
-            tabs.append(np.empty((0, 3)))
-    model = IndependentActivation(6, lat, strategies, tabs)
+    model = IndependentActivation(6, lat, [0, 3, 2], [0, 1, 1],
+                                  [[0.0, 0.5, 0.7], [0.0, 0.6, 0.8], [0.0, 0.3, 0.45]])
     _, opt = exact_opt(g, params, model, lat, TotalBudget(2))
     wins = 0
     runs = 100
@@ -72,30 +58,39 @@ def test_ud_rejects_non_personalized():
     g = from_edges(4, [(0, 1), (2, 3)])
     params = uniform_ic(g, 0.5)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
-    model = IndependentActivation(
-        4, lat, [np.array([0])] + [np.empty(0, dtype=np.int64)] * 3,
-        [np.array([[0.0, 0.3, 0.4]])] + [np.empty((0, 3))] * 3)
+    model = IndependentActivation(4, lat, [0], [0], [[0.0, 0.3, 0.4]])
     coll = generate_collection(g, params, model, 20, stream(52, 0))
     with pytest.raises(UnsupportedScenarioError):
         ud(g, params, model, lat, 1.0, coll, stream(52, 1))
 
 
 @pytest.mark.parametrize("strategies, bad", [
-    ([[0], [2], [], [3]], 1),
-    ([[0], [1], [2, 3], [0]], 2),
-    ([[1], [0], [2], [3]], 0),
+    ([(0, 0), (1, 2), (3, 3)], 1),
+    ([(0, 0), (1, 1), (2, 2), (2, 3), (3, 0)], 2),
+    ([(0, 1), (1, 0), (2, 2), (3, 3)], 0),
 ])
 def test_ud_names_first_node_not_owned_by_its_strategy(strategies, bad):
-    # d == n, so the check reaches the flat rows; two nodes are bad
+    # d == n, so the check reaches the flat (node, strategy) rows; two nodes are bad
     g = from_edges(4, [(0, 1), (2, 3)])
     params = uniform_ic(g, 0.5)
     lat = LatticeConfig(d=4, delta=1.0, budget_steps=2)
-    row = np.array([0.0, 0.3, 0.4])
-    model = IndependentActivation(4, lat, [np.array(s, dtype=np.int64) for s in strategies],
-                                  [np.tile(row, (len(s), 1)) for s in strategies])
+    nodes, strats = zip(*strategies)
+    model = IndependentActivation(4, lat, nodes, strats,
+                                  np.tile([0.0, 0.3, 0.4], (len(nodes), 1)))
     coll = generate_collection(g, params, model, 20, stream(52, 0))
     with pytest.raises(UnsupportedScenarioError, match=rf"^node {bad} is not owned by strategy {bad}$"):
         ud(g, params, model, lat, 1.0, coll, stream(52, 1))
+
+
+def test_ud_rejects_model_over_fewer_nodes():
+    # every node of a 3-node model owns its strategy, but the graph has 4
+    g = from_edges(4, [(0, 1), (2, 3)])
+    params = uniform_ic(g, 0.5)
+    lat = LatticeConfig(d=4, delta=1.0, budget_steps=2)
+    model = IndependentActivation(3, lat, np.arange(3), np.arange(3),
+                                  np.tile([0.0, 0.3, 0.4], (3, 1)))
+    with pytest.raises(UnsupportedScenarioError):
+        ud(g, params, model, lat, 1.0, None, stream(52, 1))
 
 
 def test_ud_two_valued_structure_and_support_bound():

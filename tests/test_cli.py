@@ -5,6 +5,8 @@ import sys
 import pytest
 import yaml
 
+from conftest import node_rows
+
 from limax.cli import (ConfigError, ScenarioSpec, build_scenario, main,
                        run_experiment)
 from limax.graph import gen_erdos_renyi, load_edge_list, write_edge_list
@@ -45,8 +47,7 @@ def test_build_scenario_personalized(small_graph_file):
     spec = ScenarioSpec(name="personalized", delta=0.1, max_budget_steps=10)
     model, lattice = build_scenario(g, spec, stream(0, 0))
     assert lattice.d == g.n
-    assert all(len(model.strategies[v]) == 1 for v in range(g.n))
-    assert all(int(model.strategies[v][0]) == v for v in range(g.n))
+    assert all(node_rows(model, v)[0].tolist() == [v] for v in range(g.n))
 
 
 def test_build_scenario_segmented_defaults(small_graph_file):
@@ -54,10 +55,10 @@ def test_build_scenario_segmented_defaults(small_graph_file):
     spec = ScenarioSpec(name="segmented_event", delta=1.0, max_budget_steps=5)
     model, lattice = build_scenario(g, spec, stream(0, 1))
     assert lattice.d == 200
-    touched = [v for v in range(g.n) if len(model.strategies[v])]
+    touched = [v for v in range(g.n) if len(node_rows(model, v)[0])]
     assert len(touched) == min(g.n, 2000)
     for v in touched:
-        r = model.tables[v][0, 1]
+        r = node_rows(model, v)[1][0, 1]
         assert 0.0 <= r <= 0.3
 
 

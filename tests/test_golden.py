@@ -44,13 +44,9 @@ def _instance(kind):
         rows.append(w)
     params = TriggeringParams.build(graph, kind, np.concatenate(rows))
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
-    strategies, tables = [], []
-    for v in range(N):
-        js = [v % 3] + ([(v + 1) % 3] if v % 4 == 0 else [])
-        strategies.append(np.array(js))
-        tables.append(np.vstack([multi_event_table(0.1 + 0.05 * v + 0.1 * t, lat)
-                                 for t in range(len(js))]))
-    model = IndependentActivation(N, lat, strategies, tables)
+    rows = [(v, (v + t) % 3, multi_event_table(0.1 + 0.05 * v + 0.1 * t, lat))
+            for v in range(N) for t in range(1 + (v % 4 == 0))]
+    model = IndependentActivation(N, lat, *zip(*rows))
     return graph, params, model, lat
 
 
@@ -140,13 +136,9 @@ def _hub_instance():
     probs = stream(SEED, 21)
     params = TriggeringParams.build(graph, IC, probs.uniform(0.05, 0.6, size=graph.m))
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
-    strategies, tables = [], []
-    for v in range(HUB_N):
-        js = [v % 3] + ([(v + 1) % 3] if v % 5 == 0 else [])
-        strategies.append(np.array(js))
-        tables.append(np.vstack([multi_event_table(0.05 + 0.01 * v + 0.1 * t, lat)
-                                 for t in range(len(js))]))
-    model = IndependentActivation(HUB_N, lat, strategies, tables)
+    rows = [(v, (v + t) % 3, multi_event_table(0.05 + 0.01 * v + 0.1 * t, lat))
+            for v in range(HUB_N) for t in range(1 + (v % 5 == 0))]
+    model = IndependentActivation(HUB_N, lat, *zip(*rows))
     return graph, params, model, lat
 
 
@@ -225,9 +217,8 @@ def _skip_hub_instance():
                              probs.uniform(0.05, 0.6, size=graph.m - indptr[2])))
     params = TriggeringParams.build(graph, IC, values)
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
-    strategies = [np.array([v % 3]) for v in range(SKIP_N)]
-    tables = [multi_event_table(0.05 + 0.005 * v, lat)[None, :] for v in range(SKIP_N)]
-    model = IndependentActivation(SKIP_N, lat, strategies, tables)
+    model = IndependentActivation(SKIP_N, lat, np.arange(SKIP_N), np.arange(SKIP_N) % 3,
+                                  multi_event_table(0.05 + 0.005 * np.arange(SKIP_N), lat))
     return graph, params, model, lat
 
 

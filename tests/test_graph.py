@@ -115,10 +115,31 @@ def test_out_values_match_parallel_copies_in_order():
     ((3, [0, 1, 2], [1, 2, 3]), r"^edge 2 \(2, 3\) has a node id outside \[0, 3\)$"),
     ((3, [0, 1], [1, 2], [0.5]), r"^1 edge values for 2 edges$"),
     ((3, [0, 1], [1, 2], [0.5, 0.5, 0.5]), r"^3 edge values for 2 edges$"),
-], ids=["fewer-targets", "fewer-sources", "id-minus-one", "id-n", "fewer-values", "more-values"])
+    ((3, [0.7], [1.9]), r"^edge 0 \(0\.7, 1\.9\) has a non-integer id$"),
+    ((3, [0, 1, 2], [1, 2.5, 0]), r"^edge 1 \(1, 2\.5\) has a non-integer id$"),
+    ((3, [0, np.inf], [1, 2]), r"^edge 1 \(inf, 2\) has a non-integer id$"),
+], ids=["fewer-targets", "fewer-sources", "id-minus-one", "id-n", "fewer-values", "more-values",
+        "float-ids", "fraction", "inf"])
 def test_bad_edge_arrays_rejected(args, message):
     with pytest.raises(ValueError, match=message):
         DirectedGraph(*args)
+
+
+def test_from_edges_rejects_non_integer_ids():
+    with pytest.raises(ValueError, match=r"^edge 1 \(1, 2\.5\) has a non-integer id$"):
+        from_edges(3, [(0, 1), (1, 2.5)])
+    with pytest.raises(ValueError, match=r"^edge 0 \(0\.7, 1\.9\) has a non-integer id$"):
+        from_edges(3, [(0.7, 1.9, 0.5)])
+    with pytest.raises(ValueError, match=r"^edge 0 \('0', '1'\) has a non-integer id$"):
+        from_edges(3, [("0", "1")])
+
+
+def test_empty_and_integral_float_ids_accepted():
+    for g in (DirectedGraph(3, [], []), from_edges(3, [])):
+        assert g.n == 3 and g.m == 0
+    g = DirectedGraph(3, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    assert csr_rows(*g.in_csr[:2]) == [[], [0], [1]] and g.in_csr[1].dtype == np.int64
+    assert csr_rows(*from_edges(3, [(0.0, 2)]).in_csr[:2]) == [[], [], [0]]
 
 
 def test_weighted_cascade_values():

@@ -103,9 +103,7 @@ def _single_set_instance(q_step):
     g = from_edges(2, [(0, 1)])
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     row = np.array([0.0, q_step, q_step])
-    model = IndependentActivation(
-        2, lat, [np.array([0]), np.empty(0, dtype=np.int64)],
-        [row[None, :], np.empty((0, 3))])
+    model = IndependentActivation(2, lat, [0], [0], row[None, :])
     coll = RRCollection(g, uniform_ic(g, 0.0), model)
     coll.add(RRSet(root=0, members=np.array([0]), width=1))
     return g, lat, model, coll
@@ -169,11 +167,8 @@ def test_delta_equals_plain_greedy_handcrafted():
     g = from_edges(3, [(0, 1), (1, 2)])
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     model = IndependentActivation(
-        3, lat,
-        [np.array([0]), np.array([0, 1]), np.array([1])],
-        [np.array([[0.0, 0.3, 0.45]]),
-         np.array([[0.0, 0.2, 0.3], [0.0, 0.5, 0.6]]),
-         np.array([[0.0, 0.4, 0.55]])])
+        3, lat, [0, 1, 1, 2], [0, 0, 1, 1],
+        [[0.0, 0.3, 0.45], [0.0, 0.2, 0.3], [0.0, 0.5, 0.6], [0.0, 0.4, 0.55]])
     coll = RRCollection(g, uniform_ic(g, 0.0), model)
     coll.add(RRSet(root=0, members=np.array([0, 1]), width=1))
     coll.add(RRSet(root=2, members=np.array([1, 2]), width=2))
@@ -211,9 +206,8 @@ def test_partitioned_greedy_respects_groups(rng):
     inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=4)
     # pad to 4 strategies so we can form two groups of two
     lat = LatticeConfig(d=4, delta=1.0, budget_steps=inst.lattice.budget_steps)
-    model = IndependentActivation(
-        inst.graph.n, lat, inst.model.strategies,
-        inst.model.tables)
+    model = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                  inst.model._flat_strats, inst.model._flat_tables)
     coll = generate_collection(inst.graph, inst.params, model, 100, stream(24, 0))
     constraint = PartitionedBudget(groups=[(0, 1), (2, 3)], caps=[2, 1])
     mix = lgreedy_delta(coll, model, lat, constraint)
@@ -274,8 +268,8 @@ def test_cached_gains_match_marginals_partitioned_budget(seed):
     K = inst.lattice.budget_steps
     # strategies past the instance's d reach nobody: their gains stay zero
     lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
-    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
-                                  inst.model.tables)
+    model = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                  inst.model._flat_strats, inst.model._flat_tables)
     coll = generate_collection(inst.graph, inst.params, model, 120, stream(33, seed))
     caps = gen.integers(0, K + 1, size=2).tolist()
     constraint = PartitionedBudget(groups=[(0, 3), (1, 2, 4)], caps=caps)
@@ -296,8 +290,8 @@ def test_zero_gain_rounds_empty_collection():
 def test_zero_gain_rounds_all_zero_model():
     gen = np.random.default_rng(1500)
     inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
-    zero = IndependentActivation(inst.graph.n, inst.lattice, inst.model.strategies,
-                                 [np.zeros_like(t) for t in inst.model.tables])
+    zero = IndependentActivation(inst.graph.n, inst.lattice, inst.model._flat_nodes,
+                                 inst.model._flat_strats, np.zeros_like(inst.model._flat_tables))
     coll = generate_collection(inst.graph, inst.params, zero, 60, stream(34, 0))
     constraint = TotalBudget(inst.lattice.budget_steps)
     state = GreedyState(coll, zero, inst.lattice, constraint)
@@ -351,8 +345,8 @@ def test_lazy_pick_is_whole_array_argmax(monkeypatch, seed):
     inst = random_instance(gen, n_max=12, m_max=30, d_max=6, steps_max=5)
     K = inst.lattice.budget_steps
     lat = LatticeConfig(d=8, delta=1.0, budget_steps=K)  # 6-7 reach nobody
-    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
-                                  inst.model.tables)
+    model = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                  inst.model._flat_strats, inst.model._flat_tables)
     coll = generate_collection(inst.graph, inst.params, model, 300, stream(36, seed))
     caps = gen.integers(0, K + 1, size=2).tolist()
     for constraint in (TotalBudget(K),
@@ -368,8 +362,8 @@ def test_lazy_zero_gain_ties_go_to_lowest_index(monkeypatch):
     inst = random_instance(gen, n_max=8, m_max=10, d_max=3, steps_max=3)
     K = inst.lattice.budget_steps
     lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
-    zero = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
-                                 [np.zeros_like(t) for t in inst.model.tables])
+    zero = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                 inst.model._flat_strats, np.zeros_like(inst.model._flat_tables))
     coll = generate_collection(inst.graph, inst.params, zero, 60, stream(34, 1))
     picks = _check_picks(monkeypatch)
     lgreedy_delta(coll, zero, lat, TotalBudget(K))
@@ -378,6 +372,14 @@ def test_lazy_zero_gain_ties_go_to_lowest_index(monkeypatch):
     lgreedy_delta(coll, zero, lat,
                   PartitionedBudget(groups=[(0, 3), (1, 2, 4)], caps=[1, K]))
     assert picks == [0] + [1] * K
+
+
+def _redrawn(gen, model, table) -> IndependentActivation:
+    """``model`` with new curves ``table(gen, rows, K)``, drawn node by node."""
+    K = model.lattice.budget_steps
+    tabs = [table(gen, rows, K) for rows in np.diff(model._indptr).tolist()]
+    return IndependentActivation(model.n, model.lattice, model._flat_nodes,
+                                 model._flat_strats, np.concatenate(tabs))
 
 
 def _rough_table(gen, rows: int, steps: int) -> np.ndarray:
@@ -394,9 +396,7 @@ def test_forced_invalid_model_refreshes_every_bound(monkeypatch, seed):
     gen = np.random.default_rng(4000 + seed)
     inst = random_instance(gen, n_max=8, m_max=12, d_max=4, steps_max=4)
     K = inst.lattice.budget_steps
-    model = IndependentActivation(
-        inst.graph.n, inst.lattice, inst.model.strategies,
-        [_rough_table(gen, len(t), K) for t in inst.model.tables])
+    model = _redrawn(gen, inst.model, _rough_table)
     assert validate_model(model, inst.lattice)
     coll = generate_collection(inst.graph, inst.params, model, 120, stream(60, seed))
     picks = _check_picks(monkeypatch)
@@ -419,9 +419,7 @@ def test_forced_convex_model_keeps_lazy_bounds(monkeypatch, seed):
     gen = np.random.default_rng(4100 + seed)
     inst = random_instance(gen, n_max=8, m_max=12, d_max=4, steps_max=3, extra_steps=1)
     K = inst.lattice.budget_steps
-    model = IndependentActivation(
-        inst.graph.n, inst.lattice, inst.model.strategies,
-        [_convex_table(gen, len(t), K) for t in inst.model.tables])
+    model = _redrawn(gen, inst.model, _convex_table)
     kinds = {v.kind for v in validate_model(model, inst.lattice)}
     assert kinds == {"non-concave"}
     coll = generate_collection(inst.graph, inst.params, model, 120, stream(61, seed))
@@ -478,10 +476,8 @@ def test_sampling_complete_graph_certainty():
     g = from_edges(n, [(u, v) for u in range(n) for v in range(n) if u != v])
     params = uniform_ic(g, 1.0)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
-    row = np.array([0.0, 0.9, 0.99])
-    model = IndependentActivation(
-        n, lat, [np.array([v % 2]) for v in range(n)],
-        [row[None, :] for _ in range(n)])
+    model = IndependentActivation(n, lat, np.arange(n), np.arange(n) % 2,
+                                  np.tile([0.0, 0.9, 0.99], (n, 1)))
     imm = make_imm_params(n, lat, 2, 0.1, 1.0)
     coll, stats = sampling(g, params, model, lat, TotalBudget(2), imm, stream(28, 0))
     assert stats.hit_stage == 1
@@ -536,11 +532,9 @@ def test_immprr_rejects_invalid_model_unless_forced():
     params = uniform_ic(g, 0.5)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     bad = IndependentActivation(
-        3, lat,
-        [np.array([0]), np.array([1]), np.empty(0, dtype=np.int64)],
-        [np.array([[0.0, 0.1, 0.9]]),  # convex: violates diminishing returns
-         np.array([[0.0, 0.5, 0.6]]),
-         np.empty((0, 3))])
+        3, lat, [0, 1], [0, 1],
+        [[0.0, 0.1, 0.9],  # convex: violates diminishing returns
+         [0.0, 0.5, 0.6]])
     imm = make_imm_params(3, lat, 2, 0.4, 1.0)
     with pytest.raises(InvalidModelError):
         immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0))
@@ -555,7 +549,8 @@ def test_immprr_rejects_lattice_unequal_to_model_lattice():
     narrow = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=3)
     rows = np.array([[0.0, 0.4, 0.6], [0.0, 0.5, 0.7]])
-    model = IndependentActivation(3, narrow, [np.array([0, 1])] * 3, [rows] * 3)
+    model = IndependentActivation(3, narrow, np.repeat(np.arange(3), 2), [0, 1] * 3,
+                                  np.tile(rows, (3, 1)))
     imm = make_imm_params(3, lat, 3, 0.5, 1.0)
     msg = (r"^lattice LatticeConfig\(d=2, delta=1.0, budget_steps=3\) differs from "
            r"the model's LatticeConfig\(d=2, delta=1.0, budget_steps=2\)$")

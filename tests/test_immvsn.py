@@ -7,13 +7,13 @@ import pytest
 from scipy import stats as sps
 
 from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
-                      shared_ic, stage_reuse_instance)
+                      node_rows, shared_ic, stage_reuse_instance)
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible, total_steps
 from limax.graph import IC, LT, from_edges, uniform_ic
-from limax.immprr import InvalidModelError, make_imm_params
+from limax.immprr import InvalidModelError, make_imm_params, run_immprr
 from limax.immvsn import (HybridCollection, VirtualNodeId,
                           _greedy_virtual, build_augmented,
                           generate_hybrid_collection, immvsn,
@@ -26,28 +26,25 @@ from limax.strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                             multi_event_table)
 
 
-def _aug_single(table_rows, n=1, strategies=None, edges=(), p=0.5, steps=None):
-    """Augmented graph over a small instance with explicit q tables."""
+def _aug_single(table_rows, n=1, edges=(), p=0.5, steps=None):
+    """Augmented graph over a small instance whose node 0 has the explicit
+    (strategy, q table) rows ``table_rows``."""
     steps = steps if steps is not None else len(table_rows[0][1]) - 1
     lat = LatticeConfig(d=max(2, max((j for j, _ in table_rows), default=0) + 1),
                         delta=1.0, budget_steps=steps)
     graph = from_edges(n, list(edges))
     params = uniform_ic(graph, p)
-    if strategies is None:
-        strategies = [np.array([j for j, _ in table_rows], dtype=np.int64)] + \
-            [np.empty(0, dtype=np.int64)] * (n - 1)
-        tabs = [np.vstack([row for _, row in table_rows])] + \
-            [np.empty((0, steps + 1))] * (n - 1)
-    else:
-        tabs = table_rows
-    model = IndependentActivation(n, lat, strategies, tabs)
+    strategies, tabs = zip(*table_rows)
+    model = IndependentActivation(n, lat, np.zeros(len(strategies), np.int64), strategies,
+                                  np.vstack(tabs))
     return graph, params, model, lat, build_augmented(graph, params, model, lat)
 
 
 def _weights(model, v, j):
     """The weights of the virtual edges u[j, 1..K] -> v: ``np.diff`` of v's
     q row for j, or zeros where j does not apply to v."""
-    rows = model.tables[v][model.strategies[v] == j]
+    js, tabs = node_rows(model, v)
+    rows = tabs[js == j]
     return np.diff(rows[0]) if len(rows) else np.zeros(model.lattice.budget_steps)
 
 
@@ -98,7 +95,8 @@ def test_lattice_unequal_to_model_lattice_rejected():
     wide = LatticeConfig(d=2, delta=1.0, budget_steps=3)
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     rows = np.vstack([multi_event_table(0.4, wide), multi_event_table(0.6, wide)])
-    model = IndependentActivation(3, wide, [np.array([0, 1])] * 3, [rows] * 3)
+    model = IndependentActivation(3, wide, np.repeat(np.arange(3), 2), [0, 1] * 3,
+                                  np.tile(rows, (3, 1)))
     params = uniform_ic(g, 1.0)
     msg = (r"^lattice LatticeConfig\(d=2, delta=1.0, budget_steps=2\) differs from "
            r"the model's LatticeConfig\(d=2, delta=1.0, budget_steps=3\)$")
@@ -107,6 +105,17 @@ def test_lattice_unequal_to_model_lattice_rejected():
     with pytest.raises(ValueError, match=msg):
         run_immvsn(g, params, model, lat, TotalBudget(2),
                    make_imm_params(3, lat, 2, 0.5, 1.0), stream(46, 0))
+
+
+def test_model_over_fewer_nodes_than_the_graph_rejected():
+    # a 2-node model on a 4-node chain: both solvers name the two sizes
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    model = IndependentActivation(2, lat, [0, 1], [0, 1], np.tile([0.0, 0.3, 0.5], (2, 1)))
+    imm = make_imm_params(4, lat, 2, 0.5, 1.0)
+    for solve in (run_immvsn, run_immprr):
+        with pytest.raises(ValueError, match=r"^model over 2 nodes for a graph of 4$"):
+            solve(g, uniform_ic(g, 0.5), model, lat, TotalBudget(2), imm, stream(46, 1))
 
 
 def test_flat_roundtrip():
@@ -184,8 +193,7 @@ def test_virtual_seed_outside_flat_ids_rejected(seeds):
 def test_hybrid_no_strategies_no_virtual(rng):
     g = from_edges(3, [(0, 1), (1, 2)])
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
-    model = IndependentActivation(
-        3, lat, [np.empty(0, dtype=np.int64)] * 3, [np.empty((0, 3))] * 3)
+    model = IndependentActivation(3, lat, [], [], np.empty((0, 3)))
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     for root in range(3):
         (sets, members), = _reverse_reach(g, aug.params, np.array([root]), stream(41, root))
@@ -200,7 +208,7 @@ def test_hybrid_rr_set_real_members_sorted():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
     row = np.array([[0.0, 0.5]])
     g = from_edges(3, [(0, 1), (1, 2)])
-    model = IndependentActivation(3, lat, [np.array([0])] * 3, [row] * 3)
+    model = IndependentActivation(3, lat, np.arange(3), [0] * 3, np.tile(row, (3, 1)))
     aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
     (sets, members), = _reverse_reach(g, aug.params, np.array([2]), stream(41, 9))
     assert sets.tolist() == [0, 0, 0] and members.tolist() == [0, 1, 2]
@@ -225,8 +233,7 @@ def test_hybrid_expected_virtual_count():
     r1 = np.array([0.0, 0.2, 0.3])
     r2 = np.array([0.0, 0.35, 0.5])
     g = from_edges(1, [])
-    model = IndependentActivation(1, lat, [np.array([0, 1])],
-                                  [np.vstack([r1, r2])])
+    model = IndependentActivation(1, lat, [0, 0], [0, 1], np.vstack([r1, r2]))
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     roots = np.zeros(100_000, dtype=np.int64)
     total = sum(len(b[1]) for b in _hybrid(aug, roots, stream(41, 6)))
@@ -242,9 +249,8 @@ def test_hybrid_pairs_are_distinct_and_sorted(monkeypatch):
     g = from_edges(3, [(0, 1), (1, 2)])
     certain = np.array([0.0, 1.0, 1.0])
     other = np.array([0.0, 0.3, 0.5])
-    model = IndependentActivation(
-        3, lat, [np.array([0, 1]), np.array([1]), np.array([0, 1])],
-        [np.vstack([other, certain]), certain[None, :], np.vstack([other, certain])])
+    model = IndependentActivation(3, lat, [0, 0, 1, 2, 2], [0, 1, 1, 0, 1],
+                                  np.vstack([other, certain, certain, other, certain]))
     aug = build_augmented(g, uniform_ic(g, 1.0), model, lat)
     roots = np.random.default_rng(5).integers(0, 3, size=500)
     span = lat.d * aug.steps
@@ -376,8 +382,7 @@ def test_selection_respects_partition_caps():
     row = np.array([0.0, 0.3, 0.5])
     lat = LatticeConfig(d=4, delta=1.0, budget_steps=2)
     g = from_edges(1, [])
-    model = IndependentActivation(
-        1, lat, [np.array([0])], [row[None, :]])
+    model = IndependentActivation(1, lat, [0], [0], row[None, :])
     aug = build_augmented(g, uniform_ic(g, 0.5), model, lat)
     # heavy coverage on strategies 0 and 1 (group 0), light on 2 (group 1)
     sets = [[0], [0], [0], [2], [2], [4]]
@@ -435,8 +440,8 @@ def test_greedy_virtual_matches_reference(seed):
     K = inst.lattice.budget_steps
     # strategies past the instance's d reach nobody: their arms never fire
     lat = LatticeConfig(d=4, delta=1.0, budget_steps=K)
-    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
-                                  inst.model.tables)
+    model = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                  inst.model._flat_strats, inst.model._flat_tables)
     aug = build_augmented(inst.graph, inst.params, model, lat)
     coll = generate_hybrid_collection(aug, int(gen.integers(1, 400)), stream(46, seed))
     caps = gen.integers(0, K + 1, size=2).tolist()
@@ -454,8 +459,8 @@ def test_greedy_virtual_matches_reference_on_wide_collections(seed):
     inst = random_instance(gen, n_max=30, m_max=90, d_max=5, steps_max=4)
     K = inst.lattice.budget_steps
     lat = LatticeConfig(d=5, delta=1.0, budget_steps=K)
-    model = IndependentActivation(inst.graph.n, lat, inst.model.strategies,
-                                  inst.model.tables)
+    model = IndependentActivation(inst.graph.n, lat, inst.model._flat_nodes,
+                                  inst.model._flat_strats, inst.model._flat_tables)
     aug = build_augmented(inst.graph, inst.params, model, lat)
     coll = HybridCollection(aug)
     for k in range(3):
@@ -517,7 +522,7 @@ def test_virtual_seed_spread_never_beats_converted_mix(seed):
         h_direct = np.empty(inst.graph.n)
         for v in range(inst.graph.n):
             acc = 1.0
-            for j in inst.model.strategies[v]:
+            for j in node_rows(inst.model, v)[0]:
                 w = sum(_weights(inst.model, v, j)[f % K]
                         for f in seeds if f // K == j)
                 acc *= 1.0 - w

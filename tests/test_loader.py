@@ -233,28 +233,67 @@ def test_large_star_from_file_equals_from_edges(tmp_path):
 
 
 def _model(strategies, d=3):
+    """One-node-per-row model over the (node, strategy) rows ``strategies``,
+    every row the same curve."""
+    nodes, strats = zip(*strategies)
     lat = LatticeConfig(d=d, delta=1.0, budget_steps=2)
-    row = np.array([0.0, 0.5, 0.75])
-    return IndependentActivation(len(strategies), lat, [np.array(s, dtype=np.int64) for s in strategies],
-                                 [np.tile(row, (len(s), 1)) for s in strategies])
+    return IndependentActivation(max(nodes) + 1, lat, nodes, strats,
+                                 np.tile([0.0, 0.5, 0.75], (len(nodes), 1)))
 
 
 @pytest.mark.parametrize("strategies, message", [
-    ([[0], [1, 1], [5]], "duplicate strategy at node 1"),
-    ([[0], [5], [1, 1]], "strategy index out of range at node 1"),
-    ([[2, 0], [], [2, 2, -1]], "strategy index out of range at node 2"),
-    ([[], [0, 2, 0], [3]], "duplicate strategy at node 1"),
+    ([(0, 0), (1, 1), (1, 1), (2, 5)], "duplicate strategy at node 1"),
+    ([(0, 0), (1, 5), (2, 1), (2, 1)], "strategy index out of range at node 1"),
+    ([(2, 2), (0, 2), (2, -1), (0, 0), (2, 2)], "strategy index out of range at node 2"),
+    ([(1, 0), (2, 3), (1, 2), (1, 0)], "duplicate strategy at node 1"),
 ])
 def test_model_errors_name_first_bad_node(strategies, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         _model(strategies)
 
 
-def test_model_rows_are_sorted_views_of_the_flat_arrays():
-    model = _model([[2, 0], [], [1]])
-    assert [s.tolist() for s in model.strategies] == [[0, 2], [], [1]]
+K2 = LatticeConfig(d=3, delta=1.0, budget_steps=2)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([0, 1], [0, 1], np.zeros((1, 3))),
+     r"^2 nodes, 2 strategies and 1 table rows: row 1 is incomplete$"),
+    (([0, 1], [0], np.zeros((2, 3))),
+     r"^2 nodes, 1 strategies and 2 table rows: row 1 is incomplete$"),
+    (([0], [0], np.zeros((1, 4))), r"^table row 0 has 4 values, not K \+ 1 = 3$"),
+    (([0], [0], np.zeros(3)), r"^tables of shape \(3,\) are not one row per curve$"),
+    (([0, 1.5], [0, 1], np.zeros((2, 3))), r"^row 1 \(1\.5, 1\) has a non-integer id$"),
+    (([0, 1], [0, np.nan], np.zeros((2, 3))), r"^row 1 \(1, nan\) has a non-integer id$"),
+    (([0, 2, 3], [0, 1, 2], np.zeros((3, 3))),
+     r"^row 2 \(3, 2\) has a node id outside \[0, 3\)$"),
+    (([-1], [0], np.zeros((1, 3))), r"^row 0 \(-1, 0\) has a node id outside \[0, 3\)$"),
+], ids=["fewer-tables", "fewer-strategies", "wide-table", "flat-table", "fraction",
+        "nan", "node-n", "node-minus-one"])
+def test_bad_model_rows_rejected(args, message):
+    with pytest.raises(ValueError, match=message):
+        IndependentActivation(3, K2, *args)
+
+
+def test_model_accepts_integral_and_empty_ids():
+    model = IndependentActivation(3, K2, [2.0, 0.0], np.array([1, 0], np.uint8), np.zeros((2, 3)))
+    assert model._flat_nodes.tolist() == [0, 2] and model._flat_strats.tolist() == [0, 1]
+    assert model._flat_nodes.dtype == model._flat_strats.dtype == np.int64
+    empty = IndependentActivation(3, K2, [], [], np.zeros((0, 3)))
+    assert empty._indptr.tolist() == [0, 0, 0, 0] and empty.h_all([1, 1, 1]).tolist() == [0.0] * 3
+
+
+def test_model_rows_are_sorted_read_only_copies_of_the_input():
+    nodes, strats = np.array([2, 0, 0]), np.array([1, 2, 0])
+    tables = np.array([[0.0, 0.1, 0.2], [0.0, 0.3, 0.4], [0.0, 0.5, 0.6]])
+    model = IndependentActivation(3, K2, nodes, strats, tables)
+    assert model._indptr.tolist() == [0, 2, 2, 3]
     assert model._flat_nodes.tolist() == [0, 0, 2]
     assert model._flat_strats.tolist() == [0, 2, 1]
-    assert all(np.shares_memory(t, model._flat_tables) for t in model.tables if len(t))
-    with pytest.raises(ValueError):
-        model.tables[0][0, 1] = 0.0
+    assert model._flat_tables.tolist() == tables[[2, 1, 0]].tolist()
+    for stored, given in zip((model._flat_nodes, model._flat_strats, model._flat_tables),
+                             (nodes, strats, tables)):
+        assert not np.shares_memory(stored, given)
+        with pytest.raises(ValueError):
+            stored[0] = 0
+    tables[:] = 1.0  # the caller's arrays stay the caller's
+    assert model._flat_tables[0].tolist() == [0.0, 0.5, 0.6]

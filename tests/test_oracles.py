@@ -21,18 +21,10 @@ from limax.strategy import (IndependentActivation, LatticeConfig,
 
 
 def _model_with_h(n, lat, h_by_node):
-    tabs = []
-    strategies = []
-    for v in range(n):
-        h = h_by_node.get(v, 0.0)
-        if h > 0:
-            strategies.append(np.array([v % lat.d]))
-            row = np.concatenate(([0.0], np.full(lat.budget_steps, h)))
-            tabs.append(row[None, :])
-        else:
-            strategies.append(np.empty(0, dtype=np.int64))
-            tabs.append(np.empty((0, lat.budget_steps + 1)))
-    return IndependentActivation(n, lat, strategies, tabs)
+    nodes = [v for v in range(n) if h_by_node.get(v, 0.0) > 0]
+    tabs = [np.concatenate(([0.0], np.full(lat.budget_steps, h_by_node[v]))) for v in nodes]
+    return IndependentActivation(n, lat, nodes, [v % lat.d for v in nodes],
+                                 np.reshape(tabs, (-1, lat.budget_steps + 1)))
 
 
 # --- Monte-Carlo spread -------------------------------------------------------

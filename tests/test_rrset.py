@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
-                      rr_set, shared_ic, sweep_monotone_dr)
+                      node_rows, rr_set, shared_ic, sweep_monotone_dr)
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
@@ -23,8 +23,8 @@ from limax.strategy import (BlackBoxActivation, IndependentActivation,
 
 
 def _personal_model(n, lat, rates):
-    tabs = [multi_event_table(r, lat)[None, :] for r in rates]
-    return IndependentActivation(n, lat, [np.array([v]) for v in range(n)], tabs)
+    return IndependentActivation(n, lat, np.arange(n), np.arange(n),
+                                 multi_event_table(rates, lat))
 
 
 def _rr_sets(graph, params, roots, rng):
@@ -299,9 +299,8 @@ def test_skip_gate_of_pathological_hubs():
 def test_pathological_graphs_bounded_memory(build):
     g, params, sizes = build()  # root -> exact mean RR-set size, or None
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=3)
-    tab = multi_event_table(0.3, lat)[None, :]
-    model = IndependentActivation(g.n, lat, [np.array([v % 2]) for v in range(g.n)],
-                                  [tab] * g.n)
+    model = IndependentActivation(g.n, lat, np.arange(g.n), np.arange(g.n) % 2,
+                                  np.tile(multi_event_table(0.3, lat), (g.n, 1)))
     aug = AugmentedGraph(g, params, model, lat)
     roots = np.resize(np.array(list(sizes)), PATHOLOGICAL_SETS)
     tracemalloc.start()
@@ -358,13 +357,13 @@ def _check_strategy_entries(coll, model):
     for j in range(model.lattice.d):
         lo, hi = bounds[j], bounds[j + 1]
         pairs = [(i, v) for i, s in enumerate(coll.sets) for v in s.members.tolist()
-                 if j in model.strategies[v]]
+                 if j in node_rows(model, v)[0]]
         assert hi - lo == len(pairs)
         nodes = model._flat_nodes[rows[lo:hi]].tolist()
         assert list(zip(rr[lo:hi].tolist(), nodes)) == pairs  # by rr id, then node
         for row, (_, v) in zip(rows[lo:hi], pairs):
-            t = int(np.searchsorted(model.strategies[v], j))
-            assert np.array_equal(model._flat_tables[row], model.tables[v][t])
+            js, tabs = node_rows(model, v)
+            assert np.array_equal(model._flat_tables[row], tabs[int(np.searchsorted(js, j))])
     return len(rr)
 
 
@@ -374,7 +373,7 @@ def test_strategy_entries_match_rescan(rng):
         inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3)
         coll = generate_collection(inst.graph, inst.params, inst.model, 60, stream(2, c))
         _check_strategy_entries(coll, inst.model)
-        shared += sum(len(inst.model.strategies[v]) > 1
+        shared += sum(len(node_rows(inst.model, v)[0]) > 1
                       for s in coll.sets for v in s.members)
     assert shared > 0
 
@@ -405,9 +404,7 @@ def test_g_hat_single_set_value():
     g = from_edges(2, [(0, 1)])
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
     tab = np.array([[0.0, 0.75]])
-    model = IndependentActivation(
-        2, lat, [np.array([0]), np.empty(0, dtype=np.int64)],
-        [tab, np.empty((0, 2))])
+    model = IndependentActivation(2, lat, [0], [0], tab)
     coll = RRCollection(g, uniform_ic(g, 0.0), model)
     coll.add(RRSet(root=0, members=np.array([0]), width=1))
     assert g_hat(coll, model, StrategyMix([1])) == pytest.approx(1.5)
