@@ -17,14 +17,17 @@ in hybrid RR sets; sets that contain no virtual node can never be covered
 but still count in the estimator's denominator.  A hybrid RR set is an RR
 set whose every member v also draws, for each strategy j in S_v, the
 virtual in-neighbor u[j,i] with probability equal to its edge weight
-(inverse CDF over q[v,j], so at most one per strategy).  The batched
-reverse-reach kernel of ``limax.rrset`` samples them many at a time, drawing
-every reached pair's arms through ``AugmentedGraph.draw_arms``, and a
-collection keeps only one (set id, virtual flat id) pair per distinct
-virtual member, in two sorted arrays; the kernel deduplicates the pairs by
-sorting their packed int64 keys.  The greedy counts the sets of every flat
-id in one array, groups the sets by flat id with one sort of the packed
-keys ``flat * theta + set``, and subtracts each newly covered set's members.
+(inverse CDF over q[v,j], so at most one per strategy).  A virtual node
+has no in-edges, so its arms never extend the reverse search:
+``HybridCollection`` draws them through ``AugmentedGraph.draw_arms`` once
+per batch of the reverse-reach kernel of ``limax.rrset``, after the batch's
+coins, which leaves each set's distribution, and with it the IMM sampling
+argument (Tang, Shi, Xiao, SIGMOD 2015), unchanged.  A collection keeps one
+(set id, virtual flat id) pair per distinct virtual member, in two sorted
+arrays, deduplicated by sorting their packed int64 keys.  The greedy counts
+the sets of every flat id in one array, groups the sets by flat id with one
+sort of the packed keys ``flat * theta + set``, and subtracts each newly
+covered set's members.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
-from .rrset import (_NONE, EmptyCollectionError, _distinct, _reverse_reach,
-                    _slots)
+from .rrset import (_EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct,
+                    _reverse_reach, _slots)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
 
@@ -73,9 +76,10 @@ class AugmentedGraph:
     u[j,i] -> v is ``np.diff`` of the (v, j) table row.  Virtual node u[j,i] has
     the flat id ``j * steps + i - 1``, below ``span = d * steps``; this
     class alone encodes and decodes that layout, both when it draws arms
-    (:meth:`draw_arms`, which the hybrid RR kernel and the virtual-seed
-    simulation call) and when it maps a :class:`VirtualNodeId` (:meth:`flat`).
-    ``lattice`` must be the model's own lattice.
+    (:meth:`draw_arms`, per kernel batch in ``HybridCollection`` and per
+    batch of runs in the virtual-seed simulation) and when it maps a
+    :class:`VirtualNodeId` (:meth:`flat`).  ``lattice`` must be the model's
+    own lattice.
     """
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams,
@@ -131,11 +135,12 @@ class HybridCollection:
     """Hybrid RR sets kept only as their virtual-node content.
 
     ``vsets`` and ``flats`` list one (set id, virtual flat id) pair per
-    distinct virtual node of a set, sorted by set, then flat id, as the
-    kernel yields them; each ``extend`` appends its batches with global
-    set ids.  Sets without any virtual member can never be covered by a
-    virtual seed: they hold no pair but remain in theta, keeping the
-    coverage estimator unbiased.
+    distinct virtual node of a set, sorted by set, then flat id; each
+    ``extend`` appends its sets with global set ids.  :meth:`_sample` draws
+    the arms of a kernel batch's members after its coins, which is exact
+    because virtual nodes have no in-edges.  Sets without any virtual
+    member can never be covered by a virtual seed: they hold no pair but
+    remain in theta, keeping the coverage estimator unbiased.
     """
 
     def __init__(self, aug: AugmentedGraph):
@@ -152,20 +157,27 @@ class HybridCollection:
         flats = self.flats.tolist()
         return [flats[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def extend(self, count: int, rng: np.random.Generator) -> None:
-        """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
-        if count <= 0:
-            return
-        roots = rng.integers(0, self.n, size=count)
-        aug = self.aug
+    def _sample(self, roots: np.ndarray, rng: np.random.Generator) -> None:
+        """Append the hybrid RR sets rooted at ``roots``, in order: each kernel
+        batch's members draw their arms, ``_EDGE_CHUNK`` members per call."""
+        aug, span = self.aug, self.aug.span
         vsets, flats = [self.vsets], [self.flats]
-        arms = aug.draw_arms, aug.span
-        for v, f in _reverse_reach(aug.graph, aug.params, roots, rng, arms):
+        for sets, nodes in _reverse_reach(aug.graph, aug.params, roots, rng):
+            keys = [_NONE]
+            for a in range(0, len(nodes), _EDGE_CHUNK):
+                pair, ids = aug.draw_arms(nodes[a:a + _EDGE_CHUNK], rng)
+                keys.append(sets[a + pair] * span + ids)
+            v, f = np.divmod(_distinct(np.concatenate(keys)), span)
             vsets.append(v + self.theta)
             flats.append(f)
         self.vsets = np.concatenate(vsets)
         self.flats = np.concatenate(flats)
-        self.theta += count
+        self.theta += len(roots)
+
+    def extend(self, count: int, rng: np.random.Generator) -> None:
+        """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
+        if count > 0:
+            self._sample(rng.integers(0, self.n, size=count), rng)
 
 
 def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCollection:

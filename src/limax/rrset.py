@@ -25,21 +25,19 @@ left in those rows.  The draws come straight from the generator, level by
 level, so a set's draws are interleaved with those of the other sets in its
 batch.  A visited bitmap per batch and a cap on the pairs and in-edges
 expanded per step bound its memory.  The same kernel also samples the
-hybrid RR sets of the virtual-node reduction (``limax.immvsn``).  There it
-takes an opaque arm sampler and a bound: each reached pair also draws one
-virtual arm per strategy that applies to its node, and the sampler names
-each arm that fires by an id below the bound.  What those ids mean (the
-virtual flat-id layout) lives in ``limax.immvsn.AugmentedGraph`` alone.  A
-batch packs every (set, id) pair into one int64 key and deduplicates the
+hybrid RR sets of the virtual-node reduction (``limax.immvsn``), whose
+arms are drawn per batch, after the batch's coins and before the next
+batch's: a virtual node has no in-edges, so its arms never extend the
+reverse search.  The kernel yields each batch's members as (set ids,
+nodes) in level order; ``RRCollection`` sorts them by the int64 key
+``set * n + node``, and the hybrid collection deduplicates its packed arm
 keys with one sort and a neighbour-inequality mask (``_distinct``), as
-each BFS level does with its reached keys.  Either way the kernel yields
-one (set ids, ids) pair of arrays per batch, sorted by set, then id: the
-members, or the distinct arm ids.  Its level loop (``_reach``) and IC coin
-step (``_live_edges``, never gaps) also run the forward IC cascades of
-``limax.oracles``: forward IC reach is reverse reach on the transposed
-graph, from several roots per run.  The slot search (``_slots``) serves
-the LT picks in both directions (the reverse kernel's scattered pairs and
-the forward cascades' per-run picks) and the arm draws.
+each BFS level does with its reached keys.  Its level loop (``_reach``)
+and IC coin step (``_live_edges``, never gaps) also run the forward IC
+cascades of ``limax.oracles``: forward IC reach is reverse reach on the
+transposed graph, from several roots per run.  The slot search
+(``_slots``) serves the LT picks in both directions (the reverse kernel's
+scattered pairs and the forward cascades' per-run picks) and the arm draws.
 
 A collection holds its RR sets in flat arrays that only grow (members,
 offsets, roots, widths), appended straight from the kernel's batches; the
@@ -118,11 +116,10 @@ def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
     np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
 
 
-def _edge_chunks(lo: np.ndarray, hi: np.ndarray):
+def _edge_chunks(lo: np.ndarray, hi: np.ndarray, local: np.ndarray):
     """The CSR positions ``lo[i]:hi[i]`` of every row i, in row order, then
-    position order, at most ``_EDGE_CHUNK`` per step: ``(pos, stop, c0)``,
-    where position k of a step lies in row ``searchsorted(stop, c0 + k,
-    side="right")``."""
+    position order, at most ``_EDGE_CHUNK`` per step: ``(pos, pair)``, where
+    position ``pos[k]`` lies in row i and ``pair[k]`` is ``local[i]``."""
     deg = hi - lo
     ends = np.cumsum(deg)
     begins = ends - deg
@@ -134,7 +131,7 @@ def _edge_chunks(lo: np.ndarray, hi: np.ndarray):
         take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
         pos = np.repeat(lo[a:z] - begins[a:z], take)
         pos += np.arange(c0, c1)
-        yield pos, ends, c0
+        yield pos, np.repeat(local[a:z], take)
 
 
 def _live_edges(csr, lo: np.ndarray, hi: np.ndarray, local: np.ndarray,
@@ -144,9 +141,9 @@ def _live_edges(csr, lo: np.ndarray, hi: np.ndarray, local: np.ndarray,
     set ``local[k]``, one array per step of :func:`_edge_chunks`: each
     edge draws one uniform and is live below its probability."""
     _, ends, probs = csr
-    for pos, stop, c0 in _edge_chunks(lo, hi):
+    for pos, pair in _edge_chunks(lo, hi, local):
         live = np.flatnonzero(rng.random(len(pos)) < probs[pos])
-        yield ends[pos[live]] * sets + local[np.searchsorted(stop, live + c0, side="right")]
+        yield ends[pos[live]] * sets + pair[live]
 
 
 def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
@@ -240,7 +237,7 @@ def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
 
 
 def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
-                   roots: np.ndarray, rng: np.random.Generator, arms=None):
+                   roots: np.ndarray, rng: np.random.Generator):
     """Reverse BFS from many roots at once, one level per vectorized step.
 
     Set i is rooted at ``roots[i]``.  Roots go in batches whose visited
@@ -250,39 +247,29 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     and in-edges at a time (see :func:`_live_in_edges`).  Pairs are keyed
     ``node * sets + set`` within a batch of ``sets`` roots, so a sorted
     level lists each node's pairs together and the in-edge gathers stay
-    local.  With ``arms = (draw, span)``, each pair first draws its virtual
-    arms: ``draw(nodes, rng)`` returns, per arm that fires, the index of its
-    pair in ``nodes`` and an id below ``span`` (the virtual flat id of
-    ``limax.immvsn.AugmentedGraph``, whose layout this kernel does not read).
+    local.
 
-    Yields ``(sets, ids)`` per batch, sorted by set, then id: without
-    ``arms`` the members, with ``arms`` the distinct ids of the arms drawn.
+    Yields ``(sets, nodes)`` per batch: the set id and node of each of its
+    members, once each, level by level.  A batch's draws all come before
+    the next batch's, so a caller may draw more per batch (the hybrid arms
+    of ``limax.immvsn``) between them.
     """
     n = graph.n
     count = len(roots)
     per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
-    draw, width = arms or (None, n)  # a batch's ids are keyed set * width + id
     for b0 in range(0, count, per_batch):
         size = min(per_batch, count - b0)
-        virtual = [_NONE]
 
         def expand(keys):
             nodes, local = np.divmod(keys, size)
-            if draw is not None:
-                pair, ids = draw(nodes, rng)
-                virtual.append(local[pair] * width + ids)
-            yield from _live_in_edges(params, nodes, local, size, rng)
+            return _live_in_edges(params, nodes, local, size, rng)
 
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
         keys = np.concatenate(list(_reach(marks, frontier, expand)))
         marks[keys >> 3] = 0
-        if draw is None:
-            nodes, local = np.divmod(keys, size)
-            keys = np.sort(local * width + nodes)
-        else:
-            keys = _distinct(np.concatenate(virtual))
-        yield np.divmod(keys + b0 * width, width)  # b0 * width shifts the set ids by b0
+        nodes, local = np.divmod(keys, size)
+        yield local + b0, nodes
 
 
 def _flushed(name: str) -> property:
@@ -349,8 +336,9 @@ class RRCollection:
         if len(bad):
             raise ValueError(f"root {roots[bad[0]]} outside [0, {self.n})")
         self._flush()
-        deg, parts = np.diff(self.params._csr[0]), []
+        n, deg, parts = self.n, np.diff(self.params._csr[0]), []
         for sets, nodes in _reverse_reach(self.graph, self.params, roots, gen):
+            sets, nodes = np.divmod(np.sort(sets * n + nodes), n)
             starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
             parts.append((nodes, np.diff(starts, append=len(nodes)),
                           np.add.reduceat(deg[nodes], starts)))

@@ -89,12 +89,12 @@ GOLDEN = {
                     [2, 3, 9, 10, 11]],
         "widths": [5, 2, 6, 7, 28, 8, 31, 3, 31, 3, 19, 12],
         "hybrid_theta": 12,
-        "virtual_sets": [[3, 4, 6], [0, 2, 3, 4, 7], [0, 2, 4, 5, 6, 7], [0, 2, 6],
-                         [1, 6], [0, 1, 3, 4, 8], [3, 6], [2, 6], [0, 3, 5, 8],
-                         [1, 3, 6], [0, 3, 6], [1, 3, 4, 6, 7]],
+        "virtual_sets": [[3], [2, 3, 4, 7], [0, 1, 4, 5, 6], [1, 6], [0, 3, 5, 6, 7, 8],
+                         [1, 2, 4, 5, 6], [0, 1, 3, 7], [0, 3, 4, 5, 6, 7], [1, 3, 5, 6],
+                         [0, 2, 8], [0, 1, 2, 3, 5, 6, 8], [5, 7]],
         "triggering": [[3, 4, 7, 9, 10], [], [], [], [], [6], [4], [], [4], [3], [11], [7]],
         "immprr": ([1, 1, 1], 465),
-        "immvsn": ([2, 0, 1], 435),
+        "immvsn": ([1, 1, 1], 494),
         "spreads": [9.9, 9.84375],
     },
     LT: {
@@ -103,11 +103,11 @@ GOLDEN = {
                     [0, 2, 3, 4, 6, 11], [7], [1, 6, 7, 10, 11], [0, 7]],
         "widths": [4, 10, 15, 18, 15, 11, 12, 3, 22, 5, 15, 13],
         "hybrid_theta": 12,
-        "virtual_sets": [[3], [1, 4, 6, 7], [3, 4, 6], [0, 1, 3, 6, 8], [1, 3, 4, 6],
-                         [0, 3, 6, 8], [5], [0, 6], [0, 1, 6, 7], [2], [0], [2, 5, 6]],
+        "virtual_sets": [[0], [6], [5, 8], [1, 3], [1, 4, 6], [7, 8], [1, 3, 4, 6, 7, 8],
+                         [1, 6], [2, 3, 6], [2, 4, 6], [0, 2, 4, 7], [0, 2, 3, 6]],
         "triggering": [[], [8], [5], [10], [2], [6], [], [1], [1], [3], [11], [0]],
         "immprr": ([1, 0, 2], 436),
-        "immvsn": ([0, 1, 2], 438),
+        "immvsn": ([1, 1, 1], 438),
         "spreads": [10.025, 10.03125],
     },
 }
@@ -186,8 +186,9 @@ HUB_GOLDEN = {
                        [4, 8, 9, 10, 14, 16, 18, 22, 26],
                        [2, 4, 8, 10, 12, 16, 19, 21, 23, 24, 26, 27, 28, 29, 30],
                        [8, 12, 14, 16, 20, 22, 23, 25, 26]],
-    "virtual_sets": [[0, 3], [0, 1, 2, 3, 4, 5, 6], [2, 6], [1], [0, 1, 2, 3, 4, 7, 8],
-                     [0], [0, 1, 3, 4, 5, 6, 7], [6]],
+    "virtual_sets": [[0, 2, 3, 5, 6, 8], [0], [0, 1, 2, 4, 6], [0, 4, 6, 8], [8],
+                     [0, 1, 2, 3, 4, 5, 6, 7, 8], [1], [1, 2, 3, 4, 5, 6, 7, 8],
+                     [0, 1, 2, 3, 4, 5, 7, 8], [0, 1, 4, 5, 6, 8]],
 }
 
 
@@ -253,7 +254,7 @@ SKIP_HUB_GOLDEN = {
                  37, 38, 39, 40, 41, 42, 44, 46, 48, 49, 50, 51, 53, 54, 56, 58],
                 [0, 1, 5, 6, 9, 14, 15, 18, 19, 20, 23, 24, 25, 26, 28, 29, 30, 31, 32, 33, 35,
                  36, 38, 39, 40, 43, 45, 46, 47, 49, 51, 55, 57, 58, 59]],
-    "virtual_sets": [[0, 4, 5], [0, 1, 2, 4, 5, 6, 7], [5], [1, 5, 7], [1], [0, 3], [3, 8], [4, 8]],
+    "virtual_sets": [[3], [1, 4], [0, 1, 2, 3, 4, 5, 6, 7], [8]],
 }
 
 

@@ -12,11 +12,11 @@ import limax.graph as graph_module
 import limax.rrset as rrset_module
 from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
                          assign_weighted_cascade, from_edges, uniform_ic)
-from limax.immvsn import AugmentedGraph
+from limax.immvsn import AugmentedGraph, HybridCollection
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _distinct, _reverse_reach, _slots, g_hat,
+                         _distinct, _slots, g_hat,
                          generate_collection, load_collection, save_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
@@ -306,7 +306,8 @@ def test_pathological_graphs_bounded_memory(build):
     tracemalloc.start()
     try:
         sets = _rr_sets(g, params, roots, stream(60, 0))
-        hybrid = list(_reverse_reach(g, params, roots, stream(60, 1), (aug.draw_arms, aug.span)))
+        hybrid = HybridCollection(aug)
+        hybrid._sample(roots, stream(60, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,8 +324,7 @@ def test_pathological_graphs_bounded_memory(build):
         got = np.array([len(rr.members) for rr in sets if sizes[rr.root] == expect])
         se = got.std(ddof=1) / np.sqrt(len(got))
         assert abs(got.mean() - expect) <= 4.0 * se + 1e-12, expect
-    vsets = np.concatenate([b[0] for b in hybrid])
-    flats = np.concatenate([b[1] for b in hybrid])
+    vsets, flats = hybrid.vsets, hybrid.flats
     assert np.all(np.diff(vsets) >= 0) and np.all((flats >= 0) & (flats < 2 * 3))
     assert len(vsets) > 0
 
