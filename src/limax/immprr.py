@@ -16,9 +16,11 @@ estimated spread gain.  Under independent strategy activation the gain of
 coordinate j only touches RR sets containing a node influenced by j.  The
 collection's strategy entries, the (rr_id, table row of q[v,j]) pairs
 derived from its member arrays, fall into segments, one per (strategy, RR
-set); each caches the product of its ratios (1 - q(x_j + 1)) / (1 - q(x_j)).
-j's gain sums s_i * (1 - product) over j's segments, where s_i = prod_{v in
-R_i} prod_{j in S_v} (1 - q[v,j](x_j)) is shared per set.
+set); each caches the product of its ratios (1 - q(x_j + 1)) / (1 - q(x_j))
+and the loss 1 - product.  j's gain sums s_i * loss over j's segments, where
+s_i = prod_{v in R_i} prod_{j in S_v} (1 - q[v,j](x_j)) is shared per set.
+Every stage greedy starts at x = 0, where curves with q(0) = 0 give s_i = 1
+exactly, so the greedy then skips the product over the members.
 
 The greedy is lazy (Minoux 1978; CELF, Leskovec et al. 2007): a heap keeps
 each coordinate's last computed gain as a bound, and a round recomputes
@@ -209,8 +211,11 @@ class GreedyState:
     and its first entry in ``seg_start``; strategy j owns the segments
     ``seg_bounds[j]:seg_bounds[j + 1]``.  Each segment caches its ratio
     product ``prod`` = prod (1 - q(x_j + 1)) / (1 - q(x_j)) over its
-    entries, which depends on x_j alone: :meth:`advance` on j folds j's
-    products into s on j's sets and recomputes j's products.
+    entries, which depends on x_j alone, and the loss ``1 - prod`` that the
+    gains weigh s by: :meth:`advance` on j folds j's products into s on
+    j's sets and recomputes j's products and losses.  Where every h_v(x) is
+    zero, as at x = 0 under curves with q(0) = 0, s is all ones without a
+    pass over the members.
     """
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
@@ -226,15 +231,15 @@ class GreedyState:
             np.array(x.steps if isinstance(x, StrategyMix) else x, dtype=np.int64)
         self._scale = collection.n / collection.theta if collection.theta else 0.0
         rr, self._rows, bounds = collection.strategy_entries()
-        strat = np.repeat(np.arange(lattice.d), np.diff(bounds))
-        first = np.ones(len(rr), dtype=bool)  # each (strategy, RR set) run's first entry
-        first[1:] = (rr[1:] != rr[:-1]) | (strat[1:] != strat[:-1])
-        starts = np.flatnonzero(first)
-        self.seg_rr = rr[starts]
-        self.seg_strat = strat[starts]
-        self.seg_start = np.append(starts, len(rr))
-        self.seg_bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(self.seg_strat, minlength=lattice.d))))
+        # each (strategy, RR set) run's first entry, and the end
+        first = np.ones(len(rr) + 1, dtype=bool)
+        np.not_equal(rr[1:], rr[:-1], out=first[1:-1])
+        first[bounds] = True
+        self.seg_start = np.flatnonzero(first)
+        self.seg_rr = rr[self.seg_start[:-1]]
+        seg_bounds = np.searchsorted(self.seg_start, bounds)
+        self.seg_strat = np.repeat(np.arange(lattice.d), np.diff(seg_bounds))
+        self.seg_bounds = seg_bounds.tolist()  # read per refresh: plain ints
         # ratio[row, t] = (1 - q(t + 1)) / (1 - q(t)), or 1 at t = top or q(t) = 1
         top = lattice.budget_steps
         den = 1.0 - model._flat_tables[:, :top]
@@ -242,11 +247,17 @@ class GreedyState:
         np.divide(1.0 - model._flat_tables[:, 1:top + 1], den,
                   out=self._ratio[:, :top], where=den > 0.0)
         self.s = self.recompute_s()
-        self.prod = self._products(0, len(starts), self.x[strat])
+        steps = np.repeat(self.x, np.diff(bounds)) if self.x.any() else 0
+        self.prod = self._products(0, len(self.seg_rr), steps)
+        self._loss = 1.0 - self.prod
 
     def recompute_s(self) -> np.ndarray:
-        """From-scratch s_i values at the current step vector."""
-        return 1.0 - self.collection.coverage_weights(self.model.h_all(self.x))
+        """From-scratch s_i values at the current step vector: all ones,
+        the same bits as the product, when every h_v is zero."""
+        h = self.model.h_all(self.x)
+        if not h.any():
+            return np.ones(self.collection.theta)
+        return 1.0 - self.collection.coverage_weights(h)
 
     def _products(self, a: int, b: int, steps) -> np.ndarray:
         """Ratio products of segments ``a:b`` with their entries at ``steps``."""
@@ -258,14 +269,16 @@ class GreedyState:
         """Estimated spread gain of one more step on coordinate j, summed in
         segment order as :meth:`gains` sums it, so the two agree bitwise."""
         a, b = self.seg_bounds[j], self.seg_bounds[j + 1]
-        seg_gain = self.s[self.seg_rr[a:b]] * (1.0 - self.prod[a:b])
-        return self._scale * float(np.add.accumulate(seg_gain)[-1]) if a < b else 0.0
+        if a == b:
+            return 0.0
+        seg_gain = self.s[self.seg_rr[a:b]]
+        seg_gain *= self._loss[a:b]
+        return self._scale * float(np.add.accumulate(seg_gain)[-1])
 
     def gains(self) -> np.ndarray:
         """Every coordinate's marginal gain: one ``bincount`` over the segments."""
         return self._scale * np.bincount(
-            self.seg_strat, self.s[self.seg_rr] * (1.0 - self.prod),
-            minlength=self.lattice.d)
+            self.seg_strat, self.s[self.seg_rr] * self._loss, minlength=self.lattice.d)
 
     def advance(self, j: int) -> None:
         """Spend one step on coordinate j and fold the change into s."""
@@ -273,6 +286,7 @@ class GreedyState:
         self.s[self.seg_rr[a:b]] *= self.prod[a:b]
         self.x[j] += 1
         self.prod[a:b] = self._products(a, b, self.x[j])
+        np.subtract(1.0, self.prod[a:b], out=self._loss[a:b])
 
 
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,

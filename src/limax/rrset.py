@@ -42,7 +42,8 @@ scattered pairs and the forward cascades' per-run picks) and the arm draws.
 A collection holds its RR sets in flat arrays that only grow (members,
 offsets, roots, widths), appended straight from the kernel's batches; the
 coverage weights and the greedy's per-strategy entries are whole-array
-reductions over the members, and the entries extend over new sets only.
+reductions over the members, and the entries extend over new sets only:
+one scatter puts each strategy's new entries after its old ones.
 """
 
 from __future__ import annotations
@@ -358,7 +359,8 @@ class RRCollection:
         q[v, j], as ``model.rows`` expands the members.  Strategy j owns
         ``bounds[j]:bounds[j + 1]``, ordered by i then v.  Needs an
         independent activation model.  A call builds the entries of the
-        sets added since the last one only.
+        sets added since the last one only, and scatters them to their
+        destinations in the merged arrays.
         """
         offsets, done = self.offsets, self._entries_count
         if self._entries is None or done < len(offsets) - 1:
@@ -371,16 +373,25 @@ class RRCollection:
             order = np.argsort(strat.astype(np.min_scalar_type(d)), kind="stable")
             bounds = np.concatenate(([0], np.cumsum(np.bincount(strat, minlength=d))))
             old_rr, old_rows, old = self._entries or (_NONE, _NONE, np.zeros(d + 1, np.int64))
-            # strategy j's new entries follow its old ones, shifted by the new ones below j
-            at = np.repeat(old[1:], np.diff(bounds))
-            self._entries = (np.insert(old_rr, at, rr[order]),
-                             np.insert(old_rows, at, rows[order]), old + bounds)
+            # strategy j's new entry k (in sorted order) goes to k + old[j + 1],
+            # after its old ones; the old entries keep their order in the rest
+            new_at = np.repeat(old[1:], np.diff(bounds)) + np.arange(len(order))
+            keep = np.ones(len(old_rr) + len(order), dtype=bool)
+            keep[new_at] = False
+
+            def merge(was, add):
+                out = np.empty(len(keep), np.int64)
+                out[keep], out[new_at] = was, add
+                return out
+
+            self._entries = (merge(old_rr, rr[order]), merge(old_rows, rows[order]),
+                             old + bounds)
             self._entries_count = len(offsets) - 1
         return self._entries
 
     def coverage_weights(self, h_all: np.ndarray) -> np.ndarray:
         """Per-RR-set partial coverage 1 - prod_{v in R} (1 - h_v)."""
-        return 1.0 - np.multiply.reduceat(1.0 - h_all[self.members], self._offsets[:-1])
+        return 1.0 - np.multiply.reduceat((1.0 - h_all)[self.members], self._offsets[:-1])
 
 
 def generate_collection(graph: DirectedGraph, params: TriggeringParams,

@@ -1,6 +1,7 @@
 import importlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import random_instance, stage_reuse_instance
 
 from limax.budgets import (PartitionedBudget, TotalBudget, feasible_increments,
                            is_feasible, total_steps)
-from limax.graph import from_edges, uniform_ic
+from limax.graph import assign_weighted_cascade, from_edges, gen_erdos_renyi, uniform_ic
 from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
                           UnsupportedModelError, compute_gamma, compute_m,
                           effective_ell, immprr, lambda_star, lgreedy,
@@ -234,7 +235,8 @@ def test_delta_greedy_runtime_scales_roughly_linearly(rng):
 
 def _greedy_rounds(coll, model, lat, constraint):
     """Run the delta greedy round by round, checking in every round that the
-    whole-array gain vector equals the per-coordinate marginals."""
+    whole-array gain vector equals the per-coordinate marginals bitwise: the
+    lazy heap compares a refreshed marginal against bounds from either."""
     state = GreedyState(coll, model, lat, constraint)
     for _ in range(total_steps(constraint)):
         feas = feasible_increments(state.x, constraint)
@@ -242,7 +244,7 @@ def _greedy_rounds(coll, model, lat, constraint):
             break
         gains = state.gains()
         scratch = np.array([state.marginal(j) for j in range(lat.d)])
-        assert np.max(np.abs(gains - scratch)) <= 1e-12
+        assert gains.tobytes() == scratch.tobytes()
         masked = np.full(lat.d, -np.inf)
         masked[feas] = gains[feas]
         state.advance(int(np.argmax(masked)))
@@ -314,9 +316,51 @@ def test_coordinate_at_last_step_scores_exactly_zero():
         state.advance(j)
     assert state.x[j] == K
     assert state.gains()[j] == 0.0 and state.marginal(j) == 0.0
-    scratch = [state.marginal(i) for i in range(inst.lattice.d)]
-    assert np.max(np.abs(state.gains() - scratch)) <= 1e-12
+    scratch = np.array([state.marginal(i) for i in range(inst.lattice.d)])
+    assert state.gains().tobytes() == scratch.tobytes()
     assert np.max(np.abs(state.s - state.recompute_s())) <= 1e-12
+
+
+@pytest.mark.parametrize("q0", [0.0, 1e-13])
+def test_initial_s_equals_coverage_product_bitwise(q0):
+    """At x = 0, s is 1 - coverage bitwise: all ones when every h_v is zero,
+    the full product when q(0) > 0 passes validation within its tolerance."""
+    gen = np.random.default_rng(1650)
+    inst = random_instance(gen, n_max=8, m_max=12, d_max=3, steps_max=3)
+    tables = inst.model._flat_tables.copy()
+    tables[:, 0] = q0
+    model = IndependentActivation(inst.graph.n, inst.lattice, inst.model._flat_nodes,
+                                  inst.model._flat_strats, tables)
+    assert validate_model(model, inst.lattice) == []
+    coll = generate_collection(inst.graph, inst.params, model, 200, stream(35, 1))
+    state = GreedyState(coll, model, inst.lattice, TotalBudget(inst.lattice.budget_steps))
+    s = 1.0 - coll.coverage_weights(model.h_all(np.zeros(inst.lattice.d, dtype=np.int64)))
+    assert state.s.tobytes() == s.tobytes()
+    assert (s < 1.0).any() == (q0 > 0.0)
+
+
+def test_greedy_state_at_zero_allocates_less_than_the_members():
+    """With the curves on 2 % of the nodes, the strategy entries are far
+    fewer than the members, and building the greedy at x = 0 allocates no
+    member-sized temporary."""
+    n = 5000
+    graph = gen_erdos_renyi(n, 5 * n, stream(36, 0))
+    lat = LatticeConfig(d=4, delta=1.0, budget_steps=3)
+    gen = np.random.default_rng(1660)
+    nodes = gen.choice(n, size=n // 50, replace=False)
+    model = IndependentActivation(n, lat, nodes, gen.integers(0, lat.d, size=len(nodes)),
+                                  np.tile([0.0, 0.3, 0.5, 0.6], (len(nodes), 1)))
+    coll = generate_collection(graph, assign_weighted_cascade(graph), model, 20_000,
+                               stream(36, 1))
+    assert len(coll.strategy_entries()[0]) * 10 < len(coll.members)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        GreedyState(coll, model, lat, TotalBudget(lat.budget_steps))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < coll.members.nbytes
 
 
 # --- lazy greedy --------------------------------------------------------------------
