@@ -213,13 +213,13 @@ class GreedyState:
     product ``prod`` = prod (1 - q(x_j + 1)) / (1 - q(x_j)) over its
     entries, which depends on x_j alone, and the loss ``1 - prod`` that the
     gains weigh s by: :meth:`advance` on j folds j's products into s on
-    j's sets and recomputes j's products and losses.  Where every h_v(x) is
-    zero, as at x = 0 under curves with q(0) = 0, s is all ones without a
-    pass over the members.
+    j's sets and recomputes j's products and losses.  The state starts at
+    x = 0; where every h_v(0) is zero, as under curves with q(0) = 0, s is
+    all ones without a pass over the members.
     """
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
-                 lattice: LatticeConfig, constraint, x=None):
+                 lattice: LatticeConfig, constraint):
         if getattr(model, "kind", None) != "independent":
             raise UnsupportedModelError(
                 "delta greedy requires independent strategy activation")
@@ -227,8 +227,7 @@ class GreedyState:
         self.model = model
         self.lattice = lattice
         self.constraint = constraint
-        self.x = np.zeros(lattice.d, dtype=np.int64) if x is None else \
-            np.array(x.steps if isinstance(x, StrategyMix) else x, dtype=np.int64)
+        self.x = np.zeros(lattice.d, dtype=np.int64)
         self._scale = collection.n / collection.theta if collection.theta else 0.0
         rr, self._rows, bounds = collection.strategy_entries()
         # each (strategy, RR set) run's first entry, and the end
@@ -247,8 +246,7 @@ class GreedyState:
         np.divide(1.0 - model._flat_tables[:, 1:top + 1], den,
                   out=self._ratio[:, :top], where=den > 0.0)
         self.s = self.recompute_s()
-        steps = np.repeat(self.x, np.diff(bounds)) if self.x.any() else 0
-        self.prod = self._products(0, len(self.seg_rr), steps)
+        self.prod = self._products(0, len(self.seg_rr), 0)
         self._loss = 1.0 - self.prod
 
     def recompute_s(self) -> np.ndarray:
