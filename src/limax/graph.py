@@ -216,21 +216,25 @@ def _compact(src: np.ndarray, dst: np.ndarray, values: np.ndarray | None,
     if declared_n is not None:
         n = declared_n
         labels = None
-        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
-        if len(bad):
-            e = bad[0]
-            raise EdgeListError(f"node id {max(src[e], dst[e])} out of declared range [0, {n})")
     else:
         labels, ids = np.unique(np.concatenate((src, dst)), return_inverse=True)
         n = len(labels)
         src, dst = ids[:len(src)], ids[len(src):]
     keep = src != dst
     dropped = len(keep) - int(np.count_nonzero(keep))
-    if dropped:
-        warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=3)
+    if dropped:  # keep a self-loop with an id outside [0, n) for the constructor to reject
+        keep |= (src < 0) | (src >= n)
         src, dst = src[keep], dst[keep]
         values = None if values is None else values[keep]
-    return DirectedGraph(n, src, dst, values, labels)
+    try:
+        graph = DirectedGraph(n, src, dst, values, labels)
+    except ValueError:  # int64 ids of equal length fail only outside [0, n)
+        e = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))[0]
+        raise EdgeListError(
+            f"node id {max(src[e], dst[e])} out of declared range [0, {n})") from None
+    if dropped:
+        warnings.warn(f"dropped {dropped} self-loop(s)", stacklevel=3)
+    return graph
 
 
 def from_edges(n: int, edges: Iterable[tuple]) -> DirectedGraph:

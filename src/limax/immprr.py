@@ -261,7 +261,8 @@ class GreedyState:
         """Ratio products of segments ``a:b`` with their entries at ``steps``."""
         e0, e1 = self.seg_start[a], self.seg_start[b]
         ratio = self._ratio[self._rows[e0:e1], steps]
-        return np.multiply.reduceat(ratio, self.seg_start[a:b] - e0)
+        starts = self.seg_start[a:b]
+        return np.multiply.reduceat(ratio, starts - e0 if e0 else starts)  # e0 = 0 at set-up
 
     def marginal(self, j: int) -> float:
         """Estimated spread gain of one more step on coordinate j, summed in

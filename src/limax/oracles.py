@@ -5,8 +5,9 @@ Forward Monte-Carlo runs many cascades at once (``_cascades``) over the
 cap on the pairs per batch bounds the memory.  Under IC, the forward twin
 of the reverse search in ``limax.rrset``, the cascades advance one BFS
 level per vectorized step over the out-edge CSR, each out-edge of a newly
-active pair drawing one coin.  Under LT each pair commits to one
-in-neighbour pick per run, drawn up front; by the live-edge view of LT
+active pair drawing one coin, in the reverse kernel's level step; a pair
+is counted for its run as it is expanded.  Under LT each pair commits to
+one in-neighbour pick per run, drawn up front; by the live-edge view of LT
 (Kempe, Kleinberg and Tardos 2003) it ends up active exactly when its
 chain of picks reaches a seed, which pointer doubling settles in O(log n)
 whole-array rounds.  A run's spread is its count of active pairs.
@@ -117,28 +118,30 @@ def _cascades(graph: DirectedGraph, params: TriggeringParams, runs: int,
     draws one batch's seeds and returns their sorted, distinct keys
     ``node * size + run``.  Under IC the cascade then advances one level
     per step over the out-edge CSR (see :func:`limax.rrset._reach`), so
-    each active pair is expanded once, and every out-edge of a newly active
-    pair draws one uniform.  Under LT every pair commits to its in-neighbour
-    once, drawn per batch after the seeds (see :func:`_lt_parents`), and
-    is active when its chain of picks reaches a seed (see :func:`_follow`).
-    A run's count is the number of its active keys.
+    each active pair is expanded once, and counted for its run then, and
+    every out-edge of a newly active pair draws one uniform.  Under LT
+    every pair commits to its in-neighbour once, drawn per batch after the
+    seeds (see :func:`_lt_parents`), and is active when its chain of picks
+    reaches a seed (see :func:`_follow`).  A run's count is the number of
+    its active keys.
     """
     n = graph.n
     per_batch = max(1, min(runs, _RUN_PAIRS // max(n, width, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
     out_csr = params._out_csr
-    counts = np.empty(runs)
+    counts = np.zeros(runs)
     for b0 in range(0, runs, per_batch):
         size = min(per_batch, runs - b0)
         frontier = seed_keys(size)
         if params.kind == IC:
             def expand(keys):
                 nodes, local = np.divmod(keys, size)
-                return _live_edges(out_csr, out_csr[0][nodes], out_csr[0][nodes + 1],
+                counts[b0:b0 + size] += np.bincount(local, minlength=size)
+                return _live_edges(out_csr, out_csr[0][nodes], out_csr[0][1:][nodes],
                                    local, size, rng)
 
-            counts[b0:b0 + size] = sum(np.bincount(keys % size, minlength=size)
-                                       for keys in _reach(marks, frontier, expand))
+            for _ in _reach(marks, frontier, expand):
+                pass
             marks.fill(0)
         else:
             par = _lt_parents(params, n, size, rng)

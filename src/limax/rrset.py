@@ -39,6 +39,10 @@ transposed graph, from several roots per run.  The slot search
 (``_slots``) serves the LT picks in both directions (the reverse kernel's
 scattered pairs and the forward cascades' per-run picks) and the arm draws.
 
+Most level steps are small, so their fixed cost counts: a level that fits
+one step takes its CSR rows whole and is the next frontier as it is, bits
+come from an 8-entry table, and IC without skip flags gathers none.
+
 A collection holds its RR sets in flat arrays that only grow (members,
 offsets, roots, widths), appended straight from the kernel's batches; the
 coverage weights and the greedy's per-strategy entries are whole-array
@@ -85,13 +89,15 @@ _EDGE_CHUNK = 1 << 17  # pairs, and their in-edges, expanded per vectorized step
 _SKIP_ROUNDS = 16      # geometric-gap rounds per step before the coins take over
 
 _NONE = np.empty(0, np.int64)
+_BIT = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # key k: bit _BIT[k & 7] of byte k >> 3
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of the int64 array ``keys``: one sort and
-    a neighbour-inequality mask.  ``np.unique`` on a plain int64 array
-    takes a hash-table path that is 35-40x slower than this sort."""
-    keys = np.sort(keys)
+    a neighbour-inequality mask; ``keys`` is sorted in place.  ``np.unique``
+    on a plain int64 array takes a hash-table path that is 35-40x slower
+    than this sort."""
+    keys.sort()
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
@@ -114,7 +120,7 @@ def _slots(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
     """Set the bits of ``keys`` in the bitmap ``marks``."""
-    np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+    np.bitwise_or.at(marks, keys >> 3, _BIT[keys & 7])
 
 
 def _edge_chunks(lo: np.ndarray, hi: np.ndarray, local: np.ndarray):
@@ -122,17 +128,20 @@ def _edge_chunks(lo: np.ndarray, hi: np.ndarray, local: np.ndarray):
     position order, at most ``_EDGE_CHUNK`` per step: ``(pos, pair)``, where
     position ``pos[k]`` lies in row i and ``pair[k]`` is ``local[i]``."""
     deg = hi - lo
-    ends = np.cumsum(deg)
-    begins = ends - deg
+    ends = deg.cumsum()
+    shift = hi - ends  # row i's positions are shift[i] + its step offsets
     total = int(ends[-1]) if len(ends) else 0
     for c0 in range(0, total, _EDGE_CHUNK):
         c1 = min(c0 + _EDGE_CHUNK, total)
-        a = np.searchsorted(ends, c0, side="right")
-        z = np.searchsorted(begins, c1)
-        take = np.minimum(ends[a:z], c1) - np.maximum(begins[a:z], c0)
-        pos = np.repeat(lo[a:z] - begins[a:z], take)
+        if c1 - c0 == total:  # one step: every row whole, no boundary search
+            a, z, take = 0, len(deg), deg
+        else:
+            a = ends.searchsorted(c0, side="right")
+            z = ends.searchsorted(c1) + 1
+            take = np.minimum(ends[a:z], c1) - np.maximum(ends[a:z] - deg[a:z], c0)
+        pos = shift[a:z].repeat(take)
         pos += np.arange(c0, c1)
-        yield pos, np.repeat(local[a:z], take)
+        yield pos, local[a:z].repeat(take)
 
 
 def _live_edges(csr, lo: np.ndarray, hi: np.ndarray, local: np.ndarray,
@@ -143,8 +152,10 @@ def _live_edges(csr, lo: np.ndarray, hi: np.ndarray, local: np.ndarray,
     edge draws one uniform and is live below its probability."""
     _, ends, probs = csr
     for pos, pair in _edge_chunks(lo, hi, local):
-        live = np.flatnonzero(rng.random(len(pos)) < probs[pos])
-        yield ends[pos[live]] * sets + pair[live]
+        live = (rng.random(len(pos)) < probs[pos]).nonzero()[0]
+        keys = ends[pos[live]]
+        keys *= sets
+        yield np.add(keys, pair[live], out=keys)
 
 
 def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
@@ -166,7 +177,7 @@ def _skip_edges(csr, shared: np.ndarray, nodes: np.ndarray, local: np.ndarray,
     """
     indptr, src, _ = csr
     pos = indptr[nodes] - 1  # the pair's last live in-edge, or one before its row
-    end = indptr[nodes + 1]
+    end = indptr[1:][nodes]
     rate = np.log1p(-shared[nodes])
     pair = local
     for _ in range(_SKIP_ROUNDS):
@@ -193,7 +204,7 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
     in-edge past the last one."""
     csr = params._csr
     lo = csr[0][nodes]
-    hi = csr[0][nodes + 1]
+    hi = csr[0][1:][nodes]
     if params.kind == IC:
         flag, shared = params._skip
         skip = flag[nodes]
@@ -220,21 +231,22 @@ def _reach(marks: np.ndarray, frontier: np.ndarray, expand):
     by level: first ``frontier``, then one sorted array per step.
     ``expand(keys)`` yields candidate keys for up to ``_EDGE_CHUNK`` keys of
     a level, one step at a time; a candidate is kept once, if its bit in
-    the bitmap ``marks`` is clear, and its bit is then set.  The caller
-    clears ``marks`` afterwards.
+    the bitmap ``marks`` is clear, and its bit is then set.  A level's
+    arrays, in step order, are the next frontier, and ``expand`` sees every
+    yielded key once.  The caller clears ``marks`` afterwards.
     """
     _mark(marks, frontier)
     yield frontier
     while len(frontier):
-        fresh = [_NONE]
+        fresh = []
         for s0 in range(0, len(frontier), _EDGE_CHUNK):
             for cand in expand(frontier[s0:s0 + _EDGE_CHUNK]):
                 # a key reached twice in one level is kept once
-                cand = _distinct(cand[(marks[cand >> 3] >> (cand & 7)) & 1 == 0])
+                cand = _distinct(cand[(marks[cand >> 3] & _BIT[cand & 7]) == 0])
                 _mark(marks, cand)
                 fresh.append(cand)
                 yield cand
-        frontier = np.concatenate(fresh)
+        frontier = fresh[0] if len(fresh) == 1 else np.concatenate([_NONE, *fresh])
 
 
 def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
@@ -259,11 +271,15 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
     count = len(roots)
     per_batch = max(1, min(count, 8 * _MARK_BYTES // max(n, 1)))
     marks = np.zeros(per_batch * n // 8 + 1, dtype=np.uint8)
+    csr = params._csr
+    coins = params.kind == IC and not params._skip[0].any()  # then no level gathers flags
     for b0 in range(0, count, per_batch):
         size = min(per_batch, count - b0)
 
         def expand(keys):
             nodes, local = np.divmod(keys, size)
+            if coins:
+                return _live_edges(csr, csr[0][nodes], csr[0][1:][nodes], local, size, rng)
             return _live_in_edges(params, nodes, local, size, rng)
 
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))

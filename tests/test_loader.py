@@ -121,6 +121,7 @@ def test_loader_matches_scalar_reference_on_random_inputs():
     ("# c\n\n0 1 0.5\n-1 2 9\n1 x 0.5\n", False, "line 4: negative node id"),
     ("3 2\n0 1\n", True, "header declares 2 edges but file has 1"),
     ("2 1\n0 5\n", "auto", "node id 5 out of declared range [0, 2)"),
+    ("3 3\n0 1\n5 5\n1 7\n", True, "node id 5 out of declared range [0, 3)"),
     ("0 1 2\n", True, "line 1: expected header line 'n m'"),
     ("a 1\n0 1\n", True, "line 1: non-integer header fields"),
     ("-3 1\n0 1\n", True, "line 1: negative header counts"),

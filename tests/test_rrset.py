@@ -776,3 +776,153 @@ def test_skip_coins_match_repeated_pair_index(rounds, seed, monkeypatch):
     assert len(new) == len(old) > rounds
     assert all(_bitwise(a, b) for a, b in zip(new, old))
     assert rng_new.random() == rng_old.random()
+
+
+# --- the BFS level step against the one it replaced ---------------------------------
+
+def _reach_before(marks, frontier, expand):
+    """The level loop before the lean level step: bits by shift and mask, and
+    one concatenation per level, of one array or several."""
+    def mark(keys):
+        np.bitwise_or.at(marks, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+
+    mark(frontier)
+    yield frontier
+    while len(frontier):
+        fresh = [np.empty(0, np.int64)]
+        for s0 in range(0, len(frontier), rrset_module._EDGE_CHUNK):
+            for cand in expand(frontier[s0:s0 + rrset_module._EDGE_CHUNK]):
+                cand = np.unique(cand[(marks[cand >> 3] >> (cand & 7)) & 1 == 0])
+                mark(cand)
+                fresh.append(cand)
+                yield cand
+        frontier = np.concatenate(fresh)
+
+
+def _in_edge_expand_before(params, sets, rng):
+    """The reverse kernel's expand before it: a skip-flag gather per step,
+    and LT slots found by one ``bisect`` per pair."""
+    csr = params._csr
+    indptr, src, cum = csr
+
+    def expand(keys):
+        nodes, local = np.divmod(keys, sets)
+        if params.kind == IC:
+            skip = params._skip[0][nodes]
+            if (~skip).any():
+                yield from _live_edges_before(csr, nodes[~skip], local[~skip], sets, rng)
+            if skip.any():
+                yield from _skip_coins_before(csr, params._skip[1], nodes[skip], local[skip],
+                                              sets, rng)
+            return
+        has = np.flatnonzero(indptr[nodes + 1] > indptr[nodes])
+        keys = []
+        for k, u in zip(has.tolist(), rng.random(len(has)).tolist()):
+            lo, hi = indptr[nodes[k]], indptr[nodes[k] + 1]
+            pos = lo + bisect.bisect_right(cum[lo:hi].tolist(), u)
+            if pos < hi:
+                keys.append(src[pos] * sets + local[k])
+        yield np.array(keys, dtype=np.int64)
+    return expand
+
+
+def _level_graph(case):
+    """A 600-node random graph with certain, coin and (for ``skip``) flagged
+    nodes: IC coins at random probabilities, IC with p = 0.3 shared by all
+    edges and a hub of in-degree 80 past the skip gate, or LT."""
+    gen = np.random.default_rng(970)
+    n = 600
+    src, dst = gen.integers(0, n, size=(2, 2400))
+    edges = [(int(u), int(v)) for u, v in zip(src, dst) if u != v]
+    edges += [(int(u), 0) for u in gen.choice(np.arange(1, n), 80, replace=False)]
+    g = from_edges(n, edges)
+    if case == "coin":
+        return g, TriggeringParams.build(g, IC, gen.uniform(0.05, 0.6, size=g.m))
+    if case == "skip":
+        params = uniform_ic(g, 0.3)
+        assert params._skip[0][0] and params._skip[0].sum() == 1
+        return g, params
+    deg = g.in_degrees()
+    return g, TriggeringParams.build(g, LT, np.repeat(0.95 / np.maximum(deg, 1), deg))
+
+
+@pytest.mark.parametrize("chunk", [16, 1000, None])
+@pytest.mark.parametrize("case", ["coin", "skip", "lt"])
+def test_levels_match_the_level_step_before(case, chunk, monkeypatch):
+    """Every level of a reverse-kernel batch, and the draws after it, equal
+    the old level step's bitwise, whether levels take one step or span
+    several."""
+    if chunk is not None:
+        monkeypatch.setattr(rrset_module, "_EDGE_CHUNK", chunk)
+    g, params = _level_graph(case)
+    roots = np.concatenate(([0, 0, 5], np.random.default_rng(971).integers(0, g.n, 37)))
+    size = len(roots)
+    new, reach = [], rrset_module._reach
+
+    def recorded(marks, frontier, expand):
+        for keys in reach(marks, frontier, expand):
+            new.append(keys)
+            yield keys
+
+    monkeypatch.setattr(rrset_module, "_reach", recorded)
+    rng = stream(96, len(case), chunk or 0)
+    assert len(list(rrset_module._reverse_reach(g, params, roots, rng))) == 1
+    new_next = rng.random()
+    rng = stream(96, len(case), chunk or 0)
+    marks = np.zeros(size * g.n // 8 + 1, dtype=np.uint8)
+    old = list(_reach_before(marks, np.sort(roots * size + np.arange(size)),
+                             _in_edge_expand_before(params, size, rng)))
+    assert len(new) == len(old) > 3
+    assert all(_bitwise(a, b) for a, b in zip(new, old))
+    assert new_next == rng.random()
+    if chunk == 16:  # some level spans several steps
+        assert max(map(len, new)) > 16
+
+
+def _ic_counts_before(graph, params, runs, seed_keys, rng):
+    """``oracles._cascades`` under IC before the lean level step: one
+    ``bincount`` of ``keys % size`` per yielded array."""
+    from limax import oracles
+
+    out_csr, n = params._out_csr, graph.n
+    per_batch = max(1, min(runs, oracles._RUN_PAIRS // n))
+    counts = []
+    for b0 in range(0, runs, per_batch):
+        size = min(per_batch, runs - b0)
+        marks = np.zeros(size * n // 8 + 1, dtype=np.uint8)
+
+        def expand(keys):
+            return _live_edges_before(out_csr, *np.divmod(keys, size), size, rng)
+
+        counts.append(sum(np.bincount(keys % size, minlength=size)
+                          for keys in _reach_before(marks, seed_keys(size), expand)))
+    return np.concatenate(counts)
+
+
+@pytest.mark.parametrize("chunk", [16, 1000, None])
+@pytest.mark.parametrize("case", ["coin", "skip"])
+def test_forward_ic_counts_match_the_level_step_before(case, chunk, monkeypatch):
+    """Forward IC cascade counts, over several batches of runs, and the draws
+    after them equal the old level step's bitwise."""
+    from limax import oracles
+
+    if chunk is not None:
+        monkeypatch.setattr(rrset_module, "_EDGE_CHUNK", chunk)
+    g, params = _level_graph(case)
+    monkeypatch.setattr(oracles, "_RUN_PAIRS", 12 * g.n)  # batches of 12 runs
+    out = []
+    for count in (oracles._cascades, None):
+        rng = stream(97, len(case), chunk or 0)
+
+        def seed_keys(size, rng=rng):
+            run, node = np.nonzero(rng.random((size, g.n)) < 0.01)
+            return np.sort(node * size + run)
+
+        if count is None:
+            counts = _ic_counts_before(g, params, 30, seed_keys, rng)
+        else:
+            counts = count(g, params, 30, 0, seed_keys, rng)
+        out.append((counts, rng.random()))
+    (new, new_next), (old, old_next) = out
+    assert new.dtype == np.float64 and np.array_equal(new, old) and new_next == old_next
+    assert np.median(old) > 100  # most cascades spread far past their seeds
