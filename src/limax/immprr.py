@@ -275,9 +275,11 @@ class GreedyState:
         return self._scale * float(np.add.accumulate(seg_gain)[-1])
 
     def gains(self) -> np.ndarray:
-        """Every coordinate's marginal gain: one ``bincount`` over the segments."""
-        return self._scale * np.bincount(
-            self.seg_strat, self.s[self.seg_rr] * self._loss, minlength=self.lattice.d)
+        """Every coordinate's marginal gain: one ``bincount`` over the
+        segments, of one segment-sized temporary."""
+        w = self.s[self.seg_rr]
+        w *= self._loss
+        return self._scale * np.bincount(self.seg_strat, w, minlength=self.lattice.d)
 
     def advance(self, j: int) -> None:
         """Spend one step on coordinate j and fold the change into s."""

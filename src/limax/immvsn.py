@@ -41,6 +41,7 @@ from .graph import DirectedGraph, TriggeringParams
 from .immprr import (ImmParams, InvalidModelError, SamplingStats,
                      _imm_stages, _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
+from .rng import child
 from .rrset import (_EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct,
                     _reverse_reach, _slots)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
@@ -175,9 +176,11 @@ class HybridCollection:
         self.theta += len(roots)
 
     def extend(self, count: int, rng: np.random.Generator) -> None:
-        """Generate ``count`` more hybrid RR sets rooted at uniform random nodes."""
+        """Generate ``count`` more hybrid RR sets rooted at uniform random
+        nodes: the roots come from ``rng``, every other draw from its child."""
         if count > 0:
-            self._sample(rng.integers(0, self.n, size=count), rng)
+            roots = rng.integers(0, self.n, size=count)
+            self._sample(roots, child(rng))
 
 
 def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCollection:
@@ -269,6 +272,7 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
     seeded = np.zeros(span, dtype=bool)
     seeded[flats] = True
     touched = np.flatnonzero(np.diff(model._indptr))  # the nodes with rows
+    rng = child(rng)
 
     def seed_keys(size):
         pair, flats = aug.draw_arms(np.tile(touched, size), rng)

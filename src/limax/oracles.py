@@ -33,6 +33,7 @@ import numpy as np
 
 from .budgets import TotalBudget, is_feasible
 from .graph import IC, DirectedGraph, TriggeringParams
+from .rng import child
 from .rrset import _EDGE_CHUNK, _live_edges, _reach, _slots
 from .strategy import LatticeConfig, StrategyMix, as_steps
 
@@ -167,6 +168,7 @@ def simulate_spread_seeds(graph: DirectedGraph, params: TriggeringParams,
     nodes = np.array(sorted({int(v) for v in seeds}), dtype=np.int64)
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= graph.n):
         raise ValueError(f"seed node outside [0, {graph.n})")
+    rng = child(rng)
 
     def seed_keys(size):
         return (nodes[:, None] * size + np.arange(size)).ravel()
@@ -185,6 +187,7 @@ def simulate_spread_mix(graph: DirectedGraph, params: TriggeringParams,
         raise ValueError("runs must be >= 1")
     h = model.h_all(as_steps(x))
     support = np.flatnonzero(h > 0.0)
+    rng = child(rng)
 
     def seed_keys(size):
         run, col = np.nonzero(rng.random((size, len(support))) < h[support])

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import IC, DirectedGraph, TriggeringParams
+from .rng import child
 from .strategy import as_steps
 
 __all__ = [
@@ -285,8 +286,10 @@ def _reverse_reach(graph: DirectedGraph, params: TriggeringParams,
         frontier = np.sort(roots[b0:b0 + size] * size + np.arange(size))
         keys = np.concatenate(list(_reach(marks, frontier, expand)))
         marks[keys >> 3] = 0
-        nodes, local = np.divmod(keys, size)
-        yield local + b0, nodes
+        nodes = keys // size  # floor division by a scalar beats np.divmod here
+        keys -= nodes * size
+        keys += b0
+        yield keys, nodes
 
 
 def _flushed(name: str) -> property:
@@ -355,7 +358,9 @@ class RRCollection:
         self._flush()
         n, deg, parts = self.n, np.diff(self.params._csr[0]), []
         for sets, nodes in _reverse_reach(self.graph, self.params, roots, gen):
-            sets, nodes = np.divmod(np.sort(sets * n + nodes), n)
+            keys = np.sort(sets * n + nodes)
+            sets = keys // n
+            nodes = keys - sets * n
             starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
             parts.append((nodes, np.diff(starts, append=len(nodes)),
                           np.add.reduceat(deg[nodes], starts)))
@@ -363,9 +368,11 @@ class RRCollection:
         self._append(members, np.concatenate(sizes), roots, np.concatenate(widths))
 
     def extend(self, count: int, rng: np.random.Generator) -> None:
-        """Generate ``count`` more RR sets rooted at uniform random nodes."""
+        """Generate ``count`` more RR sets rooted at uniform random nodes:
+        the roots come from ``rng``, every other draw from its child."""
         if count > 0:
-            self._sample(rng.integers(0, self.n, size=count), rng)
+            roots = rng.integers(0, self.n, size=count)
+            self._sample(roots, child(rng))
 
     def strategy_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every strategy's (RR set, table row) pairs, read off the members.

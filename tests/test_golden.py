@@ -6,11 +6,16 @@ the order in which the batched reverse search, the hybrid arm draws, the LT
 pick or the forward cascade consume uniforms shows up here as a changed RR
 set, mix or spread, even when the distributions stay correct.  Each sampler
 reads its own stream, and the spreads are taken at fixed mixes, so a change
-to one sampler moves only its own literals.  A hub instance pins the
-sampling of a node with many in-edges, from a generator part-way through
-its stream.  A second hub instance pins the geometric gaps
-of nodes above the skip gate, and the coins that finish a row after the
-last gap round.
+to one sampler moves only its own literals.  Each public sampling call
+(``extend``, the forward spread simulations) draws its roots, if any, from
+the given stream and everything else from an SFC64 child seeded by four
+words of that stream (``limax.rng.child``), so the literals also pin where
+the child is made.  The triggering sets and the hub sets drawn through
+``RRCollection._sample`` read the given stream directly.  A hub instance
+pins the sampling of a node with many in-edges, from a generator
+part-way through its stream.  A second hub instance pins the geometric
+gaps of nodes above the skip gate, and the coins that finish a row after
+the last gap round.
 """
 
 import numpy as np
@@ -83,32 +88,33 @@ SPREAD_MIX = {IC: [2, 1, 0], LT: [0, 1, 2]}
 
 GOLDEN = {
     IC: {
-        "members": [[1, 8], [3], [2, 3], [2, 3, 4], [0, 1, 2, 3, 4, 7, 9, 10, 11],
-                    [2, 3, 4, 9], [0, 1, 2, 3, 4, 6, 7, 9, 10, 11], [3, 9],
-                    [0, 1, 2, 3, 5, 6, 7, 10, 11], [3, 9], [1, 3, 6, 7, 8, 11],
-                    [2, 3, 9, 10, 11]],
-        "widths": [5, 2, 6, 7, 28, 8, 31, 3, 31, 3, 19, 12],
+        "members": [[0, 1, 2, 3, 4, 7, 8, 9, 10, 11], [3], [0, 1, 2, 3, 4, 5, 6, 7, 9, 11],
+                    [1, 2, 3, 4, 6, 7, 10, 11], [3, 10, 11], [2, 4, 9], [3],
+                    [1, 3, 7, 9, 10, 11], [2, 3, 4, 5, 6, 10, 11], [9],
+                    [2, 3, 5, 6, 7, 9, 10, 11], [2, 3, 6, 10, 11]],
+        "widths": [31, 2, 32, 22, 7, 6, 2, 15, 17, 1, 22, 14],
         "hybrid_theta": 12,
-        "virtual_sets": [[3], [2, 3, 4, 7], [0, 1, 4, 5, 6], [1, 6], [0, 3, 5, 6, 7, 8],
-                         [1, 2, 4, 5, 6], [0, 1, 3, 7], [0, 3, 4, 5, 6, 7], [1, 3, 5, 6],
-                         [0, 2, 8], [0, 1, 2, 3, 5, 6, 8], [5, 7]],
+        "virtual_sets": [[3], [0, 3, 4, 6, 7], [0, 1, 3, 6], [0, 6], [0],
+                         [0, 3, 4, 5, 6, 7, 8], [0, 3, 6], [2, 3, 5, 6], [0, 2, 3, 5, 7, 8],
+                         [3, 7], [0, 1, 3, 5, 6, 7, 8], [0, 2, 4, 5, 6]],
         "triggering": [[3, 4, 7, 9, 10], [], [], [], [], [6], [4], [], [4], [3], [11], [7]],
-        "immprr": ([1, 1, 1], 465),
-        "immvsn": ([1, 1, 1], 494),
-        "spreads": [9.9, 9.84375],
+        "immprr": ([2, 1, 0], 464),
+        "immvsn": ([1, 1, 1], 464),
+        "spreads": [9.625, 9.328125],
     },
     LT: {
-        "members": [[11], [3, 6, 10, 11], [1, 6, 7, 10, 11], [0, 7, 10, 11],
-                    [2, 3, 6, 9, 10, 11], [2, 3, 10, 11], [2, 3, 4, 10, 11], [6],
-                    [0, 2, 3, 4, 6, 11], [7], [1, 6, 7, 10, 11], [0, 7]],
-        "widths": [4, 10, 15, 18, 15, 11, 12, 3, 22, 5, 15, 13],
+        "members": [[0, 1, 11], [3, 6, 10, 11], [3, 6, 10, 11], [3, 10, 11],
+                    [0, 2, 3, 5, 6, 7, 10, 11], [2, 3, 7, 9, 10, 11], [2, 3, 4, 7, 10, 11],
+                    [0, 6, 10, 11], [0, 6, 7, 11], [3, 7, 11], [2, 3, 4, 6, 9, 10, 11],
+                    [0, 10, 11]],
+        "widths": [14, 10, 10, 7, 29, 17, 17, 16, 20, 11, 16, 13],
         "hybrid_theta": 12,
-        "virtual_sets": [[0], [6], [5, 8], [1, 3], [1, 4, 6], [7, 8], [1, 3, 4, 6, 7, 8],
-                         [1, 6], [2, 3, 6], [2, 4, 6], [0, 2, 4, 7], [0, 2, 3, 6]],
+        "virtual_sets": [[4, 6], [2, 3, 6, 8], [5, 6], [6], [0, 5, 6], [0], [3, 7, 8],
+                         [0, 3, 6], [0, 4, 8], [1, 3, 5, 6], [0, 2, 3, 7], [3, 6]],
         "triggering": [[], [8], [5], [10], [2], [6], [], [1], [1], [3], [11], [0]],
-        "immprr": ([1, 0, 2], 436),
-        "immvsn": ([1, 1, 1], 438),
-        "spreads": [10.025, 10.03125],
+        "immprr": ([1, 0, 2], 438),
+        "immvsn": ([0, 1, 2], 435),
+        "spreads": [10.45, 10.59375],
     },
 }
 
@@ -168,15 +174,16 @@ def _hub_observed():
 
 
 HUB_GOLDEN = {
-    "members": [[25], [0, 1, 2, 6, 7, 8, 9, 14, 15, 16, 19, 20, 23, 27, 29, 30, 37],
-                [0, 1, 4, 5, 8, 9, 12, 14, 15, 19, 23, 26, 30, 31],
-                [0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15, 18, 19, 22, 23, 24, 25, 29,
-                 30, 31],
-                [24], [0, 1, 2, 4, 5, 6, 9, 11, 12, 13, 14, 16, 23, 24, 25, 26, 30, 37],
-                [0, 1, 5, 6, 8, 9, 14, 15, 22, 23, 25, 26, 30],
-                [0, 1, 2, 6, 8, 9, 10, 11, 15, 16, 17, 18, 23, 25, 26, 27, 30, 37],
-                [17], [33], [29], [14], [1], [1, 31], [22], [33]],
-    "widths": [2, 62, 56, 72, 2, 64, 54, 64, 2, 2, 2, 2, 2, 4, 2, 2],
+    "members": [[25], [0, 1, 4, 6, 8, 9, 10, 12, 14, 15, 19, 24, 25, 26, 30],
+                [0, 1, 7, 9, 10, 14, 15, 17, 19, 22, 24, 25, 26, 27, 30, 31], [31],
+                [24, 33], [13],
+                [0, 1, 2, 4, 6, 7, 8, 9, 10, 12, 14, 15, 16, 17, 22, 23, 24, 26, 27, 30],
+                [0, 1, 2, 3, 7, 8, 9, 10, 11, 12, 14, 15, 20, 24, 25, 26, 27, 30],
+                [0, 4, 5, 7, 8, 9, 11, 18, 20, 23, 25, 26, 29, 36, 37],
+                [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 18, 23, 25, 26, 27, 37], [6], [9],
+                [0, 1, 2, 3, 4, 6, 8, 9, 12, 14, 15, 19, 20, 24, 25, 26, 27, 29, 30, 37],
+                [37], [0, 6, 8, 9, 11, 12, 15, 19, 20, 22, 23, 27, 29, 32, 38], [29, 33]],
+    "widths": [2, 58, 60, 2, 4, 2, 68, 64, 58, 64, 2, 2, 68, 2, 58, 4],
     "hub_sets": [[0, 1, 4, 5, 6, 7, 9, 12, 14, 15, 17, 18, 19, 20, 22, 23, 24, 27, 29,
                   30],
                  [0, 4, 5, 6, 8, 9, 11, 12, 15, 16, 18, 22, 23, 27, 29, 30],
@@ -186,9 +193,8 @@ HUB_GOLDEN = {
                        [4, 8, 9, 10, 14, 16, 18, 22, 26],
                        [2, 4, 8, 10, 12, 16, 19, 21, 23, 24, 26, 27, 28, 29, 30],
                        [8, 12, 14, 16, 20, 22, 23, 25, 26]],
-    "virtual_sets": [[0, 2, 3, 5, 6, 8], [0], [0, 1, 2, 4, 6], [0, 4, 6, 8], [8],
-                     [0, 1, 2, 3, 4, 5, 6, 7, 8], [1], [1, 2, 3, 4, 5, 6, 7, 8],
-                     [0, 1, 2, 3, 4, 5, 7, 8], [0, 1, 4, 5, 6, 8]],
+    "virtual_sets": [[1, 3, 6, 7, 8], [3], [0, 7], [7], [0], [6], [0, 1, 3, 4, 6, 7, 8],
+                     [0, 3, 4, 7]],
 }
 
 
@@ -241,20 +247,23 @@ def _skip_hub_observed():
 
 
 SKIP_HUB_GOLDEN = {
-    "members": [[0, 5, 13, 15, 19, 20, 23, 24, 31, 35, 38, 40], [5, 29],
-               [0, 4, 5, 9, 15, 18, 19, 29, 31, 38, 39, 43, 49, 58],
-               [0, 1, 8, 11, 16, 22, 24, 25, 26, 27, 28, 29, 30, 34, 35, 36, 37, 38, 39, 42,
-                44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 58, 59],
-               [55], [37], [13, 35], [10], [29], [9, 43], [0, 2, 3, 4, 5, 12, 13, 19, 35],
-               [32, 45]],
-    "widths": [62, 4, 66, 142, 2, 2, 4, 2, 2, 4, 56, 4],
+    "members": [[0, 3, 15, 23, 29, 31, 32, 37], [0, 5, 18, 22, 29, 35, 40], [39],
+                [0, 3, 16, 19, 26, 29, 36, 37, 39, 42, 49, 58], [48, 55], [37], [13, 35],
+                [10], [0, 5, 6, 9, 15, 19, 21, 29, 35, 40, 57, 58],
+                [0, 2, 8, 9, 10, 11, 15, 16, 20, 24, 28, 30, 31, 32, 43, 45, 49],
+                [0, 1, 3, 5, 9, 12, 17, 20, 21, 24, 26, 27, 28, 29, 30, 31, 33, 35, 38, 39,
+                 40, 41, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 55, 56, 57, 58, 59],
+                [0, 5, 29, 32, 45]],
+    "widths": [54, 52, 2, 62, 4, 2, 4, 2, 62, 72, 154, 48],
     "hub_sets": [[0, 4, 5, 9, 18, 21, 25, 28, 29, 33, 34, 40, 49],
                 [0, 4, 6, 13, 17, 18, 24, 30, 31, 38, 39],
                 [0, 1, 5, 6, 7, 16, 19, 20, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 35, 36,
                  37, 38, 39, 40, 41, 42, 44, 46, 48, 49, 50, 51, 53, 54, 56, 58],
                 [0, 1, 5, 6, 9, 14, 15, 18, 19, 20, 23, 24, 25, 26, 28, 29, 30, 31, 32, 33, 35,
                  36, 38, 39, 40, 43, 45, 46, 47, 49, 51, 55, 57, 58, 59]],
-    "virtual_sets": [[3], [1, 4], [0, 1, 2, 3, 4, 5, 6, 7], [8]],
+    "virtual_sets": [[3], [0, 1, 3, 4, 6, 7, 8], [0, 2, 5, 6, 8], [0, 3, 7],
+                     [0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 4, 5], [4, 7],
+                     [0, 1, 2, 3, 4, 6, 7, 8]],
 }
 
 

@@ -530,8 +530,7 @@ def test_sampling_complete_graph_certainty():
     assert coll.theta <= math.floor(lam / stats.lower_bound) + 1
 
 
-@pytest.mark.parametrize("seed,grows", [(3, False), (0, True)])
-def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
+def test_final_greedy_reuses_last_stage_pick(monkeypatch):
     graph, params, model, lat, imm = stage_reuse_instance()
     calls = []
     module = importlib.import_module("limax.immprr")
@@ -542,12 +541,22 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
         return greedy(*args)
 
     monkeypatch.setattr(module, "lgreedy_delta", counted)
-    res = run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(7, seed))
-    # one greedy per stage, plus a final one only if the last stage's
-    # collection grew
-    assert (calls[res.stats.stages_run - 1] < res.stats.theta) == grows
-    assert len(calls) == res.stats.stages_run + grows
-    assert res.mix == greedy(res.collection, model, lat, TotalBudget(10))
+    grew = set()
+    for key in range(12):
+        calls.clear()
+        res = run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(7, key))
+        stats = res.stats
+        last = calls[stats.stages_run - 1]
+        # lambda* / LB sets asked for more than the last stage's collection
+        grows = math.floor(lambda_star(graph.n, imm.epsilon, stats.ell_eff, imm.m_bound)
+                           / stats.lower_bound) + 1 > last
+        # one greedy per stage, plus a final one only if the last stage's
+        # collection grew
+        assert (last < stats.theta) == grows
+        assert len(calls) == stats.stages_run + grows
+        assert res.mix == greedy(res.collection, model, lat, TotalBudget(10))
+        grew.add(grows)
+    assert grew == {False, True}
 
 
 # --- driver ----------------------------------------------------------------------
