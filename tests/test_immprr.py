@@ -530,7 +530,8 @@ def test_sampling_complete_graph_certainty():
     assert coll.theta <= math.floor(lam / stats.lower_bound) + 1
 
 
-def test_final_greedy_reuses_last_stage_pick(monkeypatch):
+@pytest.mark.parametrize("seed,grows", [(3, False), (0, True)])
+def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
     graph, params, model, lat, imm = stage_reuse_instance()
     calls = []
     module = importlib.import_module("limax.immprr")
@@ -541,22 +542,17 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch):
         return greedy(*args)
 
     monkeypatch.setattr(module, "lgreedy_delta", counted)
-    grew = set()
-    for key in range(12):
-        calls.clear()
-        res = run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(7, key))
-        stats = res.stats
-        last = calls[stats.stages_run - 1]
-        # lambda* / LB sets asked for more than the last stage's collection
-        grows = math.floor(lambda_star(graph.n, imm.epsilon, stats.ell_eff, imm.m_bound)
-                           / stats.lower_bound) + 1 > last
-        # one greedy per stage, plus a final one only if the last stage's
-        # collection grew
-        assert (last < stats.theta) == grows
-        assert len(calls) == stats.stages_run + grows
-        assert res.mix == greedy(res.collection, model, lat, TotalBudget(10))
-        grew.add(grows)
-    assert grew == {False, True}
+    res = run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(11, seed))
+    stats = res.stats
+    last = calls[stats.stages_run - 1]
+    # lambda* / LB sets asked for more than the last stage's collection
+    assert (math.floor(lambda_star(graph.n, imm.epsilon, stats.ell_eff, imm.m_bound)
+                       / stats.lower_bound) + 1 > last) == grows
+    # one greedy per stage, plus a final one only if the last stage's
+    # collection grew
+    assert (last < stats.theta) == grows
+    assert len(calls) == stats.stages_run + grows
+    assert res.mix == greedy(res.collection, model, lat, TotalBudget(10))
 
 
 # --- driver ----------------------------------------------------------------------
