@@ -16,10 +16,10 @@ from .budgets import (PartitionedBudget, TotalBudget, feasible_increments,
                       is_feasible, total_steps)
 from .graph import (DirectedGraph, TriggeringParams, assign_weighted_cascade,
                     from_edges, gen_erdos_renyi, load_edge_list, uniform_ic)
-from .immprr import (GreedyState, ImmParams, compute_gamma, compute_m, immprr,
+from .immprr import (GreedyState, ImmParams, compute_gamma, compute_m,
                      lambda_star, lgreedy, lgreedy_delta, make_imm_params,
                      run_immprr, sampling)
-from .immvsn import (AugmentedGraph, VirtualNodeId, build_augmented, immvsn,
+from .immvsn import (AugmentedGraph, VirtualNodeId, build_augmented,
                      node_selection_virtual, run_immvsn)
 from .oracles import (SpreadEstimate, exact_g, exact_opt,
                       simulate_spread_mix, simulate_spread_seeds)

@@ -1,9 +1,8 @@
-"""Budget constraints over strategy mixes.
-
-Two shapes: a single total step budget (uniform matroid over increments),
-and per-group budgets for a partition of the strategies (partition matroid).
-Greedy loops only ever ask two questions: is this mix feasible, and which
-coordinates can still grow by one step.
+"""Budget constraints over strategy mixes, each a partition matroid over
+increments: every group of strategies spends at most its cap of steps.  A
+:class:`TotalBudget` is one group; :func:`as_partition` turns either shape
+into (group of each strategy, cap of each group), and every budget question,
+here and in the solvers, is answered from that pair alone.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ __all__ = [
     "TotalBudget",
     "PartitionedBudget",
     "InfeasibleStateError",
+    "as_partition",
     "is_feasible",
     "feasible_increments",
     "total_steps",
@@ -28,6 +28,14 @@ class InfeasibleStateError(ValueError):
     """A mix that violates its constraint was passed where feasibility is a contract."""
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a ``ValueError`` names it if ``int`` would truncate it."""
+    i = int(value)
+    if i != value:
+        raise ValueError(f"{what} ({value!r}) is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class TotalBudget:
     """At most ``steps`` increments in total across all coordinates."""
@@ -35,8 +43,13 @@ class TotalBudget:
     steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", _whole(self.steps, "budget steps"))
         if self.steps < 0:
             raise ValueError("budget steps must be >= 0")
+
+    @property
+    def caps(self) -> tuple[int]:
+        return (self.steps,)
 
 
 class PartitionedBudget:
@@ -48,8 +61,9 @@ class PartitionedBudget:
     """
 
     def __init__(self, groups, caps):
-        groups = tuple(tuple(int(j) for j in g) for g in groups)
-        caps = tuple(int(c) for c in caps)
+        groups = tuple(tuple(_whole(j, f"group {gi} strategy id") for j in g)
+                       for gi, g in enumerate(groups))
+        caps = tuple(_whole(c, f"cap {ci}") for ci, c in enumerate(caps))
         if len(groups) != len(caps):
             raise ValueError("need one cap per group")
         if any(c < 0 for c in caps):
@@ -73,17 +87,29 @@ class PartitionedBudget:
     def __repr__(self):
         return f"PartitionedBudget(groups={self.groups}, caps={self.caps})"
 
-    def group_totals(self, steps: np.ndarray) -> np.ndarray:
-        return np.bincount(self.group_of, weights=steps, minlength=len(self.caps)).astype(np.int64)
+
+def as_partition(constraint, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint over d strategies as (group of each strategy, cap of
+    each group), both int64: a total budget is group 0 for every strategy."""
+    if isinstance(constraint, TotalBudget):
+        return np.zeros(d, dtype=np.int64), np.array(constraint.caps, dtype=np.int64)
+    if isinstance(constraint, PartitionedBudget):
+        if constraint.d != d:
+            raise ValueError(f"constraint partitions {constraint.d} strategies, not {d}")
+        return constraint.group_of, np.array(constraint.caps, dtype=np.int64)
+    raise TypeError(f"unknown constraint type {type(constraint).__name__}")
+
+
+def _spent(steps: np.ndarray, constraint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(group of each strategy, cap of each group, steps each group spends in x)."""
+    group_of, caps = as_partition(constraint, len(steps))
+    return group_of, caps, np.bincount(group_of, weights=steps, minlength=len(caps))
 
 
 def is_feasible(x, constraint) -> bool:
-    """True iff every applicable budget inequality holds (inclusive)."""
-    steps = as_steps(x)
-    if isinstance(constraint, TotalBudget):
-        return int(steps.sum()) <= constraint.steps
-    totals = constraint.group_totals(steps)
-    return bool(np.all(totals <= np.asarray(constraint.caps)))
+    """True iff every group spends at most its cap (inclusive)."""
+    _, caps, spent = _spent(as_steps(x), constraint)
+    return bool((spent <= caps).all())
 
 
 def feasible_increments(x, constraint) -> np.ndarray:
@@ -91,20 +117,12 @@ def feasible_increments(x, constraint) -> np.ndarray:
 
     Raises :class:`InfeasibleStateError` if x itself is infeasible.
     """
-    steps = as_steps(x)
-    if not is_feasible(steps, constraint):
+    group_of, caps, spent = _spent(as_steps(x), constraint)
+    if (spent > caps).any():
         raise InfeasibleStateError("mix violates the constraint")
-    if isinstance(constraint, TotalBudget):
-        if int(steps.sum()) < constraint.steps:
-            return np.arange(len(steps))
-        return np.empty(0, dtype=np.int64)
-    totals = constraint.group_totals(steps)
-    open_groups = totals < np.asarray(constraint.caps)
-    return np.flatnonzero(open_groups[constraint.group_of])
+    return (spent < caps)[group_of].nonzero()[0]
 
 
 def total_steps(constraint) -> int:
     """Upper bound on greedy rounds: the total number of increments available."""
-    if isinstance(constraint, TotalBudget):
-        return constraint.steps
-    return int(sum(constraint.caps))
+    return sum(constraint.caps)

@@ -164,7 +164,7 @@ def _budget_grid(cfg: dict, delta: float):
             cells.append((float(k), TotalBudget(steps)))
         return cells
     constraint = _partitioned(constraint_spec)
-    return [(sum(constraint.caps) * delta, constraint)]
+    return [(total_steps(constraint) * delta, constraint)]
 
 
 def _partitioned(spec) -> PartitionedBudget:

@@ -38,14 +38,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .budgets import PartitionedBudget, TotalBudget, feasible_increments, total_steps
+from .budgets import as_partition, feasible_increments, total_steps
 from .graph import DirectedGraph, TriggeringParams
 from .rrset import RRCollection, g_hat
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        validate_model)
+
+if TYPE_CHECKING:
+    from .immvsn import HybridCollection
 
 __all__ = [
     "ImmParams",
@@ -63,7 +67,6 @@ __all__ = [
     "sampling",
     "ImmResult",
     "run_immprr",
-    "immprr",
 ]
 
 _ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
@@ -161,14 +164,7 @@ def make_imm_params(n: int, lattice: LatticeConfig, budget_steps: int,
 
 def _validate_domain(lattice: LatticeConfig, constraint) -> None:
     """Every reachable coordinate value must stay inside the table domain."""
-    if isinstance(constraint, TotalBudget):
-        reach = constraint.steps
-    elif isinstance(constraint, PartitionedBudget):
-        reach = max(constraint.caps, default=0)
-        if constraint.d != lattice.d:
-            raise ValueError("constraint covers a different strategy count")
-    else:
-        raise TypeError(f"unknown constraint type {type(constraint).__name__}")
+    reach = int(as_partition(constraint, lattice.d)[1].max(initial=0))
     if reach > lattice.budget_steps:
         raise ValueError(
             f"constraint allows {reach} steps on one coordinate but curves "
@@ -406,8 +402,10 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
 
 @dataclass
 class ImmResult:
+    """A solver's mix and the (hybrid) RR sets and stats behind it, None at a zero budget."""
+
     mix: StrategyMix
-    collection: RRCollection | None
+    collection: RRCollection | HybridCollection | None
     stats: SamplingStats | None
 
 
@@ -434,11 +432,3 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
     if mix is None:
         mix = _stage_greedy(collection, model, lattice, constraint)
     return ImmResult(mix, collection, stats)
-
-
-def immprr(graph: DirectedGraph, params: TriggeringParams, model,
-           lattice: LatticeConfig, constraint, imm: ImmParams, rng,
-           force: bool = False) -> StrategyMix:
-    """End-to-end driver; see :func:`run_immprr` for the result with stats."""
-    return run_immprr(graph, params, model, lattice, constraint, imm, rng,
-                      force=force).mix

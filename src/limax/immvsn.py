@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import PartitionedBudget, total_steps
+from .budgets import as_partition, total_steps
 from .graph import DirectedGraph, TriggeringParams
-from .immprr import (ImmParams, InvalidModelError, SamplingStats,
-                     _imm_stages, _validate_domain)
+from .immprr import (ImmParams, ImmResult, InvalidModelError, _imm_stages,
+                     _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
 from .rng import child
 from .rrset import (_EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct,
@@ -55,9 +55,7 @@ __all__ = [
     "generate_hybrid_collection",
     "node_selection_virtual",
     "simulate_spread_virtual_seeds",
-    "VsnResult",
     "run_immvsn",
-    "immvsn",
 ]
 
 
@@ -195,8 +193,11 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
     Returns (seed flat ids, covered set count).  Stops early once no
     candidate has positive marginal coverage; ties go to the lowest flat id
     (lowest strategy, then lowest increment).  Each pick subtracts the
-    newly covered sets' members from a count array over all d * K flat ids;
-    under a partitioned budget the flat ids of exhausted groups are masked.
+    newly covered sets' members from a count array over all d * K flat ids.
+    Once a budget group's cap is spent, the counts of its strategies' flat
+    ids are set to -1, below any open count (counts only fall), so the
+    argmax never picks them again; a total budget is one group and pays
+    for that mask only after its last pick.
     """
     steps, span = collection.aug.steps, collection.aug.span
     vsets, flats = collection.vsets, collection.flats
@@ -208,21 +209,20 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
     by_flat = np.sort(flats * theta + vsets) % theta
     flat_ptr = np.concatenate(([0], np.cumsum(counts)))
     covered = np.zeros(theta, dtype=bool)
-    partitioned = isinstance(constraint, PartitionedBudget)
-    if partitioned:
-        used = np.zeros(len(constraint.caps), dtype=np.int64)
-        caps = np.asarray(constraint.caps)
-        group_of = np.repeat(constraint.group_of, steps)  # per flat id
+    group_of, left = as_partition(constraint, collection.aug.lattice.d)
+    rows = counts.reshape(len(group_of), steps)  # the flat ids of each strategy
+    rows[left[group_of] == 0] = -1
     seeds: list[int] = []
     covered_total = 0
-    for _ in range(total_steps(constraint)):
-        score = np.where(used[group_of] < caps[group_of], counts, 0) if partitioned else counts
-        best = int(np.argmax(score))
-        if score[best] <= 0:
+    for _ in range(int(left.sum())):
+        best = int(np.argmax(counts))
+        if counts[best] <= 0:
             break
         seeds.append(best)
-        if partitioned:
-            used[group_of[best]] += 1
+        g = group_of[best // steps]
+        left[g] -= 1
+        if left[g] == 0:
+            rows[group_of == g] = -1
         sets = by_flat[flat_ptr[best]:flat_ptr[best + 1]]
         sets = sets[~covered[sets]]
         covered[sets] = True
@@ -285,13 +285,6 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
 
 # --- sampling phase and driver ------------------------------------------------
 
-@dataclass
-class VsnResult:
-    mix: StrategyMix
-    collection: HybridCollection | None
-    stats: SamplingStats | None
-
-
 def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams, rng):
     """The IMM sampling phase on hybrid RR sets; also returns the last
     stage's seeds when the final greedy would repeat them, else None."""
@@ -307,10 +300,10 @@ def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams, rng):
 
 def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
                model: IndependentActivation, lattice: LatticeConfig,
-               constraint, imm: ImmParams, rng) -> VsnResult:
+               constraint, imm: ImmParams, rng) -> ImmResult:
     _validate_domain(lattice, constraint)
     if total_steps(constraint) == 0:
-        return VsnResult(StrategyMix.zeros(lattice.d), None, None)
+        return ImmResult(StrategyMix.zeros(lattice.d), None, None)
     # no force escape hatch here: non-concave curves would give the virtual
     # edges negative weights, so the reduction itself breaks, not just the
     # approximation guarantee
@@ -318,11 +311,4 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
     mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
         else _seeds_to_mix(seeds, aug.steps, lattice.d)
-    return VsnResult(mix, collection, stats)
-
-
-def immvsn(graph: DirectedGraph, params: TriggeringParams,
-           model: IndependentActivation, lattice: LatticeConfig,
-           constraint, imm: ImmParams, rng) -> StrategyMix:
-    """End-to-end driver; see :func:`run_immvsn` for the result with stats."""
-    return run_immvsn(graph, params, model, lattice, constraint, imm, rng).mix
+    return ImmResult(mix, collection, stats)

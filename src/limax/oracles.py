@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budgets import TotalBudget, is_feasible
+from .budgets import as_partition
 from .graph import IC, DirectedGraph, TriggeringParams
 from .rng import child
 from .rrset import _EDGE_CHUNK, _live_edges, _reach, _slots
@@ -313,14 +313,13 @@ def exact_g_subsets(graph: DirectedGraph, params: TriggeringParams, model, x) ->
 
 
 def enumerate_feasible_mixes(lattice: LatticeConfig, constraint):
-    """Yield every feasible step vector (ascending lexicographic order)."""
+    """Yield every feasible step vector (ascending lexicographic order).
+
+    Each coordinate runs up to the lattice's step count or its group's
+    remaining cap, whichever is lower, so every leaf is feasible."""
     d = lattice.d
-    if isinstance(constraint, TotalBudget):
-        points = math.comb(constraint.steps + d, d)
-    else:
-        points = 1
-        for g, cap in zip(constraint.groups, constraint.caps):
-            points *= math.comb(cap + len(g), len(g))
+    group_of, left = (a.tolist() for a in as_partition(constraint, d))
+    points = math.prod(math.comb(cap + group_of.count(g), cap) for g, cap in enumerate(left))
     if points > MAX_OPT_POINTS:
         raise InstanceTooLargeError(f"{points} lattice points exceed the search guard")
 
@@ -328,16 +327,16 @@ def enumerate_feasible_mixes(lattice: LatticeConfig, constraint):
 
     def rec(j: int):
         if j == d:
-            if is_feasible(steps, constraint):
-                yield steps.copy()
+            yield steps.copy()
             return
-        for s in range(lattice.budget_steps + 1):
+        g = group_of[j]
+        room = left[g]
+        for s in range(min(lattice.budget_steps, room) + 1):
             steps[j] = s
-            if isinstance(constraint, TotalBudget) and int(steps[:j + 1].sum()) > constraint.steps:
-                steps[j] = 0
-                break
+            left[g] = room - s
             yield from rec(j + 1)
         steps[j] = 0
+        left[g] = room
 
     yield from rec(0)
 

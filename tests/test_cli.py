@@ -198,6 +198,8 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     ("validate", {"constraint": {"groups": [[0, 1]]}}, "'caps'"),
     ("run", {"constraint": {"caps": [1]}}, "'groups'"),
     ("run", {"params": {"kind": "uniform_ic"}}, "'p'"),
+    ("run", {"constraint": {"groups": [[0, 1], [2, 3]], "caps": [1.5, 2]}},
+     "cap 0 (1.5) is not an integer"),
 ])
 def test_missing_config_key_is_reported(small_graph_file, tmp_path, capsys,
                                         command, over, key):

@@ -13,7 +13,7 @@ from limax.budgets import (PartitionedBudget, TotalBudget, feasible_increments,
 from limax.graph import assign_weighted_cascade, from_edges, gen_erdos_renyi, uniform_ic
 from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
                           UnsupportedModelError, compute_gamma, compute_m,
-                          effective_ell, immprr, lambda_star, lgreedy,
+                          effective_ell, lambda_star, lgreedy,
                           lgreedy_delta, make_imm_params, run_immprr, sampling)
 from limax.rng import stream
 from limax.rrset import RRCollection, RRSet, g_hat, generate_collection
@@ -560,8 +560,8 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch, seed, grows):
 def test_immprr_zero_budget():
     inst = _instance_for_sampling(2)
     imm = ImmParams(epsilon=0.3, ell=1.0, m_bound=1.0, gamma=1.0)
-    mix = immprr(inst.graph, inst.params, inst.model, inst.lattice,
-                 TotalBudget(0), imm, stream(29, 0))
+    mix = run_immprr(inst.graph, inst.params, inst.model, inst.lattice,
+                     TotalBudget(0), imm, stream(29, 0)).mix
     assert mix == StrategyMix.zeros(inst.lattice.d)
 
 
@@ -572,7 +572,7 @@ def test_immprr_blackbox_path():
     model = BlackBoxActivation(
         4, lat, lambda v, xv: min(1.0, (0.6 if v < 2 else 0.2) * xv[v % 2]))
     imm = make_imm_params(4, lat, 2, 0.4, 1.0)
-    mix = immprr(g, params, model, lat, TotalBudget(2), imm, stream(30, 0))
+    mix = run_immprr(g, params, model, lat, TotalBudget(2), imm, stream(30, 0)).mix
     assert mix.total_steps == 2
 
 
@@ -586,8 +586,8 @@ def test_immprr_rejects_invalid_model_unless_forced():
          [0.0, 0.5, 0.6]])
     imm = make_imm_params(3, lat, 2, 0.4, 1.0)
     with pytest.raises(InvalidModelError):
-        immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0))
-    mix = immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0), force=True)
+        run_immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0))
+    mix = run_immprr(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0), force=True).mix
     assert mix.total_steps == 2
 
 

@@ -11,12 +11,13 @@ from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instan
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
-from limax.budgets import PartitionedBudget, TotalBudget, is_feasible, total_steps
+from limax.budgets import (PartitionedBudget, TotalBudget, as_partition, is_feasible,
+                           total_steps)
 from limax.graph import IC, LT, from_edges, uniform_ic
 from limax.immprr import InvalidModelError, make_imm_params, run_immprr
 from limax.immvsn import (HybridCollection, VirtualNodeId,
                           _greedy_virtual, build_augmented,
-                          generate_hybrid_collection, immvsn,
+                          generate_hybrid_collection,
                           node_selection_virtual, run_immvsn,
                           simulate_spread_virtual_seeds)
 from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
@@ -425,10 +426,8 @@ def _greedy_virtual_reference(collection, constraint):
             index.setdefault(f, []).append(si)
     counts = {f: len(ids) for f, ids in index.items()}
     covered = bytearray(len(virtual_sets))
-    partitioned = isinstance(constraint, PartitionedBudget)
-    if partitioned:
-        used = [0] * len(constraint.caps)
-        group_of = constraint.group_of
+    group_of, caps = as_partition(constraint, collection.aug.lattice.d)
+    used = [0] * len(caps)
     seeds = []
     covered_total = 0
     for _ in range(total_steps(constraint)):
@@ -436,15 +435,14 @@ def _greedy_virtual_reference(collection, constraint):
         best_c = 0
         for f, c in counts.items():
             if c > best_c or (c == best_c and c > 0 and (best_f == -1 or f < best_f)):
-                if partitioned and used[group_of[f // steps]] >= constraint.caps[group_of[f // steps]]:
+                if used[group_of[f // steps]] >= caps[group_of[f // steps]]:
                     continue
                 best_f = f
                 best_c = c
         if best_f < 0 or best_c == 0:
             break
         seeds.append(best_f)
-        if partitioned:
-            used[group_of[best_f // steps]] += 1
+        used[group_of[best_f // steps]] += 1
         for si in index[best_f]:
             if not covered[si]:
                 covered[si] = 1
@@ -585,8 +583,8 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch, grows):
 def test_immvsn_zero_budget(rng):
     inst = random_instance(rng, n_max=6, m_max=8, d_max=2, steps_max=2)
     imm = make_imm_params(inst.graph.n, inst.lattice, 1, 0.4, 1.0)
-    mix = immvsn(inst.graph, inst.params, inst.model, inst.lattice,
-                 TotalBudget(0), imm, stream(43, 0))
+    mix = run_immvsn(inst.graph, inst.params, inst.model, inst.lattice,
+                     TotalBudget(0), imm, stream(43, 0)).mix
     assert mix == StrategyMix.zeros(inst.lattice.d)
 
 
@@ -605,8 +603,8 @@ def test_immvsn_output_feasible(rng):
     inst = random_instance(rng, n_max=7, m_max=9, d_max=3, steps_max=3)
     K = inst.lattice.budget_steps
     imm = make_imm_params(inst.graph.n, inst.lattice, K, 0.5, 1.0)
-    mix = immvsn(inst.graph, inst.params, inst.model, inst.lattice,
-                 TotalBudget(K), imm, stream(45, 0))
+    mix = run_immvsn(inst.graph, inst.params, inst.model, inst.lattice,
+                     TotalBudget(K), imm, stream(45, 0)).mix
     assert is_feasible(mix, TotalBudget(K))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
 
 from limax import oracles
-from limax.budgets import PartitionedBudget, TotalBudget
+from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
 from limax.graph import (IC, LT, TriggeringParams, assign_weighted_cascade,
                          from_edges, uniform_ic)
 from limax.immvsn import (VirtualNodeId, build_augmented,
@@ -371,8 +372,20 @@ def test_exact_opt_partitioned_enumeration():
     constraint = PartitionedBudget(groups=[(0, 1), (2, 3)], caps=[1, 1])
     mix, opt = exact_opt(g, uniform_ic(g, 0.5), model, lat, constraint)
     assert mix.steps.sum() <= 2
-    from limax.budgets import is_feasible
     assert is_feasible(mix, constraint)
+
+
+@pytest.mark.parametrize("d, constraint", [
+    (4, TotalBudget(3)),
+    # a zero cap, and a cap above the lattice's K = 2
+    (4, PartitionedBudget(groups=[(0, 2), (1, 3)], caps=[0, 5])),
+    (5, PartitionedBudget(groups=[(0, 1, 3), (2, 4)], caps=[4, 1])),
+])
+def test_enumeration_is_the_feasible_box_in_order(d, constraint):
+    lat = LatticeConfig(d=d, delta=1.0, budget_steps=2)
+    got = [steps.tolist() for steps in enumerate_feasible_mixes(lat, constraint)]
+    box = [list(p) for p in itertools.product(range(3), repeat=d)]
+    assert got == [p for p in box if is_feasible(p, constraint)]
 
 
 def test_enumeration_point_guard():
