@@ -24,8 +24,7 @@ from .immvsn import (AugmentedGraph, VirtualNodeId, build_augmented,
 from .oracles import (SpreadEstimate, exact_g, exact_opt,
                       simulate_spread_mix, simulate_spread_seeds)
 from .rng import stream
-from .rrset import (RRCollection, RRSet, g_hat, generate_collection,
-                    load_collection, save_collection)
+from .rrset import RRCollection, RRSet, g_hat, generate_collection
 from .strategy import (BlackBoxActivation, IndependentActivation,
                        LatticeConfig, StrategyMix, validate_model)
 

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_MAX_SWEEPS = 100  # coordinate-descent sweeps before a plateau stops it
+
+
 class UnsupportedScenarioError(ValueError):
     """Baseline requires the personalized one-strategy-per-node scenario."""
 
@@ -120,7 +123,7 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
 
 def cd(graph: DirectedGraph, params: TriggeringParams, model,
        lattice: LatticeConfig, k: float, start: StrategyMix,
-       collection: RRCollection, max_sweeps: int = 100) -> StrategyMix:
+       collection: RRCollection) -> StrategyMix:
     """Coordinate descent: move one step from a to b whenever the estimate
     strictly increases; lexicographic (a, b) sweeps, capped to avoid
     plateau cycling."""
@@ -130,7 +133,7 @@ def cd(graph: DirectedGraph, params: TriggeringParams, model,
     # an opaque model gives no entries to rule a target out, so every b is one
     independent = getattr(collection.model, "kind", None) == "independent"
     has_entries = np.diff(collection.strategy_entries()[2]) > 0 if independent else [True] * d
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for a in range(d):
             if x[a] == 0:
@@ -156,16 +159,16 @@ def cd(graph: DirectedGraph, params: TriggeringParams, model,
 
 
 def hd(graph: DirectedGraph, lattice: LatticeConfig, k: float,
-       m_nodes: int, cap_steps: int | None = None) -> StrategyMix:
+       m_nodes: int) -> StrategyMix:
     """Spread the budget over the m_nodes highest out-degree nodes in
     proportion to degree, rounding down to the lattice; leftover steps go
-    one at a time to the highest-degree nodes still below their cap."""
+    one at a time to the highest-degree nodes still below the cap K."""
     n = graph.n
     if lattice.d != n:
         raise UnsupportedScenarioError("needs d == n (personalized scenario)")
     if m_nodes < 1 or m_nodes > n:
         raise ValueError("m_nodes must be in [1, n]")
-    cap = lattice.budget_steps if cap_steps is None else min(cap_steps, lattice.budget_steps)
+    cap = lattice.budget_steps
     deg = graph.out_degrees()
     order = np.lexsort((np.arange(n), -deg))[:m_nodes]
     budget_steps = int(round(k / lattice.delta))

@@ -105,6 +105,14 @@ def build_scenario(graph: DirectedGraph, spec: ScenarioSpec,
     raise ConfigError(f"unknown scenario family {spec.name!r}")
 
 
+def _scenario_spec(opts: dict, **fields) -> ScenarioSpec:
+    """``ScenarioSpec(**fields)`` with whichever of d, top and r_max ``opts``
+    sets, each cast to the type of the field's default."""
+    given = {k: type(getattr(ScenarioSpec, k))(opts[k])
+             for k in ("d", "top", "r_max") if k in opts}
+    return ScenarioSpec(**{**fields, **given})
+
+
 # --- config loading -----------------------------------------------------------
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -177,13 +185,10 @@ def _partitioned(spec) -> PartitionedBudget:
 def _scenario(cfg: dict, graph: DirectedGraph, cells,
               seed: int) -> tuple[IndependentActivation, LatticeConfig]:
     """The configured scenario, tabulated up to the grid's largest step count."""
-    opts = cfg.get("scenario_options", {}) or {}
-    spec = ScenarioSpec(
-        name=str(cfg.get("scenario", "personalized")),
-        delta=float(cfg.get("delta", 1.0)),
-        max_budget_steps=max((total_steps(c) for _, c in cells), default=0),
-        d=int(opts.get("d", 200)), top=int(opts.get("top", 2000)),
-        r_max=float(opts.get("r_max", 0.3)))
+    spec = _scenario_spec(cfg.get("scenario_options", {}) or {},
+                          name=str(cfg.get("scenario", "personalized")),
+                          delta=float(cfg.get("delta", 1.0)),
+                          max_budget_steps=max((total_steps(c) for _, c in cells), default=0))
     return build_scenario(graph, spec, stream(seed, _KEY_SCENARIO))
 
 
@@ -209,19 +214,17 @@ class Report:
 
 
 def _run_cell(alg: str, k: float, constraint, graph, params, model, lattice,
-              cfg: dict, seed: int, a_idx: int, c_idx: int):
+              cfg: dict, epsilon: float, seed: int, a_idx: int, c_idx: int):
     """Run one (algorithm, budget) cell; returns (mix, theta_str)."""
-    epsilon = float(cfg.get("epsilon", 0.5))
-    ell = float(cfg.get("ell", 1.0))
     rng = stream(seed, _KEY_ALGO, a_idx, c_idx)
-    if alg == "immprr":
-        imm = make_imm_params(graph.n, lattice, total_steps(constraint), epsilon, ell)
-        res = run_immprr(graph, params, model, lattice, constraint, imm, rng,
-                         force=bool(cfg.get("force", False)))
-        return res.mix, str(res.stats.theta) if res.stats else "0"
-    if alg == "immvsn":
-        imm = make_imm_params(graph.n, lattice, total_steps(constraint), epsilon, ell)
-        res = run_immvsn(graph, params, model, lattice, constraint, imm, rng)
+    if alg in ("immprr", "immvsn"):
+        imm = make_imm_params(graph.n, lattice, total_steps(constraint), epsilon,
+                              float(cfg.get("ell", 1.0)))
+        if alg == "immprr":
+            res = run_immprr(graph, params, model, lattice, constraint, imm, rng,
+                             force=bool(cfg.get("force", False)))
+        else:
+            res = run_immvsn(graph, params, model, lattice, constraint, imm, rng)
         return res.mix, str(res.stats.theta) if res.stats else "0"
     if alg == "mclg":
         sims = int(cfg.get("mclg_sims", 10000))
@@ -273,8 +276,8 @@ def run_experiment(config: dict) -> Report:
                 for _ in range(max(time_reps, 1)):
                     t0 = time.perf_counter()
                     mix, theta_str = _run_cell(alg, k, constraint, graph, params,
-                                               model, lattice, config, seed,
-                                               a_idx, c_idx)
+                                               model, lattice, config, epsilon,
+                                               seed, a_idx, c_idx)
                     elapsed.append(time.perf_counter() - t0)
                 runtime_str = f"{sum(elapsed) / len(elapsed):.6f}" if time_reps > 0 else ""
                 est = simulate_spread_mix(graph, params, model, mix, eval_runs,
@@ -307,11 +310,8 @@ def _model_from_instance(cfg: dict, graph: DirectedGraph, lattice: LatticeConfig
         return IndependentActivation(graph.n, lattice, nodes, strategies,
                                      np.reshape(tables, (-1, width)))
     if isinstance(spec, dict) and "scenario" in spec:
-        sc = ScenarioSpec(name=spec["scenario"], delta=lattice.delta,
-                          max_budget_steps=lattice.budget_steps,
-                          d=int(spec.get("d", lattice.d)),
-                          top=int(spec.get("top", 2000)),
-                          r_max=float(spec.get("r_max", 0.3)))
+        sc = _scenario_spec(spec, name=spec["scenario"], delta=lattice.delta,
+                            max_budget_steps=lattice.budget_steps, d=lattice.d)
         model, _ = build_scenario(graph, sc, stream(seed, _KEY_SCENARIO))
         return model
     raise ConfigError("oracle instance needs model.tables or model.scenario")

@@ -295,15 +295,14 @@ def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
     # curves that only fail concavity keep the bounds (see the module docstring)
     lazy = {v.kind for v in validate_model(model, lattice)}.isdisjoint({"decreasing", "range"})
     fresh = np.zeros(lattice.d, dtype=np.int64)  # round of each bound's last refresh
-    for r in range(total_steps(constraint)):
+    group_of, left = as_partition(constraint, lattice.d)  # left: steps each group may still spend
+    is_open = left[group_of] > 0
+    # every round spends one step of an open group, so one stays open until the last
+    for r in range(int(left.sum())):
         if r == 0 or not lazy:
             heap = list(zip((-state.gains()).tolist(), range(lattice.d)))
             heapq.heapify(heap)
             fresh[:] = r
-        feas = feasible_increments(state.x, constraint)
-        if len(feas) == 0:
-            break
-        is_open = np.bincount(feas, minlength=lattice.d) > 0
         while True:
             j = heap[0][1]
             if not is_open[j]:  # its group has closed: dropped for good
@@ -314,6 +313,10 @@ def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
             else:
                 break
         state.advance(j)
+        g = group_of[j]
+        left[g] -= 1
+        if left[g] == 0:
+            is_open[group_of == g] = False
     return StrategyMix(state.x)
 
 
@@ -426,6 +429,7 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
     if model.n != graph.n:
         raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
     _check_model(model, lattice, force)
+    _validate_domain(lattice, constraint)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
     collection, stats, mix = _sampling(graph, params, model, lattice, constraint, imm, rng)

@@ -302,12 +302,12 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
                model: IndependentActivation, lattice: LatticeConfig,
                constraint, imm: ImmParams, rng) -> ImmResult:
     _validate_domain(lattice, constraint)
-    if total_steps(constraint) == 0:
-        return ImmResult(StrategyMix.zeros(lattice.d), None, None)
     # no force escape hatch here: non-concave curves would give the virtual
     # edges negative weights, so the reduction itself breaks, not just the
     # approximation guarantee
     aug = build_augmented(graph, params, model, lattice)
+    if total_steps(constraint) == 0:
+        return ImmResult(StrategyMix.zeros(lattice.d), None, None)
     collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
     mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
         else _seeds_to_mix(seeds, aug.steps, lattice.d)

@@ -67,10 +67,6 @@ class LatticeConfig:
         if self.budget_steps < 0:
             raise ValueError("budget_steps must be >= 0")
 
-    @property
-    def budget(self) -> float:
-        return self.budget_steps * self.delta
-
 
 class StrategyMix:
     """A d-vector of integer step counts; coordinate j spends steps[j]*delta."""
@@ -97,14 +93,6 @@ class StrategyMix:
     @property
     def total_steps(self) -> int:
         return int(self.steps.sum())
-
-    def values(self, delta: float) -> np.ndarray:
-        return self.steps * float(delta)
-
-    def bump(self, j: int) -> "StrategyMix":
-        s = self.steps.copy()
-        s[j] += 1
-        return StrategyMix(s)
 
     def __eq__(self, other):
         return isinstance(other, StrategyMix) and np.array_equal(self.steps, other.steps)
@@ -144,10 +132,10 @@ def multi_event_table(r, lattice: LatticeConfig) -> np.ndarray:
     return 1.0 - np.power((1.0 - r)[..., None], x)
 
 
-def clamped_table(table: np.ndarray, cap_steps: int) -> np.ndarray:
+def clamped_table(table: np.ndarray, cap: int) -> np.ndarray:
     """Freeze a curve beyond a per-strategy cap; marginals past the cap are 0."""
     out = np.asarray(table, dtype=np.float64).copy()
-    out[cap_steps + 1:] = out[cap_steps]
+    out[cap + 1:] = out[cap]
     return out
 
 

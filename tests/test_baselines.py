@@ -170,8 +170,8 @@ def test_hd_uniform_when_degrees_equal():
 
 def test_hd_single_node_gets_capped_budget():
     g = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    lat = LatticeConfig(d=4, delta=0.5, budget_steps=10)
-    mix = hd(g, lat, k=5.0, m_nodes=1, cap_steps=2)
+    lat = LatticeConfig(d=4, delta=0.5, budget_steps=2)
+    mix = hd(g, lat, k=5.0, m_nodes=1)
     assert mix.steps.tolist() == [2, 0, 0, 0]  # node 0 has max degree, capped
 
 

@@ -121,6 +121,31 @@ def test_model_over_fewer_nodes_than_the_graph_rejected():
             solve(g, uniform_ic(g, 0.5), model, lat, TotalBudget(2), imm, stream(46, 1))
 
 
+@pytest.mark.parametrize("case", ["partition", "lattice", "nodes"])
+@pytest.mark.parametrize("solve", [run_immprr, run_immvsn], ids=["immprr", "immvsn"])
+def test_bad_request_raises_at_a_zero_budget(solve, case):
+    """Both solvers check the whole request before they return the zero mix
+    of a zero budget: a partition over 4 strategies on a d = 3 lattice, a
+    model tabulated for another lattice and a model over n + 1 nodes."""
+    g = from_edges(3, [(0, 1), (1, 2)])
+    lat = LatticeConfig(d=3, delta=1.0, budget_steps=2)
+    n, tabulated, constraint = 3, lat, TotalBudget(0)
+    if case == "partition":
+        constraint = PartitionedBudget([(0, 1), (2, 3)], [0, 0])
+        msg = r"^constraint partitions 4 strategies, not 3$"
+    elif case == "lattice":
+        tabulated = LatticeConfig(d=3, delta=1.0, budget_steps=3)
+        msg = r"differs from the model's LatticeConfig\(d=3, delta=1.0, budget_steps=3\)$"
+    else:
+        n = 4
+        msg = r"^model over 4 nodes for a graph of 3$"
+    model = IndependentActivation(n, tabulated, np.arange(3), np.arange(3),
+                                  np.tile(multi_event_table(0.4, tabulated), (3, 1)))
+    imm = make_imm_params(3, lat, 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        solve(g, uniform_ic(g, 0.5), model, lat, constraint, imm, stream(46, 2))
+
+
 def test_flat_roundtrip():
     row = np.array([0.0, 0.2, 0.3])
     _, _, _, _, aug = _aug_single([(0, row)], steps=2)

@@ -16,8 +16,7 @@ from limax.immvsn import AugmentedGraph, HybridCollection
 from limax.oracles import LiveEdgeEnumeration
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _distinct, _slots, g_hat,
-                         generate_collection, load_collection, save_collection)
+                         _distinct, _slots, g_hat, generate_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -454,20 +453,6 @@ def test_g_hat_monotone_dr_sweep(seed):
     assert mono == 0 and dr == 0
 
 
-def test_save_load_roundtrip(tmp_path, rng):
-    inst = random_instance(rng, n_max=6, m_max=8, d_max=2, steps_max=2)
-    coll = generate_collection(inst.graph, inst.params, inst.model, 40, stream(8, 0))
-    path = tmp_path / "coll.npz"
-    save_collection(coll, path)
-    loaded = load_collection(path, inst.graph, inst.params, inst.model)
-    assert loaded.theta == coll.theta
-    x = StrategyMix(np.ones(inst.lattice.d, dtype=np.int64))
-    assert g_hat(loaded, inst.model, x) == pytest.approx(g_hat(coll, inst.model, x))
-    for a, b in zip(coll.sets, loaded.sets):
-        assert a.root == b.root and a.width == b.width
-        assert np.array_equal(a.members, b.members)
-
-
 def test_extend_accumulates():
     g = from_edges(3, [(0, 1), (1, 2)])
     lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
@@ -479,49 +464,6 @@ def test_extend_accumulates():
     assert len(offsets) == 25 and offsets[0] == 0
     assert np.all(np.diff(offsets) > 0) and offsets[-1] < len(concat)
     assert np.array_equal(concat, np.concatenate([s.members for s in coll.sets]))
-
-
-def _dump(path, **over):
-    """Write a collection file with some of its arrays replaced."""
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays.update(over)
-    np.savez(path, **arrays)
-
-
-@pytest.mark.parametrize("over, message", [
-    ({"members": np.array([0, 1, 7, 2])}, "member id outside"),
-    ({"members": np.array([0, -1, 1, 2])}, "member id outside"),
-    ({"offsets": np.array([2, 0])}, "offsets must rise"),
-    ({"offsets": np.array([1, 3])}, "offsets must rise"),
-    ({"offsets": np.array([0, 5])}, "offsets must rise"),
-    ({"widths": np.array([1])}, "2 roots, 1 widths and 2 offsets"),
-    ({"roots": np.array([0, 1, 2])}, "3 roots, 2 widths and 2 offsets"),
-])
-def test_load_rejects_inconsistent_files(tmp_path, over, message):
-    g = from_edges(3, [(0, 1), (1, 2)])
-    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
-    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
-    params = uniform_ic(g, 0.5)
-    coll = RRCollection(g, params, model)
-    coll.add(RRSet(root=1, members=np.array([0, 1]), width=1))
-    coll.add(RRSet(root=2, members=np.array([1, 2]), width=1))
-    path = tmp_path / "coll.npz"
-    save_collection(coll, path)
-    assert load_collection(path, g, params, model).theta == 2
-    _dump(path, **over)
-    with pytest.raises(ValueError, match=message):
-        load_collection(path, g, params, model)
-
-
-def test_save_load_empty_collection(tmp_path):
-    g = from_edges(3, [(0, 1)])
-    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
-    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
-    params = uniform_ic(g, 0.5)
-    path = tmp_path / "empty.npz"
-    save_collection(RRCollection(g, params, model), path)
-    assert load_collection(path, g, params, model).theta == 0
 
 
 # --- the flat collection store against the per-set layout it replaced ---------------
@@ -549,8 +491,17 @@ def _bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_incremental_entries_match_from_scratch(seed):
+_STEPS = [("extend", 30), ("add", 3), ("extend", 0), ("extend", 1), ("add", 1),
+          ("extend", 45), ("extend", 7)]
+# buffered adds on the empty store, before any extend
+_ADD_FIRST = [("add", 2), ("extend", 30), ("add", 3), ("extend", 0), ("extend", 45)]
+
+
+@pytest.mark.parametrize("seed, steps", [
+    *(pytest.param(seed, _STEPS, id=str(seed)) for seed in range(8)),
+    pytest.param(8, _ADD_FIRST, id="add-first"),
+])
+def test_incremental_entries_match_from_scratch(seed, steps):
     """Extends of several sizes, an empty one, and buffered adds, read after
     every step (``eager``) or only at the end (``lazy``): the entries,
     coverage weights and sets equal the from-scratch build bitwise."""
@@ -559,8 +510,6 @@ def test_incremental_entries_match_from_scratch(seed):
     g, params, model = inst.graph, inst.params, inst.model
     eager, lazy = RRCollection(g, params, model), RRCollection(g, params, model)
     expect = []  # (root, members, width) of every set, in order
-    steps = [("extend", 30), ("add", 3), ("extend", 0), ("extend", 1), ("add", 1),
-             ("extend", 45), ("extend", 7)]
     for k, (op, count) in enumerate(steps):
         if op == "extend":
             for coll in (eager, lazy):
@@ -604,75 +553,6 @@ def test_sets_are_read_only_views():
         first.members[0] = 2
     with pytest.raises(AttributeError):
         coll.sets = ()
-
-
-def _round_trip(coll, tmp_path, name, monkeypatch):
-    path = tmp_path / f"{name}.npz"
-    save_collection(coll, path)
-    with monkeypatch.context() as patch:
-        patch.setattr(RRCollection, "add", None)  # a load builds the arrays at once
-        loaded = load_collection(path, coll.graph, coll.params, coll.model)
-    for field in ("members", "offsets", "roots", "widths"):
-        assert _bitwise(getattr(loaded, field), getattr(coll, field)), field
-    assert all(_bitwise(a, b) for a, b in zip(loaded.strategy_entries(),
-                                              coll.strategy_entries()))
-    return loaded
-
-
-def test_save_load_round_trip_flat_store(tmp_path, monkeypatch, rng):
-    inst = random_instance(rng, n_max=8, m_max=10, d_max=3, steps_max=3)
-    g, params, model = inst.graph, inst.params, inst.model
-    coll = RRCollection(g, params, model)
-    assert _round_trip(coll, tmp_path, "empty", monkeypatch).theta == 0
-    coll.add(RRSet(0, np.array([0, 2]), 3))
-    assert _round_trip(coll, tmp_path, "added", monkeypatch).theta == 1
-    for k in range(3):
-        coll.extend(20 + k, stream(93, k))
-        loaded = _round_trip(coll, tmp_path, f"extended{k}", monkeypatch)
-    assert loaded.theta == 1 + 20 + 21 + 22
-    x = np.ones(inst.lattice.d, dtype=np.int64)
-    assert g_hat(loaded, model, x) == g_hat(coll, model, x)
-
-
-def test_load_format_version_1_file(tmp_path):
-    """A file written in the per-set layout's format loads unchanged."""
-    g = from_edges(3, [(0, 1), (1, 2)])
-    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
-    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
-    path = tmp_path / "v1.npz"
-    np.savez_compressed(path, version=np.int64(1), n=np.int64(3),
-                        roots=np.array([1, 2, 0], dtype=np.int64),
-                        widths=np.array([1, 2, 0], dtype=np.int64),
-                        members=np.array([0, 1, 1, 2, 0], dtype=np.int64),
-                        offsets=np.array([0, 2, 4], dtype=np.int64))
-    coll = load_collection(path, g, uniform_ic(g, 0.5), model)
-    assert [(s.root, s.members.tolist(), s.width) for s in coll.sets] == \
-        [(1, [0, 1], 1), (2, [1, 2], 2), (0, [0], 0)]
-    assert coll.offsets.tolist() == [0, 2, 4, 5]
-
-
-@pytest.mark.parametrize("roots, members, offsets, message", [
-    # an empty set would weigh 1 - h_0 (reduceat takes the next entry), not 0
-    ([1, 2], [0, 1], [0, 0], r"set 0 spans \[0, 0\)"),
-    # an empty last set made reduceat raise IndexError
-    ([1, 2], [0, 1], [0, 2], r"set 1 spans \[2, 2\)"),
-    ([1, 7], [0, 1, 1, 2], [0, 2], r"^set 1 has root 7 outside \[0, 3\)$"),
-    ([-1, 2], [0, 1, 1, 2], [0, 2], r"^set 0 has root -1 outside \[0, 3\)$"),
-])
-def test_load_rejects_empty_sets_and_bad_roots(tmp_path, roots, members, offsets, message):
-    """Every sampled RR set holds its root, which is a node: a file with
-    an empty set or a root outside [0, n) is rejected, naming the set."""
-    g = from_edges(3, [(0, 1), (1, 2)])
-    lat = LatticeConfig(d=3, delta=1.0, budget_steps=1)
-    model = _personal_model(3, lat, [0.2, 0.3, 0.4])
-    path = tmp_path / "bad.npz"
-    np.savez_compressed(path, version=np.int64(1), n=np.int64(3),
-                        roots=np.array(roots, dtype=np.int64),
-                        widths=np.ones(len(roots), dtype=np.int64),
-                        members=np.array(members, dtype=np.int64),
-                        offsets=np.array(offsets, dtype=np.int64))
-    with pytest.raises(ValueError, match=message):
-        load_collection(path, g, uniform_ic(g, 0.5), model)
 
 
 # --- the IC coin step against the one it replaced -----------------------------------
