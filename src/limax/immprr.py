@@ -31,6 +31,18 @@ every coordinate but the one just advanced.  That one was on top of the
 heap and stays there, so the next round refreshes it first; its own gain
 may grow if its curve is not concave.  A model whose curves drop or leave
 [0, 1], allowed only with ``force=True``, has every bound recomputed.
+
+A stage greedy only asks whether its estimate reaches need = (1 + eps') * y.
+It returns None at the first round whose fresh top t has est + k * t below
+need less a slack, where est sums the gains picked and k counts the steps
+left: with s = 1 at the start the gains sum to the final estimate, and under
+concave curves no later gain exceeds t.  The rule is on when the solve's one
+validate_model report is empty and ``force`` is not set.  The slack, n *
+((theta + R + m) * 2^-50 + (4R + 1) * (K + 1)^2 * 1e-12 * e) for R budget
+steps, m members and e strategy entries per set, covers rounding (a few
+2^-53 of n per set, step and member) and validate_model's 1e-12 tolerance:
+a curve that passes lies within (K + 1)^2 * 1e-12 of a faultless one, which
+moves an estimate by n * e times that and a gain by four times that.
 """
 
 from __future__ import annotations
@@ -286,19 +298,32 @@ class GreedyState:
         np.subtract(1.0, self.prod[a:b], out=self._loss[a:b])
 
 
+def _greedy_flags(report, force: bool = False) -> tuple[bool, bool]:
+    """A curve report as the greedy's (lazy, stop) flags: whether stale heap
+    bounds hold and whether a stage greedy may stop early."""
+    # curves that only fail concavity keep the bounds (see the module docstring)
+    lazy = {v.kind for v in report}.isdisjoint({"decreasing", "range"})
+    return lazy, not (report or force)
+
+
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
-                  constraint) -> StrategyMix:
+                  constraint, _stage=None) -> StrategyMix | None:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
-    (same tie rule: the lowest feasible coordinate among the best gains)."""
+    (same tie rule: the lowest feasible coordinate among the best gains).
+    The solvers pass ``_stage`` = (lazy, need); see the module docstring."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
-    # curves that only fail concavity keep the bounds (see the module docstring)
-    lazy = {v.kind for v in validate_model(model, lattice)}.isdisjoint({"decreasing", "range"})
+    lazy, need = _stage or (_greedy_flags(validate_model(model, lattice))[0], -math.inf)
     fresh = np.zeros(lattice.d, dtype=np.int64)  # round of each bound's last refresh
     group_of, left = as_partition(constraint, lattice.d)  # left: steps each group may still spend
     is_open = left[group_of] > 0
+    rounds, est = int(left.sum()), 0.0
+    if need > -math.inf:  # less the slack of the module docstring
+        theta, k = collection.theta, lattice.budget_steps
+        need -= collection.n * ((theta + rounds + len(collection.members) / theta) * 2.0**-50
+                                + (4 * rounds + 1) * (k + 1)**2 * 1e-12 * len(state._rows) / theta)
     # every round spends one step of an open group, so one stays open until the last
-    for r in range(int(left.sum())):
+    for r in range(rounds):
         if r == 0 or not lazy:
             heap = list(zip((-state.gains()).tolist(), range(lattice.d)))
             heapq.heapify(heap)
@@ -312,6 +337,9 @@ def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                 fresh[j] = r
             else:
                 break
+        if est + (rounds - r) * -heap[0][0] < need:
+            return None
+        est -= heap[0][0]
         state.advance(j)
         g = group_of[j]
         left[g] -= 1
@@ -332,9 +360,9 @@ class SamplingStats:
     hit_stage: int | None
 
 
-def _stage_greedy(collection: RRCollection, model, lattice, constraint) -> StrategyMix:
+def _stage_greedy(collection: RRCollection, model, lattice, constraint, stage):
     if getattr(model, "kind", None) == "independent":
-        return lgreedy_delta(collection, model, lattice, constraint)
+        return lgreedy_delta(collection, model, lattice, constraint, stage)
     return lgreedy(lambda steps: g_hat(collection, model, steps), lattice, constraint)
 
 
@@ -342,10 +370,11 @@ def _imm_stages(collection, stage_select, imm: ImmParams, rng):
     """The IMM sampling phase shared by both solvers.
 
     Stage i grows ``collection`` to theta_i = lambda' * 2^i / n sets and
-    stops as soon as ``stage_select(collection)``, which returns the stage
-    greedy's spread estimate and its selection, certifies the lower bound
-    y = n / 2^i; RR sets from failed stages stay in the collection.  The
-    collection then grows to lambda_star / LB sets.
+    stops as soon as ``stage_select(collection, need)``, which returns the
+    stage greedy's spread estimate and its selection (or -inf and None once
+    it cannot), reaches need = (1 + eps') * y for y = n / 2^i.  RR sets from
+    failed stages stay in the collection.  The collection then grows to
+    lambda_star / LB sets.
 
     Returns the stats and the last stage's selection if the collection did
     not grow after it (the final greedy would repeat it), else None.
@@ -368,8 +397,9 @@ def _imm_stages(collection, stage_select, imm: ImmParams, rng):
         y = n / 2.0 ** i
         target = math.floor(lam_prime / y) + 1
         collection.extend(target - collection.theta, rng)
-        est, pick = stage_select(collection)
-        if est >= (1.0 + eps_p) * y:
+        need = (1.0 + eps_p) * y
+        est, pick = stage_select(collection, need)
+        if est >= need:
             lb = est / (1.0 + eps_p)
             hit = i
             break
@@ -382,13 +412,14 @@ def _imm_stages(collection, stage_select, imm: ImmParams, rng):
 
 
 def _sampling(graph: DirectedGraph, params: TriggeringParams, model,
-              lattice: LatticeConfig, constraint, imm: ImmParams, rng):
-    """:func:`sampling`, plus the reusable last stage mix (or None)."""
+              lattice: LatticeConfig, constraint, imm: ImmParams, rng, flags):
+    """:func:`sampling` under greedy ``flags``, plus the reusable last stage mix (or None)."""
     collection = RRCollection(graph, params, model)
+    lazy, stop = flags
 
-    def stage_select(c):
-        mix = _stage_greedy(c, model, lattice, constraint)
-        return g_hat(c, model, mix), mix
+    def stage_select(c, need):
+        mix = _stage_greedy(c, model, lattice, constraint, (lazy, need if stop else -math.inf))
+        return (-math.inf, None) if mix is None else (g_hat(c, model, mix), mix)
 
     stats, mix = _imm_stages(collection, stage_select, imm, rng)
     return collection, stats, mix
@@ -399,7 +430,8 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
              rng) -> tuple[RRCollection, SamplingStats]:
     """Generate enough RR sets for the approximation guarantee, certifying
     each stage with the lattice greedy's partial-coverage estimate."""
-    collection, stats, _ = _sampling(graph, params, model, lattice, constraint, imm, rng)
+    flags = _greedy_flags(validate_model(model, lattice))
+    collection, stats, _ = _sampling(graph, params, model, lattice, constraint, imm, rng, flags)
     return collection, stats
 
 
@@ -412,13 +444,13 @@ class ImmResult:
     stats: SamplingStats | None
 
 
-def _check_model(model, lattice, force: bool) -> None:
-    if force:
-        return
+def _check_model(model, lattice, force: bool) -> tuple[bool, bool]:
+    """The solve's one curve report, as the greedy flags of :func:`_greedy_flags`."""
     violations = validate_model(model, lattice)
-    if violations:
+    if violations and not force:
         raise InvalidModelError(
             f"{len(violations)} curve violation(s); first: {violations[0]}")
+    return _greedy_flags(violations, force)
 
 
 def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
@@ -428,11 +460,11 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
         raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
     if model.n != graph.n:
         raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
-    _check_model(model, lattice, force)
+    flags = _check_model(model, lattice, force)
     _validate_domain(lattice, constraint)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
-    collection, stats, mix = _sampling(graph, params, model, lattice, constraint, imm, rng)
+    collection, stats, mix = _sampling(graph, params, model, lattice, constraint, imm, rng, flags)
     if mix is None:
-        mix = _stage_greedy(collection, model, lattice, constraint)
+        mix = _stage_greedy(collection, model, lattice, constraint, (flags[0], -math.inf))
     return ImmResult(mix, collection, stats)

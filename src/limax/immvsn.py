@@ -32,6 +32,7 @@ covered set's members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +188,16 @@ def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCo
     return coll
 
 
-def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int], int]:
+def _greedy_virtual(collection: HybridCollection, constraint,
+                    need: float = -math.inf) -> tuple[list[int], int] | None:
     """Max-coverage greedy over virtual nodes.
 
-    Returns (seed flat ids, covered set count).  Stops early once no
-    candidate has positive marginal coverage; ties go to the lowest flat id
-    (lowest strategy, then lowest increment).  Each pick subtracts the
+    Returns (seed flat ids, covered set count), or None as soon as the
+    estimate n * covered / theta cannot reach ``need``: counts only fall,
+    so each step left covers at most today's largest count, and the
+    integer bound is exact.  Stops early once no candidate has positive
+    marginal coverage; ties go to the lowest flat id (lowest strategy,
+    then lowest increment).  Each pick subtracts the
     newly covered sets' members from a count array over all d * K flat ids.
     Once a budget group's cap is spent, the counts of its strategies' flat
     ids are set to -1, below any open count (counts only fall), so the
@@ -202,22 +207,27 @@ def _greedy_virtual(collection: HybridCollection, constraint) -> tuple[list[int]
     steps, span = collection.aug.steps, collection.aug.span
     vsets, flats = collection.vsets, collection.flats
     counts = np.bincount(flats, minlength=span)
-    theta = collection.theta  # at least 1: callers never select on an empty collection
+    n, theta = collection.n, collection.theta  # theta >= 1: never called on an empty collection
+    group_of, left = as_partition(constraint, collection.aug.lattice.d)
+    rounds = int(left.sum())
+    if n * rounds * int(counts.max(initial=0)) / theta < need:
+        return None
     set_ptr = np.concatenate(([0], np.cumsum(np.bincount(vsets, minlength=theta))))
     # each flat id's sets, in rising order: one sort of keys flat * theta +
     # set, each below d * K * theta, in place of a stable argsort of flats
     by_flat = np.sort(flats * theta + vsets) % theta
     flat_ptr = np.concatenate(([0], np.cumsum(counts)))
     covered = np.zeros(theta, dtype=bool)
-    group_of, left = as_partition(constraint, collection.aug.lattice.d)
     rows = counts.reshape(len(group_of), steps)  # the flat ids of each strategy
     rows[left[group_of] == 0] = -1
     seeds: list[int] = []
     covered_total = 0
-    for _ in range(int(left.sum())):
+    for r in range(rounds):
         best = int(np.argmax(counts))
         if counts[best] <= 0:
             break
+        if n * (covered_total + (rounds - r) * int(counts[best])) / theta < need:
+            return None
         seeds.append(best)
         g = group_of[best // steps]
         left[g] -= 1
@@ -290,9 +300,9 @@ def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams, rng):
     stage's seeds when the final greedy would repeat them, else None."""
     collection = HybridCollection(aug)
 
-    def stage_select(c):
-        seeds, covered = _greedy_virtual(c, constraint)
-        return c.n * covered / c.theta, seeds
+    def stage_select(c, need):
+        picked = _greedy_virtual(c, constraint, need)
+        return (-math.inf, None) if picked is None else (c.n * picked[1] / c.theta, picked[0])
 
     stats, seeds = _imm_stages(collection, stage_select, imm, rng)
     return collection, stats, seeds

@@ -198,12 +198,16 @@ class IndependentActivation:
     def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The table rows of every entry of ``nodes``, in entry order, then
         row order; ``pair[k]`` is the index into ``nodes`` of the entry that
-        owns ``rows[k]``.  Entries may repeat or own no rows."""
-        start = self._indptr[nodes]
-        count = self._indptr[nodes + 1] - start
-        pair = np.repeat(np.arange(len(nodes)), count)
-        # an entry's k-th row is its node's first row plus k
-        return pair, np.arange(len(pair)) + (start - (np.cumsum(count) - count))[pair]
+        owns ``rows[k]``.  Entries may repeat or own no rows; only the
+        entries that own rows are expanded."""
+        count = np.diff(self._indptr)[nodes]
+        own = np.flatnonzero(count > 0)  # faster than nonzero() on the int counts
+        start, count = self._indptr[nodes[own]], count[own]
+        if len(own) == count.sum():  # one row per owner, as in the built-in scenarios
+            return own, start
+        pair = np.repeat(own, count)
+        # an owner's k-th row is its node's first row plus k
+        return pair, np.arange(len(pair)) + np.repeat(start - (np.cumsum(count) - count), count)
 
     def _check_steps(self, steps: np.ndarray) -> None:
         if steps.min(initial=0) < 0 or steps.max(initial=0) > self.lattice.budget_steps:

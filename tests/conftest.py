@@ -148,6 +148,26 @@ def stage_reuse_instance():
     return graph, assign_weighted_cascade(graph), model, lattice, imm
 
 
+def stage_budget(rng, d: int, steps: int, partitioned: bool):
+    """A total budget of ``steps``, or a partition of the d strategies into
+    one group (d < 4) or two interleaved ones, with caps in [1, steps]."""
+    from limax.budgets import PartitionedBudget, TotalBudget
+
+    if not partitioned or d < 2:
+        return TotalBudget(steps)
+    groups = [tuple(range(d))] if d < 4 else [tuple(range(0, d, 2)), tuple(range(1, d, 2))]
+    return PartitionedBudget(groups=groups,
+                             caps=rng.integers(1, steps + 1, size=len(groups)).tolist())
+
+
+def needs_around(est: float, rounds: int) -> list[float]:
+    """Stage thresholds around a full greedy's estimate: below it, at it,
+    one float either side, just above, and one no greedy of ``rounds``
+    steps whose first gain is at most ``est`` can reach."""
+    return ([est * f for f in (0.0, 0.5, 0.99, 1 - 1e-9, 1.0, 1 + 1e-9, 1.01, 1.5, 3.0)]
+            + [np.nextafter(est, -np.inf), np.nextafter(est, np.inf), (rounds + 1) * est + 1])
+
+
 def sweep_monotone_dr(f, d: int, bound: int, tol: float = 1e-9) -> tuple[int, int]:
     """Count monotonicity / diminishing-return violations of f on {0..bound}^d.
 

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance, stage_reuse_instance
+from conftest import needs_around, random_instance, stage_budget, stage_reuse_instance
 
 from limax.budgets import (PartitionedBudget, TotalBudget, feasible_increments,
                            is_feasible, total_steps)
@@ -475,6 +477,74 @@ def test_forced_convex_model_keeps_lazy_bounds(monkeypatch, seed):
     assert len(picks) == K
     assert len(calls) == 1 + K  # the first bounds, then one per pick check
     assert mix == lgreedy(lambda s: g_hat(coll, model, s), inst.lattice, TotalBudget(K))
+
+
+# --- early stop of a stage greedy ---------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), partitioned=st.booleans())
+def test_stage_greedy_stops_only_when_need_is_out_of_reach(seed, partitioned):
+    """A greedy given a stage threshold returns None only if its full run
+    misses it, and otherwise the full run's mix."""
+    gen = np.random.default_rng(seed)
+    inst = random_instance(gen, n_max=10, m_max=16, d_max=5, steps_max=4)
+    constraint = stage_budget(gen, inst.lattice.d, inst.lattice.budget_steps, partitioned)
+    coll = generate_collection(inst.graph, inst.params, inst.model, 80, stream(62, seed))
+    full = lgreedy_delta(coll, inst.model, inst.lattice, constraint)
+    est = g_hat(coll, inst.model, full)
+    for need in needs_around(est, total_steps(constraint)):
+        mix = lgreedy_delta(coll, inst.model, inst.lattice, constraint, (True, need))
+        assert est < need if mix is None else mix == full
+    assert mix is None  # the last threshold is out of reach
+
+
+def test_stage_greedy_stops_after_few_rounds(monkeypatch):
+    graph, params, model, lat, _ = stage_reuse_instance()
+    coll = generate_collection(graph, params, model, 400, stream(63, 0))
+    est = g_hat(coll, model, lgreedy_delta(coll, model, lat, TotalBudget(10)))
+    picks = _check_picks(monkeypatch)
+    assert lgreedy_delta(coll, model, lat, TotalBudget(10), (True, 1.5 * est)) is None
+    assert 0 < len(picks) < 10
+
+
+def test_one_curve_report_per_solve(monkeypatch):
+    graph, params, model, lat, imm = stage_reuse_instance()
+    module = importlib.import_module("limax.immprr")
+    report, greedy = module.validate_model, module.lgreedy_delta
+    calls, stages = [], []
+    monkeypatch.setattr(module, "validate_model", lambda *a: calls.append(1) or report(*a))
+    monkeypatch.setattr(module, "lgreedy_delta", lambda *a: stages.append(a[4]) or greedy(*a))
+    for force in (False, True):
+        calls.clear()
+        stages.clear()
+        run_immprr(graph, params, model, lat, TotalBudget(10), imm, stream(11, 0), force=force)
+        assert len(calls) == 1 and len(stages) > 2
+        # forced models never stop early; a failing stage of a checked one may
+        assert any(need > -math.inf for _, need in stages) != force
+
+
+# a forced non-concave model keeps its lazy bounds but never stops early
+@pytest.mark.parametrize("seed", range(6))
+def test_forced_convex_model_never_stops_early(monkeypatch, seed):
+    gen = np.random.default_rng(4200 + seed)
+    inst = random_instance(gen, n_max=8, m_max=12, d_max=4, steps_max=3, extra_steps=1)
+    K = inst.lattice.budget_steps
+    model = _redrawn(gen, inst.model, _convex_table)
+    module = importlib.import_module("limax.immprr")
+    greedy = module.lgreedy_delta
+    stages, mixes = [], []
+
+    def recorded(*args):
+        stages.append(args[4])
+        mixes.append(greedy(*args))
+        return mixes[-1]
+
+    monkeypatch.setattr(module, "lgreedy_delta", recorded)
+    imm = make_imm_params(inst.graph.n, inst.lattice, K, 0.5, 1.0)
+    run_immprr(inst.graph, inst.params, model, inst.lattice, TotalBudget(K), imm,
+               stream(64, seed), force=True)
+    assert stages and all(stage == (True, -math.inf) for stage in stages)
+    assert all(mix.total_steps == K for mix in mixes)
 
 
 # --- sampling phase --------------------------------------------------------------

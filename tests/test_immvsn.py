@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
-                      node_rows, rr_set, shared_ic, stage_reuse_instance)
+from conftest import (RICH_SEEDS, SHARED_IC, needs_around, random_concave_table,
+                      random_instance, node_rows, rr_set, shared_ic, stage_budget,
+                      stage_reuse_instance)
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
@@ -516,6 +519,24 @@ def test_greedy_virtual_matches_reference_on_wide_collections(seed):
             _greedy_virtual_reference(coll, constraint)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), partitioned=st.booleans())
+def test_virtual_greedy_stops_only_when_need_is_out_of_reach(seed, partitioned):
+    """A virtual greedy given a stage threshold returns None only if its
+    full run's estimate misses it, and otherwise the full run's seeds."""
+    gen = np.random.default_rng(seed)
+    inst = random_instance(gen, n_max=10, m_max=16, d_max=5, steps_max=4)
+    constraint = stage_budget(gen, inst.lattice.d, inst.lattice.budget_steps, partitioned)
+    aug = build_augmented(inst.graph, inst.params, inst.model, inst.lattice)
+    coll = generate_hybrid_collection(aug, 80, stream(65, seed))
+    full = _greedy_virtual(coll, constraint)
+    est = coll.n * full[1] / coll.theta
+    for need in needs_around(est, total_steps(constraint)):
+        picked = _greedy_virtual(coll, constraint, need)
+        assert est < need if picked is None else picked == full
+    assert picked is None  # the last threshold is out of reach
+
+
 # --- prefix dominance ----------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(5))
@@ -586,9 +607,9 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch, grows):
     module = importlib.import_module("limax.immvsn")
     greedy = module._greedy_virtual
 
-    def counted(collection, constraint):
+    def counted(collection, *args):
         calls.append(collection.theta)
-        return greedy(collection, constraint)
+        return greedy(collection, *args)
 
     monkeypatch.setattr(module, "_greedy_virtual", counted)
     # the first solver stream whose last stage's collection grew, or did not

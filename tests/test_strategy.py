@@ -222,6 +222,34 @@ def test_rows_match_per_node_loop(seed):
         assert list(zip(pair.tolist(), rows.tolist())) == expect
 
 
+def _rows_expanding_every_entry(model, nodes):
+    """The entry-by-entry expansion ``model.rows`` replaced: every entry,
+    owner or not, goes through the repeat."""
+    start = model._indptr[nodes]
+    count = model._indptr[nodes + 1] - start
+    pair = np.repeat(np.arange(len(nodes)), count)
+    return pair, np.arange(len(pair)) + (start - (np.cumsum(count) - count))[pair]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_equal_full_expansion_bitwise(seed):
+    """Owner-only ``model.rows`` returns the full expansion's arrays, values
+    and dtypes, with and without several rows per owner."""
+    gen = np.random.default_rng(2600 + seed)
+    model = random_instance(gen, n_max=30, d_max=4).model
+    lat = LatticeConfig(d=4, delta=1.0, budget_steps=3)
+    one_row = make_segmented_event(gen.integers(0, 9, size=30), lat, 12, 0.3, gen)
+    for m in (model, one_row):
+        counts = np.diff(m._indptr)
+        for nodes in (gen.integers(0, m.n, size=int(gen.integers(1, 200))),
+                      np.repeat(np.flatnonzero(counts > 0), 3),
+                      np.flatnonzero(counts == 0), np.arange(m.n)[::-1],
+                      np.empty(0, np.int64)):
+            got, expect = m.rows(nodes), _rows_expanding_every_entry(m, nodes)
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_blackbox_model_roundtrip():
     lat = LatticeConfig(d=2, delta=0.5, budget_steps=2)
     model = BlackBoxActivation(2, lat, lambda v, xv: min(1.0, 0.3 * xv.sum() + 0.1 * v))
