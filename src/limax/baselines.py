@@ -54,7 +54,7 @@ def mclg(graph: DirectedGraph, params: TriggeringParams, model,
 
 
 def _require_personalized(model, lattice: LatticeConfig, n: int) -> None:
-    if getattr(model, "kind", None) != "independent" or lattice.d != n or model.n != n:
+    if not isinstance(model, IndependentActivation) or lattice.d != n or model.n != n:
         raise UnsupportedScenarioError("needs d == n with one strategy per node")
     # node v owns strategy v iff its one flat row is (v, v)
     owned = np.diff(model._indptr) == 1
@@ -64,17 +64,16 @@ def _require_personalized(model, lattice: LatticeConfig, n: int) -> None:
         raise UnsupportedScenarioError(f"node {v} is not owned by strategy {v}")
 
 
-def ud(graph: DirectedGraph, params: TriggeringParams,
-       model: IndependentActivation, lattice: LatticeConfig, k: float,
-       collection: RRCollection, rng) -> StrategyMix:
+def ud(model: IndependentActivation, lattice: LatticeConfig, k: float,
+       collection: RRCollection) -> StrategyMix:
     """Uniform discount: best over c of 'give discount c to floor(k/c) nodes'.
 
     Node choice per c is greedy by marginal partial coverage on the given
-    collection; the ten candidates are compared on the same collection.
-    ``rng`` is accepted for interface uniformity; the procedure is
-    deterministic.
+    collection, which must be over the model's n nodes; the ten candidates
+    are compared on the same collection.  The procedure is deterministic.
     """
-    _require_personalized(model, lattice, graph.n)
+    n = model.n
+    _require_personalized(model, lattice, collection.n)
     budget_steps = int(round(k / lattice.delta))
     theta = collection.theta
     # one strategy per node: strategy v's entries are the RR sets holding v
@@ -94,11 +93,11 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
         if n_sel and theta:
             qc = model._flat_tables[:, steps_c]
             s = np.ones(theta)
-            picked = np.zeros(graph.n, dtype=bool)
-            for _ in range(min(n_sel, graph.n)):
+            picked = np.zeros(n, dtype=bool)
+            for _ in range(min(n_sel, n)):
                 best_node = -1
                 best_gain = 0.0
-                for v in range(graph.n):
+                for v in range(n):
                     if picked[v] or qc[v] <= 0.0 or not len(idx_of[v]):
                         continue
                     gain = qc[v] * float(s[idx_of[v]].sum())
@@ -111,7 +110,7 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
                 chosen.append(best_node)
                 s[idx_of[best_node]] *= 1.0 - qc[best_node]
         elif n_sel:
-            chosen = list(range(min(n_sel, graph.n)))
+            chosen = list(range(min(n_sel, n)))
         x = np.zeros(lattice.d, dtype=np.int64)
         x[chosen] = steps_c
         val = g_hat(collection, model, x) if theta else 0.0
@@ -121,8 +120,7 @@ def ud(graph: DirectedGraph, params: TriggeringParams,
     return best_mix
 
 
-def cd(graph: DirectedGraph, params: TriggeringParams, model,
-       lattice: LatticeConfig, k: float, start: StrategyMix,
+def cd(model, lattice: LatticeConfig, start: StrategyMix,
        collection: RRCollection) -> StrategyMix:
     """Coordinate descent: move one step from a to b whenever the estimate
     strictly increases; lexicographic (a, b) sweeps, capped to avoid
@@ -131,7 +129,7 @@ def cd(graph: DirectedGraph, params: TriggeringParams, model,
     current = g_hat(collection, model, x)
     d = lattice.d
     # an opaque model gives no entries to rule a target out, so every b is one
-    independent = getattr(collection.model, "kind", None) == "independent"
+    independent = isinstance(collection.model, IndependentActivation)
     has_entries = np.diff(collection.strategy_entries()[2]) > 0 if independent else [True] * d
     for _ in range(_MAX_SWEEPS):
         improved = False

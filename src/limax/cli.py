@@ -233,10 +233,10 @@ def _run_cell(alg: str, k: float, constraint, graph, params, model, lattice,
         theta = int(cfg.get("baseline_theta", 5000))
         coll = generate_collection(graph, params, model, theta,
                                    stream(seed, _KEY_BASELINE_RR, a_idx, c_idx))
-        start = ud(graph, params, model, lattice, k, coll, rng)
+        start = ud(model, lattice, k, coll)
         if alg == "ud":
             return start, str(theta)
-        return cd(graph, params, model, lattice, k, start, coll), str(theta)
+        return cd(model, lattice, start, coll), str(theta)
     if alg == "hd":
         m_nodes = int(cfg.get("hd_nodes", 100))
         return hd(graph, lattice, k, min(m_nodes, graph.n)), ""

@@ -228,7 +228,7 @@ class GreedyState:
 
     def __init__(self, collection: RRCollection, model: IndependentActivation,
                  lattice: LatticeConfig, constraint):
-        if getattr(model, "kind", None) != "independent":
+        if not isinstance(model, IndependentActivation):
             raise UnsupportedModelError(
                 "delta greedy requires independent strategy activation")
         self.collection = collection
@@ -310,6 +310,8 @@ def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                   constraint, _stage=None) -> StrategyMix | None:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
     (same tie rule: the lowest feasible coordinate among the best gains).
+    Zero-gain rounds still spend their step, on the lowest open coordinate,
+    so the whole budget is spent, as in ``immvsn``'s virtual-node greedy.
     The solvers pass ``_stage`` = (lazy, need); see the module docstring."""
     _validate_domain(lattice, constraint)
     state = GreedyState(collection, model, lattice, constraint)
@@ -361,7 +363,7 @@ class SamplingStats:
 
 
 def _stage_greedy(collection: RRCollection, model, lattice, constraint, stage):
-    if getattr(model, "kind", None) == "independent":
+    if isinstance(model, IndependentActivation):
         return lgreedy_delta(collection, model, lattice, constraint, stage)
     return lgreedy(lambda steps: g_hat(collection, model, steps), lattice, constraint)
 

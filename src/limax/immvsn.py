@@ -84,7 +84,7 @@ class AugmentedGraph:
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams,
                  model: IndependentActivation, lattice: LatticeConfig):
-        if getattr(model, "kind", None) != "independent":
+        if not isinstance(model, IndependentActivation):
             raise InvalidModelError("virtual-node reduction needs independent activation")
         if lattice != model.lattice:
             raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
@@ -183,6 +183,8 @@ class HybridCollection:
 
 
 def generate_hybrid_collection(aug: AugmentedGraph, count: int, rng) -> HybridCollection:
+    if count < 0:
+        raise ValueError("count must be >= 0")
     coll = HybridCollection(aug)
     coll.extend(count, rng)
     return coll
@@ -195,14 +197,16 @@ def _greedy_virtual(collection: HybridCollection, constraint,
     Returns (seed flat ids, covered set count), or None as soon as the
     estimate n * covered / theta cannot reach ``need``: counts only fall,
     so each step left covers at most today's largest count, and the
-    integer bound is exact.  Stops early once no candidate has positive
-    marginal coverage; ties go to the lowest flat id (lowest strategy,
-    then lowest increment).  Each pick subtracts the
-    newly covered sets' members from a count array over all d * K flat ids.
-    Once a budget group's cap is spent, the counts of its strategies' flat
-    ids are set to -1, below any open count (counts only fall), so the
-    argmax never picks them again; a total budget is one group and pays
-    for that mask only after its last pick.
+    integer bound is exact.  Ties go to the lowest flat id (lowest
+    strategy, then lowest increment), and zero-coverage rounds still spend
+    their step, so the whole budget is spent, as in ``lgreedy_delta``: once
+    only zero counts are open, each round picks the lowest open strategy.
+    Each pick subtracts the newly covered sets' members from a count array
+    over all d * K flat ids, then sets its own count to -1.  Once a budget
+    group's cap is spent, the counts of its strategies' flat ids are set to
+    -1 too.  Open counts never fall below 0, so the argmax never picks a
+    negative count while an open one is left; a total budget is one group
+    and pays for that mask only after its last pick.
     """
     steps, span = collection.aug.steps, collection.aug.span
     vsets, flats = collection.vsets, collection.flats
@@ -224,7 +228,7 @@ def _greedy_virtual(collection: HybridCollection, constraint,
     covered_total = 0
     for r in range(rounds):
         best = int(np.argmax(counts))
-        if counts[best] <= 0:
+        if counts[best] < 0:
             break
         if n * (covered_total + (rounds - r) * int(counts[best])) / theta < need:
             return None
@@ -242,6 +246,7 @@ def _greedy_virtual(collection: HybridCollection, constraint,
         ends = np.cumsum(size)
         np.subtract.at(counts, flats[np.repeat(lo - (ends - size), size)
                                      + np.arange(size.sum())], 1)
+        counts[best] = -1
     return seeds, covered_total
 
 

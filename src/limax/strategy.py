@@ -5,16 +5,19 @@ size delta.  Amounts are stored as integer step counts throughout (never as
 accumulated floats), so greedy runs are exactly reproducible and curve
 lookups are O(1) table reads.
 
-Activation comes in two flavors:
+Activation comes in two flavors, both read through one method:
+``h_all(x)`` returns h_v(x) for every node v at once, and no code reads a
+model any other way.
 
 * ``IndependentActivation`` -- every strategy j in a node's set S_v tries to
   seed v independently, succeeding with probability ``q[v,j](x_j)``, hence
   ``h_v(x) = 1 - prod_{j in S_v} (1 - q[v,j](x_j))``.  The model is given
   and stored as flat rows, one per (node v, strategy j in S_v) curve, each
   tabulating q[v,j] at the lattice points 0..K.
-* ``BlackBoxActivation`` -- an opaque callable ``h(v, x)``; the caller
-  asserts monotonicity and diminishing returns, which are not efficiently
-  checkable in general.
+* ``BlackBoxActivation`` -- an opaque vectorized callable that maps the
+  value vector ``steps * delta`` to all n probabilities; the caller asserts
+  monotonicity and diminishing returns, which are not efficiently checkable
+  in general.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "IndependentActivation",
     "BlackBoxActivation",
     "CurveDomainError",
-    "StrategyNotApplicableError",
     "CurveViolation",
     "quadratic_table",
     "multi_event_table",
@@ -45,10 +47,6 @@ __all__ = [
 
 class CurveDomainError(ValueError):
     """Curve evaluated outside its tabulated lattice domain."""
-
-
-class StrategyNotApplicableError(LookupError):
-    """q requested for a strategy outside the node's strategy set."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,11 @@ def as_steps(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_steps(steps: np.ndarray, lattice: LatticeConfig) -> None:
+    if steps.min(initial=0) < 0 or steps.max(initial=0) > lattice.budget_steps:
+        raise CurveDomainError("step count outside [0, K]")
+
+
 # --- curve tables ----------------------------------------------------------
 
 def quadratic_table(lattice: LatticeConfig) -> np.ndarray:
@@ -150,8 +153,6 @@ class IndependentActivation:
     then strategy, so node v's rows are ``_indptr[v]:_indptr[v + 1]`` and
     its strategies S_v are sorted; :meth:`rows` expands nodes into rows.
     """
-
-    kind = "independent"
 
     def __init__(self, n: int, lattice: LatticeConfig,
                  nodes: np.ndarray, strategies: np.ndarray, tables: np.ndarray):
@@ -209,31 +210,10 @@ class IndependentActivation:
         # an owner's k-th row is its node's first row plus k
         return pair, np.arange(len(pair)) + np.repeat(start - (np.cumsum(count) - count), count)
 
-    def _check_steps(self, steps: np.ndarray) -> None:
-        if steps.min(initial=0) < 0 or steps.max(initial=0) > self.lattice.budget_steps:
-            raise CurveDomainError("step count outside [0, K]")
-
-    def q_steps(self, v: int, j: int, steps: int) -> float:
-        if steps < 0 or steps > self.lattice.budget_steps:
-            raise CurveDomainError(f"step count {steps} outside [0, {self.lattice.budget_steps}]")
-        lo, hi = self._indptr[v], self._indptr[v + 1]
-        r = lo + np.searchsorted(self._flat_strats[lo:hi], j)
-        if r >= hi or self._flat_strats[r] != j:
-            raise StrategyNotApplicableError(f"strategy {j} does not apply to node {v}")
-        return float(self._flat_tables[r, steps])
-
-    def h(self, v: int, x) -> float:
-        steps = as_steps(x, self.lattice.d)
-        self._check_steps(steps)
-        acc = 1.0
-        for r in range(self._indptr[v], self._indptr[v + 1]):
-            acc *= 1.0 - self._flat_tables[r, steps[self._flat_strats[r]]]
-        return 1.0 - acc
-
     def h_all(self, x) -> np.ndarray:
         """h_v(x) for every node at once."""
         steps = as_steps(x, self.lattice.d)
-        self._check_steps(steps)
+        _check_steps(steps, self.lattice)
         acc = np.ones(self.n)
         if len(self._flat_nodes):
             col = np.take_along_axis(
@@ -243,28 +223,30 @@ class IndependentActivation:
 
 
 class BlackBoxActivation:
-    """Opaque strategy activation h(v, x-values); assumed monotone with
-    diminishing returns (not verified)."""
-
-    kind = "blackbox"
+    """Opaque strategy activation: ``fn`` maps the value vector
+    ``steps * delta`` to the n probabilities h_v(x), one call per
+    :meth:`h_all`.  Each h_v is assumed monotone and DR-submodular on the
+    lattice (not verified)."""
 
     def __init__(self, n: int, lattice: LatticeConfig,
-                 fn: Callable[[int, np.ndarray], float]):
+                 fn: Callable[[np.ndarray], np.ndarray]):
         self.n = n
         self.lattice = lattice
         self.fn = fn
 
-    def h(self, v: int, x) -> float:
-        steps = as_steps(x, self.lattice.d)
-        if steps.min(initial=0) < 0 or steps.max(initial=0) > self.lattice.budget_steps:
-            raise CurveDomainError("step count outside [0, K]")
-        val = float(self.fn(v, steps * self.lattice.delta))
-        if not (0.0 <= val <= 1.0 + 1e-12):
-            raise ValueError(f"h({v}, .) = {val} outside [0, 1]")
-        return min(val, 1.0)
-
     def h_all(self, x) -> np.ndarray:
-        return np.array([self.h(v, x) for v in range(self.n)])
+        """``fn`` at x, clipped to 1; a ``ValueError`` names the first node
+        whose value lies outside [0, 1 + 1e-12]."""
+        steps = as_steps(x, self.lattice.d)
+        _check_steps(steps, self.lattice)
+        val = np.asarray(self.fn(steps * self.lattice.delta), dtype=np.float64)
+        if val.shape != (self.n,):
+            raise ValueError(f"fn returned shape {val.shape}, not ({self.n},)")
+        bad = np.flatnonzero(~((val >= 0.0) & (val <= 1.0 + 1e-12)))
+        if len(bad):
+            v = int(bad[0])
+            raise ValueError(f"h({v}, .) = {float(val[v])} outside [0, 1]")
+        return np.minimum(val, 1.0)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,15 @@ def node_rows(model: IndependentActivation, v: int) -> tuple[np.ndarray, np.ndar
     return model._flat_strats[lo:hi], model._flat_tables[lo:hi]
 
 
+def h_per_node(model: IndependentActivation, v: int, steps) -> float:
+    """h_v at the int step vector ``steps``: the product over node v's rows,
+    one scalar factor at a time, the reference ``h_all`` is checked against."""
+    acc = 1.0
+    for j, tab in zip(*node_rows(model, v)):
+        acc *= 1.0 - tab[steps[j]]
+    return 1.0 - acc
+
+
 def csr_rows(indptr, flat) -> list[list]:
     """Per-node lists ``flat[indptr[v]:indptr[v + 1]]`` of one CSR array."""
     bounds = indptr.tolist()

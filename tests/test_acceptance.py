@@ -225,7 +225,7 @@ def test_07_submodularity_sweeps():
         touched = [v for v in range(inst.graph.n)
                    if len(node_rows(inst.model, v)[0])][:2]
         for v in touched:
-            m, s = sweep_monotone_dr(lambda st: inst.model.h(v, st), d, bound)
+            m, s = sweep_monotone_dr(lambda st: inst.model.h_all(st)[v], d, bound)
             mono += m
             dr += s
         coll = generate_collection(inst.graph, inst.params, inst.model, 150,

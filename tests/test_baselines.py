@@ -61,7 +61,7 @@ def test_ud_rejects_non_personalized():
     model = IndependentActivation(4, lat, [0], [0], [[0.0, 0.3, 0.4]])
     coll = generate_collection(g, params, model, 20, stream(52, 0))
     with pytest.raises(UnsupportedScenarioError):
-        ud(g, params, model, lat, 1.0, coll, stream(52, 1))
+        ud(model, lat, 1.0, coll)
 
 
 @pytest.mark.parametrize("strategies, bad", [
@@ -79,25 +79,28 @@ def test_ud_names_first_node_not_owned_by_its_strategy(strategies, bad):
                                   np.tile([0.0, 0.3, 0.4], (len(nodes), 1)))
     coll = generate_collection(g, params, model, 20, stream(52, 0))
     with pytest.raises(UnsupportedScenarioError, match=rf"^node {bad} is not owned by strategy {bad}$"):
-        ud(g, params, model, lat, 1.0, coll, stream(52, 1))
+        ud(model, lat, 1.0, coll)
 
 
 def test_ud_rejects_model_over_fewer_nodes():
-    # every node of a 3-node model owns its strategy, but the graph has 4
+    # every node of a 3-node model owns its strategy, but the collection is
+    # over a 4-node graph; under d = 4 the model itself is short of a node
     g = from_edges(4, [(0, 1), (2, 3)])
     params = uniform_ic(g, 0.5)
-    lat = LatticeConfig(d=4, delta=1.0, budget_steps=2)
-    model = IndependentActivation(3, lat, np.arange(3), np.arange(3),
-                                  np.tile([0.0, 0.3, 0.4], (3, 1)))
-    with pytest.raises(UnsupportedScenarioError):
-        ud(g, params, model, lat, 1.0, None, stream(52, 1))
+    for d in (3, 4):
+        lat = LatticeConfig(d=d, delta=1.0, budget_steps=2)
+        model = IndependentActivation(3, lat, np.arange(3), np.arange(3),
+                                      np.tile([0.0, 0.3, 0.4], (3, 1)))
+        coll = generate_collection(g, params, model, 20, stream(52, 0))
+        with pytest.raises(UnsupportedScenarioError):
+            ud(model, lat, 1.0, coll)
 
 
 def test_ud_two_valued_structure_and_support_bound():
     g, params, model, lat = _personal_instance(n=10, m=20, seed=1)
     coll = generate_collection(g, params, model, 400, stream(53, 0))
     k = 0.5
-    mix = ud(g, params, model, lat, k, coll, stream(53, 1))
+    mix = ud(model, lat, k, coll)
     nz = mix.steps[mix.steps > 0]
     assert len(set(nz.tolist())) <= 1          # x_i in {0, c}
     assert len(nz) <= int(k / 0.1)             # at most floor(k/0.1) nonzero
@@ -107,7 +110,7 @@ def test_ud_two_valued_structure_and_support_bound():
 def test_ud_budget_saturating_selects_everyone():
     g, params, model, lat = _personal_instance(n=6, m=10, seed=2, steps=60)
     coll = generate_collection(g, params, model, 300, stream(54, 0))
-    mix = ud(g, params, model, lat, 6.0, coll, stream(54, 1))
+    mix = ud(model, lat, 6.0, coll)
     assert np.all(mix.steps > 0)
     # some candidate saturates everyone; the best does at least as well
     saturated = StrategyMix(np.full(6, 10))
@@ -119,7 +122,7 @@ def test_ud_below_rr_greedy_on_shared_collection():
     coll = generate_collection(g, params, model, 500, stream(55, 0))
     k = 0.6
     constraint = TotalBudget(round(k / lat.delta))
-    mix_ud = ud(g, params, model, lat, k, coll, stream(55, 1))
+    mix_ud = ud(model, lat, k, coll)
     mix_imm = lgreedy_delta(coll, model, lat, constraint)
     assert g_hat(coll, model, mix_ud) <= g_hat(coll, model, mix_imm) + 1e-9
 
@@ -128,8 +131,8 @@ def test_cd_improves_and_terminates():
     g, params, model, lat = _personal_instance(n=9, m=18, seed=4)
     coll = generate_collection(g, params, model, 400, stream(56, 0))
     k = 0.5
-    start = ud(g, params, model, lat, k, coll, stream(56, 1))
-    out = cd(g, params, model, lat, k, start, coll)
+    start = ud(model, lat, k, coll)
+    out = cd(model, lat, start, coll)
     assert g_hat(coll, model, out) >= g_hat(coll, model, start) - 1e-12
     assert out.steps.sum() == start.steps.sum()  # moves conserve budget
     assert is_feasible(out, TotalBudget(start.total_steps))
@@ -141,7 +144,7 @@ def test_cd_keeps_local_optimum_unchanged():
     constraint = TotalBudget(4)
     best = lgreedy_delta(coll, model, lat, constraint)
     # run cd from the greedy point; if no single swap improves, it returns as-is
-    out = cd(g, params, model, lat, 4 * lat.delta, best, coll)
+    out = cd(model, lat, best, coll)
     assert g_hat(coll, model, out) >= g_hat(coll, model, best) - 1e-12
     improved = g_hat(coll, model, out) > g_hat(coll, model, best) + 1e-12
     if not improved:
@@ -151,10 +154,10 @@ def test_cd_keeps_local_optimum_unchanged():
 def test_cd_moves_on_black_box_model():
     # the same h as an opaque model: cd has no strategy entries to prune with
     g, params, model, lat = _personal_instance()
-    box = BlackBoxActivation(8, lat, lambda v, xv: model.h(v, np.round(xv / lat.delta)))
+    box = BlackBoxActivation(8, lat, lambda xv: model.h_all(np.rint(xv / lat.delta).astype(int)))
     coll = generate_collection(g, params, box, 400, stream(58, 0))
     start = StrategyMix([5, 0, 0, 0, 0, 0, 0, 0])
-    out = cd(g, params, box, lat, 5 * lat.delta, start, coll)
+    out = cd(box, lat, start, coll)
     assert out != start
     assert g_hat(coll, box, out) > g_hat(coll, box, start)
     assert out.total_steps == start.total_steps
@@ -187,8 +190,8 @@ def test_baselines_feasible_against_caps():
     g, params, model, lat = _personal_instance(n=8, m=16, seed=6)
     coll = generate_collection(g, params, model, 200, stream(59, 0))
     for k in (0.3, 0.8):
-        mix = ud(g, params, model, lat, k, coll, stream(59, 1))
+        mix = ud(model, lat, k, coll)
         assert mix.steps.sum() * lat.delta <= k + 1e-9
-        out = cd(g, params, model, lat, k, mix, coll)
+        out = cd(model, lat, mix, coll)
         assert out.steps.sum() * lat.delta <= k + 1e-9
         assert np.all(out.steps <= lat.budget_steps)

@@ -80,7 +80,6 @@ def _digest(observed: dict) -> str:
     return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# recorded before the black-box activation contract became one call per estimate
 PINNED = {
     "er_ic_segmented/0/immvsn": {
         "theta": 23279, "stages_run": 4, "hit_stage": 4, "lb": 1098.1451152557297,

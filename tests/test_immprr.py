@@ -20,7 +20,8 @@ from limax.immprr import (GreedyState, ImmParams, InvalidModelError,
 from limax.rng import stream
 from limax.rrset import RRCollection, RRSet, g_hat, generate_collection
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
-                            LatticeConfig, StrategyMix, validate_model)
+                            LatticeConfig, StrategyMix, make_segmented_event,
+                            validate_model)
 
 
 # --- parameter formulas --------------------------------------------------------
@@ -159,7 +160,7 @@ def test_lgreedy_delta_empty_collection_spends_on_first_coordinate():
 def test_lgreedy_delta_rejects_blackbox():
     g = from_edges(2, [(0, 1)])
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=1)
-    model = BlackBoxActivation(2, lat, lambda v, xv: 0.0)
+    model = BlackBoxActivation(2, lat, lambda xv: np.zeros(2))
     coll = generate_collection(g, uniform_ic(g, 0.5), model, 5, stream(21, 0))
     with pytest.raises(UnsupportedModelError):
         lgreedy_delta(coll, model, lat, TotalBudget(1))
@@ -640,10 +641,38 @@ def test_immprr_blackbox_path():
     params = uniform_ic(g, 0.7)
     lat = LatticeConfig(d=2, delta=0.5, budget_steps=2)
     model = BlackBoxActivation(
-        4, lat, lambda v, xv: min(1.0, (0.6 if v < 2 else 0.2) * xv[v % 2]))
+        4, lat, lambda xv: np.minimum(1.0, np.array([0.6, 0.6, 0.2, 0.2]) * xv[[0, 1, 0, 1]]))
     imm = make_imm_params(4, lat, 2, 0.4, 1.0)
     mix = run_immprr(g, params, model, lat, TotalBudget(2), imm, stream(30, 0)).mix
     assert mix.total_steps == 2
+
+
+def test_immprr_blackbox_matches_independent_model():
+    """A black box that wraps an independent model's ``h_all`` runs the
+    general greedy over ``g_hat``, one ``fn`` call per estimate, and lands on
+    the independent solve's theta and mix (n = 1000 ER, weighted cascade,
+    segmented events, d = 10, K = 10)."""
+    g = gen_erdos_renyi(1000, 5000, stream(49, 0))
+    params = assign_weighted_cascade(g)
+    lat = LatticeConfig(d=10, delta=1.0, budget_steps=10)
+    model = make_segmented_event(g.in_degrees() + g.out_degrees(), lat, 100, 0.3,
+                                 stream(49, 1))
+    calls = [0]
+
+    def fn(xv):
+        calls[0] += 1
+        return model.h_all(np.rint(xv / lat.delta).astype(np.int64))
+
+    box = BlackBoxActivation(1000, lat, fn)
+    imm = make_imm_params(1000, lat, 10, 0.5, 1.0)
+    ref = run_immprr(g, params, model, lat, TotalBudget(10), imm, stream(49, 2))
+    got = run_immprr(g, params, box, lat, TotalBudget(10), imm, stream(49, 2))
+    assert (got.stats.theta, got.mix) == (ref.stats.theta, ref.mix)
+    assert got.stats.lower_bound == ref.stats.lower_bound
+    # each stage and the final greedy: at most d estimates per round, plus
+    # one per stage for its certificate
+    stages = got.stats.stages_run
+    assert calls[0] <= (stages + 1) * 10 * lat.d + stages
 
 
 def test_immprr_rejects_invalid_model_unless_forced():

@@ -27,7 +27,7 @@ from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
 from limax.rng import stream
 from limax.rrset import EmptyCollectionError
 from limax.strategy import (IndependentActivation, LatticeConfig, StrategyMix,
-                            multi_event_table)
+                            make_personalized, multi_event_table)
 
 
 def _aug_single(table_rows, n=1, edges=(), p=0.5, steps=None):
@@ -360,6 +360,13 @@ def test_skipping_virtual_membership_matches_exact_oracle(shared, seed, monkeypa
     _check_virtual_membership(inst, params, stream(33, seed))
 
 
+def test_generate_hybrid_collection_rejects_negative_count():
+    _, _, _, _, aug = _aug_single([(0, np.array([0.0, 0.4]))], steps=1)
+    with pytest.raises(ValueError, match=r"^count must be >= 0$"):
+        generate_hybrid_collection(aug, -1, stream(3, 0))
+    assert generate_hybrid_collection(aug, 0, stream(3, 0)).theta == 0
+
+
 def test_hybrid_collection_counts_virtualless_sets():
     row = np.array([0.0, 0.4])
     _, _, _, _, aug = _aug_single([(0, row)], n=2, steps=1)
@@ -380,12 +387,14 @@ def _manual_collection(aug, virtual_sets, extra_empty=0):
     return coll
 
 
-def test_selection_no_virtual_nodes_zero_vector():
+def test_selection_no_virtual_nodes_spends_every_step():
+    # every round is a zero-coverage tie: the lowest open flat id is
+    # strategy 0's one increment, then strategy 1's
     row = np.array([0.0, 0.4])
     _, _, _, lat, aug = _aug_single([(0, row)], steps=1)
     coll = _manual_collection(aug, [], extra_empty=10)
     mix = node_selection_virtual(coll, lat, TotalBudget(2))
-    assert mix == StrategyMix.zeros(lat.d)
+    assert mix.steps.tolist() == [1, 1]
 
 
 def test_selection_empty_collection_raises():
@@ -412,19 +421,16 @@ def test_selection_matches_bruteforce_greedy_sequence():
     coll = _manual_collection(aug, sets)
     seeds, covered = _greedy_virtual(coll, TotalBudget(3))
 
-    # independent max-coverage greedy oracle
+    # independent max-coverage greedy oracle; a zero-coverage round still
+    # picks, the lowest flat id not yet picked
     remaining = [set(s) for s in sets]
     expect = []
     for _ in range(3):
-        cand = sorted({f for s in remaining for f in s})
-        if not cand:
-            break
+        cand = [f for f in range(aug.span) if f not in expect]
         best = max(cand, key=lambda f: (sum(f in s for s in remaining), -f))
-        if sum(best in s for s in remaining) == 0:
-            break
         expect.append(best)
         remaining = [s for s in remaining if best not in s]
-    assert seeds == expect
+    assert seeds == expect == [2, 1, 0]
     assert covered == len(sets) - sum(1 for s in remaining if s)
 
 
@@ -445,33 +451,33 @@ def test_selection_respects_partition_caps():
 
 def _greedy_virtual_reference(collection, constraint):
     """The dict-and-list max-coverage greedy that the array greedy replaced:
-    a per-step scan of a count dict, lowest flat id on ties."""
+    a per-step scan of a count dict, lowest flat id on ties.  A round with
+    no coverage left picks the lowest open flat id not yet picked."""
     steps = collection.aug.steps
     virtual_sets = collection.virtual_sets
     index = {}
     for si, flats in enumerate(virtual_sets):
         for f in flats:
             index.setdefault(f, []).append(si)
-    counts = {f: len(ids) for f, ids in index.items()}
+    counts = {f: len(index.get(f, [])) for f in range(collection.aug.span)}
     covered = bytearray(len(virtual_sets))
     group_of, caps = as_partition(constraint, collection.aug.lattice.d)
     used = [0] * len(caps)
     seeds = []
     covered_total = 0
     for _ in range(total_steps(constraint)):
-        best_f = -1
-        best_c = 0
+        best_f, best_c = -1, -1
         for f, c in counts.items():
-            if c > best_c or (c == best_c and c > 0 and (best_f == -1 or f < best_f)):
-                if used[group_of[f // steps]] >= caps[group_of[f // steps]]:
-                    continue
+            if f in seeds or used[group_of[f // steps]] >= caps[group_of[f // steps]]:
+                continue
+            if c > best_c:
                 best_f = f
                 best_c = c
-        if best_f < 0 or best_c == 0:
+        if best_f < 0:
             break
         seeds.append(best_f)
         used[group_of[best_f // steps]] += 1
-        for si in index[best_f]:
+        for si in index.get(best_f, []):
             if not covered[si]:
                 covered[si] = 1
                 covered_total += 1
@@ -624,6 +630,24 @@ def test_final_greedy_reuses_last_stage_pick(monkeypatch, grows):
     # collection grew
     assert len(calls) == res.stats.stages_run + grows
     assert res.mix == node_selection_virtual(res.collection, lat, TotalBudget(10))
+
+
+@pytest.mark.parametrize("edges, n, k", [
+    ([(0, 1)], 2, 2),
+    ([(0, v) for v in range(1, 5)] + [(v, 0) for v in range(1, 5)], 5, 4),
+])
+def test_both_solvers_spend_zero_gain_steps_alike(edges, n, k):
+    """Under p = 1 one step on strategy 0 already seeds a node that reaches
+    everyone, so every later step gains nothing: both solvers still spend
+    them, on the lowest open coordinate (a 2-node edge, a bidirectional star)."""
+    g = from_edges(n, edges)
+    params = uniform_ic(g, 1.0)
+    lat = LatticeConfig(d=n, delta=1.0, budget_steps=k)
+    model = make_personalized(n, lat)
+    imm = make_imm_params(n, lat, k, 0.5, 1.0)
+    for solve in (run_immprr, run_immvsn):
+        mix = solve(g, params, model, lat, TotalBudget(k), imm, stream(48, 0)).mix
+        assert mix.steps.tolist() == [k] + [0] * (n - 1), solve.__name__
 
 
 def test_immvsn_zero_budget(rng):

@@ -433,7 +433,7 @@ def test_g_hat_classical_indicator_special_case(rng):
     lat = LatticeConfig(d=5, delta=1.0, budget_steps=1)
     chosen = {1, 3}
     model = BlackBoxActivation(
-        5, lat, lambda v, xv: 1.0 if (v in chosen and xv[v] > 0) else 0.0)
+        5, lat, lambda xv: np.isin(np.arange(5), list(chosen)) * (xv > 0.0))
     coll = generate_collection(g, uniform_ic(g, 0.4), model, 300, stream(6, 6))
     x = StrategyMix([0, 1, 0, 1, 0])
     covered = sum(1 for s in coll.sets if chosen & set(s.members.tolist()))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import (RICH_SEEDS, node_rows, random_concave_table, random_instance,
-                      sweep_monotone_dr)
+from conftest import (RICH_SEEDS, h_per_node, node_rows, random_concave_table,
+                      random_instance, sweep_monotone_dr)
 
+from limax.graph import from_edges, uniform_ic
+from limax.rng import stream
+from limax.rrset import g_hat, generate_collection
 from limax.strategy import (BlackBoxActivation, CurveDomainError,
                             CurveViolation, IndependentActivation, LatticeConfig,
-                            StrategyMix, StrategyNotApplicableError,
-                            clamped_table, make_personalized,
+                            StrategyMix, clamped_table, make_personalized,
                             make_segmented_event, multi_event_table,
                             validate_model)
 
@@ -22,61 +24,64 @@ def _two_strategy_model(lat, q1, q2):
 def test_h_zero_mix_is_zero():
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     model = _two_strategy_model(lat, 0.5, 0.5)
-    assert model.h(0, StrategyMix.zeros(2)) == 0.0
+    assert model.h_all(StrategyMix.zeros(2))[0] == 0.0
 
 
 def test_h_independent_combination():
     # q = 0.5 from both strategies -> 1 - 0.5*0.5 = 0.75
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
     model = _two_strategy_model(lat, 0.5, 0.5)
-    assert model.h(0, StrategyMix([1, 1])) == pytest.approx(0.75)
+    assert model.h_all(StrategyMix([1, 1]))[0] == pytest.approx(0.75)
 
 
 def test_quadratic_discount_value():
     # 2x - x^2 at x = 0.5 -> 0.75
     lat = LatticeConfig(d=1, delta=0.5, budget_steps=2)
     model = make_personalized(1, lat)
-    assert model.h(0, StrategyMix([1])) == pytest.approx(0.75)
+    assert model.h_all(StrategyMix([1]))[0] == pytest.approx(0.75)
 
 
 def test_quadratic_clamps_at_one():
     # beyond x=1 the curve freezes at its boundary value 1
     lat = LatticeConfig(d=1, delta=0.5, budget_steps=4)
     model = make_personalized(1, lat)
-    assert model.h(0, StrategyMix([2])) == pytest.approx(1.0)
-    assert model.h(0, StrategyMix([4])) == pytest.approx(1.0)
+    assert model.h_all(StrategyMix([2]))[0] == pytest.approx(1.0)
+    assert model.h_all(StrategyMix([4]))[0] == pytest.approx(1.0)
 
 
 def test_q_value_examples():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
     table = multi_event_table(0.3, lat)
     model = IndependentActivation(1, lat, [0], [0], table[None, :])
-    assert model.q_steps(0, 0, 0) == 0.0
+    assert model.h_all([0])[0] == 0.0
     # 1 - 0.7^2 = 0.51
-    assert model.q_steps(0, 0, 2) == pytest.approx(0.51)
+    assert model.h_all([2])[0] == pytest.approx(0.51)
 
 
 def test_q_value_tabulated_lookup():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=3)
     tab = np.array([0.0, 0.4, 0.6, 0.7])
     model = IndependentActivation(1, lat, [0], [0], tab[None, :])
-    assert model.q_steps(0, 0, 3) == 0.7
+    assert node_rows(model, 0)[1][0, 3] == 0.7
+    assert model.h_all([3])[0] == pytest.approx(0.7)
 
 
 def test_q_value_not_applicable():
     lat = LatticeConfig(d=2, delta=1.0, budget_steps=1)
     model = IndependentActivation(1, lat, [0], [0], np.array([[0.0, 0.2]]))
-    with pytest.raises(StrategyNotApplicableError):
-        model.q_steps(0, 1, 1)
+    # strategy 1 is outside S_0: spending on it leaves h_0 at 0
+    assert node_rows(model, 0)[0].tolist() == [0]
+    assert model.h_all([0, 1])[0] == 0.0
 
 
 def test_domain_error_beyond_table():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
     model = IndependentActivation(1, lat, [0], [0], np.array([[0.0, 0.2, 0.3]]))
-    with pytest.raises(CurveDomainError):
-        model.q_steps(0, 0, 3)
-    with pytest.raises(CurveDomainError):
-        model.h(0, StrategyMix([3]))
+    box = BlackBoxActivation(1, lat, lambda xv: np.zeros(1))
+    for m in (model, box):
+        for steps in ([3], [-1]):
+            with pytest.raises(CurveDomainError):
+                m.h_all(np.array(steps))
 
 
 def test_validate_model_clean_multi_event():
@@ -165,7 +170,8 @@ def test_validate_model_matches_per_node_loop():
         got = validate_model(model, lat)
         assert got == _validate_per_node(model, lat)
         kinds |= {v.kind for v in got}
-        assert validate_model(BlackBoxActivation(model.n, lat, lambda v, xv: 0.0), lat) == []
+        box = BlackBoxActivation(model.n, lat, lambda xv: np.zeros(model.n))
+        assert validate_model(box, lat) == []
     assert kinds == {"origin", "range", "decreasing", "non-concave"}
 
 
@@ -185,25 +191,19 @@ def test_h_monotone_and_dr_sweep(seed):
     js = np.sort(gen.choice(d, size=count, replace=False))
     tables = np.vstack([random_concave_table(gen, lat.budget_steps) for _ in js])
     model = IndependentActivation(1, lat, np.zeros_like(js), js, tables)
-    mono, dr = sweep_monotone_dr(lambda s: model.h(0, s), d, bound)
+    mono, dr = sweep_monotone_dr(lambda s: model.h_all(s)[0], d, bound)
     assert mono == 0 and dr == 0
 
 
-def test_h_all_matches_per_node(rng):
-    lat = LatticeConfig(d=3, delta=1.0, budget_steps=3)
-    n = 6
-    nodes, strategies, tables = [], [], []
-    for v in range(n):
-        cnt = int(rng.integers(0, 3))
-        for j in np.sort(rng.choice(3, size=cnt, replace=False)):
-            nodes.append(v)
-            strategies.append(j)
-            tables.append(random_concave_table(rng, 3))
-    model = IndependentActivation(n, lat, nodes, strategies, np.reshape(tables, (-1, 4)))
-    x = StrategyMix([1, 3, 0])
-    vec = model.h_all(x)
-    for v in range(n):
-        assert vec[v] == pytest.approx(model.h(v, x), abs=1e-12)
+def test_h_all_matches_per_node():
+    """``h_all`` equals the per-node scalar product bit for bit, on 200
+    random instances with nodes of zero to several strategies."""
+    for seed in range(200):
+        gen = np.random.default_rng(3100 + seed)
+        inst = random_instance(gen, d_max=4, steps_max=4)
+        x = gen.integers(0, inst.lattice.budget_steps + 1, size=inst.lattice.d)
+        vec = inst.model.h_all(x)
+        assert vec.tolist() == [h_per_node(inst.model, v, x) for v in range(inst.model.n)]
 
 
 @pytest.mark.parametrize("seed", RICH_SEEDS)
@@ -252,9 +252,38 @@ def test_rows_equal_full_expansion_bitwise(seed):
 
 def test_blackbox_model_roundtrip():
     lat = LatticeConfig(d=2, delta=0.5, budget_steps=2)
-    model = BlackBoxActivation(2, lat, lambda v, xv: min(1.0, 0.3 * xv.sum() + 0.1 * v))
-    assert model.h(1, StrategyMix([1, 1])) == pytest.approx(0.4)
+    model = BlackBoxActivation(2, lat, lambda xv: np.minimum(1.0, 0.3 * xv.sum() + [0.0, 0.1]))
+    assert model.h_all(StrategyMix([1, 1])) == pytest.approx([0.3, 0.4])
     assert validate_model(model, lat) == []  # not checkable, reported clean
+
+
+def test_blackbox_g_hat_calls_fn_once():
+    g = from_edges(3, [(0, 1), (1, 2)])
+    lat = LatticeConfig(d=2, delta=0.5, budget_steps=2)
+    seen = []
+
+    def fn(xv):
+        seen.append(xv.tolist())
+        return np.array([0.5, 0.25, 0.0]) * xv.sum()
+
+    model = BlackBoxActivation(3, lat, fn)
+    coll = generate_collection(g, uniform_ic(g, 0.5), model, 20, stream(3, 0))
+    assert seen == []
+    g_hat(coll, model, StrategyMix([1, 2]))
+    assert seen == [[0.5, 1.0]]
+
+
+def test_blackbox_h_all_rejects_bad_results():
+    lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
+    for out in (np.zeros(2), np.zeros((3, 1)), 0.5, np.zeros(4)):
+        with pytest.raises(ValueError, match=r"^fn returned shape .*, not \(3,\)$"):
+            BlackBoxActivation(3, lat, lambda xv: out).h_all([1])
+    for out, bad in (([0.2, 1.5, -0.1], 1), ([0.2, 0.3, -0.1], 2), ([np.nan, 0.0, 2.0], 0)):
+        with pytest.raises(ValueError, match=rf"^h\({bad}, \.\) = .* outside \[0, 1\]$"):
+            BlackBoxActivation(3, lat, lambda xv: np.array(out)).h_all([1])
+    # values up to 1 + 1e-12 are rounding slack, clipped to 1
+    model = BlackBoxActivation(3, lat, lambda xv: np.array([1.0 + 5e-13, 1.0, 0.0]))
+    assert model.h_all([2]).tolist() == [1.0, 1.0, 0.0]
 
 
 def test_segmented_event_scenario_bounds(rng):
