@@ -7,9 +7,9 @@ the sets generated so far, and accepts the first guess whose greedy
 estimate clears (1 + eps') * y.  The final collection size is
 lambda_star(ell) / LB.  The selection phase then runs the lattice greedy
 once more on the full collection, or reuses the last stage's selection if
-the collection did not grow after it.  The stage loop (``_imm_stages``)
-serves both solvers: ``limax.immvsn`` runs it on hybrid RR sets with its
-virtual max-coverage greedy as the stage estimate.
+the collection did not grow after it.  One function, ``_imm_stages``,
+runs both phases for both solvers from a stage greedy and a final one;
+``strategy._check_fit`` checks each request against the model's lattice and n.
 
 The greedy adds one delta-step per round to the coordinate with the largest
 estimated spread gain.  Under independent strategy activation the gain of
@@ -58,7 +58,7 @@ from .budgets import as_partition, feasible_increments, total_steps
 from .graph import DirectedGraph, TriggeringParams
 from .rrset import RRCollection, g_hat
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
-                       validate_model)
+                       _check_fit, validate_model)
 
 if TYPE_CHECKING:
     from .immvsn import HybridCollection
@@ -82,6 +82,7 @@ __all__ = [
 ]
 
 _ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
+_GAMMA_TOL = 1e-6  # compute_gamma's bisection width
 
 
 class UnsupportedModelError(TypeError):
@@ -126,12 +127,11 @@ def lambda_star(n: int, epsilon: float, ell: float, m_bound: float) -> float:
     return 2.0 * n * (_ONE_MINUS_INV_E * alpha + beta) ** 2 / (epsilon * epsilon)
 
 
-def compute_gamma(n: int, ell: float, epsilon: float, m_bound: float,
-                  tol: float = 1e-6) -> float:
+def compute_gamma(n: int, ell: float, epsilon: float, m_bound: float) -> float:
     """Smallest gamma with ceil(lambda_star(ell+gamma)) <= n^gamma.
 
-    Bisection to ``tol``; the returned value satisfies the inequality and
-    the value tol below it does not.
+    Bisection to ``_GAMMA_TOL``; the returned value satisfies the inequality
+    and the value that far below it does not.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -150,7 +150,7 @@ def compute_gamma(n: int, ell: float, epsilon: float, m_bound: float,
             raise RuntimeError("gamma search diverged")
     lo = 0.0 if hi == 1.0 else hi / 2.0
     # invariant: ok(hi) holds, ok(lo) does not
-    while hi - lo > tol:
+    while hi - lo > _GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -231,6 +231,7 @@ class GreedyState:
         if not isinstance(model, IndependentActivation):
             raise UnsupportedModelError(
                 "delta greedy requires independent strategy activation")
+        _check_fit(collection.n, model, lattice)
         self.collection = collection
         self.model = model
         self.lattice = lattice
@@ -362,14 +363,8 @@ class SamplingStats:
     hit_stage: int | None
 
 
-def _stage_greedy(collection: RRCollection, model, lattice, constraint, stage):
-    if isinstance(model, IndependentActivation):
-        return lgreedy_delta(collection, model, lattice, constraint, stage)
-    return lgreedy(lambda steps: g_hat(collection, model, steps), lattice, constraint)
-
-
-def _imm_stages(collection, stage_select, imm: ImmParams, rng):
-    """The IMM sampling phase shared by both solvers.
+def _imm_stages(collection, stage_select, final, imm: ImmParams, rng):
+    """The IMM procedure shared by both solvers, up to the final greedy.
 
     Stage i grows ``collection`` to theta_i = lambda' * 2^i / n sets and
     stops as soon as ``stage_select(collection, need)``, which returns the
@@ -378,8 +373,9 @@ def _imm_stages(collection, stage_select, imm: ImmParams, rng):
     failed stages stay in the collection.  The collection then grows to
     lambda_star / LB sets.
 
-    Returns the stats and the last stage's selection if the collection did
-    not grow after it (the final greedy would repeat it), else None.
+    Returns the stats and the mix: the last stage's selection if the
+    collection did not grow after it (the final greedy would repeat it),
+    else ``final(collection)``.
     """
     n = collection.n
     if n < 2:
@@ -393,38 +389,45 @@ def _imm_stages(collection, stage_select, imm: ImmParams, rng):
                  * n / (eps_p * eps_p))
     lb = 1.0
     hit = None
-    stage = 0
-    for i in range(1, stages + 1):
-        stage = i
-        y = n / 2.0 ** i
+    for stage in range(1, stages + 1):  # n >= 2: at least one stage
+        y = n / 2.0 ** stage
         target = math.floor(lam_prime / y) + 1
         collection.extend(target - collection.theta, rng)
         need = (1.0 + eps_p) * y
         est, pick = stage_select(collection, need)
         if est >= need:
             lb = est / (1.0 + eps_p)
-            hit = i
+            hit = stage
             break
-    picked_at = collection.theta
     theta_star = lambda_star(n, imm.epsilon, ell_eff, imm.m_bound) / lb
-    collection.extend(math.floor(theta_star) + 1 - collection.theta, rng)
-    stats = SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
-                          ell_eff=ell_eff, stages_run=stage, hit_stage=hit)
-    return stats, pick if collection.theta == picked_at else None
+    grow = math.floor(theta_star) + 1 - collection.theta
+    if grow > 0:  # the final greedy replaces the stage's pick, freed before the draw
+        pick = None
+        collection.extend(grow, rng)
+        pick = final(collection)
+    return SamplingStats(theta=collection.theta, lower_bound=lb, gamma=imm.gamma,
+                         ell_eff=ell_eff, stages_run=stage, hit_stage=hit), pick
 
 
 def _sampling(graph: DirectedGraph, params: TriggeringParams, model,
-              lattice: LatticeConfig, constraint, imm: ImmParams, rng, flags):
-    """:func:`sampling` under greedy ``flags``, plus the reusable last stage mix (or None)."""
+              lattice: LatticeConfig, constraint, imm: ImmParams, rng, flags, solve: bool):
+    """The IMM procedure on RR sets under greedy ``flags``: the final mix
+    (None unless ``solve``), the collection and its stats."""
     collection = RRCollection(graph, params, model)
     lazy, stop = flags
 
+    def greedy(c, need=-math.inf):
+        if isinstance(model, IndependentActivation):
+            return lgreedy_delta(c, model, lattice, constraint, (lazy, need))
+        return lgreedy(lambda steps: g_hat(c, model, steps), lattice, constraint)
+
     def stage_select(c, need):
-        mix = _stage_greedy(c, model, lattice, constraint, (lazy, need if stop else -math.inf))
+        mix = greedy(c, need if stop else -math.inf)
         return (-math.inf, None) if mix is None else (g_hat(c, model, mix), mix)
 
-    stats, mix = _imm_stages(collection, stage_select, imm, rng)
-    return collection, stats, mix
+    stats, mix = _imm_stages(collection, stage_select, greedy if solve else lambda c: None,
+                             imm, rng)
+    return mix, collection, stats
 
 
 def sampling(graph: DirectedGraph, params: TriggeringParams, model,
@@ -432,8 +435,9 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
              rng) -> tuple[RRCollection, SamplingStats]:
     """Generate enough RR sets for the approximation guarantee, certifying
     each stage with the lattice greedy's partial-coverage estimate."""
-    flags = _greedy_flags(validate_model(model, lattice))
-    collection, stats, _ = _sampling(graph, params, model, lattice, constraint, imm, rng, flags)
+    _check_fit(graph.n, model, lattice)
+    _, collection, stats = _sampling(graph, params, model, lattice, constraint, imm, rng,
+                                     _greedy_flags(validate_model(model, lattice)), False)
     return collection, stats
 
 
@@ -446,27 +450,16 @@ class ImmResult:
     stats: SamplingStats | None
 
 
-def _check_model(model, lattice, force: bool) -> tuple[bool, bool]:
-    """The solve's one curve report, as the greedy flags of :func:`_greedy_flags`."""
+def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
+               lattice: LatticeConfig, constraint, imm: ImmParams, rng,
+               force: bool = False) -> ImmResult:
+    _check_fit(graph.n, model, lattice)
     violations = validate_model(model, lattice)
     if violations and not force:
         raise InvalidModelError(
             f"{len(violations)} curve violation(s); first: {violations[0]}")
-    return _greedy_flags(violations, force)
-
-
-def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
-               lattice: LatticeConfig, constraint, imm: ImmParams, rng,
-               force: bool = False) -> ImmResult:
-    if lattice != model.lattice:
-        raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
-    if model.n != graph.n:
-        raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
-    flags = _check_model(model, lattice, force)
     _validate_domain(lattice, constraint)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
-    collection, stats, mix = _sampling(graph, params, model, lattice, constraint, imm, rng, flags)
-    if mix is None:
-        mix = _stage_greedy(collection, model, lattice, constraint, (flags[0], -math.inf))
-    return ImmResult(mix, collection, stats)
+    flags = _greedy_flags(violations, force)
+    return ImmResult(*_sampling(graph, params, model, lattice, constraint, imm, rng, flags, True))

@@ -27,7 +27,8 @@ argument (Tang, Shi, Xiao, SIGMOD 2015), unchanged.  A collection keeps one
 arrays, deduplicated by sorting their packed int64 keys.  The greedy counts
 the sets of every flat id in one array, groups the sets by flat id with one
 sort of the packed keys ``flat * theta + set``, and subtracts each newly
-covered set's members.
+covered set's members.  ``run_immvsn`` runs ``immprr._imm_stages`` on hybrid
+sets with this greedy as its stage greedy and its final one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import as_partition, total_steps
-from .graph import DirectedGraph, TriggeringParams
+from .graph import DirectedGraph, TriggeringParams, _indptr
 from .immprr import (ImmParams, ImmResult, InvalidModelError, _imm_stages,
                      _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
@@ -46,7 +47,7 @@ from .rng import child
 from .rrset import (_EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct,
                     _reverse_reach, _slots)
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
-                       validate_model)
+                       _check_fit, validate_model)
 
 __all__ = [
     "VirtualNodeId",
@@ -86,10 +87,7 @@ class AugmentedGraph:
                  model: IndependentActivation, lattice: LatticeConfig):
         if not isinstance(model, IndependentActivation):
             raise InvalidModelError("virtual-node reduction needs independent activation")
-        if lattice != model.lattice:
-            raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
-        if model.n != graph.n:
-            raise ValueError(f"model over {model.n} nodes for a graph of {graph.n}")
+        _check_fit(graph.n, model, lattice)
         violations = validate_model(model, lattice)
         if violations:
             raise InvalidModelError(
@@ -204,9 +202,10 @@ def _greedy_virtual(collection: HybridCollection, constraint,
     Each pick subtracts the newly covered sets' members from a count array
     over all d * K flat ids, then sets its own count to -1.  Once a budget
     group's cap is spent, the counts of its strategies' flat ids are set to
-    -1 too.  Open counts never fall below 0, so the argmax never picks a
-    negative count while an open one is left; a total budget is one group
-    and pays for that mask only after its last pick.
+    -1 too.  Open counts never fall below 0, and an open group's cap, at
+    most K, leaves it an unpicked flat id, so the argmax never picks a
+    negative count; a total budget is one group and pays for that mask
+    only after its last pick.
     """
     steps, span = collection.aug.steps, collection.aug.span
     vsets, flats = collection.vsets, collection.flats
@@ -216,11 +215,11 @@ def _greedy_virtual(collection: HybridCollection, constraint,
     rounds = int(left.sum())
     if n * rounds * int(counts.max(initial=0)) / theta < need:
         return None
-    set_ptr = np.concatenate(([0], np.cumsum(np.bincount(vsets, minlength=theta))))
+    set_ptr = _indptr(np.bincount(vsets, minlength=theta))
     # each flat id's sets, in rising order: one sort of keys flat * theta +
     # set, each below d * K * theta, in place of a stable argsort of flats
     by_flat = np.sort(flats * theta + vsets) % theta
-    flat_ptr = np.concatenate(([0], np.cumsum(counts)))
+    flat_ptr = _indptr(counts)
     covered = np.zeros(theta, dtype=bool)
     rows = counts.reshape(len(group_of), steps)  # the flat ids of each strategy
     rows[left[group_of] == 0] = -1
@@ -228,8 +227,6 @@ def _greedy_virtual(collection: HybridCollection, constraint,
     covered_total = 0
     for r in range(rounds):
         best = int(np.argmax(counts))
-        if counts[best] < 0:
-            break
         if n * (covered_total + (rounds - r) * int(counts[best])) / theta < need:
             return None
         seeds.append(best)
@@ -251,16 +248,15 @@ def _greedy_virtual(collection: HybridCollection, constraint,
 
 
 def _seeds_to_mix(seeds: list[int], steps: int, d: int) -> StrategyMix:
-    x = np.zeros(d, dtype=np.int64)
-    for f in seeds:
-        x[f // steps] += 1
-    return StrategyMix(x)
+    return StrategyMix(np.bincount(np.asarray(seeds, dtype=np.int64) // steps, minlength=d))
 
 
 def node_selection_virtual(collection: HybridCollection, lattice: LatticeConfig,
                            constraint) -> StrategyMix:
     """Greedy virtual seed selection followed by prefix conversion: strategy j
     receives one step per selected member of U_j, regardless of arm index."""
+    _check_fit(collection.n, collection.aug.model, lattice)
+    _validate_domain(lattice, constraint)
     if collection.theta == 0:
         raise EmptyCollectionError("estimate undefined on an empty collection")
     seeds, _ = _greedy_virtual(collection, constraint)
@@ -300,19 +296,6 @@ def simulate_spread_virtual_seeds(aug: AugmentedGraph, seeds, runs: int,
 
 # --- sampling phase and driver ------------------------------------------------
 
-def _sampling_virtual(aug: AugmentedGraph, constraint, imm: ImmParams, rng):
-    """The IMM sampling phase on hybrid RR sets; also returns the last
-    stage's seeds when the final greedy would repeat them, else None."""
-    collection = HybridCollection(aug)
-
-    def stage_select(c, need):
-        picked = _greedy_virtual(c, constraint, need)
-        return (-math.inf, None) if picked is None else (c.n * picked[1] / c.theta, picked[0])
-
-    stats, seeds = _imm_stages(collection, stage_select, imm, rng)
-    return collection, stats, seeds
-
-
 def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
                model: IndependentActivation, lattice: LatticeConfig,
                constraint, imm: ImmParams, rng) -> ImmResult:
@@ -323,7 +306,13 @@ def run_immvsn(graph: DirectedGraph, params: TriggeringParams,
     aug = build_augmented(graph, params, model, lattice)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
-    collection, stats, seeds = _sampling_virtual(aug, constraint, imm, rng)
-    mix = node_selection_virtual(collection, lattice, constraint) if seeds is None \
-        else _seeds_to_mix(seeds, aug.steps, lattice.d)
+    collection = HybridCollection(aug)
+
+    def stage_select(c, need):
+        picked = _greedy_virtual(c, constraint, need)
+        return (-math.inf, None) if picked is None else \
+            (c.n * picked[1] / c.theta, _seeds_to_mix(picked[0], aug.steps, lattice.d))
+
+    stats, mix = _imm_stages(collection, stage_select,
+                             lambda c: node_selection_virtual(c, lattice, constraint), imm, rng)
     return ImmResult(mix, collection, stats)

@@ -56,9 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import IC, DirectedGraph, TriggeringParams
+from .graph import IC, DirectedGraph, TriggeringParams, _indptr
 from .rng import child
-from .strategy import as_steps
+from .strategy import _check_fit, as_steps
 
 __all__ = [
     "RRSet",
@@ -308,6 +308,8 @@ class RRCollection:
     widths = _flushed("_widths")
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams, model):
+        if model is not None:  # a bare set store needs none
+            _check_fit(graph.n, model, model.lattice)
         self.graph = graph
         self.params = params
         self.model = model
@@ -390,7 +392,7 @@ class RRCollection:
             strat = model._flat_strats[rows]
             # the narrowest key dtype: numpy sorts uint8/uint16 keys stably by radix
             order = np.argsort(strat.astype(np.min_scalar_type(d)), kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(np.bincount(strat, minlength=d))))
+            bounds = _indptr(np.bincount(strat, minlength=d))
             old_rr, old_rows, old = self._entries or (_NONE, _NONE, np.zeros(d + 1, np.int64))
             # strategy j's new entry k (in sorted order) goes to k + old[j + 1],
             # after its old ones; the old entries keep their order in the rest

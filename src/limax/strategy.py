@@ -110,6 +110,14 @@ def as_steps(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_fit(n: int, model, lattice: LatticeConfig) -> None:
+    """A request on ``lattice`` over n nodes must match the model's own."""
+    if lattice != model.lattice:
+        raise ValueError(f"lattice {lattice} differs from the model's {model.lattice}")
+    if model.n != n:
+        raise ValueError(f"model over {model.n} nodes for a graph of {n}")
+
+
 def _check_steps(steps: np.ndarray, lattice: LatticeConfig) -> None:
     if steps.min(initial=0) < 0 or steps.max(initial=0) > lattice.budget_steps:
         raise CurveDomainError("step count outside [0, K]")
@@ -257,11 +265,13 @@ class CurveViolation:
     detail: str
 
 
-def validate_model(model, lattice: LatticeConfig,
-                   tol: float = 1e-12) -> list[CurveViolation]:
+_CURVE_TOL = 1e-12  # validate_model's slack on every check
+
+
+def validate_model(model, lattice: LatticeConfig) -> list[CurveViolation]:
     """Check every tabulated curve for q(0)=0, monotonicity, range, and
-    discrete concavity up to the budget.  Black-box models are not checkable
-    and yield an empty report.
+    discrete concavity up to the budget, each within ``_CURVE_TOL``.
+    Black-box models are not checkable and yield an empty report.
 
     All rows of ``model._flat_tables`` are checked at once; the report lists
     the violations by node, then strategy, then check, in the order above
@@ -271,10 +281,10 @@ def validate_model(model, lattice: LatticeConfig,
         return []
     tab = model._flat_tables[:, :lattice.budget_steps + 1]
     diffs = np.diff(tab, axis=1)
-    origin = np.abs(tab[:, 0]) > tol
-    out_of_range = np.any((tab < -tol) | (tab > 1.0 + tol), axis=1)
-    drops = diffs < -tol
-    grows = diffs[:, 1:] > diffs[:, :-1] + tol
+    origin = np.abs(tab[:, 0]) > _CURVE_TOL
+    out_of_range = np.any((tab < -_CURVE_TOL) | (tab > 1.0 + _CURVE_TOL), axis=1)
+    drops = diffs < -_CURVE_TOL
+    grows = diffs[:, 1:] > diffs[:, :-1] + _CURVE_TOL
     out: list[CurveViolation] = []
     for r in np.flatnonzero(origin | out_of_range | drops.any(axis=1)
                             | grows.any(axis=1)).tolist():

@@ -84,14 +84,16 @@ def test_ud_names_first_node_not_owned_by_its_strategy(strategies, bad):
 
 def test_ud_rejects_model_over_fewer_nodes():
     # every node of a 3-node model owns its strategy, but the collection is
-    # over a 4-node graph; under d = 4 the model itself is short of a node
+    # over a 4-node graph (sampled under the same rows on 4 nodes, since a
+    # collection rejects a model of another size); under d = 4 the model
+    # itself is short of a node
     g = from_edges(4, [(0, 1), (2, 3)])
     params = uniform_ic(g, 0.5)
     for d in (3, 4):
         lat = LatticeConfig(d=d, delta=1.0, budget_steps=2)
-        model = IndependentActivation(3, lat, np.arange(3), np.arange(3),
-                                      np.tile([0.0, 0.3, 0.4], (3, 1)))
-        coll = generate_collection(g, params, model, 20, stream(52, 0))
+        model, wide = (IndependentActivation(n, lat, np.arange(3), np.arange(3),
+                                             np.tile([0.0, 0.3, 0.4], (3, 1))) for n in (3, 4))
+        coll = generate_collection(g, params, wide, 20, stream(52, 0))
         with pytest.raises(UnsupportedScenarioError):
             ud(model, lat, 1.0, coll)
 

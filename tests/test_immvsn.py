@@ -17,7 +17,8 @@ import limax.rrset as rrset_module
 from limax.budgets import (PartitionedBudget, TotalBudget, as_partition, is_feasible,
                            total_steps)
 from limax.graph import IC, LT, from_edges, uniform_ic
-from limax.immprr import InvalidModelError, make_imm_params, run_immprr
+from limax.immprr import (GreedyState, InvalidModelError, lgreedy_delta, make_imm_params,
+                          run_immprr, sampling)
 from limax.immvsn import (HybridCollection, VirtualNodeId,
                           _greedy_virtual, build_augmented,
                           generate_hybrid_collection,
@@ -25,7 +26,7 @@ from limax.immvsn import (HybridCollection, VirtualNodeId,
                           simulate_spread_virtual_seeds)
 from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
 from limax.rng import stream
-from limax.rrset import EmptyCollectionError
+from limax.rrset import EmptyCollectionError, generate_collection
 from limax.strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                             make_personalized, multi_event_table)
 
@@ -147,6 +148,43 @@ def test_bad_request_raises_at_a_zero_budget(solve, case):
     imm = make_imm_params(3, lat, 1, 0.5, 1.0)
     with pytest.raises(ValueError, match=msg):
         solve(g, uniform_ic(g, 0.5), model, lat, constraint, imm, stream(46, 2))
+
+
+@pytest.mark.parametrize("entry, case", [
+    ("sampling", "lattice"), ("lgreedy_delta", "lattice"), ("GreedyState", "lattice"),
+    ("node_selection_virtual", "lattice"), ("sampling", "nodes"),
+    ("generate_collection", "nodes"),
+])
+def test_entries_check_the_request_against_the_model(entry, case):
+    """Every entry below the solvers names a lattice other than the model's
+    (K = 2 against a model tabulated for K = 3) or a model over 4 nodes for
+    a 3-node graph, with the solvers' own messages."""
+    g = from_edges(3, [(0, 1), (1, 2)])
+    params, rng, budget = uniform_ic(g, 0.5), stream(46, 3), TotalBudget(2)
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    if case == "lattice":
+        n, tabulated = 3, LatticeConfig(d=2, delta=1.0, budget_steps=3)
+        msg = (r"^lattice LatticeConfig\(d=2, delta=1.0, budget_steps=2\) differs from "
+               r"the model's LatticeConfig\(d=2, delta=1.0, budget_steps=3\)$")
+    else:
+        n, tabulated = 4, lat
+        msg = r"^model over 4 nodes for a graph of 3$"
+    model = IndependentActivation(n, tabulated, [0, 1, 2], [0, 1, 0],
+                                  multi_event_table([0.4, 0.5, 0.6], tabulated))
+    if entry in ("lgreedy_delta", "GreedyState"):
+        coll = generate_collection(g, params, model, 20, rng)
+    if entry == "node_selection_virtual":
+        hybrid = generate_hybrid_collection(build_augmented(g, params, model, tabulated), 20, rng)
+    calls = {
+        "sampling": lambda: sampling(g, params, model, lat, budget,
+                                     make_imm_params(3, lat, 2, 0.5, 1.0), rng),
+        "lgreedy_delta": lambda: lgreedy_delta(coll, model, lat, budget),
+        "GreedyState": lambda: GreedyState(coll, model, lat, budget),
+        "node_selection_virtual": lambda: node_selection_virtual(hybrid, lat, budget),
+        "generate_collection": lambda: generate_collection(g, params, model, 20, rng),
+    }
+    with pytest.raises(ValueError, match=msg):
+        calls[entry]()
 
 
 def test_flat_roundtrip():
@@ -388,13 +426,22 @@ def _manual_collection(aug, virtual_sets, extra_empty=0):
 
 
 def test_selection_no_virtual_nodes_spends_every_step():
-    # every round is a zero-coverage tie: the lowest open flat id is
-    # strategy 0's one increment, then strategy 1's
+    # every round is a zero-coverage tie: the lowest open flat ids are
+    # strategy 0's two increments, then, once group 0 is spent, strategy 2's first
+    row = np.array([0.0, 0.4, 0.6])
+    _, _, _, lat, aug = _aug_single([(0, row), (3, row)])
+    coll = _manual_collection(aug, [], extra_empty=10)
+    mix = node_selection_virtual(coll, lat, PartitionedBudget([(0, 1), (2, 3)], [2, 1]))
+    assert mix.steps.tolist() == [2, 0, 1, 0]
+
+
+def test_selection_rejects_a_budget_above_k():
+    # a total budget of 2 over K = 1 would put a second step on one coordinate
     row = np.array([0.0, 0.4])
     _, _, _, lat, aug = _aug_single([(0, row)], steps=1)
     coll = _manual_collection(aug, [], extra_empty=10)
-    mix = node_selection_virtual(coll, lat, TotalBudget(2))
-    assert mix.steps.tolist() == [1, 1]
+    with pytest.raises(ValueError, match="allows 2 steps on one coordinate"):
+        node_selection_virtual(coll, lat, TotalBudget(2))
 
 
 def test_selection_empty_collection_raises():
