@@ -23,7 +23,8 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,9 @@ LT = "LT"
 # finds its live in-edges by geometric gaps; lower gates were slower on
 # weighted-cascade graphs of small in-degree (internal, not an option)
 _SKIP_DEGREE = 32
+# forward steps an LT pick takes from its guide-table slot before the rest
+# of the search goes to _slots (internal, not an option)
+_GUIDE_STEPS = 4
 
 
 class EdgeListError(ValueError):
@@ -57,6 +61,21 @@ class EdgeListError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _slots(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           x: np.ndarray) -> np.ndarray:
+    """``lo + bisect_right(a[lo:hi], x)`` for every row at once (the
+    arguments broadcast): a branch-free binary search in which every row
+    takes the power-of-two steps of the widest row, and a probe past its
+    row's end counts as above ``x``."""
+    pos = np.broadcast_to(lo, np.broadcast(lo, hi, x).shape).astype(np.int64)
+    step = 1 << (int((hi - lo).max(initial=1)).bit_length() - 1)
+    while step:
+        probe = pos + (step - 1)
+        pos += ((probe < hi) & (a.take(probe, mode="clip") <= x)) * step
+        step >>= 1
+    return pos
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -151,7 +170,8 @@ class TriggeringParams:
     own probability or weight.  Under IC, ``_skip = (flag, p)`` marks the
     nodes of in-degree at least ``_SKIP_DEGREE`` whose in-edges all share
     one probability p with 0 < p < 1, and holds each node's p (meaningful
-    where flagged).
+    where flagged).  Under LT, ``_guide`` is the guide table of the LT
+    picks (see :func:`_lt_picks`), built on first use and kept.
     """
 
     kind: str
@@ -198,6 +218,75 @@ class TriggeringParams:
             csr_values = _running_sums(values, indptr)
         return cls(kind=kind, values=values, _csr=(indptr, src, csr_values),
                    _out_csr=(out_ptr, dst, values[edge]), _skip=skip)
+
+    @cached_property
+    def _guide(self) -> "_Guide":
+        """The LT guide table (see :class:`_Guide`), built on first use."""
+        if self.kind != LT:
+            raise ValueError("guide table of IC parameters")
+        indptr, src, cum = self._csr
+        n = len(indptr) - 1
+        deg = np.diff(indptr)
+        ptr = indptr + np.arange(n + 1)
+        slot = np.arange(len(cum)) + np.repeat(np.arange(n), deg)  # each in-edge's padded slot
+        pad_cum = np.full(ptr[-1], np.inf)
+        pad_cum[slot] = cum
+        pad_src = np.arange(n).repeat(deg + 1)
+        pad_src[slot] = src
+        lo, d = ptr[:-1].repeat(deg), deg.repeat(deg)
+        b = slot - lo
+        # "cum < t" as "cum <= the double below t"
+        below = np.nextafter(b / d * (1.0 - 2.0**-50), -np.inf)
+        above = np.nextafter(np.minimum((b + 1) / d * (1.0 + 2.0**-50), 1.0), -np.inf)
+        guide = np.zeros(ptr[-1], np.int64)
+        guide[slot] = _slots(pad_cum, lo, lo + d, below)
+        steps = int((_slots(pad_cum, lo, lo + d, above) - guide[slot]).max(initial=0))
+        return _Guide(ptr, deg.astype(np.float64), pad_cum, pad_src, guide, steps)
+
+
+class _Guide(NamedTuple):
+    """An exact guide table for LT picks (Chen and Asau 1974; Devroye 1986,
+    III.2.4) over the in-edge rows, each padded with one slot past its end.
+    Node v's row is ``ptr[v]:ptr[v + 1]``: its d in-edges' running weight
+    sums ``cum`` and sources ``src``, then a last slot with sum inf and
+    source v itself, so that a pick past the last sum is "none" and points
+    at v.  A pick x in [0, 1) of v falls in bucket ``b = floor(x * d)``,
+    below d as x * d rounds below d, and then x >= b / d (1 - 2^-53) and
+    x < (b + 1) / d.  ``guide[ptr[v] + b]`` is ``ptr[v]`` plus the number
+    of sums below b / d (1 - 2^-50), a slot no later than x's.  No sum at
+    or below x reaches (b + 1) / d (1 + 2^-50), nor 1, so ``steps``, the
+    most slots between these two counts over every bucket, bounds the
+    forward steps from a bucket's slot to the pick.  Both thresholds keep
+    their side of x under the rounding of their products."""
+
+    ptr: np.ndarray
+    deg: np.ndarray  # in-degrees, as floats
+    cum: np.ndarray
+    src: np.ndarray
+    guide: np.ndarray
+    steps: int
+
+
+def _lt_picks(params: TriggeringParams, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The in-neighbour that each node of ``nodes`` (all of in-degree at
+    least 1) picks with the uniform x in [0, 1) under LT, or the node
+    itself for none (the arguments broadcast): the first in-edge whose
+    running weight sum exceeds x, as ``bisect_right`` finds it.  One
+    multiply and one gather take x to its bucket's slot in the guide table
+    (see :class:`_Guide`), then every pick takes the table's fixed number
+    of branch-free forward steps; past ``_GUIDE_STEPS`` of them the search
+    ends in :func:`_slots`."""
+    g = params._guide
+    pos = (x * g.deg[nodes]).astype(np.int64)
+    pos += g.ptr[nodes]
+    pos = g.guide.take(pos)
+    for _ in range(min(g.steps, _GUIDE_STEPS)):
+        pos += g.cum.take(pos) <= x
+    if g.steps > _GUIDE_STEPS:  # the picks short of their slot end in a binary search
+        left = g.cum.take(pos) <= x
+        end = np.broadcast_to(g.ptr[nodes + 1], pos.shape)[left]
+        pos[left] = _slots(g.cum, pos[left], end, np.broadcast_to(x, pos.shape)[left])
+    return g.src.take(pos)
 
 
 def _running_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

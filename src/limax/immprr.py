@@ -307,6 +307,16 @@ def _greedy_flags(report, force: bool = False) -> tuple[bool, bool]:
     return lazy, not (report or force)
 
 
+def _checked_flags(model, lattice: LatticeConfig, force: bool = False) -> tuple[bool, bool]:
+    """The greedy flags of the model's curve report; an ``InvalidModelError``
+    if the report holds a violation and ``force`` is not set."""
+    violations = validate_model(model, lattice)
+    if violations and not force:
+        raise InvalidModelError(
+            f"{len(violations)} curve violation(s); first: {violations[0]}")
+    return _greedy_flags(violations, force)
+
+
 def lgreedy_delta(collection: RRCollection, model, lattice: LatticeConfig,
                   constraint, _stage=None) -> StrategyMix | None:
     """Delta-based lattice greedy; output matches lgreedy on the estimate
@@ -434,10 +444,12 @@ def sampling(graph: DirectedGraph, params: TriggeringParams, model,
              lattice: LatticeConfig, constraint, imm: ImmParams,
              rng) -> tuple[RRCollection, SamplingStats]:
     """Generate enough RR sets for the approximation guarantee, certifying
-    each stage with the lattice greedy's partial-coverage estimate."""
+    each stage with the lattice greedy's partial-coverage estimate.  Curves
+    that fail ``validate_model`` raise ``InvalidModelError``, as in
+    :func:`run_immprr` without ``force``."""
     _check_fit(graph.n, model, lattice)
     _, collection, stats = _sampling(graph, params, model, lattice, constraint, imm, rng,
-                                     _greedy_flags(validate_model(model, lattice)), False)
+                                     _checked_flags(model, lattice), False)
     return collection, stats
 
 
@@ -454,12 +466,8 @@ def run_immprr(graph: DirectedGraph, params: TriggeringParams, model,
                lattice: LatticeConfig, constraint, imm: ImmParams, rng,
                force: bool = False) -> ImmResult:
     _check_fit(graph.n, model, lattice)
-    violations = validate_model(model, lattice)
-    if violations and not force:
-        raise InvalidModelError(
-            f"{len(violations)} curve violation(s); first: {violations[0]}")
+    flags = _checked_flags(model, lattice, force)
     _validate_domain(lattice, constraint)
     if total_steps(constraint) == 0:
         return ImmResult(StrategyMix.zeros(lattice.d), None, None)
-    flags = _greedy_flags(violations, force)
     return ImmResult(*_sampling(graph, params, model, lattice, constraint, imm, rng, flags, True))

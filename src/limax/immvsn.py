@@ -39,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import as_partition, total_steps
-from .graph import DirectedGraph, TriggeringParams, _indptr
+from .graph import DirectedGraph, TriggeringParams, _indptr, _slots
 from .immprr import (ImmParams, ImmResult, InvalidModelError, _imm_stages,
                      _validate_domain)
 from .oracles import SpreadEstimate, _cascades, _estimate
 from .rng import child
-from .rrset import (_EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct,
-                    _reverse_reach, _slots)
+from .rrset import _EDGE_CHUNK, _NONE, EmptyCollectionError, _distinct, _reverse_reach
 from .strategy import (IndependentActivation, LatticeConfig, StrategyMix,
                        _check_fit, validate_model)
 

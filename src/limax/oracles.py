@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .budgets import as_partition
-from .graph import IC, DirectedGraph, TriggeringParams
+from .graph import IC, DirectedGraph, TriggeringParams, _lt_picks
 from .rng import child
-from .rrset import _EDGE_CHUNK, _live_edges, _reach, _slots
+from .rrset import _EDGE_CHUNK, _live_edges, _reach
 from .strategy import LatticeConfig, StrategyMix, as_steps
 
 __all__ = [
@@ -77,19 +77,17 @@ def _lt_parents(params: TriggeringParams, n: int, size: int,
     over the keys ``node * size + run``: entry k holds the key of k's pick
     in the same run, or k for none, and one more entry, key ``n * size``,
     points at itself.  Every node with in-edges draws one uniform per run,
-    node-major, and takes its slot among its running weight sums (see
-    :func:`limax.rrset._slots`), ``_EDGE_CHUNK`` pairs or one node at a time."""
-    indptr, src, cum = params._csr
-    has = np.flatnonzero(np.diff(indptr))
+    node-major, ``_EDGE_CHUNK`` pairs or one node at a time, and takes its
+    slot among its running weight sums by the guide-table search of
+    :func:`limax.graph._lt_picks`, one (nodes, runs) block per call."""
+    has = np.flatnonzero(np.diff(params._csr[0]))
     par = np.arange(n * size + 1)
     grid = par[:-1].reshape(n, size)
     rows = max(1, _EDGE_CHUNK // size)
     for r0 in range(0, len(has), rows):
-        nodes = has[r0:r0 + rows, None]
-        lo, hi = indptr[nodes], indptr[nodes + 1]
-        pos = _slots(cum, lo, hi, rng.random((len(nodes), size)))
-        pick = np.where(pos < hi, src.take(pos, mode="clip"), nodes)  # or itself
-        grid[nodes[:, 0]] = pick * size + np.arange(size)
+        nodes = has[r0:r0 + rows]
+        pick = _lt_picks(params, nodes[:, None], rng.random((len(nodes), size)))
+        grid[nodes] = pick * size + np.arange(size)
     return par
 
 
@@ -98,15 +96,17 @@ def _follow(par: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     round r squares the pointers, so the keys then pointing at ``top`` are
     those within 2^r steps of it.  A key s > 2^r steps away has one exactly
     2^r steps away on its chain, which round r adds, so the first round
-    that adds none is the last.  Returns the mask of keys whose chain
-    reaches ``top``, and the number of rounds; ``par`` is overwritten."""
+    that adds none is the last.  Each round counts the hits once, into
+    one reused mask.  Returns the mask of keys whose chain reaches
+    ``top``, and the number of rounds; ``par`` is overwritten."""
     hit = par == top
+    count = np.count_nonzero(hit)
     spare = np.empty_like(par)
     for rounds in itertools.count(1):
-        count = np.count_nonzero(hit)
         par, spare = np.take(par, par, out=spare, mode="clip"), par
-        hit = par == top
-        if np.count_nonzero(hit) == count:
+        np.equal(par, top, out=hit)
+        count, last = np.count_nonzero(hit), count
+        if count == last:
             return hit, rounds
 
 

@@ -35,9 +35,14 @@ keys with one sort and a neighbour-inequality mask (``_distinct``), as
 each BFS level does with its reached keys.  Its level loop (``_reach``)
 and IC coin step (``_live_edges``, never gaps) also run the forward IC
 cascades of ``limax.oracles``: forward IC reach is reverse reach on the
-transposed graph, from several roots per run.  The slot search
-(``_slots``) serves the LT picks in both directions (the reverse kernel's
-scattered pairs and the forward cascades' per-run picks) and the arm draws.
+transposed graph, from several roots per run.  The LT picks in both
+directions, the reverse kernel's scattered pairs and the forward cascades'
+block of (node, run) picks, go through one exact guide-table search
+(``graph._lt_picks``): a multiply and a gather find the pick's bucket in a
+table built once per parameter object, then a fixed number of
+branch-free steps reach the slot a binary search would find.  The arm
+draws keep the binary search (``graph._slots``), where a guide table
+gained nothing.  Either way every uniform stays where it was drawn.
 
 Most level steps are small, so their fixed cost counts: a level that fits
 one step takes its CSR rows whole and is the next frontier as it is, bits
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import IC, DirectedGraph, TriggeringParams, _indptr
+from .graph import IC, DirectedGraph, TriggeringParams, _indptr, _lt_picks
 from .rng import child
 from .strategy import _check_fit, as_steps
 
@@ -98,21 +103,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
-
-
-def _slots(a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-           x: np.ndarray) -> np.ndarray:
-    """``lo + bisect_right(a[lo:hi], x)`` for every row at once (the
-    arguments broadcast): a branch-free binary search in which every row
-    takes the power-of-two steps of the widest row, and a probe past its
-    row's end counts as above ``x``."""
-    pos = np.broadcast_to(lo, np.broadcast(lo, hi, x).shape).astype(np.int64)
-    step = 1 << (int((hi - lo).max(initial=1)).bit_length() - 1)
-    while step:
-        probe = pos + (step - 1)
-        pos += ((probe < hi) & (a.take(probe, mode="clip") <= x)) * step
-        step >>= 1
-    return pos
 
 
 def _mark(marks: np.ndarray, keys: np.ndarray) -> None:
@@ -197,8 +187,8 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
     ``params._skip`` draw geometric gaps between live in-edges (see
     :func:`_skip_edges`) after all other pairs have drawn their coins.  LT
     draws one uniform per pair whose node has in-edges and takes its slot
-    among the node's running weight sums (see :func:`_slots`), or no
-    in-edge past the last one."""
+    among the node's running weight sums (see :func:`limax.graph._lt_picks`),
+    or no in-edge past the last one."""
     csr = params._csr
     lo = csr[0][nodes]
     hi = csr[0][1:][nodes]
@@ -213,11 +203,11 @@ def _live_in_edges(params: TriggeringParams, nodes: np.ndarray, local: np.ndarra
             yield from _live_edges(csr, lo[coin], hi[coin], local[coin], sets, rng)
         yield from _skip_edges(csr, shared, nodes[skip], local[skip], sets, rng)
         return
-    _, src, cum = csr
     has = np.flatnonzero(hi > lo)  # pairs without in-edges draw nothing
-    pos = _slots(cum, lo[has], hi[has], rng.random(len(has)))
-    hit = pos < hi[has]
-    yield src[pos[hit]] * sets + local[has[hit]]
+    nodes = nodes[has]
+    pick = _lt_picks(params, nodes, rng.random(len(has)))
+    hit = pick != nodes
+    yield pick[hit] * sets + local[has[hit]]
 
 
 def _reach(marks: np.ndarray, frontier: np.ndarray, expand):

@@ -690,6 +690,22 @@ def test_immprr_rejects_invalid_model_unless_forced():
     assert mix.total_steps == 2
 
 
+def test_sampling_rejects_invalid_model_as_run_immprr_does():
+    # a 4-node chain with two convex rows: both entry points run one curve
+    # check and raise the same error
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    params = uniform_ic(g, 0.5)
+    lat = LatticeConfig(d=2, delta=1.0, budget_steps=2)
+    bad = IndependentActivation(4, lat, [0, 2], [0, 1], [[0.0, 0.1, 0.9], [0.0, 0.1, 0.9]])
+    imm = make_imm_params(4, lat, 2, 0.4, 1.0)
+    messages = []
+    for solve in (sampling, run_immprr):
+        with pytest.raises(InvalidModelError, match=r"^2 curve violation\(s\); first: ") as err:
+            solve(g, params, bad, lat, TotalBudget(2), imm, stream(31, 0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_immprr_rejects_lattice_unequal_to_model_lattice():
     # a model tabulated for K = 2 under a K = 3 lattice (d = 2, 3-node chain)
     g = from_edges(3, [(0, 1), (1, 2)])

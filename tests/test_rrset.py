@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
@@ -10,13 +12,13 @@ from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instan
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
-from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams,
+from limax.graph import (_SKIP_DEGREE, IC, LT, TriggeringParams, _slots,
                          assign_weighted_cascade, from_edges, uniform_ic)
 from limax.immvsn import AugmentedGraph, HybridCollection
-from limax.oracles import LiveEdgeEnumeration
+from limax.oracles import LiveEdgeEnumeration, simulate_spread_mix
 from limax.rng import stream
 from limax.rrset import (_EDGE_CHUNK, EmptyCollectionError, RRCollection, RRSet,
-                         _distinct, _slots, g_hat, generate_collection)
+                         _distinct, g_hat, generate_collection)
 from limax.strategy import (BlackBoxActivation, IndependentActivation,
                             LatticeConfig, StrategyMix, multi_event_table)
 
@@ -201,6 +203,132 @@ def test_lt_slot_search_matches_bisect_right(seed):
     expect = np.array([[lo[r] + bisect.bisect_right(a[lo[r]:hi[r]], v) for v in grid[r]]
                        for r in range(60)])
     assert np.array_equal(_slots(a, lo[:, None], hi[:, None], grid), expect)
+
+
+# --- LT guide table ---------------------------------------------------------------
+
+def _lt_rows(gen, shape, hub):
+    """In-edge weight rows of one shape: 1/d each; skewed (a power of a
+    uniform, or tiny weights before one large one); or dyadic, with zeros,
+    summing to exactly 1 or to 1/2.  Degrees 1-40, with d = 1 always, and
+    one row of in-degree 2,000 if ``hub``."""
+    degs = [1] + gen.integers(1, 41, size=int(gen.integers(5, 25))).tolist()
+    if hub:
+        degs.append(2000)
+    rows = []
+    for i, d in enumerate(degs):
+        if shape == "uniform":
+            w = np.full(d, 1.0 / d)
+        elif shape == "skewed" and i % 2:
+            w = np.full(d, 1e-4)
+            w[-1] = 1.0 - 1e-4 * (d - 1)
+        elif shape == "skewed":
+            w = gen.random(d) ** 8
+            w *= gen.uniform(0.5, 1.0) / w.sum()
+        else:
+            live = gen.random(d) < 0.6
+            live[gen.integers(d)] = True
+            p = gen.dirichlet(np.ones(d)) * live
+            w = gen.multinomial(1 << 12, p / p.sum()) / (1 << (12 + i % 2))
+        rows.append(w)
+    return rows
+
+
+def _lt_guide_instance(rows):
+    """Target nodes 0..R-1, one per weight row, whose in-edges come from the
+    distinct sources R, R + 1, ... in row order, under LT."""
+    width = max(len(w) for w in rows)
+    g = from_edges(len(rows) + width, [(len(rows) + t, v) for v, w in enumerate(rows)
+                                       for t in range(len(w))])
+    indptr, src, _ = g.in_csr
+    values = np.zeros(g.m)
+    for v, w in enumerate(rows):
+        values[indptr[v]:indptr[v + 1]] = w[src[indptr[v]:indptr[v + 1]] - len(rows)]
+    return TriggeringParams.build(g, LT, values), len(rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["uniform", "skewed", "dyadic"]),
+       hub=st.booleans())
+def test_lt_guide_picks_match_bisect_right(seed, shape, hub):
+    """Every LT pick through the guide table is the in-neighbour at
+    ``bisect_right`` of x among its node's running sums, or the node itself
+    past the last one: at random x, at x = 0 and the largest x below 1, at
+    the bucket edges b / d and at every running sum and the doubles on
+    either side of it; scattered as in the reverse kernel and in the
+    forward kernel's block of runs."""
+    gen = np.random.default_rng(seed)
+    params, rows = _lt_guide_instance(_lt_rows(gen, shape, hub))
+    indptr, src, cum = params._csr
+    nodes, xs = [], []
+    for v in range(rows):
+        row, d = cum[indptr[v]:indptr[v + 1]], indptr[v + 1] - indptr[v]
+        edges = np.arange(d + 1) / d
+        x = np.concatenate([row, edges, gen.random(8), [0.0, np.nextafter(1.0, 0.0)]])
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        x = np.unique(x[(x >= 0.0) & (x < 1.0)])
+        nodes.append(np.full(len(x), v))
+        xs.append(x)
+    nodes, x = np.concatenate(nodes), np.concatenate(xs)
+    lists = [cum[indptr[v]:indptr[v + 1]].tolist() for v in range(rows)]
+    pos = [indptr[v] + bisect.bisect_right(lists[v], u) for v, u in zip(nodes.tolist(), x.tolist())]
+    expect = np.where(np.array(pos) < indptr[nodes + 1], src[np.minimum(pos, len(src) - 1)], nodes)
+    # each bucket's slot lies at or below the answer, at most ``steps`` before it
+    guide = params._guide
+    start = guide.guide[guide.ptr[nodes] + (x * guide.deg[nodes]).astype(np.int64)]
+    ahead = np.array(pos) + nodes - start  # the answer's padded slot is pos + v
+    assert ahead.min() >= 0 and ahead.max() <= guide.steps
+    if shape == "skewed":  # the tiny-weight rows reach the cap and the binary search
+        assert guide.steps > graph_module._GUIDE_STEPS
+    assert np.array_equal(graph_module._lt_picks(params, nodes, x), expect)
+    order = gen.permutation(len(x))  # pairs in any order
+    assert np.array_equal(graph_module._lt_picks(params, nodes[order], x[order]), expect[order])
+    block = gen.random((rows, 16))
+    block[:, :2] = [0.0, np.nextafter(1.0, 0.0)]
+    expect = [[src[p] if p < indptr[v + 1] else v for p in
+               (indptr[v] + bisect.bisect_right(lists[v], u) for u in block[v].tolist())]
+              for v in range(rows)]
+    assert np.array_equal(graph_module._lt_picks(params, np.arange(rows)[:, None], block), expect)
+
+
+def test_lt_guide_steps_count_a_sum_at_a_bucket_edge():
+    """At d = 22, x = fl(15/22) still falls in bucket 14 (x * 22 rounds
+    below 15).  Three running sums equal it, after three in that bucket
+    below it, so bucket 14 needs six steps, and x picks slot 6 (source
+    1 + slot)."""
+    row = np.zeros(22)
+    row[:3] = [0.64, 0.01, 0.01]
+    row[3] = 15 / 22 - row[:3].sum()
+    row[6] = 1.0 - 15 / 22
+    params, _ = _lt_guide_instance([row])
+    assert params._csr[2][3] == 15 / 22 and int(15 / 22 * 22) == 14
+    assert params._guide.steps == 6
+    x = np.array([np.nextafter(15 / 22, 0.0), 15 / 22, np.nextafter(15 / 22, 1.0)])
+    picks = graph_module._lt_picks(params, np.zeros(3, np.int64), x)
+    assert picks.tolist() == [1 + 3, 1 + 6, 1 + 6]
+
+
+def test_lt_guide_table_built_once_and_never_for_ic():
+    """The guide table is built on the first LT pick, not with the
+    parameters, and that one table serves every later pick, reverse and
+    forward; IC parameters never build one."""
+    g = from_edges(6, [(0, 1), (2, 1), (1, 3), (3, 4), (0, 4), (4, 5), (2, 5)])
+    lt = TriggeringParams.build(g, LT, np.full(g.m, 0.4))
+    ic = assign_weighted_cascade(g)
+    lat = LatticeConfig(d=6, delta=1.0, budget_steps=2)
+    model = IndependentActivation(6, lat, np.arange(6), np.arange(6),
+                                  np.tile([0.0, 0.5, 0.8], (6, 1)))
+    assert "_guide" not in vars(lt)
+    generate_collection(g, lt, model, 50, stream(64, 0))
+    table = vars(lt)["_guide"]
+    generate_collection(g, lt, model, 50, stream(64, 1))
+    simulate_spread_mix(g, lt, model, [1, 0, 1, 0, 0, 0], 40, stream(64, 2))
+    assert lt._guide is table
+    generate_collection(g, ic, model, 50, stream(64, 3))
+    simulate_spread_mix(g, ic, model, [1, 0, 1, 0, 0, 0], 40, stream(64, 4))
+    assert "_guide" not in vars(ic)
+    with pytest.raises(ValueError, match="guide table of IC parameters"):
+        ic._guide
 
 
 # --- sorted distinct keys ----------------------------------------------------------
