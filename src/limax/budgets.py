@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import as_steps
+from .strategy import _whole, as_steps
 
 __all__ = [
     "TotalBudget",
@@ -26,14 +26,6 @@ __all__ = [
 
 class InfeasibleStateError(ValueError):
     """A mix that violates its constraint was passed where feasibility is a contract."""
-
-
-def _whole(value, what: str) -> int:
-    """``value`` as an int; a ``ValueError`` names it if ``int`` would truncate it."""
-    i = int(value)
-    if i != value:
-        raise ValueError(f"{what} ({value!r}) is not an integer")
-    return i
 
 
 @dataclass(frozen=True)

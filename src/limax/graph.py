@@ -164,14 +164,14 @@ class TriggeringParams:
     per-node weight sums at most 1; node v's values are
     ``values[indptr[v]:indptr[v + 1]]``.  Two CSR views hold the edges for
     the batched kernels.  ``_csr = (indptr, src, values)`` lists the
-    in-edges as ``graph.in_csr`` does, with the IC probabilities, or under
-    LT each node's running weight sums.  ``_out_csr = (indptr, dst,
-    values)`` lists the out-edges as ``graph.out_csr`` does, each with its
-    own probability or weight.  Under IC, ``_skip = (flag, p)`` marks the
-    nodes of in-degree at least ``_SKIP_DEGREE`` whose in-edges all share
-    one probability p with 0 < p < 1, and holds each node's p (meaningful
-    where flagged).  Under LT, ``_guide`` is the guide table of the LT
-    picks (see :func:`_lt_picks`), built on first use and kept.
+    in-edges as ``graph.in_csr`` does, with ``values`` itself.
+    ``_out_csr = (indptr, dst, values)`` lists the out-edges as
+    ``graph.out_csr`` does, each with its own probability or weight.  Under
+    IC, ``_skip = (flag, p)`` marks the nodes of in-degree at least
+    ``_SKIP_DEGREE`` whose in-edges all share one probability p with
+    0 < p < 1, and holds each node's p (meaningful where flagged).  Under
+    LT, ``_guide``, the guide table of the LT picks (see :func:`_lt_picks`),
+    is built on first use and kept: only it holds the running weight sums.
     """
 
     kind: str
@@ -207,7 +207,6 @@ class TriggeringParams:
             shared = np.zeros(graph.n, dtype=bool)
             shared[rows] = p[rows] == np.maximum.reduceat(values, indptr[rows])
             skip = (shared & (deg >= _SKIP_DEGREE) & (p > 0.0) & (p < 1.0), p)
-            csr_values = values
         else:
             sums = np.add.reduceat(values, indptr[rows])
             over = np.flatnonzero(sums > 1.0 + 1e-12)
@@ -215,8 +214,7 @@ class TriggeringParams:
                 v = int(rows[over[0]])
                 raise ValueError(f"LT weights into node {v} sum to {sums[over[0]]:.6f} > 1")
             skip = ()
-            csr_values = _running_sums(values, indptr)
-        return cls(kind=kind, values=values, _csr=(indptr, src, csr_values),
+        return cls(kind=kind, values=values, _csr=(indptr, src, values),
                    _out_csr=(out_ptr, dst, values[edge]), _skip=skip)
 
     @cached_property
@@ -224,7 +222,8 @@ class TriggeringParams:
         """The LT guide table (see :class:`_Guide`), built on first use."""
         if self.kind != LT:
             raise ValueError("guide table of IC parameters")
-        indptr, src, cum = self._csr
+        indptr, src, values = self._csr
+        cum = _running_sums(values, indptr)
         n = len(indptr) - 1
         deg = np.diff(indptr)
         ptr = indptr + np.arange(n + 1)
@@ -358,25 +357,19 @@ _CLASS[[ord(c) for c in _BREAKS]] = 2
 _FAST_DIGITS = 18
 
 
-def _read_text(source) -> tuple[str, bool]:
-    """The source's text, and whether it is one inline line: a string
-    without "\\n" that names no file is one record, whatever it holds."""
+def _read_text(source) -> str:
+    """The source's text: a string holding "\\n" is the text itself, any
+    other string a path."""
     if isinstance(source, bytes):
-        return source.decode("utf-8"), False
+        return source.decode("utf-8")
     if isinstance(source, str):
         if "\n" in source:
-            return source, False
-        # a single line is a path unless it parses as inline data
-        try:
-            with open(source, "rb") as fh:
-                return fh.read().decode("utf-8"), False
-        except OSError:
-            if len(source.split()) not in (2, 3):
-                raise
-            return source, True
+            return source
+        with open(source, "rb") as fh:
+            return fh.read().decode("utf-8")
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         data = source.read()
-        return (data.decode("utf-8") if isinstance(data, bytes) else data), False
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     raise TypeError("unsupported edge-list source")
 
 
@@ -391,9 +384,8 @@ class _Records:
     token and ``width[r]`` its token count.
     """
 
-    def __init__(self, text: str, one_line: bool):
+    def __init__(self, text: str):
         self.text = text
-        self.one_line = one_line
         if text.isascii():
             codes = np.frombuffer(text.encode("ascii"), np.uint8)
             cls = np.take(_CLASS, codes)
@@ -405,7 +397,7 @@ class _Records:
         flips = np.flatnonzero(word[1:] != word[:-1])
         self.starts, self.ends = flips[0::2], flips[1::2]
         # line breaks and token starts, in text order
-        brk = (cls == 2) & (not one_line)
+        brk = cls == 2
         events = np.flatnonzero(brk | (word[1:-1] & ~word[:-2]))
         is_break = brk[events]
         opens = np.concatenate(([True], is_break))[:-1][~is_break]
@@ -416,8 +408,6 @@ class _Records:
 
     def line(self, r: int) -> int:
         """The 1-based line of record r, as ``str.splitlines()`` counts."""
-        if self.one_line:
-            return 1
         return len(self.text[:self.starts[self.first[r]] + 1].splitlines())
 
     def strings(self, tokens: np.ndarray) -> list[str]:
@@ -471,12 +461,14 @@ class _Records:
 def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
     """Parse a whitespace-separated edge list ``u v [p]``.
 
-    ``source`` is a path, text, bytes, or a readable stream.  Lines starting
-    with ``#`` are skipped.  An optional first line ``n m`` declares node and
-    edge counts; with ``header="auto"`` a leading 2-integer line is taken as
-    a header when its counts are consistent with the rest of the file.
-    Without a header, node ids are compacted to [0, n) in sorted order and
-    the original ids are kept in ``graph.labels``.
+    ``source`` is a path, text, bytes, or a readable stream: a string is
+    text when it holds a ``\\n`` and a path otherwise, so one line of text
+    needs its ``\\n``.  Lines starting with ``#`` are skipped.  An optional
+    first line ``n m`` declares node and edge counts; with ``header="auto"``
+    a leading 2-integer line is taken as a header when its counts are
+    consistent with the rest of the file.  Without a header, node ids are
+    compacted to [0, n) in sorted order and the original ids are kept in
+    ``graph.labels``.
 
     The whole text is tokenized at once.  Tokens are separated by the
     characters ``str.split()`` treats as whitespace, lines by those at which
@@ -487,7 +479,7 @@ def load_edge_list(source, header: bool | str = "auto") -> DirectedGraph:
     tokens by ``int()``, and edge values by ``float()``.  A failing check
     reports the first bad record, with its line number.
     """
-    rec = _Records(*_read_text(source))
+    rec = _Records(_read_text(source))
     count = len(rec.first)
     if not count:
         raise EdgeListError("empty edge list")

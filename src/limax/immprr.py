@@ -111,13 +111,14 @@ class ImmParams:
 
 
 def compute_m(d: int, budget_steps: int) -> float:
-    """min(K ln d, d ln K), with the d=1 degenerate branch dropped and a floor of 1."""
-    if budget_steps < 1:
-        raise ValueError("budget must be at least one step")
+    """min(K ln d, d ln K), with the d=1 degenerate branch dropped and a
+    floor of 1, which K = 0, with one feasible mix, also gets."""
+    if budget_steps < 0:
+        raise ValueError("budget steps must be >= 0")
     cands = []
     if d > 1:
         cands.append(budget_steps * math.log(d))
-    cands.append(d * math.log(budget_steps))
+    cands.append(d * math.log(max(budget_steps, 1)))
     return max(1.0, min(cands))
 
 

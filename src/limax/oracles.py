@@ -45,7 +45,6 @@ __all__ = [
     "LiveEdgeEnumeration",
     "exact_g",
     "exact_g_subsets",
-    "exact_sigma",
     "exact_opt",
     "enumerate_feasible_mixes",
 ]
@@ -211,8 +210,6 @@ class LiveEdgeEnumeration:
         if n > MAX_EXACT_NODES or m > MAX_EXACT_EDGES:
             raise InstanceTooLargeError(
                 f"exact enumeration limited to n <= {MAX_EXACT_NODES}, m <= {MAX_EXACT_EDGES}")
-        self.graph = graph
-        self.params = params
         self.n = n
         indptr, src, vals = params._csr
         deg = np.diff(indptr)
@@ -238,8 +235,8 @@ class LiveEdgeEnumeration:
             for v, base in zip(has.tolist(), radices):
                 digits[v] = (idx // scale) % base
                 scale *= base
-                none = 1.0 - vals[indptr[v + 1] - 1]  # one minus the weight sum
-                probs *= np.append(params.values[indptr[v]:indptr[v + 1]], none)[digits[v]]
+                row = vals[indptr[v]:indptr[v + 1]]
+                probs *= np.append(row, 1.0 - np.cumsum(row)[-1])[digits[v]]
             live = [digits[v] == e - indptr[v] for e, v in enumerate(dst.tolist())]
         edges = list(zip(src.tolist(), dst.tolist()))
         anc = np.empty((num, n), dtype=np.int32)
@@ -277,18 +274,10 @@ class LiveEdgeEnumeration:
         return float(self.probs @ hit.sum(axis=1))
 
 
-def exact_g(graph: DirectedGraph, params: TriggeringParams, model, x,
-            enumeration: LiveEdgeEnumeration | None = None) -> float:
-    """Exact expected spread of mix x (small instances only)."""
-    enum = enumeration or LiveEdgeEnumeration(graph, params)
-    steps = as_steps(x)
-    return enum.spread_given_h(model.h_all(steps))
-
-
-def exact_sigma(graph: DirectedGraph, params: TriggeringParams, seeds,
-                enumeration: LiveEdgeEnumeration | None = None) -> float:
-    enum = enumeration or LiveEdgeEnumeration(graph, params)
-    return enum.sigma(seeds)
+def exact_g(graph: DirectedGraph, params: TriggeringParams, model, x) -> float:
+    """Exact expected spread of mix x (small instances only); to score many
+    mixes on one instance, build one :class:`LiveEdgeEnumeration`."""
+    return LiveEdgeEnumeration(graph, params).spread_given_h(model.h_all(as_steps(x)))
 
 
 def exact_g_subsets(graph: DirectedGraph, params: TriggeringParams, model, x) -> float:

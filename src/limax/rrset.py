@@ -49,10 +49,10 @@ one step takes its CSR rows whole and is the next frontier as it is, bits
 come from an 8-entry table, and IC without skip flags gathers none.
 
 A collection holds its RR sets in flat arrays that only grow (members,
-offsets, roots, widths), appended straight from the kernel's batches; the
-coverage weights and the greedy's per-strategy entries are whole-array
-reductions over the members, and the entries extend over new sets only:
-one scatter puts each strategy's new entries after its old ones.
+offsets, roots), appended straight from the kernel's batches.  The set
+widths, the coverage weights and the greedy's per-strategy entries are
+whole-array reductions over the members, and the entries extend over new
+sets only: one scatter puts each strategy's new entries after its old ones.
 """
 
 from __future__ import annotations
@@ -285,17 +285,16 @@ def _flushed(name: str) -> property:
 
 class RRCollection:
     """A growing sequence of RR sets in flat, append-only, read-only arrays:
-    set i has root ``roots[i]``, width ``widths[i]`` and sorted members
+    set i has root ``roots[i]`` and sorted members
     ``members[offsets[i]:offsets[i + 1]]``.  :meth:`extend` appends the
-    kernel's batches; :meth:`add` buffers a set until the next read.
-    ``sets`` views them as :class:`RRSet` objects, built on each read and
-    never by the solvers.
+    kernel's batches; :meth:`add` buffers a set's root and members until
+    the next read.  ``widths`` and ``sets`` (:class:`RRSet` views) are
+    computed from these on each read, never by the solvers.
     """
 
     members = _flushed("_members")
     offsets = _flushed("_offsets")
     roots = _flushed("_roots")
-    widths = _flushed("_widths")
 
     def __init__(self, graph: DirectedGraph, params: TriggeringParams, model):
         if model is not None:  # a bare set store needs none
@@ -304,7 +303,7 @@ class RRCollection:
         self.params = params
         self.model = model
         self.n = graph.n
-        self._members = self._roots = self._widths = _NONE
+        self._members = self._roots = _NONE
         self._offsets = np.zeros(1, dtype=np.int64)
         self._pending: list[RRSet] = []
         self._entries, self._entries_count = None, 0
@@ -314,10 +313,16 @@ class RRCollection:
         return len(self._offsets) - 1 + len(self._pending)
 
     @property
+    def widths(self) -> np.ndarray:
+        """Each set's width: the in-degree summed over its members."""
+        deg = self.graph.in_degrees()[self.members]
+        return np.add.reduceat(deg, self._offsets[:-1]) if self.theta else _NONE
+
+    @property
     def sets(self) -> tuple[RRSet, ...]:
         bounds = self.offsets.tolist()
         return tuple(RRSet(r, self._members[a:b], w) for r, a, b, w in
-                     zip(self._roots.tolist(), bounds, bounds[1:], self._widths.tolist()))
+                     zip(self._roots.tolist(), bounds, bounds[1:], self.widths.tolist()))
 
     def add(self, rr: RRSet) -> None:
         self._pending.append(rr)
@@ -326,15 +331,14 @@ class RRCollection:
         if self._pending:
             sets, self._pending = self._pending, []
             self._append([s.members for s in sets], np.array([len(s.members) for s in sets]),
-                         [s.root for s in sets], [s.width for s in sets])
+                         [s.root for s in sets])
 
-    def _append(self, members: list, sizes: np.ndarray, roots, widths) -> None:
-        """Append sets by member arrays, sizes, roots and widths."""
+    def _append(self, members: list, sizes: np.ndarray, roots) -> None:
+        """Append sets by member arrays, sizes and roots."""
         self._members = np.concatenate([self._members, *members])
         self._offsets = np.concatenate((self._offsets, self._offsets[-1] + np.cumsum(sizes)))
         self._roots = np.concatenate((self._roots, roots))
-        self._widths = np.concatenate((self._widths, widths))
-        for a in (self._members, self._offsets, self._roots, self._widths):
+        for a in (self._members, self._offsets, self._roots):
             a.flags.writeable = False
 
     def _sample(self, roots: np.ndarray, gen: np.random.Generator) -> None:
@@ -344,16 +348,15 @@ class RRCollection:
         if len(bad):
             raise ValueError(f"root {roots[bad[0]]} outside [0, {self.n})")
         self._flush()
-        n, deg, parts = self.n, np.diff(self.params._csr[0]), []
+        n, parts = self.n, []
         for sets, nodes in _reverse_reach(self.graph, self.params, roots, gen):
             keys = np.sort(sets * n + nodes)
             sets = keys // n
             nodes = keys - sets * n
             starts = np.flatnonzero(np.diff(sets, prepend=-1))  # every set holds its root
-            parts.append((nodes, np.diff(starts, append=len(nodes)),
-                          np.add.reduceat(deg[nodes], starts)))
-        members, sizes, widths = zip(*parts)
-        self._append(members, np.concatenate(sizes), roots, np.concatenate(widths))
+            parts.append((nodes, np.diff(starts, append=len(nodes))))
+        members, sizes = zip(*parts)
+        self._append(members, np.concatenate(sizes), roots)
 
     def extend(self, count: int, rng: np.random.Generator) -> None:
         """Generate ``count`` more RR sets rooted at uniform random nodes:

@@ -49,6 +49,14 @@ class CurveDomainError(ValueError):
     """Curve evaluated outside its tabulated lattice domain."""
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a ``ValueError`` names it if ``int`` would truncate it."""
+    i = int(value)
+    if i != value:
+        raise ValueError(f"{what} ({value!r}) is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Strategy count d, granularity delta, and total budget in steps K."""
@@ -58,6 +66,8 @@ class LatticeConfig:
     budget_steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _whole(self.d, "d"))
+        object.__setattr__(self, "budget_steps", _whole(self.budget_steps, "budget_steps"))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.delta <= 0:
@@ -269,17 +279,18 @@ _CURVE_TOL = 1e-12  # validate_model's slack on every check
 
 
 def validate_model(model, lattice: LatticeConfig) -> list[CurveViolation]:
-    """Check every tabulated curve for q(0)=0, monotonicity, range, and
-    discrete concavity up to the budget, each within ``_CURVE_TOL``.
-    Black-box models are not checkable and yield an empty report.
+    """Check every tabulated curve, on the model's own lattice only, for
+    q(0)=0, monotonicity, range and discrete concavity, each within
+    ``_CURVE_TOL``.  Black-box models are not checkable and report clean.
 
     All rows of ``model._flat_tables`` are checked at once; the report lists
     the violations by node, then strategy, then check, in the order above
     the ``kind`` field gives.
     """
+    _check_fit(model.n, model, lattice)
     if not isinstance(model, IndependentActivation):
         return []
-    tab = model._flat_tables[:, :lattice.budget_steps + 1]
+    tab = model._flat_tables
     diffs = np.diff(tab, axis=1)
     origin = np.abs(tab[:, 0]) > _CURVE_TOL
     out_of_range = np.any((tab < -_CURVE_TOL) | (tab > 1.0 + _CURVE_TOL), axis=1)

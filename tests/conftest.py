@@ -69,6 +69,14 @@ def csr_rows(indptr, flat) -> list[list]:
     return [flat[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
+def running_sums(params: TriggeringParams) -> np.ndarray:
+    """Each node's running sums of its in-edge values, one ``np.cumsum``
+    per row, in ``params._csr`` order."""
+    bounds = params._csr[0].tolist()
+    return np.concatenate([np.empty(0)] + [np.cumsum(params.values[a:b])
+                                           for a, b in zip(bounds, bounds[1:])])
+
+
 # random_instance seeds giving n >= 6, m >= 8, d >= 2, six or more q tables
 # and two or more nodes with several in-edges, under both IC and LT
 RICH_SEEDS = [501, 511, 525, 542]

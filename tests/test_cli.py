@@ -96,6 +96,19 @@ def test_budget_sweep_row_count(small_graph_file, tmp_path):
     assert [r[4] for r in report.rows] == ["1.0", "2.0", "3.0"] * 2
 
 
+def test_zero_budget_imm_cells(small_graph_file, tmp_path):
+    # k = 0 leaves the zero mix: both IMM solvers report it, with no error
+    path, _ = small_graph_file
+    cfg = _base_config(path, tmp_path / "o.csv", budgets=[0, 2],
+                       algorithms=["immvsn", "immprr"])
+    report = run_experiment(cfg)
+    assert report.errors == []
+    zero = [r for r in report.rows if r[4] == "0.0"]
+    assert [r[2] for r in zero] == ["immvsn", "immprr"]
+    assert all(float(r[6]) == 0.0 and r[9] == "0" for r in zero)
+    assert all(float(r[6]) > 0.0 for r in report.rows if r[4] == "2.0")
+
+
 def test_ten_budget_sweep_rows(small_graph_file, tmp_path):
     path, _ = small_graph_file
     cfg = _base_config(path, tmp_path / "o.csv",

@@ -66,8 +66,12 @@ def test_missing_path_raises_file_not_found(tmp_path):
     missing = str(tmp_path / "no-such-graph.txt")
     with pytest.raises(FileNotFoundError, match="no-such-graph.txt"):
         load_edge_list(missing)
-    # a single line that splits into 2-3 fields is still inline data
-    g = load_edge_list("0 1")
+    # a string without a line break is a path, even one that splits into
+    # 2-3 fields; one line of text is read with its line break
+    for name in ("my graph.txt", "0 1"):
+        with pytest.raises(FileNotFoundError, match=name):
+            load_edge_list(str(tmp_path / name))
+    g = load_edge_list("0 1\n")
     assert g.n == 2 and g.m == 1
 
 
@@ -255,6 +259,16 @@ def test_lt_selection_frequency_bound(rng):
     freq = np.bincount([u for s in sets for u in s], minlength=3) / draws
     bound = 4.0 * np.sqrt(w * (1 - w) / draws)
     assert np.all(np.abs(freq - w) <= bound)
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+def test_params_csr_holds_the_values_themselves(kind):
+    # one stored form of the edge values under both kinds: the kernels'
+    # in-edge CSR holds ``values`` itself, never the LT running sums
+    g = from_edges(4, [(0, 3), (1, 3), (2, 3), (0, 1)])
+    params = TriggeringParams.build(g, kind, np.array([1.0, 0.2, 0.3, 0.4]))
+    assert params._csr[2] is params.values
+    assert params._csr[0] is g.in_csr[0] and params._csr[1] is g.in_csr[1]
 
 
 def test_graph_arrays_are_immutable():

@@ -32,6 +32,8 @@ def test_compute_m_branches():
     # both branches degenerate -> floored at 1
     assert compute_m(1, 1) == 1.0
     assert compute_m(3, 1) == 1.0
+    # K = 0 leaves one feasible mix: floored at 1 as well
+    assert compute_m(1, 0) == compute_m(5, 0) == 1.0
     # generic: min of the two bounds
     assert compute_m(10, 4) == pytest.approx(min(4 * math.log(10), 10 * math.log(4)))
 

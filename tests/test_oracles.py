@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import RICH_SEEDS, random_instance, sweep_monotone_dr
+from conftest import RICH_SEEDS, random_instance, running_sums, sweep_monotone_dr
 
 from limax import oracles
 from limax.budgets import PartitionedBudget, TotalBudget, is_feasible
@@ -14,7 +14,7 @@ from limax.immvsn import (VirtualNodeId, build_augmented,
                           simulate_spread_virtual_seeds)
 from limax.oracles import (_RUN_PAIRS, InstanceTooLargeError,
                            LiveEdgeEnumeration, enumerate_feasible_mixes,
-                           exact_g, exact_g_subsets, exact_opt, exact_sigma,
+                           exact_g, exact_g_subsets, exact_opt,
                            simulate_spread_mix, simulate_spread_seeds)
 from limax.rng import stream
 from limax.strategy import (IndependentActivation, LatticeConfig,
@@ -95,11 +95,11 @@ def test_forward_law_matches_exact_oracle(kind, seed):
     seed_sets = [[v] for v in range(graph.n)] + [list(range(0, graph.n, 2))]
     for i, seeds in enumerate(seed_sets):
         est = simulate_spread_seeds(graph, params, seeds, FORWARD_RUNS, stream(32, seed, i))
-        assert abs(est.mean - exact_sigma(graph, params, seeds, enum)) <= 4 * est.se + 1e-9
+        assert abs(est.mean - enum.sigma(seeds)) <= 4 * est.se + 1e-9
     mixes = [StrategyMix(np.ones(lat.d, dtype=np.int64)),
              StrategyMix(np.full(lat.d, lat.budget_steps))]
     for i, x in enumerate(mixes):
-        exact = exact_g(graph, params, model, x, enum)
+        exact = enum.spread_given_h(model.h_all(x))
         est = simulate_spread_mix(graph, params, model, x, FORWARD_RUNS, stream(33, seed, i))
         assert abs(est.mean - exact) <= 4 * est.se + 1e-9
     aug = build_augmented(graph, params, model, lat)
@@ -118,7 +118,8 @@ def _lt_counts_by_levels(graph, params, runs, width, seed_keys, rng):
     per run for every node with in-edges, node-major) and resolved with
     ``np.searchsorted`` on each node's running weight sums."""
     n = graph.n
-    indptr, src, cum = params._csr
+    indptr, src, _ = params._csr
+    cum = running_sums(params)
     out_ptr, dst, _ = params._out_csr
     has = np.flatnonzero(np.diff(indptr))
     per_batch = max(1, min(runs, oracles._RUN_PAIRS // max(n, width, 1)))
@@ -321,7 +322,7 @@ def test_exact_sigma_seed_sets():
     enum = LiveEdgeEnumeration(g, params)
     assert enum.sigma([]) == 0.0
     # sigma({0}) = 1 + 0.5 + 0.25
-    assert exact_sigma(g, params, [0], enum) == pytest.approx(1.75)
+    assert enum.sigma([0]) == pytest.approx(1.75)
 
 
 def test_size_guard():

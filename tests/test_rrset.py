@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from conftest import (RICH_SEEDS, SHARED_IC, random_concave_table, random_instance,
-                      node_rows, rr_set, shared_ic, sweep_monotone_dr)
+                      node_rows, rr_set, running_sums, shared_ic, sweep_monotone_dr)
 
 import limax.graph as graph_module
 import limax.rrset as rrset_module
@@ -259,7 +259,8 @@ def test_lt_guide_picks_match_bisect_right(seed, shape, hub):
     forward kernel's block of runs."""
     gen = np.random.default_rng(seed)
     params, rows = _lt_guide_instance(_lt_rows(gen, shape, hub))
-    indptr, src, cum = params._csr
+    indptr, src, _ = params._csr
+    cum = running_sums(params)
     nodes, xs = [], []
     for v in range(rows):
         row, d = cum[indptr[v]:indptr[v + 1]], indptr[v + 1] - indptr[v]
@@ -301,7 +302,7 @@ def test_lt_guide_steps_count_a_sum_at_a_bucket_edge():
     row[3] = 15 / 22 - row[:3].sum()
     row[6] = 1.0 - 15 / 22
     params, _ = _lt_guide_instance([row])
-    assert params._csr[2][3] == 15 / 22 and int(15 / 22 * 22) == 14
+    assert running_sums(params)[3] == 15 / 22 and int(15 / 22 * 22) == 14
     assert params._guide.steps == 6
     x = np.array([np.nextafter(15 / 22, 0.0), 15 / 22, np.nextafter(15 / 22, 1.0)])
     picks = graph_module._lt_picks(params, np.zeros(3, np.int64), x)
@@ -651,7 +652,8 @@ def test_incremental_entries_match_from_scratch(seed, steps):
                            int(gen.integers(0, 9)))
                 eager.add(rr)
                 lazy.add(rr)
-                expect.append((rr.root, rr.members, rr.width))
+                # add keeps the root and members; the width is read off them
+                expect.append((rr.root, rr.members, int(g.in_degrees()[rr.members].sum())))
         assert eager.theta == lazy.theta == len(expect)
         if k % 2 == 0 or op == "add":
             eager.strategy_entries()
@@ -669,6 +671,22 @@ def test_incremental_entries_match_from_scratch(seed, steps):
             assert coll.offsets.tolist() == offsets.tolist() + [len(concat)]
             assert coll.roots.tolist() == [r for r, _, _ in expect]
             assert coll.widths.tolist() == [w for _, _, w in expect]
+
+
+@pytest.mark.parametrize("kind", [IC, LT])
+def test_widths_are_in_degree_sums_over_members(kind):
+    """A set's width is the in-degree summed over its members, for sampled
+    sets, for added sets (whatever width their RRSet carries) and, as an
+    empty array, for an empty collection."""
+    inst = random_instance(np.random.default_rng(RICH_SEEDS[0]), kind=kind)
+    g, deg = inst.graph, inst.graph.in_degrees()
+    coll = RRCollection(g, inst.params, inst.model)
+    assert coll.widths.tolist() == [] and coll.sets == ()
+    coll.extend(40, stream(93, 0))
+    coll.add(RRSet(0, np.arange(g.n), -7))
+    expect = [int(deg[s.members].sum()) for s in coll.sets]
+    assert coll.widths.tolist() == expect and expect[-1] == g.m
+    assert [s.width for s in coll.sets] == expect
 
 
 def test_sets_are_read_only_views():
@@ -811,7 +829,8 @@ def _in_edge_expand_before(params, sets, rng):
     """The reverse kernel's expand before it: a skip-flag gather per step,
     and LT slots found by one ``bisect`` per pair."""
     csr = params._csr
-    indptr, src, cum = csr
+    indptr, src, _ = csr
+    cum = running_sums(params)
 
     def expand(keys):
         nodes, local = np.divmod(keys, sets)

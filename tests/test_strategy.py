@@ -97,6 +97,28 @@ def test_validate_model_flags_non_concave():
     assert "non-concave" in kinds
 
 
+def test_validate_model_checks_the_whole_curve_on_the_models_lattice():
+    # non-concave only past step 2: a shorter lattice is refused, not
+    # checked on its first columns, and the model's own reports the kink
+    lat = LatticeConfig(d=1, delta=1.0, budget_steps=3)
+    model = IndependentActivation(1, lat, [0], [0], np.array([[0.0, 0.5, 0.6, 0.99]]))
+    for other in (LatticeConfig(d=1, delta=1.0, budget_steps=2),
+                  LatticeConfig(d=2, delta=1.0, budget_steps=3)):
+        with pytest.raises(ValueError, match="differs from the model's"):
+            validate_model(model, other)
+    assert [v.kind for v in validate_model(model, lat)] == ["non-concave"]
+
+
+def test_lattice_config_takes_whole_numbers_only():
+    lat = LatticeConfig(d=30.0, delta=1.0, budget_steps=2.0)
+    assert (lat.d, lat.budget_steps) == (30, 2) and type(lat.budget_steps) is int
+    assert lat == LatticeConfig(d=30, delta=1.0, budget_steps=2)
+    with pytest.raises(ValueError, match=r"^budget_steps \(2\.5\) is not an integer$"):
+        LatticeConfig(d=3, delta=1.0, budget_steps=2.5)
+    with pytest.raises(ValueError, match=r"^d \(1\.5\) is not an integer$"):
+        LatticeConfig(d=1.5, delta=1.0, budget_steps=2)
+
+
 def test_validate_model_flags_nonzero_origin():
     lat = LatticeConfig(d=1, delta=1.0, budget_steps=2)
     model = IndependentActivation(1, lat, [0], [0], np.array([[0.1, 0.2, 0.3]]))
